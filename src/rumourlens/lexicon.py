@@ -16,11 +16,18 @@ Lexicons are JSON::
 A converter for the classic ``.dic`` dictionary format (category header
 block between '%' lines, then word/category-id rows) is provided as
 ``convert_dic``.
+
+Matching is compiled: each ``Lexicon`` indexes its literals and its stems
+(pattern → categories) when it is made, and looks each distinct word up
+once, the literal index plus every prefix of the word in the stem index.
+The result is memoised on the lexicon, so that memo grows with the
+distinct vocabulary scored against it.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import BadPattern, CycleError, EmptyCategory, ParseError
@@ -66,9 +73,49 @@ class Lexicon:
     categories: dict[str, Category]
     name: str = ""
     version: str = ""
+    # compiled forms, derived from `categories` and so kept out of
+    # equality: pattern -> category positions (punctuation: -> names),
+    # and the per-word memo
+    _literal_index: dict[str, list[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _stem_index: dict[str, list[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _punct_index: dict[str, list[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _memo: dict[str, tuple[str, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        for pos, (cname, cat) in enumerate(self.categories.items()):
+            for w in cat.literals:
+                self._literal_index.setdefault(w, []).append(pos)
+            for stem in cat.stems:
+                self._stem_index.setdefault(stem, []).append(pos)
+            for p in cat.punct_literals:
+                self._punct_index.setdefault(p, []).append(cname)
 
     def top_level(self) -> list[str]:
         return [c.name for c in self.categories.values() if c.parent is None]
+
+    def word_categories(self, word: str) -> tuple[str, ...]:
+        """Categories a lower-cased word token matches, in `categories` order."""
+        found = self._memo.get(word)
+        if found is None:
+            hits = set(self._literal_index.get(word, ()))
+            stems = self._stem_index
+            for i in range(len(word) + 1):  # prefix 0 is a bare '*'
+                hits.update(stems.get(word[:i], ()))
+            names = list(self.categories)
+            found = self._memo[word] = tuple(names[pos] for pos in sorted(hits))
+        return found
+
+    def punct_categories(self, surface: str) -> list[str]:
+        """Categories listing a punctuation token's surface as a literal."""
+        return self._punct_index.get(surface, [])
 
 
 def _compile_category(name: str, patterns: list[str], parent: str | None) -> Category:
@@ -147,12 +194,6 @@ class CategoryProfile:
     punctuation: dict[str, float]  # empty when word_count == 0
 
 
-def _matches(cat: Category, word: str) -> bool:
-    if word in cat.literals:
-        return True
-    return any(word.startswith(s) for s in cat.stems)
-
-
 def score(tokens: list[Token], lexicon: Lexicon) -> CategoryProfile:
     """Profile one tokenized text against a lexicon.
 
@@ -181,33 +222,17 @@ def score(tokens: list[Token], lexicon: Lexicon) -> CategoryProfile:
             punct_counts["apostrophe"] += inner
             punct_counts["all_punct"] += inner
 
-    percentages = {}
-    for cname, cat in lexicon.categories.items():
-        hits = sum(1 for w in words if _matches(cat, w))
-        if cat.punct_literals:
-            hits += sum(1 for p in punct_surfaces if p in cat.punct_literals)
-        percentages[cname] = 100.0 * hits / wc
+    hits = dict.fromkeys(lexicon.categories, 0)
+    for w, n in Counter(words).items():
+        for cname in lexicon.word_categories(w):
+            hits[cname] += n
+    for p in punct_surfaces:
+        for cname in lexicon.punct_categories(p):
+            hits[cname] += 1
+    percentages = {cname: 100.0 * n / wc for cname, n in hits.items()}
 
     punctuation = {k: 100.0 * v / wc for k, v in punct_counts.items()}
     return CategoryProfile(word_count=wc, percentages=percentages, punctuation=punctuation)
-
-
-def profile_population(
-    token_streams: list[list[Token]], lexicon: Lexicon
-) -> tuple[dict[str, list[float]], dict[str, float]]:
-    """Per-category sample vectors and their means over a population.
-
-    Texts with zero words contribute no sample (absent, not zero).
-    """
-    vectors: dict[str, list[float]] = {c: [] for c in lexicon.categories}
-    for tokens in token_streams:
-        profile = score(tokens, lexicon)
-        if profile.word_count == 0:
-            continue
-        for cname, pct in profile.percentages.items():
-            vectors[cname].append(pct)
-    means = {c: (sum(v) / len(v) if v else float("nan")) for c, v in vectors.items()}
-    return vectors, means
 
 
 def convert_dic(dic_path, json_path=None) -> Lexicon:

@@ -184,22 +184,29 @@ def stage_compare(cfg: RunConfig) -> list[Path]:
     # emotion scores feed the emotion table, not the KS matrices
     ks_features = [f for f in feature_names if f not in EMOTION_FEATURES]
 
+    # one pass buckets the rows; each bucket, the aggregated one included,
+    # keeps the original row order, so sample order (and float sums) match
+    by_role: dict[str, list[dict]] = {}
+    by_role_event: dict[tuple[str, str], list[dict]] = {}
+    by_population: dict[str, list[dict]] = {pop: [] for pop in emotions.POPULATIONS}
+    for r in rows:
+        by_role.setdefault(r["role"], []).append(r)
+        by_role_event.setdefault((r["role"], r["event"]), []).append(r)
+        by_population[_population_of(r)].append(r)
+
     matrices = []
-    for pair, roles in (("sources", ("source",)), ("reactions", ("reaction",))):
+    for pair, role in (("sources", "source"), ("reactions", "reaction")):
+        groups = {event: by_role_event.get((role, event), []) for event in usable}
+        groups[AGGREGATED_EVENT] = by_role.get(role, [])
         samples: dict[str, dict[str, tuple[list[float], list[float]]]] = {}
         for feature in ks_features:
             samples[feature] = {}
-            for event in usable + [AGGREGATED_EVENT]:
+            for event, group in groups.items():
                 rum, non = [], []
-                for r in rows:
-                    if r["role"] not in roles:
-                        continue
-                    if event != AGGREGATED_EVENT and r["event"] != event:
-                        continue
+                for r in group:
                     v = r["values"][feature]
-                    if v is None:
-                        continue
-                    (rum if r["label"] == "rumour" else non).append(v)
+                    if v is not None:
+                        (rum if r["label"] == "rumour" else non).append(v)
                 samples[feature][event] = (rum, non)
         matrices.append(
             stats.significance_matrix(
@@ -217,18 +224,17 @@ def stage_compare(cfg: RunConfig) -> list[Path]:
     report.write_ks_csv(out / report.KS_AGGREGATED_CSV, matrices, events=[AGGREGATED_EVENT])
     written += [out / report.KS_SOURCES_CSV, out / report.KS_REACTIONS_CSV, out / report.KS_AGGREGATED_CSV]
 
-    mean_samples: dict[str, dict[str, list[float | None]]] = {}
-    for feature in feature_names:
-        mean_samples[feature] = {pop: [] for pop in emotions.POPULATIONS}
-        for r in rows:
-            mean_samples[feature][_population_of(r)].append(r["values"][feature])
+    mean_samples: dict[str, dict[str, list[float | None]]] = {
+        feature: {pop: [r["values"][feature] for r in group] for pop, group in by_population.items()}
+        for feature in feature_names
+    }
     report.write_means_csv(out / report.MEANS_CSV, stats.mean_report(mean_samples))
     written.append(out / report.MEANS_CSV)
 
     if any(f in feature_names for f in EMOTION_FEATURES):
         table: dict[str, dict[str, float]] = {}
         for pop in emotions.POPULATIONS:
-            labels = [emotion_argmax(r["values"]) for r in rows if _population_of(r) == pop]
+            labels = [emotion_argmax(r["values"]) for r in by_population[pop]]
             labels = [lab for lab in labels if lab is not None]
             if not labels:
                 continue

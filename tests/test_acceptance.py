@@ -270,12 +270,16 @@ def test_criterion_6_end_to_end_fixture(tmp_path):
         )
         + "\n"
     )
+    # the CLI child imports the package from the source tree, as pytest does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "rumourlens.cli", "all", "--config", str(conf)],
         capture_output=True,
         text=True,
         cwd=ROOT,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     elapsed = time.perf_counter() - started

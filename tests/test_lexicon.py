@@ -2,15 +2,11 @@ import random
 
 import pytest
 
+from rumourlens.corpus import EventCorpus, Label, Role, Tweet
 from rumourlens.errors import BadPattern, CycleError, EmptyCategory, ParseError
-from rumourlens.lexicon import (
-    build_lexicon,
-    convert_dic,
-    load_lexicon,
-    profile_population,
-    score,
-)
-from rumourlens.textprep import tokenize
+from rumourlens.features import WC_FEATURE, Featurizer, lexicon_feature_names
+from rumourlens.lexicon import build_lexicon, convert_dic, load_lexicon, score
+from rumourlens.textprep import TokenKind, tokenize
 
 PAPER_SHAPE_TOP_LEVEL = {
     "wc", "function", "affect", "social", "cogproc", "percept", "bio", "drives",
@@ -162,19 +158,127 @@ class TestProperties:
         assert score(tokenize("prune"), lex).percentages["c"] == 0.0
 
 
+ORACLE_WORDS = [
+    "run", "runs", "running", "runner", "prune", "r", "fire", "fires", "firefighter",
+    "we", "weird", "don't", "o'clock", "we're", "happy", "happened", "sad", "the",
+]
+ORACLE_PUNCT = [".", "!", "?", "'", "(", ")", ","]
+
+
+def oracle_percentages(tokens, categories):
+    """Brute-force reference: every word against every literal set and a
+    `startswith` scan over every stem of every category."""
+    words = [t.surface.lower() for t in tokens if t.kind is TokenKind.WORD]
+    puncts = [t.surface for t in tokens if t.kind is TokenKind.PUNCTUATION]
+    if not words:
+        return {}
+    out = {}
+    for name, spec in categories.items():
+        pats = [p.lower() for p in spec["patterns"]]
+        stems = [p[:-1] for p in pats if p.endswith("*")]
+        plain = [p for p in pats if not p.endswith("*")]
+        literals = {p for p in plain if not p or any(ch.isalpha() for ch in p)}
+        punct = set(plain) - literals
+        hits = sum(1 for w in words if w in literals or any(w.startswith(s) for s in stems))
+        hits += sum(1 for p in puncts if p in punct)
+        out[name] = 100.0 * hits / len(words)
+    return out
+
+
+def random_oracle_categories(rng):
+    """Flat lexicon mixing nested stems, words that are both a literal and
+    a stem hit, a bare '*', punctuation literals and upper-case patterns."""
+    categories = {}
+    for c in range(rng.randrange(1, 7)):
+        pats = set()
+        for _ in range(rng.randrange(1, 6)):
+            w = rng.choice(ORACLE_WORDS)
+            roll = rng.random()
+            if roll < 0.4:
+                pats.add(w[: rng.randrange(1, len(w) + 1)] + "*")
+            elif roll < 0.5:
+                pats.add(rng.choice(ORACLE_PUNCT))
+            elif roll < 0.6:
+                pats.add(w.upper())
+            else:
+                pats.add(w)
+        if rng.random() < 0.1:
+            pats.add("*")
+        categories[f"c{rng.randrange(100)}_{c}"] = {"patterns": sorted(pats)}
+    return categories
+
+
+def random_oracle_text(rng):
+    parts = []
+    for _ in range(rng.randrange(0, 12)):
+        w = rng.choice(ORACLE_WORDS + ORACLE_PUNCT + ["#tag", "@user"])
+        parts.append(rng.choice([w, w.upper(), w.capitalize()]))
+    return " ".join(parts)
+
+
+class TestCompiledLookup:
+    def test_matches_brute_force_oracle(self):
+        rng = random.Random(2112)
+        for _ in range(300):
+            categories = random_oracle_categories(rng)
+            lex = build_lexicon(categories)
+            for _ in range(5):
+                tokens = tokenize(random_oracle_text(rng))
+                percentages = score(tokens, lex).percentages
+                assert percentages == oracle_percentages(tokens, categories)
+                assert list(percentages) in ([], list(categories))
+
+    def test_fixed_cases_match_oracle(self):
+        categories = {
+            "nested": {"patterns": ["run*", "runn*"]},
+            "both": {"patterns": ["run", "ru*"]},
+            "any": {"patterns": ["*"]},
+            "marks": {"patterns": ["!", "'", "("]},
+            "inner": {"patterns": ["don't", "o'*"]},
+            "upper": {"patterns": ["FIRE", "Happ*"]},
+        }
+        lex = build_lexicon(categories)
+        tokens = tokenize("RUNNING run Runner don't O'Clock FIRE happy (yes)! 'sad'")
+        assert score(tokens, lex).percentages == oracle_percentages(tokens, categories)
+
+    def test_word_categories_follow_category_order(self):
+        # twelve categories, so that hit positions {1, 8, 10} do not come
+        # out of a set in order by accident
+        categories = {f"c{i}": {"patterns": ["zzz"]} for i in range(12)}
+        categories["c1"] = {"patterns": ["run"]}
+        categories["c8"] = {"patterns": ["ru*"]}
+        categories["c10"] = {"patterns": ["*"]}
+        lex = build_lexicon(categories)
+        assert lex.word_categories("run") == ("c1", "c8", "c10")
+        assert lex.word_categories("walk") == ("c10",)
+
+    def test_memo_stays_out_of_equality(self):
+        spec = {"p": {"patterns": ["we", "run*"]}, "q": {"patterns": ["!"]}}
+        used, fresh = build_lexicon(spec), build_lexicon(spec)
+        score(tokenize("we keep running!"), used)
+        assert used == fresh
+
+
 class TestPopulation:
     def test_identical_tweets(self):
         lex = build_lexicon({"p": {"patterns": ["we"]}})
-        streams = [tokenize("we are here")] * 4
-        vectors, means = profile_population(streams, lex)
-        assert means["p"] == pytest.approx(vectors["p"][0])
-        assert len(set(vectors["p"])) == 1
+        profiles = [score(tokenize("we are here"), lex) for _ in range(4)]
+        assert profiles[0].percentages["p"] == pytest.approx(100.0 / 3)
+        assert all(p.percentages == profiles[0].percentages for p in profiles)
 
     def test_two_tweet_mean(self):
         lex = build_lexicon({"p": {"patterns": ["we"]}})
-        streams = [tokenize("fire fires"), tokenize("we go")]
-        _, means = profile_population(streams, lex)
-        assert means["p"] == 25.0
+        assert score(tokenize("fire fires"), lex).percentages["p"] == 0.0
+        assert score(tokenize("we go"), lex).percentages["p"] == 50.0
+
+    def test_zero_word_row_is_absent(self, demo_lexicon, demo_sentic_table):
+        tweet = Tweet("1", "?!?! ...", "e", Role.SOURCE, Label.RUMOUR)
+        featurizer = Featurizer(demo_lexicon, demo_sentic_table)
+        (row,) = featurizer.featurize_corpus(EventCorpus(event="e", sources=[tweet], reactions=[]))
+        assert row.values[WC_FEATURE] == 0.0
+        for name in lexicon_feature_names(demo_lexicon):
+            if name != WC_FEATURE:
+                assert row.values[name] is None
 
 
 class TestDicConverter:
