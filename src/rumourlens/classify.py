@@ -6,8 +6,11 @@ forest of Gini decision trees.
 Determinism: everything derives from one integer seed. Each tree draws
 its bootstrap sample and per-node feature subsets from an RNG stream
 derived from (seed, tree index), so the fitted forest is identical no
-matter how trees are scheduled. Missing feature values are imputed with
-the training-set median per feature, computed on training data only.
+matter how trees are scheduled. Missing feature values (NaN in the
+feature matrix; the `<name>__absent` flag in features.csv) are imputed
+with the training-set median per feature, computed on training data
+only. The protocol steps take the feature matrix `X` and the class
+vector `y`, and select rows by index arrays.
 
 At each node a random subset of ceil(sqrt(d)) features is considered; if
 none of the sampled features admits an impurity-reducing split, the full
@@ -36,13 +39,6 @@ def derive_seed(*parts) -> int:
     """Stable 64-bit seed from an arbitrary tag tuple."""
     text = "\x1f".join(str(p) for p in parts)
     return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    tweet_id: str
-    values: dict[str, float | None]
-    label: str  # one of CLASSES
 
 
 @dataclass(frozen=True)
@@ -110,42 +106,42 @@ class RandomForestModel:
         # ties go to class 0
         return (self.predict_proba(X) > 0.5).astype(np.int64)
 
+    def impute(self, X: np.ndarray) -> np.ndarray:
+        """Raw feature rows (NaN = absent) with the frozen medians filled in."""
+        if X.shape[-1] != len(self.feature_names):
+            raise FeatureMismatch(
+                f"model expects {len(self.feature_names)} features, got {X.shape[-1]}"
+            )
+        return build_matrix(X, [self.medians[name] for name in self.feature_names])
+
 
 # ---------------------------------------------------------------------------
 # matrix assembly and imputation
 
 
-def class_of(vector: FeatureVector) -> int:
-    return CLASSES.index(vector.label)
-
-
-def compute_medians(vectors: list[FeatureVector], feature_names) -> dict[str, float]:
-    """Per-feature median over the defined values; 0.0 when a feature is
-    absent everywhere (nothing to estimate from)."""
-    medians = {}
-    for name in feature_names:
-        defined = sorted(v.values[name] for v in vectors if v.values.get(name) is not None)
-        if not defined:
-            medians[name] = 0.0
-        else:
-            mid = len(defined) // 2
-            medians[name] = (
-                defined[mid] if len(defined) % 2 else (defined[mid - 1] + defined[mid]) / 2.0
+def compute_medians(X: np.ndarray) -> np.ndarray:
+    """Per-column median over the defined (non-NaN) values; 0.0 when a
+    column is absent everywhere (nothing to estimate from)."""
+    medians = np.zeros(X.shape[1])
+    for j in range(X.shape[1]):
+        col = X[:, j]
+        defined = np.sort(col[~np.isnan(col)], kind="stable")
+        if defined.size:
+            mid = defined.size // 2
+            medians[j] = (
+                defined[mid] if defined.size % 2 else (defined[mid - 1] + defined[mid]) / 2.0
             )
     return medians
 
 
-def build_matrix(
-    vectors: list[FeatureVector], feature_names, medians: dict[str, float]
-) -> tuple[np.ndarray, np.ndarray]:
-    X = np.empty((len(vectors), len(feature_names)))
-    y = np.empty(len(vectors), dtype=np.int64)
-    for i, vec in enumerate(vectors):
-        for j, name in enumerate(feature_names):
-            v = vec.values.get(name)
-            X[i, j] = medians[name] if v is None else v
-        y[i] = class_of(vec)
-    return X, y
+def build_matrix(X: np.ndarray, medians) -> np.ndarray:
+    """`X` with every absent (NaN) cell replaced by its column's median."""
+    return np.where(np.isnan(X), medians, X)
+
+
+def _rows_by_class(y: np.ndarray) -> dict[int, np.ndarray]:
+    y = np.asarray(y)
+    return {int(cls): np.flatnonzero(y == cls) for cls in np.unique(y)}
 
 
 # ---------------------------------------------------------------------------
@@ -153,43 +149,40 @@ def build_matrix(
 
 
 def split_train_test(
-    vectors: list[FeatureVector], ratio: float = 0.8, seed: int = 0
-) -> tuple[list[FeatureVector], list[FeatureVector]]:
-    """Stratified split; every class keeps at least one test row."""
-    by_class: dict[int, list[int]] = {}
-    for i, vec in enumerate(vectors):
-        by_class.setdefault(class_of(vec), []).append(i)
+    y: np.ndarray, ratio: float = 0.8, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stratified split into sorted (train, test) row indices; every class
+    keeps at least one test row."""
+    by_class = _rows_by_class(y)
     if len(by_class) < 2 or any(len(idx) < 2 for idx in by_class.values()):
         raise TooFewSamples("need at least 2 samples of each class to split")
     rng = np.random.default_rng(derive_seed(seed, "split"))
     train_idx, test_idx = [], []
     for cls in sorted(by_class):
-        idx = np.array(by_class[cls])
+        idx = by_class[cls]
         rng.shuffle(idx)
         n_test = max(1, round(len(idx) * (1.0 - ratio)))
-        test_idx.extend(idx[:n_test])
-        train_idx.extend(idx[n_test:])
-    return [vectors[i] for i in sorted(train_idx)], [vectors[i] for i in sorted(test_idx)]
+        test_idx.append(idx[:n_test])
+        train_idx.append(idx[n_test:])
+    return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(test_idx))
 
 
-def oversample(vectors: list[FeatureVector], seed: int = 0) -> list[FeatureVector]:
-    """Duplicate minority rows (sampled with replacement) until the class
-    counts match. Never applied to test data."""
-    by_class: dict[int, list[FeatureVector]] = {}
-    for vec in vectors:
-        by_class.setdefault(class_of(vec), []).append(vec)
+def oversample(y: np.ndarray, seed: int = 0) -> np.ndarray:
+    """Row indices that duplicate minority rows (sampled with replacement)
+    until the class counts match: every row once, in order, then the
+    duplicates. Never applied to test data."""
+    by_class = _rows_by_class(y)
     if len(by_class) < 2:
         raise SingleClass("oversampling needs two classes")
-    sizes = {cls: len(v) for cls, v in by_class.items()}
-    target = max(sizes.values())
+    target = max(len(idx) for idx in by_class.values())
     rng = np.random.default_rng(derive_seed(seed, "oversample"))
-    out = list(vectors)
+    out = [np.arange(len(y))]
     for cls in sorted(by_class):
-        deficit = target - sizes[cls]
+        deficit = target - len(by_class[cls])
         if deficit > 0:
-            picks = rng.integers(0, sizes[cls], size=deficit)
-            out.extend(by_class[cls][p] for p in picks)
-    return out
+            picks = rng.integers(0, len(by_class[cls]), size=deficit)
+            out.append(by_class[cls][picks])
+    return np.concatenate(out)
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -303,22 +296,23 @@ def _fit_tree(X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int, tre
 
 
 def fit_forest(
-    train: list[FeatureVector],
+    X: np.ndarray,
+    y: np.ndarray,
     feature_names,
     config: ForestConfig | None = None,
     seed: int = 0,
-    medians: dict[str, float] | None = None,
+    medians: np.ndarray | None = None,
     threads: int = 1,
 ) -> RandomForestModel:
     """Fit a bagged forest on an (already oversampled) training set.
 
-    `medians` are the imputation medians to freeze into the model; they
-    default to the medians of `train` itself.
+    `medians` are the per-column imputation medians to freeze into the
+    model; they default to the medians of `X` itself.
     """
     config = config or ForestConfig()
     if medians is None:
-        medians = compute_medians(train, feature_names)
-    X, y = build_matrix(train, feature_names, medians)
+        medians = compute_medians(X)
+    X = build_matrix(X, medians)
     if len(np.unique(y)) < 2:
         raise SingleClass("training data holds a single class")
 
@@ -337,7 +331,7 @@ def fit_forest(
         config=config,
         seed=seed,
         feature_names=tuple(feature_names),
-        medians=dict(medians),
+        medians={name: float(m) for name, m in zip(feature_names, medians)},
     )
 
 
@@ -393,24 +387,19 @@ def metrics_from_confusion(confusion, averaging: str = "weighted") -> Metrics:
 
 
 def evaluate(
-    model: RandomForestModel, test: list[FeatureVector], averaging: str = "weighted"
+    model: RandomForestModel, X: np.ndarray, y: np.ndarray, averaging: str = "weighted"
 ) -> Metrics:
-    X, y = build_matrix(test, model.feature_names, model.medians)
-    pred = model.predict(X)
+    pred = model.predict(model.impute(X))
     cm = np.zeros((2, 2), dtype=np.int64)
-    for actual, predicted in zip(y, pred):
-        cm[actual, predicted] += 1
+    np.add.at(cm, (y, pred), 1)
     return metrics_from_confusion(cm, averaging=averaging)
 
 
-def stratified_folds(
-    vectors: list[FeatureVector], k: int, seed: int
-) -> list[list[int]]:
-    """Deterministic stratified fold assignment; k is reduced (with a
-    warning) when the minority class cannot cover k folds."""
-    by_class: dict[int, list[int]] = {}
-    for i, vec in enumerate(vectors):
-        by_class.setdefault(class_of(vec), []).append(i)
+def stratified_folds(y: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
+    """Deterministic stratified fold assignment (sorted row indices per
+    fold); k is reduced (with a warning) when the minority class cannot
+    cover k folds."""
+    by_class = _rows_by_class(y)
     min_class = min(len(v) for v in by_class.values())
     if min_class < 2:
         raise TooFewSamples("cross-validation needs at least 2 samples per class")
@@ -418,17 +407,18 @@ def stratified_folds(
         warnings.warn(f"reducing folds from {k} to {min_class}", stacklevel=2)
         k = min_class
     rng = np.random.default_rng(derive_seed(seed, "folds"))
-    folds: list[list[int]] = [[] for _ in range(k)]
     for cls in sorted(by_class):
-        idx = np.array(by_class[cls])
-        rng.shuffle(idx)
-        for pos, i in enumerate(idx):
-            folds[pos % k].append(int(i))
-    return [sorted(f) for f in folds]
+        rng.shuffle(by_class[cls])
+    # the shuffled rows of each class are dealt round-robin over the folds
+    return [
+        np.sort(np.concatenate([by_class[cls][f::k] for cls in sorted(by_class)]))
+        for f in range(k)
+    ]
 
 
 def cross_validate(
-    train: list[FeatureVector],
+    X: np.ndarray,
+    y: np.ndarray,
     feature_names,
     k: int = 10,
     config: ForestConfig | None = None,
@@ -437,22 +427,20 @@ def cross_validate(
 ) -> list[Metrics]:
     """Stratified k-fold CV; oversampling and imputation happen inside
     each fold's training portion only."""
-    folds = stratified_folds(train, k, seed)
+    folds = stratified_folds(y, k, seed)
     results = []
     for fold_no, test_idx in enumerate(folds):
-        test_set = set(test_idx)
-        fold_train = [v for i, v in enumerate(train) if i not in test_set]
-        fold_test = [train[i] for i in test_idx]
-        medians = compute_medians(fold_train, feature_names)
-        balanced = oversample(fold_train, seed=derive_seed(seed, "cv-os", fold_no))
+        fold_train = np.setdiff1d(np.arange(len(y)), test_idx)
+        balanced = fold_train[oversample(y[fold_train], seed=derive_seed(seed, "cv-os", fold_no))]
         model = fit_forest(
-            balanced,
+            X[balanced],
+            y[balanced],
             feature_names,
             config=config,
             seed=derive_seed(seed, "cv-fit", fold_no),
-            medians=medians,
+            medians=compute_medians(X[fold_train]),
         )
-        results.append(evaluate(model, fold_test, averaging=averaging))
+        results.append(evaluate(model, X[test_idx], y[test_idx], averaging=averaging))
     return results
 
 

@@ -64,9 +64,6 @@ class RunConfig:
         return self.threads if self.threads > 0 else (os.cpu_count() or 1)
 
 
-_BOOL_FIELDS: set[str] = set()
-
-
 def _coerce(name: str, kind, raw: str):
     try:
         if kind is int:
@@ -154,10 +151,3 @@ def save_config(cfg: RunConfig, path) -> None:
         json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-def load_config_json(path) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    cfg = RunConfig(**data)
-    validate_config(cfg)
-    return cfg

@@ -17,7 +17,6 @@ populations compared downstream: rumour/non-rumour x source/reaction.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -283,30 +282,3 @@ def partition(corpus: EventCorpus) -> Partition:
         (part.r_re if t.label is Label.RUMOUR else part.nr_re).append(t)
     return part
 
-
-def aggregate(corpora: list[EventCorpus]) -> EventCorpus:
-    """Pool all events into one pseudo-event for aggregated statistics."""
-    sources, reactions = [], []
-    for corpus in corpora:
-        sources.extend(corpus.sources)
-        reactions.extend(corpus.reactions)
-    return EventCorpus(
-        event=AGGREGATED_EVENT,
-        sources=sources,
-        reactions=reactions,
-        provenance="aggregate",
-    )
-
-
-def usable_for_comparison(corpus: EventCorpus) -> bool:
-    """Events missing one source population entirely (an Ebola-style case)
-    load fine but are excluded from comparison and classification runs."""
-    part = partition(corpus)
-    ok = bool(part.r_src) and bool(part.nr_src)
-    if not ok:
-        warnings.warn(
-            f"event {corpus.event!r} lacks a rumour or non-rumour source population; "
-            "excluded from comparison/classification",
-            stacklevel=2,
-        )
-    return ok

@@ -125,6 +125,7 @@ class RemoteProvider:
                     raw = resp.read().decode("utf-8")
                 return parse_response(raw, expected=len(batch))
             except urllib.error.HTTPError as exc:
+                exc.close()  # the error is also the response: release its socket
                 if exc.code >= 500:
                     last_error = exc
                     continue

@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from . import classify, emotions, lexicon, report, senticnet, shapley, stats, textprep
-from .classify import FeatureVector, ForestConfig, derive_seed
+from .classify import ForestConfig, derive_seed
 from .config import RunConfig, save_config
 from .corpus import AGGREGATED_EVENT, load_jsonl, load_pheme_tree, partition
 from .errors import MissingArtifact, TooFewSamples
-from .features import EMOTION_FEATURES, Featurizer, emotion_argmax
+from .features import EMOTION_FEATURES, FeatureTable, Featurizer, emotion_argmax
 
 MANIFEST = "manifest.json"
 
@@ -143,22 +143,18 @@ def stage_featurize(cfg: RunConfig) -> Path:
     out = run_dir(cfg)
     corpora = load_corpora(cfg)
     featurizer = make_featurizer(cfg)
-    rows = []
-    for corpus in corpora:
-        rows.extend(featurizer.featurize_corpus(corpus))
-    report.write_features_csv(out / report.FEATURES_CSV, rows, featurizer.names)
+    table = FeatureTable.concat(featurizer.names, [featurizer.featurize_corpus(c) for c in corpora])
+    report.write_features_csv(out / report.FEATURES_CSV, table)
     _mark_stage(cfg, "featurize")
     return out / report.FEATURES_CSV
 
 
-def _usable_events(rows: list[dict]) -> list[str]:
-    per_event: dict[str, set[str]] = {}
-    for r in rows:
-        if r["role"] == "source":
-            per_event.setdefault(r["event"], set()).add(r["label"])
+def _usable_events(table: FeatureTable) -> list[str]:
+    sources = table.role == "source"
     usable = []
-    for event in sorted(per_event):
-        if per_event[event] >= {"rumour", "non-rumour"}:
+    for event in sorted(set(table.event[sources].tolist())):
+        labels = set(table.label[sources & (table.event == event)].tolist())
+        if labels >= {"rumour", "non-rumour"}:
             usable.append(event)
         else:
             warnings.warn(
@@ -168,55 +164,58 @@ def _usable_events(rows: list[dict]) -> list[str]:
     return usable
 
 
-def _population_of(row: dict) -> str:
-    side = "r" if row["label"] == "rumour" else "nr"
-    kind = "src" if row["role"] == "source" else "re"
-    return f"{side}_{kind}"
+def _ks_samples(
+    table: FeatureTable, role: str, usable: list[str], features: list[str]
+) -> dict[str, dict[str, tuple[list[float], list[float]]]]:
+    """samples[feature][event] = (rumour values, non-rumour values): one
+    role's defined values in row order, per usable event and pooled over
+    them."""
+    in_role = table.role == role
+    groups = {event: in_role & (table.event == event) for event in usable}
+    groups[AGGREGATED_EVENT] = in_role
+    rumour = table.label == "rumour"
+    samples = {}
+    for feature in features:
+        col = table.column(feature)
+        defined = ~np.isnan(col)
+        samples[feature] = {
+            event: (col[group & defined & rumour].tolist(), col[group & defined & ~rumour].tolist())
+            for event, group in groups.items()
+        }
+    return samples
 
 
 def stage_compare(cfg: RunConfig) -> list[Path]:
     require_stages(cfg, "compare")
     out = run_dir(cfg)
-    rows, feature_names = report.read_features_csv(out / report.FEATURES_CSV)
-    usable = _usable_events(rows)
-    rows = [r for r in rows if r["event"] in usable]
+    table = report.read_features_csv(out / report.FEATURES_CSV)
+    usable = _usable_events(table)
+    table = table.take(np.isin(table.event, usable))
 
     # emotion scores feed the emotion table, not the KS matrices
-    ks_features = [f for f in feature_names if f not in EMOTION_FEATURES]
+    ks_features = [f for f in table.names if f not in EMOTION_FEATURES]
 
-    # one pass buckets the rows; each bucket, the aggregated one included,
-    # keeps the original row order, so sample order (and float sums) match
-    by_role: dict[str, list[dict]] = {}
-    by_role_event: dict[tuple[str, str], list[dict]] = {}
-    by_population: dict[str, list[dict]] = {pop: [] for pop in emotions.POPULATIONS}
-    for r in rows:
-        by_role.setdefault(r["role"], []).append(r)
-        by_role_event.setdefault((r["role"], r["event"]), []).append(r)
-        by_population[_population_of(r)].append(r)
+    # masks keep the original row order, so sample order (and float sums)
+    # do not depend on how the rows are grouped
+    rumour = table.label == "rumour"
+    source = table.role == "source"
+    by_population = {
+        "r_src": rumour & source,
+        "nr_src": ~rumour & source,
+        "r_re": rumour & ~source,
+        "nr_re": ~rumour & ~source,
+    }
 
-    matrices = []
-    for pair, role in (("sources", "source"), ("reactions", "reaction")):
-        groups = {event: by_role_event.get((role, event), []) for event in usable}
-        groups[AGGREGATED_EVENT] = by_role.get(role, [])
-        samples: dict[str, dict[str, tuple[list[float], list[float]]]] = {}
-        for feature in ks_features:
-            samples[feature] = {}
-            for event, group in groups.items():
-                rum, non = [], []
-                for r in group:
-                    v = r["values"][feature]
-                    if v is not None:
-                        (rum if r["label"] == "rumour" else non).append(v)
-                samples[feature][event] = (rum, non)
-        matrices.append(
-            stats.significance_matrix(
-                samples,
-                alpha=cfg.alpha,
-                population_pair=pair,
-                feature_order=ks_features,
-                event_order=usable + [AGGREGATED_EVENT],
-            )
+    matrices = [
+        stats.significance_matrix(
+            _ks_samples(table, role, usable, ks_features),
+            alpha=cfg.alpha,
+            population_pair=pair,
+            feature_order=ks_features,
+            event_order=usable + [AGGREGATED_EVENT],
         )
+        for pair, role in (("sources", "source"), ("reactions", "reaction"))
+    ]
 
     written = []
     report.write_ks_csv(out / report.KS_SOURCES_CSV, [matrices[0]], events=usable)
@@ -224,38 +223,35 @@ def stage_compare(cfg: RunConfig) -> list[Path]:
     report.write_ks_csv(out / report.KS_AGGREGATED_CSV, matrices, events=[AGGREGATED_EVENT])
     written += [out / report.KS_SOURCES_CSV, out / report.KS_REACTIONS_CSV, out / report.KS_AGGREGATED_CSV]
 
-    mean_samples: dict[str, dict[str, list[float | None]]] = {
-        feature: {pop: [r["values"][feature] for r in group] for pop, group in by_population.items()}
-        for feature in feature_names
+    mean_samples: dict[str, dict[str, list[float]]] = {
+        feature: {pop: table.column(feature)[rows].tolist() for pop, rows in by_population.items()}
+        for feature in table.names
     }
     report.write_means_csv(out / report.MEANS_CSV, stats.mean_report(mean_samples))
     written.append(out / report.MEANS_CSV)
 
-    if any(f in feature_names for f in EMOTION_FEATURES):
-        table: dict[str, dict[str, float]] = {}
-        for pop in emotions.POPULATIONS:
-            labels = [emotion_argmax(r["values"]) for r in by_population[pop]]
-            labels = [lab for lab in labels if lab is not None]
-            if not labels:
+    if any(f in table.names for f in EMOTION_FEATURES):
+        emotion_cols = [table.names.index(lab) for lab in EMOTION_FEATURES]
+        top = emotion_argmax(table.X[:, emotion_cols])
+        shares: dict[str, dict[str, float]] = {}
+        for pop, rows in by_population.items():
+            labelled = top[rows & (top >= 0)]
+            if not labelled.size:
                 continue
-            table[pop] = {
-                lab: 100.0 * sum(1 for x in labels if x == lab) / len(labels)
-                for lab in EMOTION_FEATURES
+            shares[pop] = {
+                lab: 100.0 * int(np.count_nonzero(labelled == k)) / labelled.size
+                for k, lab in enumerate(EMOTION_FEATURES)
             }
-        report.write_emotions_csv(out / report.EMOTIONS_CSV, table)
+        report.write_emotions_csv(out / report.EMOTIONS_CSV, shares)
         written.append(out / report.EMOTIONS_CSV)
 
     _mark_stage(cfg, "compare")
     return written
 
 
-def _vectors_for(rows: list[dict], event: str, scope: str) -> list[FeatureVector]:
+def _scope_rows(table: FeatureTable, event: str, scope: str) -> np.ndarray:
     role = "source" if scope == "sources" else "reaction"
-    return [
-        FeatureVector(tweet_id=r["tweet_id"], values=r["values"], label=r["label"])
-        for r in rows
-        if r["event"] == event and r["role"] == role
-    ]
+    return (table.event == event) & (table.role == role)
 
 
 def _scopes(cfg: RunConfig) -> tuple[str, ...]:
@@ -269,19 +265,21 @@ def _model_path(out: Path, event: str, scope: str) -> Path:
 def stage_train(cfg: RunConfig) -> Path:
     require_stages(cfg, "train")
     out = run_dir(cfg)
-    rows, feature_names = report.read_features_csv(out / report.FEATURES_CSV)
-    usable = _usable_events(rows)
+    table = report.read_features_csv(out / report.FEATURES_CSV)
+    usable = _usable_events(table)
     config = forest_config(cfg)
     metrics_rows = []
     for event in usable:
         for scope in _scopes(cfg):
-            vectors = _vectors_for(rows, event, scope)
+            rows = _scope_rows(table, event, scope)
+            X, y = table.X[rows], table.classes()[rows]
             seed = derive_seed(cfg.seed, event, scope)
             try:
-                train, test = classify.split_train_test(vectors, ratio=cfg.split_ratio, seed=seed)
+                train, test = classify.split_train_test(y, ratio=cfg.split_ratio, seed=seed)
                 fold_metrics = classify.cross_validate(
-                    train,
-                    feature_names,
+                    X[train],
+                    y[train],
+                    table.names,
                     k=cfg.k_folds,
                     config=config,
                     seed=seed,
@@ -290,11 +288,12 @@ def stage_train(cfg: RunConfig) -> Path:
             except TooFewSamples as exc:
                 warnings.warn(f"{event}/{scope}: {exc}; model skipped", stacklevel=2)
                 continue
-            medians = classify.compute_medians(train, feature_names)
-            balanced = classify.oversample(train, seed=seed)
+            medians = classify.compute_medians(X[train])
+            balanced = train[classify.oversample(y[train], seed=seed)]
             model = classify.fit_forest(
-                balanced,
-                feature_names,
+                X[balanced],
+                y[balanced],
+                table.names,
                 config=config,
                 seed=seed,
                 medians=medians,
@@ -302,7 +301,7 @@ def stage_train(cfg: RunConfig) -> Path:
             )
             fold_scores = [m.accuracy for m in fold_metrics]
             model.fold_scores = fold_scores
-            final = classify.evaluate(model, test, averaging=cfg.averaging)
+            final = classify.evaluate(model, X[test], y[test], averaging=cfg.averaging)
             _model_path(out, event, scope).write_text(
                 classify.model_to_json(model), encoding="utf-8"
             )
@@ -329,8 +328,8 @@ def stage_train(cfg: RunConfig) -> Path:
 def stage_explain(cfg: RunConfig) -> list[Path]:
     require_stages(cfg, "explain")
     out = run_dir(cfg)
-    rows, _ = report.read_features_csv(out / report.FEATURES_CSV)
-    usable = _usable_events(rows)
+    table = report.read_features_csv(out / report.FEATURES_CSV)
+    usable = _usable_events(table)
     rankings: dict = {}
     written = []
     for event in usable:
@@ -340,13 +339,17 @@ def stage_explain(cfg: RunConfig) -> list[Path]:
             if not model_path.exists():
                 continue
             model = classify.model_from_json(model_path.read_text(encoding="utf-8"))
-            vectors = _vectors_for(rows, event, scope)
+            rows = _scope_rows(table, event, scope)
+            X = table.X[rows]
             seed = derive_seed(cfg.seed, event, scope)
-            train, _test = classify.split_train_test(vectors, ratio=cfg.split_ratio, seed=seed)
+            train, _test = classify.split_train_test(
+                table.classes()[rows], ratio=cfg.split_ratio, seed=seed
+            )
             summary = shapley.shap_summary(
                 model,
-                vectors,
-                background=train,
+                X,
+                table.tweet_id[rows].tolist(),
+                background=X[train],
                 background_limit=cfg.shap_background,
                 seed=derive_seed(cfg.seed, event, scope, "background"),
             )
@@ -396,7 +399,7 @@ def stage_report(cfg: RunConfig) -> Path:
         analysis.shap_rankings = report.read_shap_rankings_json(out / report.SHAP_RANKINGS_JSON)
     else:
         analysis.skipped["explain"] = "explain stage not run"
-    report.render(analysis, out, "markdown")
+    (out / report.REPORT_MD).write_text(report.render_markdown(analysis), encoding="utf-8")
     _mark_stage(cfg, "report")
     return out / report.REPORT_MD
 

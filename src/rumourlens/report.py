@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 from .corpus import PartitionCounts
 from .emotions import LABELS as EMOTION_LABELS
 from .emotions import POPULATIONS
+from .features import FeatureTable
 from .stats import MeanCell, SignificanceMatrix
 
 PARTITIONS_CSV = "partitions.csv"
@@ -104,44 +106,40 @@ def read_partitions_csv(path) -> list[PartitionCounts]:
 # feature matrix (absence kept explicit, never a magic number)
 
 
-def write_features_csv(path, rows, feature_names: list[str]) -> None:
+def write_features_csv(path, table: FeatureTable) -> None:
     header = ["tweet_id", "event", "role", "label", "empty_text"]
-    for name in feature_names:
+    for name in table.names:
         header += [name, f"{name}__absent"]
     with _open_write(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        for r in rows:
-            record = [r.tweet_id, r.event, r.role.value, r.label.value, str(r.empty_text).lower()]
-            for name in feature_names:
-                v = r.values.get(name)
-                record += ["" if v is None else fnum(v), "true" if v is None else "false"]
+        columns = (table.tweet_id, table.event, table.role, table.label, table.empty_text)
+        for *meta, empty_text, values in zip(*(c.tolist() for c in columns), table.X):
+            record = meta + [str(empty_text).lower()]
+            for v in values.tolist():
+                absent = math.isnan(v)
+                record += ["" if absent else fnum(v), "true" if absent else "false"]
             w.writerow(record)
 
 
-def read_features_csv(path) -> tuple[list[dict], list[str]]:
-    """Rows come back as dicts with a nested `values` map (None = absent)."""
+def read_features_csv(path) -> FeatureTable:
+    """Absent values come back as NaN."""
+    nan = math.nan
+    meta: list[list[str]] = [[], [], [], [], []]  # tweet_id, event, role, label, empty_text
+    X = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         feature_names = [h for h in header[5:] if not h.endswith("__absent")]
-        rows = []
         for record in reader:
-            values = {}
-            for k, name in enumerate(feature_names):
-                raw, absent = record[5 + 2 * k], record[6 + 2 * k]
-                values[name] = None if absent == "true" else float(raw)
-            rows.append(
-                {
-                    "tweet_id": record[0],
-                    "event": record[1],
-                    "role": record[2],
-                    "label": record[3],
-                    "empty_text": record[4] == "true",
-                    "values": values,
-                }
-            )
-    return rows, feature_names
+            for column, cell in zip(meta, record):
+                column.append(cell)
+            cells = zip(record[5::2], record[6::2])
+            X.append([nan if absent == "true" else float(raw) for raw, absent in cells])
+    tweet_id, event, role, label, empty_text = meta
+    return FeatureTable.from_columns(
+        feature_names, tweet_id, event, role, label, [e == "true" for e in empty_text], X
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -459,47 +457,3 @@ def render_markdown(report: AnalysisReport) -> str:
     lines.append("")
 
     return "\n".join(lines)
-
-
-def render(report: AnalysisReport, out_dir, format: str) -> list[str]:
-    """Write the requested rendering into `out_dir`; returns file names."""
-    from pathlib import Path
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if format == "markdown":
-        (out / REPORT_MD).write_text(render_markdown(report), encoding="utf-8")
-        written.append(REPORT_MD)
-    elif format == "csv-bundle":
-        write_partitions_csv(out / PARTITIONS_CSV, report.partitions)
-        written.append(PARTITIONS_CSV)
-        by_file = {
-            KS_SOURCES_CSV: [r for r in report.ks_rows if r["population_pair"] == "sources" and r["event"] != "aggregated"],
-            KS_REACTIONS_CSV: [r for r in report.ks_rows if r["population_pair"] == "reactions" and r["event"] != "aggregated"],
-            KS_AGGREGATED_CSV: [r for r in report.ks_rows if r["event"] == "aggregated"],
-        }
-        for fname, rows in by_file.items():
-            with _open_write(out / fname) as fh:
-                w = csv.writer(fh, lineterminator="\n")
-                w.writerow(KS_HEADER)
-                for r in sorted(rows, key=lambda r: (r["feature"], r["event"], r["population_pair"])):
-                    w.writerow([r[k] for k in KS_HEADER])
-            written.append(fname)
-        if report.emotion_table is not None:
-            write_emotions_csv(out / EMOTIONS_CSV, report.emotion_table)
-            written.append(EMOTIONS_CSV)
-        with _open_write(out / MEANS_CSV) as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["feature", "population", "mean", "n", "absent"])
-            for r in report.means:
-                w.writerow([r["feature"], r["population"], r["mean"], r["n"], r["absent"]])
-        written.append(MEANS_CSV)
-        write_metrics_csv(out / METRICS_CSV, report.metrics)
-        written.append(METRICS_CSV)
-        if report.shap_rankings:
-            write_shap_rankings_json(out / SHAP_RANKINGS_JSON, report.shap_rankings)
-            written.append(SHAP_RANKINGS_JSON)
-    else:
-        raise ValueError(f"unknown render format {format!r}")
-    return written

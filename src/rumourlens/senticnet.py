@@ -143,6 +143,7 @@ def fetch_concepts(
                 payload = json.loads(resp.read().decode("utf-8"))
         except urllib.error.HTTPError as exc:
             if exc.code == 404:
+                exc.close()
                 continue
             raise
         values = tuple(float(payload[dim]) for dim in DIMENSIONS)

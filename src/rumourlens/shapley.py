@@ -23,6 +23,11 @@ Averaging over background rows and trees gives the forest attribution;
 additivity (base + sum(phi) = output) holds to float accumulation error.
 ``brute_shapley`` evaluates the defining subset sum directly and is the
 test oracle for the fast path.
+
+Instances and background sets are raw feature rows in the model's column
+order, NaN marking an absent value (the `<name>__absent` flag in
+features.csv); both are imputed with the model's frozen training medians
+before they are explained.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .classify import FeatureVector, RandomForestModel, Tree, build_matrix
+from .classify import RandomForestModel, Tree
 from .errors import FeatureMismatch, TooManyFeatures
 
 BRUTE_FORCE_MAX_FEATURES = 12
@@ -168,39 +173,26 @@ class TreeShapExplainer:
         return phi / b
 
 
-def _instance_row(model: RandomForestModel, instance: FeatureVector) -> np.ndarray:
-    missing = [n for n in model.feature_names if n not in instance.values]
-    if missing:
-        raise FeatureMismatch(f"instance lacks features {missing}")
-    X, _ = build_matrix([instance], model.feature_names, model.medians)
-    return X[0]
-
-
-def _background_matrix(model: RandomForestModel, background: list[FeatureVector]) -> np.ndarray:
-    X, _ = build_matrix(background, model.feature_names, model.medians)
-    return X
-
-
 def tree_shap(
     model: RandomForestModel,
-    instance: FeatureVector,
-    background: list[FeatureVector],
+    instance: np.ndarray,
+    background: np.ndarray,
 ) -> ShapExplanation:
-    explainer = TreeShapExplainer(model, _background_matrix(model, background))
-    return explainer.explain_row(_instance_row(model, instance))
+    explainer = TreeShapExplainer(model, model.impute(background))
+    return explainer.explain_row(model.impute(instance))
 
 
 def brute_shapley(
     model: RandomForestModel,
-    instance: FeatureVector,
-    background: list[FeatureVector],
+    instance: np.ndarray,
+    background: np.ndarray,
 ) -> dict[str, float]:
     """Exact Shapley values by full subset enumeration (oracle path)."""
     d = len(model.feature_names)
     if d > BRUTE_FORCE_MAX_FEATURES:
         raise TooManyFeatures(f"{d} features exceeds the 2^d enumeration limit")
-    x = _instance_row(model, instance)
-    bg = _background_matrix(model, background)
+    x = model.impute(instance)
+    bg = model.impute(background)
 
     def payoff(subset: tuple[int, ...]) -> float:
         Z = bg.copy()
@@ -251,44 +243,46 @@ class ShapSummary:
 
 def shap_summary(
     model: RandomForestModel,
-    dataset: list[FeatureVector],
-    background: list[FeatureVector] | None = None,
+    X: np.ndarray,
+    ids: list[str],
+    background: np.ndarray | None = None,
     background_limit: int = DEFAULT_BACKGROUND_LIMIT,
     seed: int = 0,
 ) -> ShapSummary:
-    """Explain every dataset row; rank features by mean |phi|.
+    """Explain every row of `X` (row i is tweet `ids[i]`); rank features
+    by mean |phi|.
 
-    The background defaults to the dataset itself and is subsampled
-    (seeded) beyond `background_limit` rows for tractability.
+    The background defaults to `X` itself and is subsampled (seeded)
+    beyond `background_limit` rows for tractability.
     """
     if background is None:
-        background = dataset
-    bg = _background_matrix(model, background)
+        background = X
+    bg = model.impute(background)
     if bg.shape[0] > background_limit:
         rng = np.random.default_rng(seed)
         keep = np.sort(rng.choice(bg.shape[0], size=background_limit, replace=False))
         bg = bg[keep]
     explainer = TreeShapExplainer(model, bg)
 
-    X, _ = build_matrix(dataset, model.feature_names, model.medians)
+    X = model.impute(X)
     medians = np.median(X, axis=0)
     abs_sums = np.zeros(len(model.feature_names))
     points = []
-    for i, vec in enumerate(dataset):
+    for i, tweet_id in enumerate(ids):
         explanation = explainer.explain_row(X[i])
         for j, name in enumerate(model.feature_names):
             phi_j = explanation.phi[name]
             abs_sums[j] += abs(phi_j)
             points.append(
                 ShapPoint(
-                    instance_id=vec.tweet_id,
+                    instance_id=tweet_id,
                     feature=name,
                     value=float(X[i, j]),
                     phi=phi_j,
                     above_median=bool(X[i, j] > medians[j]),
                 )
             )
-    mean_abs = abs_sums / len(dataset)
+    mean_abs = abs_sums / len(X)
     ranking = sorted(
         zip(model.feature_names, mean_abs), key=lambda item: (-item[1], item[0])
     )

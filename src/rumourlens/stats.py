@@ -22,8 +22,6 @@ from .errors import EmptySample, NonFiniteValue
 
 DEFAULT_ALPHA = 0.05
 
-POPULATION_PAIRS = ("sources", "reactions")
-
 
 @dataclass(frozen=True)
 class KsResult:
@@ -175,15 +173,15 @@ class MeanCell:
 
 
 def mean_report(
-    samples: dict[str, dict[str, list[float | None]]]
+    samples: dict[str, dict[str, list[float]]]
 ) -> dict[str, dict[str, MeanCell]]:
     """Arithmetic means per feature and population over the defined values;
-    the count of absent (None) values is carried alongside."""
+    the count of absent (NaN) values is carried alongside."""
     report: dict[str, dict[str, MeanCell]] = {}
     for feature, populations in samples.items():
         report[feature] = {}
         for pop, values in populations.items():
-            defined = [v for v in values if v is not None]
+            defined = [v for v in values if not math.isnan(v)]
             report[feature][pop] = MeanCell(
                 mean=(sum(defined) / len(defined)) if defined else None,
                 n=len(defined),

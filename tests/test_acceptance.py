@@ -19,7 +19,6 @@ import pytest
 
 from rumourlens import readability
 from rumourlens.classify import (
-    FeatureVector,
     ForestConfig,
     evaluate,
     fit_forest,
@@ -125,21 +124,10 @@ def test_criterion_2_ks_correctness(ks_reference):
     report_pass(2, "Kolmogorov-Smirnov correctness", started)
 
 
-def _random_vectors(rng, n, names):
-    out = []
-    for i in range(n):
-        out.append(
-            FeatureVector(
-                tweet_id=f"r{i}",
-                values={name: float(rng.normal()) for name in names},
-                label="rumour" if rng.random() < 0.5 else "non-rumour",
-            )
-        )
-    return out
-
-
 def test_criterion_3_shapley_oracle_equivalence():
     started = time.perf_counter()
+    from tests.test_shapley import random_rows
+
     cases = 0
     seed = 0
     while cases < 100:
@@ -147,12 +135,12 @@ def test_criterion_3_shapley_oracle_equivalence():
         rng = np.random.default_rng(seed)
         d = int(rng.integers(1, 5))
         names = [f"f{j}" for j in range(d)]
-        train = _random_vectors(rng, int(rng.integers(8, 26)), names)
-        if len({v.label for v in train}) < 2:
+        X, y = random_rows(rng, int(rng.integers(8, 26)), d)
+        if len(set(y.tolist())) < 2:
             continue
-        model = fit_forest(train, names, ForestConfig(n_trees=int(rng.integers(1, 6))), seed=seed)
-        background = _random_vectors(rng, int(rng.integers(1, 21)), names)
-        instance = _random_vectors(rng, 1, names)[0]
+        model = fit_forest(X, y, names, ForestConfig(n_trees=int(rng.integers(1, 6))), seed=seed)
+        background, _ = random_rows(rng, int(rng.integers(1, 21)), d)
+        instance = random_rows(rng, 1, d)[0][0]
         fast = tree_shap(model, instance, background)
         brute = brute_shapley(model, instance, background)
         for name in names:
@@ -169,18 +157,15 @@ def test_criterion_4_classifier_sanity(mini_pheme_dir, demo_lexicon, demo_sentic
     started = time.perf_counter()
     # separable blobs with a pinned seed
     rng = np.random.default_rng(12345)
-    vectors = []
-    for cls, label in enumerate(("non-rumour", "rumour")):
-        for i, row in enumerate(rng.normal(cls * 6.0, 1.0, size=(100, 2))):
-            vectors.append(
-                FeatureVector(f"{label}-{i}", {"f0": float(row[0]), "f1": float(row[1])}, label)
-            )
-    train, test = split_train_test(vectors, ratio=0.8, seed=12345)
-    model = fit_forest(oversample(train, seed=12345), ["f0", "f1"], seed=12345)
-    assert evaluate(model, test).accuracy >= 0.95
+    X = np.vstack([rng.normal(cls * 6.0, 1.0, size=(100, 2)) for cls in (0, 1)])
+    y = np.repeat([0, 1], 100)
+    train, test = split_train_test(y, ratio=0.8, seed=12345)
+    balanced = train[oversample(y[train], seed=12345)]
+    model = fit_forest(X[balanced], y[balanced], ["f0", "f1"], seed=12345)
+    assert evaluate(model, X[test], y[test]).accuracy >= 0.95
 
     # determinism: identical JSON for an identical seed
-    again = fit_forest(oversample(train, seed=12345), ["f0", "f1"], seed=12345)
+    again = fit_forest(X[balanced], y[balanced], ["f0", "f1"], seed=12345)
     assert model_to_json(model) == model_to_json(again)
 
     # leakage on every fixture fold (duplicates included)
@@ -190,24 +175,21 @@ def test_criterion_4_classifier_sanity(mini_pheme_dir, demo_lexicon, demo_sentic
 
     featurizer = Featurizer(demo_lexicon, demo_sentic_table, emotion_provider=Fallback())
     for corpus in load_pheme_tree(mini_pheme_dir):
-        rows = featurizer.featurize_corpus(corpus)
+        table = featurizer.featurize_corpus(corpus)
         for role in ("source", "reaction"):
-            fvs = [
-                FeatureVector(r.tweet_id, r.values, r.label.value)
-                for r in rows
-                if r.role.value == role
-            ]
-            tr, _te = split_train_test(fvs, seed=1)
+            ids = table.tweet_id[table.role == role]
+            labels = table.classes()[table.role == role]
+            tr, _te = split_train_test(labels, seed=1)
             import warnings
 
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # fold reduction on tiny events
-                folds = stratified_folds(tr, k=10, seed=1)
+                folds = stratified_folds(labels[tr], k=10, seed=1)
             for fold_no, test_idx in enumerate(folds):
-                test_ids = {tr[i].tweet_id for i in test_idx}
-                fold_train = [v for i, v in enumerate(tr) if i not in set(test_idx)]
-                balanced = oversample(fold_train, seed=fold_no)
-                assert not test_ids & {v.tweet_id for v in balanced}
+                test_ids = set(ids[tr[test_idx]].tolist())
+                fold_train = tr[np.setdiff1d(np.arange(len(tr)), test_idx)]
+                balanced = fold_train[oversample(labels[fold_train], seed=fold_no)]
+                assert not test_ids & set(ids[balanced].tolist())
 
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 
 from rumourlens.classify import (
     CLASSES,
-    FeatureVector,
     ForestConfig,
     build_matrix,
     compute_medians,
@@ -22,155 +22,146 @@ from rumourlens.classify import (
 )
 from rumourlens.errors import FeatureMismatch, SingleClass, TooFewSamples
 
-
-def vec(i, label, **values):
-    return FeatureVector(tweet_id=f"t{i}", values=values, label=label)
+RUMOUR, NON_RUMOUR = CLASSES.index("rumour"), CLASSES.index("non-rumour")
 
 
-def blob_vectors(n_per_class=100, distance=6.0, seed=0, d=2):
+def labelled(*runs):
+    """Class vector from (class, count) runs."""
+    return np.array([cls for cls, n in runs for _ in range(n)], dtype=np.int64)
+
+
+def column(values):
+    """One-feature matrix from a list of values (None = absent)."""
+    return np.array(values, dtype=np.float64).reshape(-1, 1)
+
+
+def blob_data(n_per_class=100, distance=6.0, seed=0, d=2):
     """Two unit-variance blobs `distance` apart along every axis."""
     rng = np.random.default_rng(seed)
-    vectors = []
-    for cls, label in enumerate(CLASSES):
-        center = cls * distance
-        pts = rng.normal(center, 1.0, size=(n_per_class, d))
-        for i, row in enumerate(pts):
-            vectors.append(
-                FeatureVector(
-                    tweet_id=f"{label}-{i}",
-                    values={f"f{j}": float(v) for j, v in enumerate(row)},
-                    label=label,
-                )
-            )
-    return vectors, [f"f{j}" for j in range(d)]
+    X = np.vstack([rng.normal(cls * distance, 1.0, size=(n_per_class, d)) for cls in range(2)])
+    y = np.repeat(np.arange(2), n_per_class)
+    return X, y, [f"f{j}" for j in range(d)]
 
 
 class TestSplit:
     def test_stratified_80_20(self):
-        vectors = [vec(i, "rumour", x=1.0) for i in range(50)]
-        vectors += [vec(50 + i, "non-rumour", x=0.0) for i in range(50)]
-        train, test = split_train_test(vectors, ratio=0.8, seed=1)
+        y = labelled((RUMOUR, 50), (NON_RUMOUR, 50))
+        train, test = split_train_test(y, ratio=0.8, seed=1)
         assert len(train) == 80 and len(test) == 20
-        assert sum(1 for v in test if v.label == "rumour") == 10
-        assert sum(1 for v in train if v.label == "rumour") == 40
+        assert np.count_nonzero(y[test] == RUMOUR) == 10
+        assert np.count_nonzero(y[train] == RUMOUR) == 40
 
     def test_deterministic(self):
-        vectors, _ = blob_vectors(20)
-        a = split_train_test(vectors, seed=7)
-        b = split_train_test(vectors, seed=7)
-        assert [v.tweet_id for v in a[0]] == [v.tweet_id for v in b[0]]
-        assert [v.tweet_id for v in a[1]] == [v.tweet_id for v in b[1]]
+        _, y, _ = blob_data(20)
+        a = split_train_test(y, seed=7)
+        b = split_train_test(y, seed=7)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_heavy_imbalance_keeps_both_classes_in_test(self):
         # 4 non-rumour vs 229 rumour sources
-        vectors = [vec(i, "rumour", x=float(i)) for i in range(229)]
-        vectors += [vec(300 + i, "non-rumour", x=float(i)) for i in range(4)]
-        train, test = split_train_test(vectors, ratio=0.8, seed=3)
-        test_labels = {v.label for v in test}
-        assert test_labels == {"rumour", "non-rumour"}
+        y = labelled((RUMOUR, 229), (NON_RUMOUR, 4))
+        train, test = split_train_test(y, ratio=0.8, seed=3)
+        assert set(y[test].tolist()) == {RUMOUR, NON_RUMOUR}
         assert len(train) + len(test) == 233
 
     def test_disjoint(self):
-        vectors, _ = blob_vectors(25)
-        train, test = split_train_test(vectors, seed=2)
-        assert not {v.tweet_id for v in train} & {v.tweet_id for v in test}
+        _, y, _ = blob_data(25)
+        train, test = split_train_test(y, seed=2)
+        assert not set(train.tolist()) & set(test.tolist())
 
     def test_too_few(self):
         with pytest.raises(TooFewSamples):
-            split_train_test([vec(0, "rumour", x=1.0), vec(1, "non-rumour", x=0.0)])
+            split_train_test(labelled((RUMOUR, 1), (NON_RUMOUR, 1)))
 
 
 class TestOversample:
     def test_40_10_becomes_40_40(self):
-        vectors = [vec(i, "rumour", x=float(i)) for i in range(40)]
-        vectors += [vec(100 + i, "non-rumour", x=float(i)) for i in range(10)]
-        balanced = oversample(vectors, seed=5)
-        by_label = {"rumour": 0, "non-rumour": 0}
-        for v in balanced:
-            by_label[v.label] += 1
-        assert by_label == {"rumour": 40, "non-rumour": 40}
-        # every duplicate is an exact copy of an existing minority row
-        originals = {v.tweet_id: v for v in vectors}
-        for v in balanced:
-            assert originals[v.tweet_id].values == v.values
+        y = labelled((RUMOUR, 40), (NON_RUMOUR, 10))
+        balanced = oversample(y, seed=5)
+        assert np.bincount(y[balanced]).tolist() == [40, 40]
+        # every row once, in order, then duplicates of existing minority rows
+        assert balanced[:50].tolist() == list(range(50))
+        assert (y[balanced[50:]] == NON_RUMOUR).all()
 
     def test_balanced_unchanged(self):
-        vectors = [vec(i, "rumour", x=1.0) for i in range(5)]
-        vectors += [vec(10 + i, "non-rumour", x=0.0) for i in range(5)]
-        assert oversample(vectors, seed=1) == vectors
+        y = labelled((RUMOUR, 5), (NON_RUMOUR, 5))
+        assert oversample(y, seed=1).tolist() == list(range(10))
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClass):
-            oversample([vec(0, "rumour", x=1.0)])
+            oversample(labelled((RUMOUR, 1)))
 
 
 class TestForest:
     def test_perfectly_separable_training_accuracy(self):
-        vectors = [vec(i, "non-rumour", x=-1.0 - i) for i in range(10)]
-        vectors += [vec(50 + i, "rumour", x=1.0 + i) for i in range(10)]
-        model = fit_forest(vectors, ["x"], ForestConfig(n_trees=20), seed=0)
-        metrics = evaluate(model, vectors)
+        X = column([-1.0 - i for i in range(10)] + [1.0 + i for i in range(10)])
+        y = labelled((NON_RUMOUR, 10), (RUMOUR, 10))
+        model = fit_forest(X, y, ["x"], ForestConfig(n_trees=20), seed=0)
+        metrics = evaluate(model, X, y)
         assert metrics.accuracy == 1.0
 
     def test_blob_holdout_accuracy(self):
         # pinned experiment: this seed yields perfect held-out accuracy
-        vectors, names = blob_vectors(100, distance=6.0, seed=12345)
-        train, test = split_train_test(vectors, ratio=0.8, seed=12345)
-        model = fit_forest(oversample(train, seed=12345), names, seed=12345)
-        metrics = evaluate(model, test)
+        X, y, names = blob_data(100, distance=6.0, seed=12345)
+        train, test = split_train_test(y, ratio=0.8, seed=12345)
+        balanced = train[oversample(y[train], seed=12345)]
+        model = fit_forest(X[balanced], y[balanced], names, seed=12345)
+        metrics = evaluate(model, X[test], y[test])
         assert metrics.accuracy >= 0.95
         assert metrics.accuracy == pytest.approx(1.0)
 
     def test_determinism_same_seed_identical_json(self):
-        vectors, names = blob_vectors(30, seed=9)
-        a = model_to_json(fit_forest(vectors, names, seed=4))
-        b = model_to_json(fit_forest(vectors, names, seed=4))
+        X, y, names = blob_data(30, seed=9)
+        a = model_to_json(fit_forest(X, y, names, seed=4))
+        b = model_to_json(fit_forest(X, y, names, seed=4))
         assert a == b
 
     def test_thread_count_does_not_change_model(self):
-        vectors, names = blob_vectors(20, seed=10)
-        a = model_to_json(fit_forest(vectors, names, seed=4, threads=1))
-        b = model_to_json(fit_forest(vectors, names, seed=4, threads=4))
+        X, y, names = blob_data(20, seed=10)
+        a = model_to_json(fit_forest(X, y, names, seed=4, threads=1))
+        b = model_to_json(fit_forest(X, y, names, seed=4, threads=4))
         assert a == b
 
     def test_different_seed_different_model(self):
-        vectors, names = blob_vectors(30, seed=9)
-        assert model_to_json(fit_forest(vectors, names, seed=4)) != model_to_json(
-            fit_forest(vectors, names, seed=5)
+        X, y, names = blob_data(30, seed=9)
+        assert model_to_json(fit_forest(X, y, names, seed=4)) != model_to_json(
+            fit_forest(X, y, names, seed=5)
         )
 
     def test_single_tree_forest_matches_tree(self):
-        vectors, names = blob_vectors(30, seed=2)
-        model = fit_forest(vectors, names, ForestConfig(n_trees=1), seed=1)
-        X, _ = build_matrix(vectors, model.feature_names, model.medians)
+        X, y, names = blob_data(30, seed=2)
+        model = fit_forest(X, y, names, ForestConfig(n_trees=1), seed=1)
         assert np.array_equal(model.predict_proba(X), model.trees[0].predict_prob(X))
 
     def test_degenerate_identical_rows_mixed_labels(self):
-        vectors = [vec(i, CLASSES[i % 2], x=1.0) for i in range(8)]
+        X = column([1.0] * 8)
+        y = np.arange(8) % 2
         with pytest.warns(UserWarning, match="unsplittable"):
-            model = fit_forest(vectors, ["x"], ForestConfig(n_trees=3), seed=0)
-        X, _ = build_matrix(vectors, model.feature_names, model.medians)
-        assert set(model.predict(X)) <= {0, 1}
+            model = fit_forest(X, y, ["x"], ForestConfig(n_trees=3), seed=0)
+        assert set(model.predict(X).tolist()) <= {0, 1}
 
     def test_feature_mismatch(self):
-        vectors, names = blob_vectors(10, seed=3)
-        model = fit_forest(vectors, names, ForestConfig(n_trees=2), seed=0)
+        X, y, names = blob_data(10, seed=3)
+        model = fit_forest(X, y, names, ForestConfig(n_trees=2), seed=0)
         with pytest.raises(FeatureMismatch):
             model.predict_proba(np.zeros((2, 5)))
+        with pytest.raises(FeatureMismatch):
+            evaluate(model, np.zeros((2, 5)), np.zeros(2, dtype=np.int64))
 
     def test_serialization_round_trip(self):
-        vectors, names = blob_vectors(20, seed=6)
-        model = fit_forest(vectors, names, ForestConfig(n_trees=5), seed=8)
+        X, y, names = blob_data(20, seed=6)
+        model = fit_forest(X, y, names, ForestConfig(n_trees=5), seed=8)
         reloaded = model_from_json(model_to_json(model))
-        X, _ = build_matrix(vectors, model.feature_names, model.medians)
         assert np.array_equal(model.predict_proba(X), reloaded.predict_proba(X))
         assert model_to_json(reloaded) == model_to_json(model)
+        assert json.loads(model_to_json(model))["medians"] == model.medians
 
     def test_tree_structural_invariants(self):
         # every node reachable exactly once, finite thresholds at splits,
         # positive class counts at leaves
-        vectors, names = blob_vectors(40, seed=14, d=3)
-        model = fit_forest(vectors, names, ForestConfig(n_trees=10), seed=2)
+        X, y, names = blob_data(40, seed=14, d=3)
+        model = fit_forest(X, y, names, ForestConfig(n_trees=10), seed=2)
         for tree in model.trees:
             n = len(tree.feature)
             seen = set()
@@ -187,60 +178,100 @@ class TestForest:
             assert seen == set(range(n))
 
 
+def dict_medians(rows: list[dict], feature_names) -> dict[str, float]:
+    """Reference: the per-row dict formula the columnar code replaced."""
+    medians = {}
+    for name in feature_names:
+        defined = sorted(r[name] for r in rows if r.get(name) is not None)
+        if not defined:
+            medians[name] = 0.0
+        else:
+            mid = len(defined) // 2
+            medians[name] = (
+                defined[mid] if len(defined) % 2 else (defined[mid - 1] + defined[mid]) / 2.0
+            )
+    return medians
+
+
+def dict_matrix(rows: list[dict], feature_names, medians: dict[str, float]) -> np.ndarray:
+    """Reference: the per-cell imputation loop the columnar code replaced."""
+    X = np.empty((len(rows), len(feature_names)))
+    for i, row in enumerate(rows):
+        for j, name in enumerate(feature_names):
+            v = row.get(name)
+            X[i, j] = medians[name] if v is None else v
+    return X
+
+
 class TestImputation:
     def test_median_from_defined_values_only(self):
-        vectors = [
-            vec(0, "rumour", x=1.0, y=None),
-            vec(1, "rumour", x=3.0, y=10.0),
-            vec(2, "non-rumour", x=None, y=20.0),
-        ]
-        medians = compute_medians(vectors, ["x", "y"])
-        assert medians == {"x": 2.0, "y": 15.0}
+        X = np.array([[1.0, np.nan], [3.0, 10.0], [np.nan, 20.0]])
+        assert compute_medians(X).tolist() == [2.0, 15.0]
 
     def test_all_absent_defaults_to_zero(self):
-        medians = compute_medians([vec(0, "rumour", x=None)], ["x"])
-        assert medians["x"] == 0.0
+        assert compute_medians(column([None])).tolist() == [0.0]
 
     def test_imputed_matrix(self):
-        vectors = [vec(0, "rumour", x=None)]
-        X, y = build_matrix(vectors, ["x"], {"x": 7.5})
-        assert X[0, 0] == 7.5
-        assert y[0] == CLASSES.index("rumour")
+        X = build_matrix(column([None, 1.5]), [7.5])
+        assert X[:, 0].tolist() == [7.5, 1.5]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_bitwise_equal_to_dict_formulas(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(0, 40)), int(rng.integers(1, 6))
+        # few distinct values (ties, signed zeros) and long-mantissa values
+        pool = [0.0, -0.0, 1.0, 2.5, -3.25, 1e-300, 7.0 / 3.0]
+        X = np.where(
+            rng.random((n, d)) < 0.5,
+            rng.choice(pool, size=(n, d)),
+            rng.normal(0.0, 1e3, size=(n, d)),
+        )
+        X[rng.random((n, d)) < rng.random()] = np.nan
+        names = [f"f{j}" for j in range(d)]
+        rows = [
+            {name: (None if math.isnan(v) else v) for name, v in zip(names, row)}
+            for row in X.tolist()
+        ]
+        expected = dict_medians(rows, names)
+        medians = compute_medians(X)
+        # hex() tells signed zeros apart
+        assert [m.hex() for m in medians.tolist()] == [expected[n].hex() for n in names]
+        got = build_matrix(X, medians)
+        assert got.tobytes() == dict_matrix(rows, names, expected).tobytes()
 
 
 class TestCrossValidate:
     def test_fold_shapes(self):
-        vectors, _ = blob_vectors(50, seed=1)
-        folds = stratified_folds(vectors, k=10, seed=0)
+        _, y, _ = blob_data(50, seed=1)
+        folds = stratified_folds(y, k=10, seed=0)
         assert len(folds) == 10
-        assert sorted(i for f in folds for i in f) == list(range(100))
+        assert sorted(i for f in folds for i in f.tolist()) == list(range(100))
         assert all(len(f) == 10 for f in folds)
 
     def test_fold_determinism(self):
-        vectors, _ = blob_vectors(30, seed=1)
-        assert stratified_folds(vectors, 10, seed=3) == stratified_folds(vectors, 10, seed=3)
+        _, y, _ = blob_data(30, seed=1)
+        a, b = stratified_folds(y, 10, seed=3), stratified_folds(y, 10, seed=3)
+        assert [f.tolist() for f in a] == [f.tolist() for f in b]
 
     def test_k_reduced_with_warning(self):
-        vectors = [vec(i, "rumour", x=float(i)) for i in range(3)]
-        vectors += [vec(10 + i, "non-rumour", x=float(i)) for i in range(20)]
+        y = labelled((RUMOUR, 3), (NON_RUMOUR, 20))
         with pytest.warns(UserWarning, match="reducing folds"):
-            folds = stratified_folds(vectors, k=10, seed=0)
+            folds = stratified_folds(y, k=10, seed=0)
         assert len(folds) == 3
 
     def test_no_leakage_even_as_duplicate(self):
         # oversampling happens inside the fold's training side only, so
         # no test-fold row may appear in it, not even as a copy
-        vectors, names = blob_vectors(15, seed=4)
-        folds = stratified_folds(vectors, k=5, seed=2)
+        _, y, _ = blob_data(15, seed=4)
+        folds = stratified_folds(y, k=5, seed=2)
         for fold_idx, test_idx in enumerate(folds):
-            test_ids = {vectors[i].tweet_id for i in test_idx}
-            fold_train = [v for i, v in enumerate(vectors) if i not in set(test_idx)]
-            balanced = oversample(fold_train, seed=fold_idx)
-            assert not test_ids & {v.tweet_id for v in balanced}
+            fold_train = np.setdiff1d(np.arange(len(y)), test_idx)
+            balanced = fold_train[oversample(y[fold_train], seed=fold_idx)]
+            assert not set(test_idx.tolist()) & set(balanced.tolist())
 
     def test_cv_runs_and_reports(self):
-        vectors, names = blob_vectors(20, seed=5)
-        results = cross_validate(vectors, names, k=4, config=ForestConfig(n_trees=10), seed=1)
+        X, y, names = blob_data(20, seed=5)
+        results = cross_validate(X, y, names, k=4, config=ForestConfig(n_trees=10), seed=1)
         assert len(results) == 4
         assert all(0.0 <= m.accuracy <= 1.0 for m in results)
 

@@ -7,16 +7,18 @@ from rumourlens.corpus import (
     Label,
     Role,
     Tweet,
-    aggregate,
     load_jsonl,
     load_pheme_tree,
     partition,
     propagate_labels,
     save_jsonl,
-    usable_for_comparison,
     validate_corpus,
 )
 from rumourlens.errors import DuplicateId, MissingField, OrphanReaction, ParseError
+from rumourlens.features import FeatureTable
+from rumourlens.pipeline import _usable_events
+from rumourlens.report import read_features_csv
+from tests.conftest import GOLDENS
 
 
 def write_jsonl(path, records):
@@ -178,21 +180,23 @@ class TestPropagation:
 
 
 class TestAggregateAndUsability:
-    def test_aggregate_pools_events(self, mini_pheme_dir):
-        corpora = load_pheme_tree(mini_pheme_dir)
-        pooled = aggregate(corpora)
-        assert pooled.event == "aggregated"
-        assert len(pooled) == sum(len(c) for c in corpora)
-
+    # usability is decided on the feature table the compare, train and
+    # explain stages read
     def test_zero_rumour_event_flagged(self):
-        corpus = EventCorpus(
-            event="onesided",
-            sources=[Tweet("1", "x", "onesided", Role.SOURCE, Label.NONRUMOUR)],
-            reactions=[],
+        # a rumour reply does not stand in for the missing rumour source
+        table = FeatureTable.from_columns(
+            ["WC"],
+            tweet_id=["1", "2", "3", "4"],
+            event=["onesided", "onesided", "both", "both"],
+            role=["source", "reaction", "source", "source"],
+            label=["non-rumour", "rumour", "rumour", "non-rumour"],
+            empty_text=[False] * 4,
+            X=[[1.0]] * 4,
         )
         with pytest.warns(UserWarning, match="onesided"):
-            assert not usable_for_comparison(corpus)
+            assert _usable_events(table) == ["both"]
 
     def test_balanced_event_usable(self, mini_pheme_dir):
-        for corpus in load_pheme_tree(mini_pheme_dir):
-            assert usable_for_comparison(corpus)
+        table = read_features_csv(GOLDENS / "fixture_run" / "features.csv")
+        events = sorted(c.event for c in load_pheme_tree(mini_pheme_dir))
+        assert _usable_events(table) == events

@@ -94,6 +94,7 @@ def http_server():
     _Handler.calls = 0
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 class TestRemote:

@@ -3,6 +3,7 @@ from a reviewed run and verified here by an independent recomputation
 where one exists."""
 
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -54,15 +55,15 @@ class TestMeansAggregationOracle:
     def test_means_csv_matches_plain_recomputation(self):
         # independent aggregation: group the golden feature matrix by
         # population and average with plain python sums
-        rows, feature_names = report.read_features_csv(GOLDENS / "fixture_run" / "features.csv")
+        table = report.read_features_csv(GOLDENS / "fixture_run" / "features.csv")
         sums: dict = {}
-        for r in rows:
-            side = "r" if r["label"] == "rumour" else "nr"
-            kind = "src" if r["role"] == "source" else "re"
+        for label, role, values in zip(table.label.tolist(), table.role.tolist(), table.X.tolist()):
+            side = "r" if label == "rumour" else "nr"
+            kind = "src" if role == "source" else "re"
             pop = f"{side}_{kind}"
-            for name, value in r["values"].items():
+            for name, value in zip(table.names, values):
                 bucket = sums.setdefault((name, pop), [0.0, 0, 0])
-                if value is None:
+                if math.isnan(value):
                     bucket[2] += 1
                 else:
                     bucket[0] += value

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -274,11 +275,11 @@ class TestPopulation:
     def test_zero_word_row_is_absent(self, demo_lexicon, demo_sentic_table):
         tweet = Tweet("1", "?!?! ...", "e", Role.SOURCE, Label.RUMOUR)
         featurizer = Featurizer(demo_lexicon, demo_sentic_table)
-        (row,) = featurizer.featurize_corpus(EventCorpus(event="e", sources=[tweet], reactions=[]))
-        assert row.values[WC_FEATURE] == 0.0
+        table = featurizer.featurize_corpus(EventCorpus(event="e", sources=[tweet], reactions=[]))
+        assert table.column(WC_FEATURE).tolist() == [0.0]
         for name in lexicon_feature_names(demo_lexicon):
             if name != WC_FEATURE:
-                assert row.values[name] is None
+                assert math.isnan(table.column(name)[0])
 
 
 class TestDicConverter:

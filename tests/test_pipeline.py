@@ -4,7 +4,6 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from rumourlens import report
 from rumourlens.config import RunConfig
 from rumourlens.emotions import CassetteProvider, LexiconFallbackProvider, RemoteProvider
 from rumourlens.pipeline import make_emotion_provider
@@ -31,38 +30,6 @@ class TestProviderSelection:
         provider = make_emotion_provider(cfg)
         assert isinstance(provider, RemoteProvider)
         assert provider.max_in_flight == 4
-
-
-class TestRenderBundle:
-    def test_csv_bundle_round_trips_stage_output(self, tmp_path):
-        # re-rendering the bundle from read-back artifacts reproduces the
-        # stage-written bytes (schema stability)
-        golden = report.AnalysisReport(
-            partitions=report.read_partitions_csv("tests/goldens/fixture_run/partitions.csv"),
-            ks_rows=[
-                row
-                for name in ("ks_sources.csv", "ks_reactions.csv", "ks_aggregated.csv")
-                for row in report.read_ks_csv(f"tests/goldens/fixture_run/{name}")
-            ],
-            means=report.read_means_csv("tests/goldens/fixture_run/means.csv"),
-            emotion_table=report.read_emotions_csv("tests/goldens/fixture_run/emotions.csv"),
-            metrics=report.read_metrics_csv("tests/goldens/fixture_run/metrics.csv"),
-            shap_rankings=report.read_shap_rankings_json(
-                "tests/goldens/fixture_run/shap_rankings.json"
-            ),
-        )
-        written = report.render(golden, tmp_path, "csv-bundle")
-        for name in ("partitions.csv", "ks_sources.csv", "ks_reactions.csv",
-                     "ks_aggregated.csv", "means.csv", "emotions.csv", "metrics.csv",
-                     "shap_rankings.json"):
-            assert name in written
-            got = (tmp_path / name).read_bytes()
-            expected = open(f"tests/goldens/fixture_run/{name}", "rb").read()
-            assert got == expected, name
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            report.render(report.AnalysisReport(), tmp_path, "pdf")
 
 
 class _SenticHandler(BaseHTTPRequestHandler):
@@ -103,3 +70,4 @@ class TestSenticFetcher:
             assert reloaded.entries["good_news"][0] == pytest.approx(0.25)
         finally:
             server.shutdown()
+            server.server_close()

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -141,12 +142,12 @@ class TestMeanReport:
         assert report["wc"]["r_src"] == MeanCell(mean=4.0, n=3, absent=0)
 
     def test_absent_values_counted_not_averaged(self):
-        report = mean_report({"wc": {"r_src": [2.0, None, 4.0]}})
+        report = mean_report({"wc": {"r_src": [2.0, math.nan, 4.0]}})
         cell = report["wc"]["r_src"]
         assert cell.mean == pytest.approx(3.0)
         assert cell.n == 2
         assert cell.absent == 1
 
     def test_all_absent(self):
-        report = mean_report({"wc": {"r_src": [None, None]}})
+        report = mean_report({"wc": {"r_src": [math.nan, math.nan]}})
         assert report["wc"]["r_src"].mean is None
