@@ -262,6 +262,12 @@ def build():
         while cur is not None:
             patterns[cur].extend(pats)
             cur = PARENTS[cur][0]
+    # and every parent's own extras into its ancestors
+    for name, (grandparent, extra) in PARENTS.items():
+        cur = grandparent
+        while cur is not None:
+            patterns[cur].extend(extra)
+            cur = PARENTS[cur][0]
 
     def dedupe(seq):
         seen, out = set(), []

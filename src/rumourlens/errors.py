@@ -88,6 +88,11 @@ class TooManyFeatures(RumourLensError):
     pass
 
 
+# shapley
+class AdditivityError(RumourLensError):
+    pass
+
+
 # cli
 class ConfigError(RumourLensError):
     pass

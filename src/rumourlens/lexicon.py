@@ -17,6 +17,11 @@ A converter for the classic ``.dic`` dictionary format (category header
 block between '%' lines, then word/category-id rows) is provided as
 ``convert_dic``.
 
+``build_lexicon`` checks that every parent covers its children's
+patterns (parent ⊇ child), so a parent never scores below a child: a
+child literal needs the same literal or a prefixing stem in the parent,
+a child stem a prefixing stem, a punctuation mark the same mark.
+
 Matching is compiled: each ``Lexicon`` indexes its literals and its stems
 (pattern → categories) when it is made, and looks each distinct word up
 once, the literal index plus every prefix of the word in the stem index.
@@ -162,6 +167,16 @@ def build_lexicon(
                 raise CycleError(f"parent cycle through {cur!r}")
             seen.add(cur)
             cur = compiled[cur].parent
+        if cat.parent is None:
+            continue
+        parent = compiled[cat.parent]
+        uncovered = [w for w in cat.literals if w not in parent.literals and not w.startswith(parent.stems)]
+        uncovered += [s + "*" for s in cat.stems if not s.startswith(parent.stems)]
+        uncovered += [p for p in cat.punct_literals if p not in parent.punct_literals]
+        if uncovered:
+            raise ParseError(
+                f"category {cname!r}: parent {cat.parent!r} does not cover {', '.join(sorted(uncovered))}"
+            )
     return Lexicon(categories=compiled, name=name, version=version)
 
 

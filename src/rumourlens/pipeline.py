@@ -19,7 +19,7 @@ from . import classify, emotions, lexicon, report, senticnet, shapley, stats, te
 from .classify import ForestConfig, derive_seed
 from .config import RunConfig, save_config
 from .corpus import AGGREGATED_EVENT, load_jsonl, load_pheme_tree, partition
-from .errors import MissingArtifact, TooFewSamples
+from .errors import AdditivityError, MissingArtifact, TooFewSamples
 from .features import EMOTION_FEATURES, FeatureTable, Featurizer, emotion_argmax
 
 MANIFEST = "manifest.json"
@@ -34,6 +34,9 @@ STAGE_DEPS = {
 }
 
 SCOPES = ("sources", "reactions")
+
+# largest |base + sum(phi) - model output| an explained row may show
+ADDITIVITY_TOLERANCE = 1e-9
 
 _DATA_DIR = "rumourlens.data"
 
@@ -333,14 +336,14 @@ def stage_explain(cfg: RunConfig) -> list[Path]:
     rankings: dict = {}
     written = []
     for event in usable:
-        event_points: list[dict] = []
+        blocks = []
         for scope in _scopes(cfg):
             model_path = _model_path(out, event, scope)
             if not model_path.exists():
                 continue
             model = classify.model_from_json(model_path.read_text(encoding="utf-8"))
             rows = _scope_rows(table, event, scope)
-            X = table.X[rows]
+            X, ids = table.X[rows], table.tweet_id[rows].tolist()
             seed = derive_seed(cfg.seed, event, scope)
             train, _test = classify.split_train_test(
                 table.classes()[rows], ratio=cfg.split_ratio, seed=seed
@@ -348,29 +351,29 @@ def stage_explain(cfg: RunConfig) -> list[Path]:
             summary = shapley.shap_summary(
                 model,
                 X,
-                table.tweet_id[rows].tolist(),
                 background=X[train],
                 background_limit=cfg.shap_background,
                 seed=derive_seed(cfg.seed, event, scope, "background"),
             )
+            gaps = np.abs(
+                summary.base_value + summary.phi.sum(axis=1) - model.predict_proba(summary.values)
+            )
+            worst = int(np.argmax(gaps))
+            if not gaps[worst] <= ADDITIVITY_TOLERANCE:
+                raise AdditivityError(
+                    f"stage 'explain', event {event!r}, scope {scope!r}: tweet {ids[worst]!r} "
+                    f"has base + sum(phi) - output = {gaps[worst]:.3g}, "
+                    f"beyond {ADDITIVITY_TOLERANCE:g}"
+                )
             rankings.setdefault(event, {})[scope] = [
                 {"rank": i + 1, "feature": name, "mean_abs_phi": value}
                 for i, (name, value) in enumerate(summary.ranking)
             ]
-            event_points.extend(
-                {
-                    "scope": scope,
-                    "instance_id": p.instance_id,
-                    "feature": p.feature,
-                    "value": p.value,
-                    "phi": p.phi,
-                    "above_median": p.above_median,
-                }
-                for p in summary.points
-            )
-        if event_points:
+            above_median = summary.values > np.median(summary.values, axis=0)
+            blocks.append((scope, ids, summary.values, summary.phi, above_median))
+        if blocks:
             path = out / f"shap_{event}.csv"
-            report.write_shap_points_csv(path, event_points)
+            report.write_shap_points_csv(path, table.names, blocks)
             written.append(path)
     report.write_shap_rankings_json(out / report.SHAP_RANKINGS_JSON, rankings)
     written.append(out / report.SHAP_RANKINGS_JSON)
@@ -385,14 +388,14 @@ def stage_report(cfg: RunConfig) -> Path:
     analysis = report.AnalysisReport(alpha=cfg.alpha)
     analysis.partitions = report.read_partitions_csv(out / report.PARTITIONS_CSV)
     for fname in (report.KS_SOURCES_CSV, report.KS_REACTIONS_CSV, report.KS_AGGREGATED_CSV):
-        analysis.ks_rows.extend(report.read_ks_csv(out / fname))
-    analysis.means = report.read_means_csv(out / report.MEANS_CSV)
+        analysis.ks_rows.extend(report.read_csv_rows(out / fname))
+    analysis.means = report.read_csv_rows(out / report.MEANS_CSV)
     if (out / report.EMOTIONS_CSV).exists():
         analysis.emotion_table = report.read_emotions_csv(out / report.EMOTIONS_CSV)
     else:
         analysis.skipped["emotions"] = "no emotion provider"
     if done.get("train") and (out / report.METRICS_CSV).exists():
-        analysis.metrics = report.read_metrics_csv(out / report.METRICS_CSV)
+        analysis.metrics = report.read_csv_rows(out / report.METRICS_CSV)
     else:
         analysis.skipped["train"] = "training stage not run"
     if done.get("explain") and (out / report.SHAP_RANKINGS_JSON).exists():

@@ -74,6 +74,12 @@ def _open_write(path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
+def read_csv_rows(path) -> list[dict]:
+    """A table's rows as header -> cell string, in file order."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [dict(row) for row in csv.DictReader(fh)]
+
+
 # ---------------------------------------------------------------------------
 # partitions
 
@@ -87,19 +93,16 @@ def write_partitions_csv(path, counts: list[PartitionCounts]) -> None:
 
 
 def read_partitions_csv(path) -> list[PartitionCounts]:
-    out = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                PartitionCounts(
-                    event=row["event"],
-                    nr_src=int(row["nr_src"]),
-                    r_src=int(row["r_src"]),
-                    nr_re=int(row["nr_re"]),
-                    r_re=int(row["r_re"]),
-                )
-            )
-    return out
+    return [
+        PartitionCounts(
+            event=row["event"],
+            nr_src=int(row["nr_src"]),
+            r_src=int(row["r_src"]),
+            nr_re=int(row["nr_re"]),
+            r_re=int(row["r_re"]),
+        )
+        for row in read_csv_rows(path)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +182,6 @@ def write_ks_csv(path, matrices: list[SignificanceMatrix], events: list[str] | N
         w.writerows(rows)
 
 
-def read_ks_csv(path) -> list[dict]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return [dict(row) for row in csv.DictReader(fh)]
-
-
 # ---------------------------------------------------------------------------
 # means
 
@@ -208,11 +206,6 @@ def write_means_csv(path, means: dict[str, dict[str, MeanCell]]) -> None:
                 )
 
 
-def read_means_csv(path) -> list[dict]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return [dict(row) for row in csv.DictReader(fh)]
-
-
 # ---------------------------------------------------------------------------
 # emotions
 
@@ -230,11 +223,10 @@ def write_emotions_csv(path, table: dict[str, dict[str, float]]) -> None:
 
 def read_emotions_csv(path) -> dict[str, dict[str, float]]:
     table: dict[str, dict[str, float]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            for pop in POPULATIONS:
-                if row[pop] != "":
-                    table.setdefault(pop, {})[row["label"]] = float(row[pop])
+    for row in read_csv_rows(path):
+        for pop in POPULATIONS:
+            if row[pop] != "":
+                table.setdefault(pop, {})[row["label"]] = float(row[pop])
     return table
 
 
@@ -264,31 +256,23 @@ def write_metrics_csv(path, rows: list[dict]) -> None:
             )
 
 
-def read_metrics_csv(path) -> list[dict]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return [dict(row) for row in csv.DictReader(fh)]
-
-
 # ---------------------------------------------------------------------------
 # shap exports
 
 
-def write_shap_points_csv(path, rows: list[dict]) -> None:
-    """Per-point export: one file per event, scope column first."""
+def write_shap_points_csv(path, names: list[str], blocks: list[tuple]) -> None:
+    """Per-point export: one file per event, scope column first. Each block
+    is (scope, ids, values, phi, above_median), matrix row i being tweet
+    ids[i] and column j feature names[j]; written block, row, column."""
     with _open_write(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["scope", "instance_id", "feature", "value", "phi", "above_median"])
-        for r in rows:
-            w.writerow(
-                [
-                    r["scope"],
-                    r["instance_id"],
-                    r["feature"],
-                    fnum(r["value"]),
-                    fnum(r["phi"]),
-                    str(r["above_median"]).lower(),
-                ]
-            )
+        for scope, ids, values, phi, above_median in blocks:
+            for tweet_id, row_values, row_phi, row_above in zip(
+                ids, values.tolist(), phi.tolist(), above_median.tolist()
+            ):
+                for name, value, phi_j, above in zip(names, row_values, row_phi, row_above):
+                    w.writerow([scope, tweet_id, name, fnum(value), fnum(phi_j), str(above).lower()])
 
 
 def write_shap_rankings_json(path, rankings: dict) -> None:

@@ -20,9 +20,15 @@ form over coalition sizes:
     j in N:  phi_j -= leaf_value * A(p, q-1)
 
 Averaging over background rows and trees gives the forest attribution;
-additivity (base + sum(phi) = output) holds to float accumulation error.
+additivity (base + sum(phi) = output) holds to float accumulation error,
+and ``pipeline.stage_explain`` checks it for every explained row.
 ``brute_shapley`` evaluates the defining subset sum directly and is the
 test oracle for the fast path.
+
+``_prepare_tree`` computes what does not depend on the instance once per
+tree: each leaf's path conditions, the background rows' satisfaction of
+them and the leaf's distinct path features. ``explain_row`` returns one
+phi vector in the model's column order.
 
 Instances and background sets are raw feature rows in the model's column
 order, NaN marking an absent value (the `<name>__absent` flag in
@@ -48,16 +54,6 @@ BRUTE_FORCE_MAX_FEATURES = 12
 DEFAULT_BACKGROUND_LIMIT = 256
 
 
-@dataclass(frozen=True)
-class ShapExplanation:
-    base_value: float
-    phi: dict[str, float]
-    model_output: float
-
-    def additivity_gap(self) -> float:
-        return abs(self.base_value + sum(self.phi.values()) - self.model_output)
-
-
 @lru_cache(maxsize=32)
 def _weight_table(d: int) -> np.ndarray:
     """A[p, q] for p + q <= d - 1, computed exactly then cast to float."""
@@ -73,13 +69,16 @@ def _weight_table(d: int) -> np.ndarray:
 @dataclass
 class _LeafPaths:
     """Per-leaf path conditions of one tree, plus the background
-    satisfaction matrix (rows x conditions) precomputed once."""
+    satisfaction matrix (rows x conditions) and the distinct path
+    features, precomputed once."""
 
     values: list[float]
     cond_features: list[np.ndarray]
     cond_thresholds: list[np.ndarray]
     cond_dirs: list[np.ndarray]  # True: path goes left (x <= thr)
     sat_bg: list[np.ndarray]
+    uniq_features: list[np.ndarray]  # sorted distinct entries of cond_features
+    uniq_inverse: list[np.ndarray]  # condition -> position in uniq_features
     bg_leaf_prob: np.ndarray  # plain tree output per background row
 
 
@@ -96,7 +95,7 @@ def _enumerate_leaves(tree: Tree):
 
 
 def _prepare_tree(tree: Tree, background: np.ndarray) -> _LeafPaths:
-    paths = _LeafPaths([], [], [], [], [], tree.predict_prob(background))
+    paths = _LeafPaths([], [], [], [], [], [], [], tree.predict_prob(background))
     for node, conds in _enumerate_leaves(tree):
         feats = np.array([c[0] for c in conds], dtype=np.int64)
         thrs = np.array([c[1] for c in conds])
@@ -107,6 +106,9 @@ def _prepare_tree(tree: Tree, background: np.ndarray) -> _LeafPaths:
         paths.cond_thresholds.append(thrs)
         paths.cond_dirs.append(dirs)
         paths.sat_bg.append(sat)
+        uniq, inverse = np.unique(feats, return_inverse=True)
+        paths.uniq_features.append(uniq)
+        paths.uniq_inverse.append(inverse)
     return paths
 
 
@@ -125,17 +127,13 @@ class TreeShapExplainer:
             np.mean([tp.bg_leaf_prob.mean() for tp in self._trees])
         )
 
-    def explain_row(self, x: np.ndarray) -> ShapExplanation:
+    def explain_row(self, x: np.ndarray) -> np.ndarray:
+        """phi of one imputed row, in the model's column order."""
         phi = np.zeros(self.d)
         for paths in self._trees:
             phi += self._tree_phi(paths, x)
         phi /= len(self._trees)
-        output = float(self.model.predict_proba(x.reshape(1, -1))[0])
-        return ShapExplanation(
-            base_value=self.base_value,
-            phi={name: float(phi[j]) for j, name in enumerate(self.model.feature_names)},
-            model_output=output,
-        )
+        return phi
 
     def _tree_phi(self, paths: _LeafPaths, x: np.ndarray) -> np.ndarray:
         phi = np.zeros(self.d)
@@ -154,7 +152,7 @@ class TreeShapExplainer:
                 continue
             pos_cond = sat_x & ~sat_r
             neg_cond = ~sat_x & sat_r
-            uniq, inverse = np.unique(feats, return_inverse=True)
+            uniq, inverse = paths.uniq_features[leaf], paths.uniq_inverse[leaf]
             pos = np.zeros((b, uniq.size), dtype=bool)
             neg = np.zeros((b, uniq.size), dtype=bool)
             for c, u in enumerate(inverse):
@@ -171,15 +169,6 @@ class TreeShapExplainer:
                 phi[feature] += value * (a_pos * pos[:, u_idx]).sum()
                 phi[feature] -= value * (a_neg * neg[:, u_idx]).sum()
         return phi / b
-
-
-def tree_shap(
-    model: RandomForestModel,
-    instance: np.ndarray,
-    background: np.ndarray,
-) -> ShapExplanation:
-    explainer = TreeShapExplainer(model, model.impute(background))
-    return explainer.explain_row(model.impute(instance))
 
 
 def brute_shapley(
@@ -226,31 +215,21 @@ def brute_shapley(
 
 
 @dataclass(frozen=True)
-class ShapPoint:
-    instance_id: str
-    feature: str
-    value: float
-    phi: float
-    above_median: bool
-
-
-@dataclass(frozen=True)
 class ShapSummary:
     ranking: list[tuple[str, float]]  # (feature, mean |phi|), descending
-    points: list[ShapPoint]
+    values: np.ndarray  # imputed rows explained (rows x model features)
+    phi: np.ndarray  # their attributions, same shape
     base_value: float
 
 
 def shap_summary(
     model: RandomForestModel,
     X: np.ndarray,
-    ids: list[str],
     background: np.ndarray | None = None,
     background_limit: int = DEFAULT_BACKGROUND_LIMIT,
     seed: int = 0,
 ) -> ShapSummary:
-    """Explain every row of `X` (row i is tweet `ids[i]`); rank features
-    by mean |phi|.
+    """Explain every row of `X`; rank features by mean |phi|.
 
     The background defaults to `X` itself and is subsampled (seeded)
     beyond `background_limit` rows for tractability.
@@ -265,29 +244,20 @@ def shap_summary(
     explainer = TreeShapExplainer(model, bg)
 
     X = model.impute(X)
-    medians = np.median(X, axis=0)
+    phi = np.empty_like(X)
+    # |phi| summed row by row in row order: a column sum of np.abs(phi)
+    # may add in another order and change the last bit of the ranking
     abs_sums = np.zeros(len(model.feature_names))
-    points = []
-    for i, tweet_id in enumerate(ids):
-        explanation = explainer.explain_row(X[i])
-        for j, name in enumerate(model.feature_names):
-            phi_j = explanation.phi[name]
-            abs_sums[j] += abs(phi_j)
-            points.append(
-                ShapPoint(
-                    instance_id=tweet_id,
-                    feature=name,
-                    value=float(X[i, j]),
-                    phi=phi_j,
-                    above_median=bool(X[i, j] > medians[j]),
-                )
-            )
+    for i, row in enumerate(X):
+        phi[i] = explainer.explain_row(row)
+        abs_sums += np.abs(phi[i])
     mean_abs = abs_sums / len(X)
     ranking = sorted(
         zip(model.feature_names, mean_abs), key=lambda item: (-item[1], item[0])
     )
     return ShapSummary(
         ranking=[(name, float(v)) for name, v in ranking],
-        points=points,
+        values=X,
+        phi=phi,
         base_value=explainer.base_value,
     )

@@ -112,9 +112,9 @@ class TestCliCommands:
         cli.main(["featurize", "--config", str(conf)])
         out = tmp_path / "out" / "t"
         assert cli.main(["compare", "--config", str(conf), "--alpha", "0.05"]) == 0
-        loose = report.read_ks_csv(out / "ks_sources.csv")
+        loose = report.read_csv_rows(out / "ks_sources.csv")
         assert cli.main(["compare", "--config", str(conf), "--alpha", "0.0001"]) == 0
-        strict = report.read_ks_csv(out / "ks_sources.csv")
+        strict = report.read_csv_rows(out / "ks_sources.csv")
         assert len(loose) == len(strict)
         for a, b in zip(loose, strict):
             assert a["p_value"] == b["p_value"]
@@ -172,5 +172,5 @@ class TestFullRunVariants:
         out = tmp_path / "out" / "t"
         assert (out / "model_parkfire_sources.json").exists()
         assert not (out / "model_parkfire_reactions.json").exists()
-        metrics = report.read_metrics_csv(out / "metrics.csv")
+        metrics = report.read_csv_rows(out / "metrics.csv")
         assert {r["scope"] for r in metrics} == {"sources"}

@@ -178,7 +178,7 @@ class TestTableSchemas:
         m = significance_matrix(samples, alpha=0.05, population_pair="sources")
         path = tmp_path / "ks.csv"
         report.write_ks_csv(path, [m])
-        rows = report.read_ks_csv(path)
+        rows = report.read_csv_rows(path)
         assert list(rows[0]) == report.KS_HEADER
         assert rows[0]["population_pair"] == "sources"
 

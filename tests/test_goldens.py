@@ -68,7 +68,7 @@ class TestMeansAggregationOracle:
                 else:
                     bucket[0] += value
                     bucket[1] += 1
-        means_rows = report.read_means_csv(GOLDENS / "fixture_run" / "means.csv")
+        means_rows = report.read_csv_rows(GOLDENS / "fixture_run" / "means.csv")
         assert means_rows
         for row in means_rows:
             total, n, absent = sums[(row["feature"], row["population"])]

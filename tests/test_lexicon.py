@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -32,6 +33,35 @@ class TestLoad:
     def test_unknown_parent(self):
         with pytest.raises(ParseError):
             build_lexicon({"a": {"parent": "ghost", "patterns": ["x"]}})
+
+    @pytest.mark.parametrize(
+        "parent, child, uncovered",
+        [
+            (["bad"], ["bad", "awful"], "awful"),  # literal without a parent literal
+            (["sad*"], ["sadly", "grief*"], "grief*"),  # stem without a prefixing parent stem
+            (["happ*"], ["happier*", "hap*"], "hap*"),  # a child stem shorter than the parent's
+            (["!"], ["!", "?"], "?"),  # punctuation without the same mark
+        ],
+    )
+    def test_child_not_covered_by_parent(self, parent, child, uncovered):
+        with pytest.raises(ParseError, match=rf"parent 'p' does not cover {re.escape(uncovered)}$"):
+            build_lexicon({"p": {"patterns": parent}, "c": {"parent": "p", "patterns": child}})
+
+    def test_child_covered_by_parent(self):
+        lex = build_lexicon(
+            {
+                "p": {"patterns": ["bad", "sad*", "!"]},
+                "c": {"parent": "p", "patterns": ["bad", "sadly", "sadd*", "!"]},
+                "any": {"patterns": ["*"]},
+                "c2": {"parent": "any", "patterns": ["x", "y*"]},
+            }
+        )
+        assert lex.categories["c"].parent == "p"
+
+    def test_demo_parent_scores_at_least_its_child(self, demo_lexicon):
+        profile = score(tokenize("this is terrible and bad"), demo_lexicon)
+        assert profile.percentages["negemo"] == 40.0
+        assert profile.percentages["affect"] >= profile.percentages["negemo"]
 
     def test_interior_star_rejected(self):
         with pytest.raises(BadPattern):

@@ -4,8 +4,10 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from rumourlens import pipeline, shapley
 from rumourlens.config import RunConfig
 from rumourlens.emotions import CassetteProvider, LexiconFallbackProvider, RemoteProvider
+from rumourlens.errors import AdditivityError
 from rumourlens.pipeline import make_emotion_provider
 from rumourlens.senticnet import fetch_concepts, load_sentic_table
 
@@ -71,3 +73,40 @@ class TestSenticFetcher:
         finally:
             server.shutdown()
             server.server_close()
+
+
+class TestAdditivityCheck:
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory, mini_pheme_dir):
+        cfg = RunConfig(
+            dataset=str(mini_pheme_dir),
+            seed=42,
+            threads=1,
+            n_trees=10,
+            k_folds=3,
+            out_dir=str(tmp_path_factory.mktemp("out")),
+            run_id="t",
+        )
+        pipeline.stage_ingest(cfg)
+        pipeline.stage_featurize(cfg)
+        pipeline.stage_train(cfg)
+        return cfg
+
+    def test_fixture_run_passes(self, trained):
+        written = pipeline.stage_explain(trained)
+        assert [p.name for p in written] == [
+            "shap_ferrydelay.csv", "shap_parkfire.csv", "shap_statuegift.csv", "shap_rankings.json",
+        ]
+
+    def test_perturbed_phi_raises(self, trained, monkeypatch):
+        explain_row = shapley.TreeShapExplainer.explain_row
+
+        def perturbed(self, x):
+            phi = explain_row(self, x)
+            phi[0] += 1e-6
+            return phi
+
+        monkeypatch.setattr(shapley.TreeShapExplainer, "explain_row", perturbed)
+        message = r"stage 'explain', event 'ferrydelay', scope 'sources': tweet '\d+' .* = 1e-06,"
+        with pytest.raises(AdditivityError, match=message):
+            pipeline.stage_explain(trained)

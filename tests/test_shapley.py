@@ -3,12 +3,7 @@ import pytest
 
 from rumourlens.classify import ForestConfig, RandomForestModel, Tree, fit_forest
 from rumourlens.errors import FeatureMismatch, TooManyFeatures
-from rumourlens.shapley import (
-    TreeShapExplainer,
-    brute_shapley,
-    shap_summary,
-    tree_shap,
-)
+from rumourlens.shapley import TreeShapExplainer, brute_shapley, shap_summary
 
 
 def leaf_tree(prob_counts):
@@ -45,6 +40,19 @@ def rows(*values):
     return np.array(values, dtype=np.float64)
 
 
+def explain(model, instance, background):
+    """(phi, base value, model output) of one raw instance: the explainer
+    and the model both see the rows imputed with the model's medians."""
+    x = model.impute(instance)
+    explainer = TreeShapExplainer(model, model.impute(background))
+    output = float(model.predict_proba(x.reshape(1, -1))[0])
+    return explainer.explain_row(x), explainer.base_value, output
+
+
+def additivity_gap(phi, base, output):
+    return abs(base + float(phi.sum()) - output)
+
+
 def random_rows(rng, n, d):
     """n rows of d standard-normal features and a fair-coin class each,
     drawn row by row (features, then class)."""
@@ -59,26 +67,24 @@ def random_rows(rng, n, d):
 class TestSingleTreeCases:
     def test_constant_model_all_phi_zero(self):
         model = manual_model([leaf_tree([1, 3])], ["a", "b"])
-        explanation = tree_shap(model, rows(1.0, 2.0), rows([0.0, 0.0], [5.0, 5.0]))
-        assert explanation.phi == {"a": 0.0, "b": 0.0}
-        assert explanation.base_value == pytest.approx(0.75)
-        assert explanation.model_output == pytest.approx(0.75)
+        phi, base, output = explain(model, rows(1.0, 2.0), rows([0.0, 0.0], [5.0, 5.0]))
+        assert phi.tolist() == [0.0, 0.0]
+        assert base == pytest.approx(0.75)
+        assert output == pytest.approx(0.75)
 
     def test_depth_one_single_split(self):
         # split on feature a; instance goes right, background goes left
         model = manual_model([stump(0, 0.0, [4, 0], [0, 4])], ["a", "b"])
-        explanation = tree_shap(model, rows(1.0, 9.0), rows([-1.0, -9.0]))
-        assert explanation.phi["b"] == pytest.approx(0.0, abs=1e-12)
-        assert explanation.phi["a"] == pytest.approx(
-            explanation.model_output - explanation.base_value, abs=1e-12
-        )
+        phi, base, output = explain(model, rows(1.0, 9.0), rows([-1.0, -9.0]))
+        assert phi[1] == pytest.approx(0.0, abs=1e-12)
+        assert phi[0] == pytest.approx(output - base, abs=1e-12)
 
     def test_dummy_feature_gets_exact_zero(self):
         model = manual_model([stump(0, 0.0, [4, 0], [0, 4])], ["a", "unused"])
         rng = np.random.default_rng(0)
         background = np.array([[float(rng.normal()), float(rng.normal())] for _ in range(6)])
-        explanation = tree_shap(model, rows(2.0, -3.0), background)
-        assert explanation.phi["unused"] == 0.0
+        phi, _base, _output = explain(model, rows(2.0, -3.0), background)
+        assert phi[1] == 0.0
         brute = brute_shapley(model, rows(2.0, -3.0), background)
         assert brute["unused"] == pytest.approx(0.0, abs=1e-15)
 
@@ -87,8 +93,9 @@ class TestSingleTreeCases:
         model.medians["a"] = 1.0
         background = rows([-1.0, 0.0], [np.nan, 0.0])
         imputed = rows([-1.0, 0.0], [1.0, 0.0])
-        fast = tree_shap(model, rows(np.nan, 5.0), background)
-        assert fast == tree_shap(model, rows(1.0, 5.0), imputed)
+        fast = explain(model, rows(np.nan, 5.0), background)
+        again = explain(model, rows(1.0, 5.0), imputed)
+        assert fast[0].tolist() == again[0].tolist() and fast[1:] == again[1:]
         assert brute_shapley(model, rows(np.nan, 5.0), background) == brute_shapley(
             model, rows(1.0, 5.0), imputed
         )
@@ -137,11 +144,11 @@ class TestOracleEquivalence:
         background, _ = random_rows(rng, int(rng.integers(1, 21)), d)
         for _ in range(3):
             instance = random_rows(rng, 1, d)[0][0]
-            fast = tree_shap(model, instance, background)
+            phi, base, output = explain(model, instance, background)
             brute = brute_shapley(model, instance, background)
-            for name in names:
-                assert fast.phi[name] == pytest.approx(brute[name], abs=1e-9)
-            assert fast.additivity_gap() < 1e-9
+            for j, name in enumerate(names):
+                assert phi[j] == pytest.approx(brute[name], abs=1e-9)
+            assert additivity_gap(phi, base, output) < 1e-9
 
     def test_repeated_feature_on_path(self):
         # deep tree re-splitting the same feature
@@ -155,17 +162,17 @@ class TestOracleEquivalence:
         model = manual_model([tree], ["a", "b"])
         background = rows([-2.0, 0.0], [-0.5, 1.0], [3.0, -1.0])
         instance = rows(-0.7, 0.3)
-        fast = tree_shap(model, instance, background)
+        phi, _base, _output = explain(model, instance, background)
         brute = brute_shapley(model, instance, background)
-        for name in ("a", "b"):
-            assert fast.phi[name] == pytest.approx(brute[name], abs=1e-12)
+        for j, name in enumerate(("a", "b")):
+            assert phi[j] == pytest.approx(brute[name], abs=1e-12)
 
 
 class TestValidation:
     def test_instance_schema_mismatch(self):
         model = manual_model([leaf_tree([1, 1])], ["a", "b"])
         with pytest.raises(FeatureMismatch):
-            tree_shap(model, rows(1.0), rows([0.0, 0.0]))
+            explain(model, rows(1.0), rows([0.0, 0.0]))
 
     def test_background_shape_mismatch(self):
         model = manual_model([leaf_tree([1, 1])], ["a", "b"])
@@ -178,14 +185,14 @@ class TestSummary:
         rng = np.random.default_rng(seed)
         X, y = random_rows(rng, 40, 3)
         model = fit_forest(X, y, ["a", "b", "c"], ForestConfig(n_trees=10), seed=1)
-        return model, X, [f"r{i}" for i in range(len(X))]
+        return model, X
 
     def test_single_instance_ranking_is_abs_phi(self):
-        model, X, ids = self.build()
-        summary = shap_summary(model, X[:1], ids[:1], background=X[:10])
-        explanation = tree_shap(model, X[0], X[:10])
+        model, X = self.build()
+        summary = shap_summary(model, X[:1], background=X[:10])
+        phi, _base, _output = explain(model, X[0], X[:10])
         expect = sorted(
-            ((n, abs(v)) for n, v in explanation.phi.items()),
+            ((n, abs(v)) for n, v in zip(model.feature_names, phi.tolist())),
             key=lambda item: (-item[1], item[0]),
         )
         assert [n for n, _ in summary.ranking] == [n for n, _ in expect]
@@ -193,22 +200,25 @@ class TestSummary:
             assert v1 == pytest.approx(v2, abs=1e-12)
 
     def test_every_instance_appears_once_per_feature(self):
-        model, X, ids = self.build()
-        summary = shap_summary(model, X[:7], ids[:7], background=X)
-        seen = {(p.instance_id, p.feature) for p in summary.points}
-        assert len(seen) == len(summary.points) == 7 * 3
+        model, X = self.build()
+        summary = shap_summary(model, X[:7], background=X)
+        assert summary.phi.shape == summary.values.shape == (7, 3)
+        explainer = TreeShapExplainer(model, model.impute(X))
+        for i, row in enumerate(model.impute(X[:7])):
+            assert summary.values[i].tolist() == row.tolist()
+            assert summary.phi[i].tolist() == explainer.explain_row(row).tolist()
 
     def test_local_accuracy_on_every_explanation(self):
-        model, X, _ = self.build()
+        model, X = self.build()
         explainer = TreeShapExplainer(model, model.impute(X))
-        for row in model.impute(X):
-            assert explainer.explain_row(row).additivity_gap() < 1e-9
+        outputs = model.predict_proba(model.impute(X))
+        for row, output in zip(model.impute(X), outputs):
+            phi = explainer.explain_row(row)
+            assert additivity_gap(phi, explainer.base_value, output) < 1e-9
 
     def test_background_subsampling_deterministic(self):
-        model, X, ids = self.build()
-        a = shap_summary(model, X[:3], ids[:3], background=X, background_limit=5, seed=11)
-        b = shap_summary(model, X[:3], ids[:3], background=X, background_limit=5, seed=11)
+        model, X = self.build()
+        a = shap_summary(model, X[:3], background=X, background_limit=5, seed=11)
+        b = shap_summary(model, X[:3], background=X, background_limit=5, seed=11)
         assert a.ranking == b.ranking
-        assert [(p.instance_id, p.phi) for p in a.points] == [
-            (p.instance_id, p.phi) for p in b.points
-        ]
+        assert a.phi.tolist() == b.phi.tolist()
