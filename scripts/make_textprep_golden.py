@@ -14,7 +14,7 @@ from pathlib import Path
 
 from rumourlens.corpus import Label, Role, load_pheme_tree
 from rumourlens.readability import flesch
-from rumourlens.textprep import clean_for_readability, text_stats, tokenize
+from rumourlens.textprep import clean_for_readability, load_easy_words, text_stats, tokenize
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "tests" / "resources" / "textprep_golden.json"
@@ -22,6 +22,7 @@ OUT = ROOT / "tests" / "resources" / "textprep_golden.json"
 
 def main() -> None:
     corpora = load_pheme_tree(ROOT / "fixtures" / "mini-pheme")
+    easy_words = load_easy_words()
     tweets = {}
     flesch_rumour_sources = []
     for corpus in corpora:
@@ -30,7 +31,7 @@ def main() -> None:
             cleaned = clean_for_readability(t.text)
             tweets[t.id] = {"kinds": dict(sorted(kinds.items())), "cleaned": cleaned}
             if t.role is Role.SOURCE and t.label is Label.RUMOUR:
-                flesch_rumour_sources.append(flesch(text_stats(cleaned)))
+                flesch_rumour_sources.append(flesch(text_stats(cleaned, easy_words)))
     golden = {
         "tweets": tweets,
         "flesch_mean_rumour_sources": sum(flesch_rumour_sources) / len(flesch_rumour_sources),

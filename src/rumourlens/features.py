@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import readability, senticnet
-from .corpus import EventCorpus, Tweet
+from . import readability, senticnet, textprep
+from .corpus import EventCorpus
 from .errors import EmptyText
 from .lexicon import Lexicon, score
 from .readability import SCORE_NAMES as READABILITY_FEATURES
@@ -57,7 +57,6 @@ class FeatureTable:
     @classmethod
     def from_columns(cls, names, tweet_id, event, role, label, empty_text, X) -> FeatureTable:
         text = (np.array(c, dtype=str) for c in (tweet_id, event, role, label))
-        # None (absent) becomes NaN
         X = np.array(X, dtype=np.float64).reshape(len(tweet_id), len(names))
         return cls(list(names), *text, np.array(empty_text, dtype=bool), X)
 
@@ -110,18 +109,26 @@ class Featurizer:
         self.lexicon = lexicon
         self.sentic_table = sentic_table
         self.emotion_provider = emotion_provider
-        self.stopwords = stopwords
+        self.stopwords = stopwords if stopwords is not None else textprep.load_stopwords()
         self.lemmatizer = lemmatizer or RuleLemmatizer()
-        self.easy_words = easy_words
+        self.easy_words = easy_words if easy_words is not None else textprep.load_easy_words()
         self.names = feature_names(lexicon, with_emotions=emotion_provider is not None)
+        # column blocks in feature_names order: WC, the categories, allpunct,
+        # readability, concepts, then the emotions
+        self._allpunct = len(lexicon_feature_names(lexicon)) - 1
+        self._categories = self.names[1 : self._allpunct]
+        self._readability = slice(self._allpunct + 1, self._allpunct + 1 + len(READABILITY_FEATURES))
+        self._sentic = slice(self._readability.stop, self._readability.stop + len(SENTIC_FEATURES))
 
     def featurize_corpus(self, corpus: EventCorpus) -> FeatureTable:
         tweets = list(corpus.sources) + list(corpus.reactions)
-        rows = [self._text_features(t) for t in tweets]
+        X = np.full((len(tweets), len(self.names)), np.nan)
+        for tweet, row in zip(tweets, X):
+            self._text_features(tweet.text, row)
         if self.emotion_provider is not None:
             dists = self.emotion_provider.classify([t.text for t in tweets])
-            for row, dist in zip(rows, dists):
-                row.update({lab: dist.scores[lab] for lab in EMOTION_FEATURES})
+            for row, dist in zip(X, dists):
+                row[self._sentic.stop :] = [dist.scores[lab] for lab in EMOTION_FEATURES]
         return FeatureTable.from_columns(
             self.names,
             tweet_id=[t.id for t in tweets],
@@ -129,30 +136,29 @@ class Featurizer:
             role=[t.role.value for t in tweets],
             label=[t.label.value for t in tweets],
             empty_text=[t.is_empty_text() for t in tweets],
-            X=[[row.get(name) for name in self.names] for row in rows],
+            X=X,
         )
 
-    def _text_features(self, tweet: Tweet) -> dict[str, float | None]:
-        """The text-derived features of one tweet; a feature left out of the
-        returned map, or mapped to None, is absent."""
-        tokens = tokenize(tweet.text)
+    def _text_features(self, text: str, row: np.ndarray) -> None:
+        """Write the text-derived features of one tweet into its matrix row,
+        which starts all NaN; a family left NaN is absent."""
+        tokens = tokenize(text)
         profile = score(tokens, self.lexicon)
-        values: dict[str, float | None] = {WC_FEATURE: float(profile.word_count)}
+        row[0] = profile.word_count
         if profile.word_count:
-            for cat in self.lexicon.top_level():
-                if cat.lower() not in _ENGINE_CATEGORY_NAMES:
-                    values[cat] = profile.percentages[cat]
-            values[ALLPUNCT_FEATURE] = profile.punctuation["all_punct"]
+            row[1 : self._allpunct] = [profile.percentages[cat] for cat in self._categories]
+            row[self._allpunct] = profile.punctuation["all_punct"]
 
         try:
-            stats = text_stats(clean_for_readability(tweet.text), self.easy_words)
-            values.update(readability.all_scores(stats).as_dict())
+            stats = text_stats(clean_for_readability(text), self.easy_words)
+            row[self._readability] = readability.all_scores(stats).values()
         except EmptyText:
             pass  # nothing to score: the readability family is absent
 
-        lemmas = clean_for_senticnet(tweet.text, self.stopwords, self.lemmatizer)
-        values.update(senticnet.sentic_features(lemmas, self.sentic_table).as_dict())
-        return values
+        lemmas = clean_for_senticnet(tokens, self.stopwords, self.lemmatizer)
+        concepts = senticnet.sentic_features(lemmas, self.sentic_table)
+        if concepts.matched_concept_count:
+            row[self._sentic] = concepts.values()
 
 
 def emotion_argmax(scores: np.ndarray) -> np.ndarray:

@@ -39,13 +39,9 @@ class ReadabilityScores:
     smog: float
     dale_chall: float
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(
-            zip(
-                SCORE_NAMES,
-                (self.flesch, self.flesch_kincaid, self.gunning_fog, self.smog, self.dale_chall),
-            )
-        )
+    def values(self) -> tuple[float, ...]:
+        """The scores in SCORE_NAMES order."""
+        return (self.flesch, self.flesch_kincaid, self.gunning_fog, self.smog, self.dale_chall)
 
 
 def _check(stats: TextStats) -> None:

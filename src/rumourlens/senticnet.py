@@ -102,14 +102,9 @@ class SenticFeatures:
     polarity: float | None
     matched_concept_count: int
 
-    def as_dict(self) -> dict[str, float | None]:
-        return {
-            "pleasantness": self.pleasantness,
-            "attention": self.attention,
-            "sensitivity": self.sensitivity,
-            "aptitude": self.aptitude,
-            "polarity": self.polarity,
-        }
+    def values(self) -> tuple[float | None, ...]:
+        """The means in DIMENSIONS order."""
+        return (self.pleasantness, self.attention, self.sensitivity, self.aptitude, self.polarity)
 
 
 def sentic_features(lemmas: list[str], table: SenticTable) -> SenticFeatures:

@@ -1,13 +1,17 @@
-"""Tokenization, syllable counting and the three cleaning pipelines.
+"""Tokenization, syllable counting and the cleaning pipelines.
 
-Three distinct preparations feed the downstream feature families:
+A tweet's raw text is prepared three ways for the downstream feature
+families:
 
+* one raw token stream (``tokenize``) feeds both the dictionary engine,
+  which needs every word and punctuation mark, and the concept lemmas:
+  ``clean_for_senticnet`` lowercases, lemmatizes and drops stopwords from
+  its word tokens while always preserving negation words.
 * ``clean_for_readability`` keeps sentence punctuation (the period matters
-  for sentence counting) while stripping tweet markup.
-* raw tokens (``tokenize``) feed the dictionary engine, which needs every
-  word and punctuation mark.
-* ``clean_for_senticnet`` lowercases, lemmatizes and drops stopwords while
-  always preserving negation words.
+  for sentence counting) while stripping tweet markup; ``text_stats``
+  tokenizes that cleaned text again, because the cleaner's spans do not
+  always fall on raw token boundaries.
+* emotion providers receive the raw text itself.
 """
 
 from __future__ import annotations
@@ -101,7 +105,7 @@ def count_syllables(word: str) -> int:
     return max(n, 1)
 
 
-_URL_RE = re.compile(r"https?://\S+|www\.\S+")
+_URL_RE = re.compile(r"\b(?:https?://|www\.)\S+")
 _MENTION_RE = re.compile(r"@\w+")
 _HASHTAG_RE = re.compile(r"\#\w+")
 _EMOJI_RE = re.compile(f"[{_EMOJI_RANGES}]")
@@ -163,21 +167,13 @@ def is_negation(word: str) -> bool:
     return w in NEGATIONS or w.endswith("n't")
 
 
-def clean_for_senticnet(
-    text: str,
-    stopwords: set[str] | None = None,
-    lemmatizer: RuleLemmatizer | None = None,
-) -> list[str]:
+def clean_for_senticnet(tokens: list[Token], stopwords: set[str], lemmatizer: RuleLemmatizer) -> list[str]:
     """Lowercased, lemmatized word tokens with stopwords removed.
 
     Negation words always survive the stopword filter.
     """
-    if stopwords is None:
-        stopwords = load_stopwords()
-    if lemmatizer is None:
-        lemmatizer = RuleLemmatizer()
     out = []
-    for tok in tokenize(text):
+    for tok in tokens:
         if tok.kind is not TokenKind.WORD:
             continue
         w = tok.surface.lower()
@@ -204,10 +200,11 @@ _SENTENCE_END_RE = re.compile(r"[.!?]+(?:\s|$)")
 _INFLECTION_RE = re.compile(r"(es|ed|ing)$")
 
 
-def _is_complex(word: str) -> bool:
-    # Gunning-Fog sense: three or more syllables, not counting words that
-    # only cross the threshold through an -es/-ed/-ing suffix.
-    if count_syllables(word) < 3:
+def _is_complex(word: str, syllables: int) -> bool:
+    # Gunning-Fog sense: three or more syllables (`syllables` is the
+    # word's count), not counting words that only cross the threshold
+    # through an -es/-ed/-ing suffix.
+    if syllables < 3:
         return False
     stripped = _INFLECTION_RE.sub("", word.lower())
     if stripped != word.lower() and len(stripped) >= 2:
@@ -215,15 +212,13 @@ def _is_complex(word: str) -> bool:
     return True
 
 
-def text_stats(text: str, easy_words: set[str] | None = None) -> TextStats:
+def text_stats(text: str, easy_words: set[str]) -> TextStats:
     """Counts over readability-cleaned text.
 
     Sentence boundaries are ``[.!?]+`` runs followed by space or end of
     text; any text containing a word has at least one sentence. Raises
     EmptyText when no word is present.
     """
-    if easy_words is None:
-        easy_words = load_easy_words()
     words = [t.surface for t in tokenize(text) if t.kind is TokenKind.WORD]
     if not words:
         raise EmptyText("no words in text")
@@ -234,7 +229,7 @@ def text_stats(text: str, easy_words: set[str] | None = None) -> TextStats:
         sentences=sentences,
         syllables=sum(syllable_counts),
         polysyllables=sum(1 for c in syllable_counts if c >= 3),
-        complex_words=sum(1 for w in words if _is_complex(w)),
+        complex_words=sum(1 for w, c in zip(words, syllable_counts) if _is_complex(w, c)),
         difficult_words=sum(1 for w in words if w.lower() not in easy_words),
     )
 

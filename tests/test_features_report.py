@@ -1,20 +1,27 @@
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
 
-from rumourlens import report
-from rumourlens.corpus import EventCorpus, Label, PartitionCounts, Role, Tweet
+from rumourlens import readability, report, textprep
+from rumourlens.corpus import EventCorpus, Label, PartitionCounts, Role, Tweet, load_pheme_tree
 from rumourlens.emotions import LexiconFallbackProvider
+from rumourlens.errors import EmptyText
 from rumourlens.features import (
+    ALLPUNCT_FEATURE,
     EMOTION_FEATURES,
+    WC_FEATURE,
     FeatureTable,
     Featurizer,
     emotion_argmax,
     feature_names,
 )
+from rumourlens.lexicon import score
 from rumourlens.readability import SCORE_NAMES
-from rumourlens.senticnet import DIMENSIONS
+from rumourlens.senticnet import DIMENSIONS, sentic_features
+from rumourlens.textprep import TokenKind, clean_for_readability, is_negation, text_stats, tokenize
 
 
 @pytest.fixture()
@@ -76,6 +83,154 @@ class TestFeaturizer:
         assert "anger" not in f.names
         assert table.names == f.names
         assert table.X.shape == (3, len(f.names))
+
+
+def oracle_text_features(featurizer, text):
+    """The dict-based row builder the Featurizer's row writer replaced:
+    each family tokenizes the raw text itself, and a feature left out of
+    the map, or mapped to None, is absent."""
+    tokens = tokenize(text)
+    profile = score(tokens, featurizer.lexicon)
+    values = {WC_FEATURE: float(profile.word_count)}
+    if profile.word_count:
+        for cat in featurizer.lexicon.top_level():
+            if cat.lower() not in {"wc", "allpunct"}:
+                values[cat] = profile.percentages[cat]
+        values[ALLPUNCT_FEATURE] = profile.punctuation["all_punct"]
+
+    try:
+        stats = text_stats(clean_for_readability(text), featurizer.easy_words)
+        r = readability.all_scores(stats)
+        values.update(zip(SCORE_NAMES, (r.flesch, r.flesch_kincaid, r.gunning_fog, r.smog, r.dale_chall)))
+    except EmptyText:
+        pass
+
+    lemmas = []
+    for tok in tokenize(text):
+        if tok.kind is not TokenKind.WORD:
+            continue
+        w = tok.surface.lower()
+        if is_negation(w):
+            lemmas.append(w)
+            continue
+        if w in featurizer.stopwords:
+            continue
+        lemmas.append(featurizer.lemmatizer.lemmatize(w))
+    f = sentic_features(lemmas, featurizer.sentic_table)
+    values.update(zip(DIMENSIONS, (f.pleasantness, f.attention, f.sensitivity, f.aptitude, f.polarity)))
+    return values
+
+
+def oracle_matrix(featurizer, corpus):
+    tweets = list(corpus.sources) + list(corpus.reactions)
+    rows = [oracle_text_features(featurizer, t.text) for t in tweets]
+    if featurizer.emotion_provider is not None:
+        dists = featurizer.emotion_provider.classify([t.text for t in tweets])
+        for row, dist in zip(rows, dists):
+            row.update({lab: dist.scores[lab] for lab in EMOTION_FEATURES})
+    X = [[row.get(name) for name in featurizer.names] for row in rows]
+    return np.array(X, dtype=np.float64).reshape(len(tweets), len(featurizer.names))
+
+
+ORACLE_PIECES = [
+    "@user", "#fire", "#Hoax", "http://t.co/x", "www.example.com", "\U0001f631", "\U0001f525", "\u2600",
+    "3.5", "1,000", "42", "don't", "isn't", "o'clock", "can't", "!", "?", ".", "...", ",", ";", "(", ")", "'",
+    "not", "never", "no", "the", "is", "a", "extraordinary", "circumstances", "happened", "considered",
+    "Awww..", "@userhttp://x", "don'http://x",
+]
+# empty, punctuation-only, emoji-only and markup-only replies
+ORACLE_SPECIAL = ["", "   ", "?!?!", "...", "\U0001f631\U0001f525", "\U0001f631 \u2600", "@a @b", "http://x #tag"]
+
+
+def random_corpus(demo_lexicon, demo_sentic_table, n=300, seed=5):
+    """n seeded texts mixing lexicon and concept words with tweet markup,
+    numbers, inner apostrophes, glued tokens and word-less replies."""
+    rng = random.Random(seed)
+    lexicon_words = sorted({w for c in demo_lexicon.categories.values() for w in c.literals})
+    concept_words = sorted({w for c in demo_sentic_table.entries for w in c.split("_")})
+    pool = lexicon_words + concept_words + ORACLE_PIECES * 8
+    texts = []
+    for i in range(n):
+        if i % 10 == 0:
+            texts.append(ORACLE_SPECIAL[(i // 10) % len(ORACLE_SPECIAL)])
+            continue
+        text = ""
+        for _ in range(rng.randrange(1, 25)):
+            w = rng.choice(pool)
+            text += rng.choice([" ", " ", " ", "", ". ", "! "]) + rng.choice([w, w.upper(), w.capitalize()])
+        texts.append(text)
+    src = Tweet("0", texts[0], "r", Role.SOURCE, Label.RUMOUR)
+    reactions = [
+        Tweet(str(i), text, "r", Role.REACTION, Label.RUMOUR, parent_id="0") for i, text in enumerate(texts) if i
+    ]
+    return EventCorpus(event="r", sources=[src], reactions=reactions)
+
+
+def assert_bitwise_equal(got, expected):
+    assert got.shape == expected.shape
+    diff = np.argwhere(got.view(np.uint64) != expected.view(np.uint64))
+    assert diff.size == 0, f"first differing (row, column): {diff[0].tolist()}"
+
+
+def count_tokenize_calls(monkeypatch) -> list:
+    """Route every rumourlens module's `tokenize` through a counter."""
+    calls = []
+    original = textprep.tokenize
+
+    def counted(text):
+        calls.append(text)
+        return original(text)
+
+    for name, module in list(sys.modules.items()):
+        if name == "rumourlens" or name.startswith("rumourlens."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestRowWriter:
+    @pytest.mark.parametrize("provider", [None, LexiconFallbackProvider()], ids=["no-provider", "fallback"])
+    def test_rows_bitwise_equal_to_dict_oracle(self, demo_lexicon, demo_sentic_table, mini_pheme_dir, provider):
+        featurizer = Featurizer(demo_lexicon, demo_sentic_table, emotion_provider=provider)
+        corpora = load_pheme_tree(mini_pheme_dir) + [random_corpus(demo_lexicon, demo_sentic_table)]
+        for corpus in corpora:
+            expected = oracle_matrix(featurizer, corpus)
+            assert_bitwise_equal(featurizer.featurize_corpus(corpus).X, expected)
+
+    def test_random_corpus_has_values_and_absences_in_every_family(self, demo_lexicon, demo_sentic_table):
+        featurizer = Featurizer(demo_lexicon, demo_sentic_table)
+        X = featurizer.featurize_corpus(random_corpus(demo_lexicon, demo_sentic_table)).X
+        for name in (ALLPUNCT_FEATURE, SCORE_NAMES[0], DIMENSIONS[0]):
+            present = ~np.isnan(X[:, featurizer.names.index(name)])
+            assert 0 < present.sum() < len(X), name
+
+    @pytest.mark.parametrize("provider,per_tweet", [(None, 2), (LexiconFallbackProvider(), 3)])
+    def test_tokenize_calls_per_tweet(
+        self, demo_lexicon, demo_sentic_table, mini_pheme_dir, monkeypatch, provider, per_tweet
+    ):
+        featurizer = Featurizer(demo_lexicon, demo_sentic_table, emotion_provider=provider)
+        corpora = load_pheme_tree(mini_pheme_dir)
+        calls = count_tokenize_calls(monkeypatch)
+        n = sum(len(featurizer.featurize_corpus(c)) for c in corpora)
+        assert n == 121
+        assert len(calls) == per_tweet * n
+
+    def test_word_lists_load_once_per_featurizer(self, demo_lexicon, demo_sentic_table, mini_pheme_dir, monkeypatch):
+        loads = {"load_stopwords": 0, "load_easy_words": 0}
+        for name in loads:
+            original = getattr(textprep, name)
+
+            def counted(*args, _name=name, _original=original):
+                loads[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(textprep, name, counted)
+        for _ in range(2):
+            featurizer = Featurizer(demo_lexicon, demo_sentic_table)
+            for corpus in load_pheme_tree(mini_pheme_dir):
+                featurizer.featurize_corpus(corpus)
+        assert loads == {"load_stopwords": 2, "load_easy_words": 2}
 
 
 def small_table(X, names=("a", "b")):

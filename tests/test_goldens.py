@@ -12,7 +12,7 @@ from rumourlens import report
 from rumourlens.corpus import Label, Role, load_pheme_tree, partition
 from rumourlens.emotions import CassetteProvider, emotion_table
 from rumourlens.readability import flesch
-from rumourlens.textprep import clean_for_readability, text_stats, tokenize
+from rumourlens.textprep import clean_for_readability, load_easy_words, text_stats, tokenize
 from tests.conftest import GOLDENS, RESOURCES
 
 
@@ -40,10 +40,11 @@ class TestTokenizationGolden:
         from tests.test_readability import reference_scores
 
         values = []
+        easy_words = load_easy_words()
         for corpus in load_pheme_tree(mini_pheme_dir):
             for t in corpus.sources:
                 if t.label is Label.RUMOUR:
-                    stats = text_stats(clean_for_readability(t.text))
+                    stats = text_stats(clean_for_readability(t.text), easy_words)
                     values.append((flesch(stats), reference_scores(stats)[0]))
         lib_mean = sum(v for v, _ in values) / len(values)
         ref_mean = sum(r for _, r in values) / len(values)

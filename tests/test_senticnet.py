@@ -144,6 +144,6 @@ class TestFeatures:
         for _ in range(200):
             lemmas = [rng.choice(words) for _ in range(rng.randrange(1, 10))]
             f = sentic_features(lemmas, demo_sentic_table)
-            for v in f.as_dict().values():
+            for v in f.values():
                 if v is not None:
                     assert -1.0 <= v <= 1.0

@@ -95,6 +95,12 @@ class TestCleanForReadability:
         text = "The fire is out. Crews are leaving now."
         assert clean_for_readability(text) == text
 
+    def test_url_pattern_starts_at_a_word_boundary(self):
+        assert clean_for_readability("Awww.. so cute") == "Awww.. so cute"
+        assert clean_for_readability("see www.example.com now") == "see now"
+        # after a space, punctuation or emoji a URL is still stripped
+        assert clean_for_readability("so cute!http://x wow😱www.example.com") == "so cute! wow"
+
     def test_idempotent(self):
         cases = [
             "Fire at #Sydney. @user http://x",
@@ -128,31 +134,37 @@ class TestLemmatizer:
         assert RuleLemmatizer().lemmatize(form) == lemma
 
 
+@pytest.fixture(scope="module")
+def stopwords():
+    return load_stopwords()
+
+
 class TestCleanForSenticnet:
-    def test_negation_kept_stopwords_dropped(self):
-        assert clean_for_senticnet("He is not running away") == ["not", "run", "away"]
+    def test_negation_kept_stopwords_dropped(self, stopwords):
+        lemmas = clean_for_senticnet(tokenize("He is not running away"), stopwords, RuleLemmatizer())
+        assert lemmas == ["not", "run", "away"]
 
-    def test_empty(self):
-        assert clean_for_senticnet("") == []
+    def test_empty(self, stopwords):
+        assert clean_for_senticnet(tokenize(""), stopwords, RuleLemmatizer()) == []
 
-    def test_negation_survives_punctuation(self):
-        assert clean_for_senticnet("No!!!") == ["no"]
+    def test_negation_survives_punctuation(self, stopwords):
+        assert clean_for_senticnet(tokenize("No!!!"), stopwords, RuleLemmatizer()) == ["no"]
 
-    def test_negation_preservation_property(self):
+    def test_negation_preservation_property(self, stopwords):
         # any negation present before cleaning survives it
-        stopwords = load_stopwords()
+        lemmatizer = RuleLemmatizer()
         rng = random.Random(13)
         fillers = ["the", "crews", "fire", "is", "running", "a", "safe", "very"]
         for _ in range(200):
             words = [rng.choice(fillers) for _ in range(rng.randrange(0, 6))]
             neg = rng.choice(sorted(NEGATIONS - {"n't"}))
             words.insert(rng.randrange(0, len(words) + 1), neg)
-            out = clean_for_senticnet(" ".join(words), stopwords)
+            out = clean_for_senticnet(tokenize(" ".join(words)), stopwords, lemmatizer)
             assert neg in out
 
-    def test_contracted_negation_kept(self):
+    def test_contracted_negation_kept(self, stopwords):
         assert is_negation("don't")
-        assert "don't" in clean_for_senticnet("don't panic")
+        assert "don't" in clean_for_senticnet(tokenize("don't panic"), stopwords, RuleLemmatizer())
 
 
 class TestTextStats:
