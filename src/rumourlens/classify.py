@@ -4,9 +4,9 @@ side, minority oversampling inside training folds only, and a bagged
 forest of Gini decision trees.
 
 Determinism: everything derives from one integer seed. Each tree draws
-its bootstrap sample and per-node feature subsets from an RNG stream
-derived from (seed, tree index), so the fitted forest is identical no
-matter how trees are scheduled. Missing feature values (NaN in the
+its bootstrap sample and per-node feature subsets from its own RNG
+stream derived from (seed, tree index), so no tree depends on the order
+in which the trees are built. Missing feature values (NaN in the
 feature matrix; the `<name>__absent` flag in features.csv) are imputed
 with the training-set median per feature, computed on training data
 only. The protocol steps take the feature matrix `X` and the class
@@ -302,7 +302,6 @@ def fit_forest(
     config: ForestConfig | None = None,
     seed: int = 0,
     medians: np.ndarray | None = None,
-    threads: int = 1,
 ) -> RandomForestModel:
     """Fit a bagged forest on an (already oversampled) training set.
 
@@ -315,19 +314,8 @@ def fit_forest(
     X = build_matrix(X, medians)
     if len(np.unique(y)) < 2:
         raise SingleClass("training data holds a single class")
-
-    def one(tree_idx: int) -> Tree:
-        return _fit_tree(X, y, config, seed, tree_idx)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(one, range(config.n_trees)))
-    else:
-        trees = [one(i) for i in range(config.n_trees)]
     return RandomForestModel(
-        trees=trees,
+        trees=[_fit_tree(X, y, config, seed, i) for i in range(config.n_trees)],
         config=config,
         seed=seed,
         feature_names=tuple(feature_names),
@@ -345,7 +333,6 @@ class Metrics:
     precision: float
     recall: float
     f1: float
-    confusion: tuple[tuple[int, int], tuple[int, int]]  # rows actual, cols predicted
 
 
 def metrics_from_confusion(confusion, averaging: str = "weighted") -> Metrics:
@@ -382,7 +369,6 @@ def metrics_from_confusion(confusion, averaging: str = "weighted") -> Metrics:
         precision=float(p),
         recall=float(r),
         f1=float(f),
-        confusion=tuple(tuple(int(v) for v in row) for row in confusion),
     )
 
 

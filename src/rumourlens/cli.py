@@ -1,7 +1,6 @@
 """Command-line entry point.
 
-    rumourlens <command> --config <file> [--seed N] [--threads N]
-               [--alpha F] [--out DIR]
+    rumourlens <command> --config <file> [--seed N] [--alpha F] [--out DIR]
 
 Commands: ingest, featurize, compare, train, explain, report, all,
 convert-dic, fetch-sentic. Config keys can also be set through
@@ -34,7 +33,6 @@ def _add_stage_parser(sub, name: str, help_text: str):
     p = sub.add_parser(name, help=help_text)
     p.add_argument("--config", required=True, help="flat key=value config file")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--out", default=None, help="output directory (out_dir)")
     return p
@@ -76,12 +74,7 @@ def main(argv=None) -> int:
             print(f"wrote {args.out} ({len(table)} concepts)")
             return 0
 
-        overrides = {
-            "seed": args.seed,
-            "threads": args.threads,
-            "alpha": args.alpha,
-            "out_dir": args.out,
-        }
+        overrides = {"seed": args.seed, "alpha": args.alpha, "out_dir": args.out}
         cfg = build_config(parse_config_file(args.config), overrides=overrides)
         result = _STAGE_COMMANDS[args.command](cfg)
         if isinstance(result, list):

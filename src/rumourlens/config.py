@@ -49,7 +49,7 @@ class RunConfig:
     shap_background: int = 256
     # run
     seed: int = 42
-    threads: int = 0  # 0: available cores
+    threads: int = 0  # accepted and validated; trees are built serially
     out_dir: str = "out"
     run_id: str = ""  # empty: run-<seed>
     scope: str = "both"  # sources | reactions | both
@@ -59,9 +59,6 @@ class RunConfig:
 
     def run_dir(self) -> Path:
         return Path(self.out_dir) / self.resolved_run_id()
-
-    def effective_threads(self) -> int:
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
 
 
 def _coerce(name: str, kind, raw: str):

@@ -256,23 +256,6 @@ def load_jsonl(path) -> list[EventCorpus]:
     return corpora
 
 
-def save_jsonl(corpora: list[EventCorpus], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for corpus in corpora:
-            for t in corpus.sources + corpus.reactions:
-                rec = {
-                    "id": t.id,
-                    "text": t.text,
-                    "event": t.event,
-                    "role": t.role.value,
-                    "label": t.label.value,
-                    "parent_id": t.parent_id,
-                }
-                if t.created_at is not None:
-                    rec["created_at"] = t.created_at
-                fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
-
-
 def partition(corpus: EventCorpus) -> Partition:
     """Split one event into its four disjoint populations."""
     part = Partition(event=corpus.event)

@@ -252,9 +252,17 @@ def stage_compare(cfg: RunConfig) -> list[Path]:
     return written
 
 
-def _scope_rows(table: FeatureTable, event: str, scope: str) -> np.ndarray:
+def _model_split(cfg: RunConfig, table: FeatureTable, event: str, scope: str):
+    """(rows, y, seed, train, test) of one (event, scope) model: its row
+    mask over `table`, class vector, seed and stratified train/test row
+    indices. Train and explain both take them from here, so the two
+    stages cannot disagree on which rows a model was fitted on."""
     role = "source" if scope == "sources" else "reaction"
-    return (table.event == event) & (table.role == role)
+    rows = (table.event == event) & (table.role == role)
+    y = table.classes()[rows]
+    seed = derive_seed(cfg.seed, event, scope)
+    train, test = classify.split_train_test(y, ratio=cfg.split_ratio, seed=seed)
+    return rows, y, seed, train, test
 
 
 def _scopes(cfg: RunConfig) -> tuple[str, ...]:
@@ -274,11 +282,9 @@ def stage_train(cfg: RunConfig) -> Path:
     metrics_rows = []
     for event in usable:
         for scope in _scopes(cfg):
-            rows = _scope_rows(table, event, scope)
-            X, y = table.X[rows], table.classes()[rows]
-            seed = derive_seed(cfg.seed, event, scope)
             try:
-                train, test = classify.split_train_test(y, ratio=cfg.split_ratio, seed=seed)
+                rows, y, seed, train, test = _model_split(cfg, table, event, scope)
+                X = table.X[rows]
                 fold_metrics = classify.cross_validate(
                     X[train],
                     y[train],
@@ -300,7 +306,6 @@ def stage_train(cfg: RunConfig) -> Path:
                 config=config,
                 seed=seed,
                 medians=medians,
-                threads=cfg.effective_threads(),
             )
             fold_scores = [m.accuracy for m in fold_metrics]
             model.fold_scores = fold_scores
@@ -342,12 +347,8 @@ def stage_explain(cfg: RunConfig) -> list[Path]:
             if not model_path.exists():
                 continue
             model = classify.model_from_json(model_path.read_text(encoding="utf-8"))
-            rows = _scope_rows(table, event, scope)
+            rows, _y, _seed, train, _test = _model_split(cfg, table, event, scope)
             X, ids = table.X[rows], table.tweet_id[rows].tolist()
-            seed = derive_seed(cfg.seed, event, scope)
-            train, _test = classify.split_train_test(
-                table.classes()[rows], ratio=cfg.split_ratio, seed=seed
-            )
             summary = shapley.shap_summary(
                 model,
                 X,

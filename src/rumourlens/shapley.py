@@ -225,17 +225,15 @@ class ShapSummary:
 def shap_summary(
     model: RandomForestModel,
     X: np.ndarray,
-    background: np.ndarray | None = None,
+    background: np.ndarray,
     background_limit: int = DEFAULT_BACKGROUND_LIMIT,
     seed: int = 0,
 ) -> ShapSummary:
     """Explain every row of `X`; rank features by mean |phi|.
 
-    The background defaults to `X` itself and is subsampled (seeded)
-    beyond `background_limit` rows for tractability.
+    The background is subsampled (seeded) beyond `background_limit` rows
+    for tractability.
     """
-    if background is None:
-        background = X
     bg = model.impute(background)
     if bg.shape[0] > background_limit:
         rng = np.random.default_rng(seed)

@@ -114,7 +114,11 @@ _SPACE_BEFORE_PUNCT_RE = re.compile(r"\s+([.!?,;:])")
 
 def clean_for_readability(text: str) -> str:
     """Remove tweet markup (hashtags, mentions, URLs, emoji) but keep
-    sentence punctuation. Idempotent."""
+    sentence punctuation.
+
+    Not idempotent: the space before punctuation is dropped last, so it
+    can join a bare URL scheme to the punctuation, and "http:// ,"
+    cleans to "http://,", which a second pass removes as a URL."""
     out = _URL_RE.sub(" ", text)
     out = _MENTION_RE.sub(" ", out)
     out = _HASHTAG_RE.sub(" ", out)

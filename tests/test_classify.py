@@ -117,12 +117,6 @@ class TestForest:
         b = model_to_json(fit_forest(X, y, names, seed=4))
         assert a == b
 
-    def test_thread_count_does_not_change_model(self):
-        X, y, names = blob_data(20, seed=10)
-        a = model_to_json(fit_forest(X, y, names, seed=4, threads=1))
-        b = model_to_json(fit_forest(X, y, names, seed=4, threads=4))
-        assert a == b
-
     def test_different_seed_different_model(self):
         X, y, names = blob_data(30, seed=9)
         assert model_to_json(fit_forest(X, y, names, seed=4)) != model_to_json(

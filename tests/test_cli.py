@@ -87,6 +87,17 @@ class TestCliCommands:
         assert cli.main(["ingest", "--config", str(conf)]) == 2
         assert "config" in capsys.readouterr().err
 
+    def test_threads_key_still_loads(self, tmp_path, mini_pheme_dir):
+        conf = write_config(tmp_path, mini_pheme_dir, threads=2)
+        assert cli.main(["ingest", "--config", str(conf)]) == 0
+
+    def test_threads_flag_rejected(self, tmp_path, mini_pheme_dir, capsys):
+        conf = write_config(tmp_path, mini_pheme_dir)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ingest", "--config", str(conf), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_ingest_then_featurize(self, tmp_path, mini_pheme_dir):
         conf = write_config(tmp_path, mini_pheme_dir)
         assert cli.main(["ingest", "--config", str(conf)]) == 0

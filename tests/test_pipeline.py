@@ -5,11 +5,12 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from rumourlens import pipeline, shapley
-from rumourlens.config import RunConfig
+from rumourlens.config import RunConfig, build_config, parse_config_file
 from rumourlens.emotions import CassetteProvider, LexiconFallbackProvider, RemoteProvider
 from rumourlens.errors import AdditivityError
 from rumourlens.pipeline import make_emotion_provider
 from rumourlens.senticnet import fetch_concepts, load_sentic_table
+from tests.conftest import ROOT
 
 
 class TestProviderSelection:
@@ -110,3 +111,29 @@ class TestAdditivityCheck:
         message = r"stage 'explain', event 'ferrydelay', scope 'sources': tweet '\d+' .* = 1e-06,"
         with pytest.raises(AdditivityError, match=message):
             pipeline.stage_explain(trained)
+
+
+def test_threads_setting_does_not_change_models(tmp_path):
+    # the fixture config at each threads setting; a 10-tree, 3-fold forest
+    # keeps the two training runs short
+    fixture = parse_config_file(ROOT / "configs" / "fixture.conf")
+    fixture["dataset"] = str(ROOT / fixture["dataset"])
+    models = {}
+    for threads in (1, 2):
+        cfg = build_config(
+            fixture,
+            env={},
+            overrides={
+                "threads": threads,
+                "n_trees": 10,
+                "k_folds": 3,
+                "out_dir": str(tmp_path),
+                "run_id": f"threads-{threads}",
+            },
+        )
+        pipeline.stage_ingest(cfg)
+        pipeline.stage_featurize(cfg)
+        pipeline.stage_train(cfg)
+        models[threads] = {p.name: p.read_bytes() for p in cfg.run_dir().glob("model_*.json")}
+    assert len(models[1]) == 6  # 3 events x 2 scopes
+    assert models[1] == models[2]
