@@ -16,6 +16,22 @@ At each node a random subset of ceil(sqrt(d)) features is considered; if
 none of the sampled features admits an impurity-reducing split, the full
 feature set is scanned before the node is closed as a leaf. Class 0 is
 non-rumour, class 1 is rumour.
+
+Split search scores every cut of every candidate feature of a node in one
+array pass: the (features x rows) block is sorted per feature, class
+counts accumulate along the rows, and each side's Gini impurity is the
+elementwise `1 - (p0*p0 + p1*p1)`. A cut wins when it beats the best so
+far by more than 1e-15, scanning features in order and each feature's
+cuts ascending; unlike an argmax, this keeps an earlier cut over a later
+one that is better only by rounding. The decreases are not bit-identical
+to `1 - np.dot(p, p)`, the form `_gini` keeps for the parent impurity:
+`np.dot` may round `p0*p0 + p1*p1` once, as a fused multiply-add, where
+the array form rounds twice, and on x86-64 with numpy 2.4 that moves the
+last bit for about one class-count pair in six. The 1e-15 margin is about
+nine units in the last place of that sum (which lies in [0.5, 1]), so the
+two forms pick different cuts only when two decreases differ by the
+margin to within a few units; the oracle tests in tests/test_classify.py
+compare them on random nodes and forests.
 """
 
 from __future__ import annotations
@@ -57,30 +73,34 @@ class ForestConfig:
 @dataclass
 class Tree:
     """Flattened binary tree. feature[i] == -1 marks a leaf; counts[i]
-    holds per-class training counts at node i (populated at leaves)."""
+    holds per-class training counts at node i (populated at leaves);
+    value[i] is P(class 1) at node i, derived from counts once (0.0
+    where a node holds no counts)."""
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
     counts: np.ndarray
+    value: np.ndarray = field(init=False, repr=False)
 
-    def leaf_prob(self, node: int) -> float:
-        c = self.counts[node]
-        return float(c[1] / c.sum())
+    def __post_init__(self):
+        total = self.counts[:, 0] + self.counts[:, 1]
+        self.value = np.divide(
+            self.counts[:, 1], total, out=np.zeros(len(total)), where=total > 0
+        )
 
     def predict_prob(self, X: np.ndarray) -> np.ndarray:
-        """P(class 1) per row."""
-        out = np.empty(X.shape[0])
-        for i, row in enumerate(X):
-            node = 0
-            while self.feature[node] != -1:
-                if row[self.feature[node]] <= self.threshold[node]:
-                    node = self.left[node]
-                else:
-                    node = self.right[node]
-            out[i] = self.leaf_prob(node)
-        return out
+        """P(class 1) per row. All rows descend together, one tree level
+        per step."""
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        active = np.flatnonzero(self.feature[node] != -1)
+        while active.size:
+            at = node[active]
+            go_left = X[active, self.feature[at]] <= self.threshold[at]
+            node[active] = np.where(go_left, self.left[at], self.right[at])
+            active = active[self.feature[node[active]] != -1]
+        return self.value[node]
 
 
 @dataclass
@@ -195,7 +215,7 @@ def _gini(counts: np.ndarray) -> float:
 
 class _TreeBuilder:
     def __init__(self, X: np.ndarray, y: np.ndarray, config: ForestConfig, rng):
-        self.X = X
+        self.XT = np.ascontiguousarray(X.T)  # one contiguous row per feature
         self.y = y
         self.config = config
         self.rng = rng
@@ -207,7 +227,7 @@ class _TreeBuilder:
         self.warned_degenerate = False
 
     def build(self) -> Tree:
-        self._grow(np.arange(self.X.shape[0]), depth=0)
+        self._grow(np.arange(self.XT.shape[1]), depth=0)
         return Tree(
             feature=np.array(self.feature, dtype=np.int64),
             threshold=np.array(self.threshold, dtype=np.float64),
@@ -226,36 +246,42 @@ class _TreeBuilder:
         return node
 
     def _best_split(self, idx: np.ndarray, feature_ids) -> tuple[float, int, float]:
+        """(impurity decrease, feature, threshold) of the first record
+        above `best + 1e-15` over the cuts of `feature_ids` in order, each
+        feature's cuts ascending; (0.0, -1, 0.0) when no cut decreases
+        the impurity. All cuts of all features are scored in one pass."""
         y_node = self.y[idx]
         parent_impurity = _gini(np.bincount(y_node, minlength=2))
         n = len(idx)
-        best = (0.0, -1, 0.0)  # (impurity decrease, feature, threshold)
-        for f in feature_ids:
-            col = self.X[idx, f]
-            order = np.argsort(col, kind="stable")
-            sorted_col = col[order]
-            sorted_y = y_node[order]
-            distinct = np.nonzero(sorted_col[1:] > sorted_col[:-1])[0]
-            if distinct.size == 0:
-                continue
-            ones = np.cumsum(sorted_y)
-            total_ones = ones[-1]
-            for cut in distinct:
-                n_left = cut + 1
-                n_right = n - n_left
-                left_ones = ones[cut]
-                left_counts = np.array([n_left - left_ones, left_ones], dtype=np.float64)
-                right_counts = np.array(
-                    [n_right - (total_ones - left_ones), total_ones - left_ones],
-                    dtype=np.float64,
-                )
-                decrease = parent_impurity - (
-                    n_left * _gini(left_counts) + n_right * _gini(right_counts)
-                ) / n
-                if decrease > best[0] + 1e-15:
-                    thr = (sorted_col[cut] + sorted_col[cut + 1]) / 2.0
-                    best = (decrease, int(f), float(thr))
-        return best
+        block = self.XT[feature_ids[:, None], idx]  # (features, rows)
+        order = np.argsort(block, axis=1, kind="stable")
+        sorted_x = np.take_along_axis(block, order, axis=1)
+        # cut c puts the c + 1 lowest rows left; cuts between ties are void
+        ones = np.cumsum(y_node[order], axis=1)
+        left_ones = ones[:, :-1]
+        right_ones = ones[:, -1:] - left_ones
+        n_left = np.arange(1.0, n)
+        n_right = n - n_left
+        p0, p1 = (n_left - left_ones) / n_left, left_ones / n_left
+        gini_left = 1.0 - (p0 * p0 + p1 * p1)
+        p0, p1 = (n_right - right_ones) / n_right, right_ones / n_right
+        gini_right = 1.0 - (p0 * p0 + p1 * p1)
+        decrease = parent_impurity - (n_left * gini_left + n_right * gini_right) / n
+        decrease[~(sorted_x[:, 1:] > sorted_x[:, :-1])] = -np.inf
+        flat = decrease.ravel()
+        best, at, start = 0.0, -1, 0
+        while start < flat.size:
+            above = flat[start:] > best + 1e-15
+            first = int(above.argmax())
+            if not above[first]:
+                break
+            at = start + first
+            best, start = float(flat[at]), at + 1
+        if at == -1:
+            return (0.0, -1, 0.0)
+        row, cut = divmod(at, n - 1)
+        thr = (sorted_x[row, cut] + sorted_x[row, cut + 1]) / 2.0
+        return (best, int(feature_ids[row]), float(thr))
 
     def _grow(self, idx: np.ndarray, depth: int) -> int:
         node = self._new_node(idx)
@@ -266,7 +292,7 @@ class _TreeBuilder:
             or np.all(y_node == y_node[0])
         ):
             return node
-        d = self.X.shape[1]
+        d = self.XT.shape[0]
         m = self.config.features_per_split(d)
         sampled = np.sort(self.rng.choice(d, size=m, replace=False))
         decrease, f, thr = self._best_split(idx, sampled)
@@ -281,7 +307,7 @@ class _TreeBuilder:
                 )
                 self.warned_degenerate = True
             return node
-        mask = self.X[idx, f] <= thr
+        mask = self.XT[f, idx] <= thr
         self.feature[node] = int(f)
         self.threshold[node] = float(thr)
         self.left[node] = self._grow(idx[mask], depth + 1)

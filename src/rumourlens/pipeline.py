@@ -285,18 +285,23 @@ def stage_train(cfg: RunConfig) -> Path:
             try:
                 rows, y, seed, train, test = _model_split(cfg, table, event, scope)
                 X = table.X[rows]
-                fold_metrics = classify.cross_validate(
-                    X[train],
-                    y[train],
-                    table.names,
-                    k=cfg.k_folds,
-                    config=config,
-                    seed=seed,
-                    averaging=cfg.averaging,
-                )
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    fold_metrics = classify.cross_validate(
+                        X[train],
+                        y[train],
+                        table.names,
+                        k=cfg.k_folds,
+                        config=config,
+                        seed=seed,
+                        averaging=cfg.averaging,
+                    )
             except TooFewSamples as exc:
                 warnings.warn(f"{event}/{scope}: {exc}; model skipped", stacklevel=2)
                 continue
+            # cross-validation warnings (fewer folds, say) name the model
+            for w in caught:
+                warnings.warn(f"{event}/{scope}: {w.message}", w.category, stacklevel=2)
             medians = classify.compute_medians(X[train])
             balanced = train[classify.oversample(y[train], seed=seed)]
             model = classify.fit_forest(

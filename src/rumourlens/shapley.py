@@ -101,7 +101,7 @@ def _prepare_tree(tree: Tree, background: np.ndarray) -> _LeafPaths:
         thrs = np.array([c[1] for c in conds])
         dirs = np.array([c[2] for c in conds])
         sat = (background[:, feats] <= thrs) == dirs if conds else np.ones((background.shape[0], 0), bool)
-        paths.values.append(tree.leaf_prob(node))
+        paths.values.append(float(tree.value[node]))
         paths.cond_features.append(feats)
         paths.cond_thresholds.append(thrs)
         paths.cond_dirs.append(dirs)

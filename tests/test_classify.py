@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,9 @@ import pytest
 from rumourlens.classify import (
     CLASSES,
     ForestConfig,
+    Tree,
+    _gini,
+    _TreeBuilder,
     build_matrix,
     compute_medians,
     cross_validate,
@@ -170,6 +174,182 @@ class TestForest:
                     assert np.isfinite(tree.threshold[node])
                     stack.extend((int(tree.left[node]), int(tree.right[node])))
             assert seen == set(range(n))
+
+
+# ---------------------------------------------------------------------------
+# oracles: the scalar split search and per-row tree walk that the array
+# versions in `classify` replaced
+
+
+def scalar_cuts(X, y, idx, feature_ids):
+    """(decrease, feature, threshold) of every cut, features in the given
+    order and each feature's cuts ascending, one cut at a time."""
+    y_node = y[idx]
+    parent_impurity = _gini(np.bincount(y_node, minlength=2))
+    n = len(idx)
+    for f in feature_ids:
+        col = X[idx, f]
+        order = np.argsort(col, kind="stable")
+        sorted_col = col[order]
+        sorted_y = y_node[order]
+        distinct = np.nonzero(sorted_col[1:] > sorted_col[:-1])[0]
+        if distinct.size == 0:
+            continue
+        ones = np.cumsum(sorted_y)
+        total_ones = ones[-1]
+        for cut in distinct:
+            n_left = cut + 1
+            n_right = n - n_left
+            left_ones = ones[cut]
+            left_counts = np.array([n_left - left_ones, left_ones], dtype=np.float64)
+            right_counts = np.array(
+                [n_right - (total_ones - left_ones), total_ones - left_ones],
+                dtype=np.float64,
+            )
+            decrease = parent_impurity - (
+                n_left * _gini(left_counts) + n_right * _gini(right_counts)
+            ) / n
+            thr = (sorted_col[cut] + sorted_col[cut + 1]) / 2.0
+            yield decrease, int(f), float(thr)
+
+
+def scalar_best_split(X, y, idx, feature_ids):
+    best = (0.0, -1, 0.0)
+    for cut in scalar_cuts(X, y, idx, feature_ids):
+        if cut[0] > best[0] + 1e-15:
+            best = cut
+    return best
+
+
+def scalar_predict_prob(tree, X):
+    out = np.empty(X.shape[0])
+    for i, row in enumerate(X):
+        node = 0
+        while tree.feature[node] != -1:
+            if row[tree.feature[node]] <= tree.threshold[node]:
+                node = tree.left[node]
+            else:
+                node = tree.right[node]
+        c = tree.counts[node]
+        out[i] = float(c[1] / c.sum())
+    return out
+
+
+def random_node(seed):
+    """(X, y, idx, feature_ids) of one node: 2-200 rows with normal,
+    few-valued (ties), constant, duplicated and mirrored columns,
+    sometimes duplicated rows, a bootstrap or subset row index and a
+    sorted feature subset."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 201)), int(rng.integers(1, 10))
+    cols = []
+    for j in range(d):
+        kind = rng.integers(0, 5) if j else rng.integers(0, 3)
+        if kind == 0:
+            cols.append(rng.normal(size=n))
+        elif kind == 1:
+            cols.append(rng.integers(0, 4, size=n).astype(float))
+        elif kind == 2:
+            cols.append(np.full(n, 2.5))
+        elif kind == 3:
+            cols.append(cols[rng.integers(0, j)].copy())
+        else:
+            cols.append(-cols[rng.integers(0, j)])
+    X = np.column_stack(cols)
+    if rng.random() < 0.3:
+        X = X[rng.integers(0, max(1, n // 3), size=n)]
+    y = (rng.random(n) < rng.random()).astype(np.int64)
+    if rng.random() < 0.5:
+        idx = rng.integers(0, n, size=n)
+    else:
+        idx = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+    feature_ids = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+    return X, y, idx, feature_ids
+
+
+def array_best_split(X, y, idx, feature_ids):
+    return _TreeBuilder(X, y, ForestConfig(), rng=None)._best_split(idx, feature_ids)
+
+
+# np.dot(p, p) may round p0*p0 + p1*p1 once (a fused multiply-add) where
+# the array form rounds twice, so decreases may differ in the last bits of
+# that sum, which lies in [0.5, 1]: 4 ulp there is 4 * 2**-53
+DECREASE_TOL = 4 * np.spacing(0.5)
+
+
+class TestSplitSearchOracle:
+    def test_random_nodes_match_scalar_search(self):
+        splits = 0
+        for seed in range(1000):
+            X, y, idx, feature_ids = random_node(seed)
+            want = scalar_best_split(X, y, idx, feature_ids)
+            got = array_best_split(X, y, idx, feature_ids)
+            assert got[1:] == want[1:], seed
+            assert abs(got[0] - want[0]) <= DECREASE_TOL, seed
+            splits += want[1] != -1
+        assert 500 < splits < 1000  # both outcomes are exercised
+
+    def test_record_chain_is_not_argmax(self):
+        # found by a seeded search over random_node: a later cut (feature 5)
+        # beats the first record (feature 0) by 4 ulp, under the 1e-15
+        # margin, so argmax would take it and the record chain does not
+        X, y, idx, feature_ids = random_node(4842)
+        cuts = list(scalar_cuts(X, y, idx, feature_ids))
+        want = scalar_best_split(X, y, idx, feature_ids)
+        argmax = max(cuts, key=lambda cut: cut[0])
+        assert argmax[1:] != want[1:] and 0.0 < argmax[0] - want[0] < 1e-15
+        assert array_best_split(X, y, idx, feature_ids)[1:] == want[1:]
+
+    def test_forests_match_scalar_oracle(self, monkeypatch):
+        # the last dataset has 6 of 9 columns constant, so a node's 3
+        # sampled features often admit no cut and the full-scan fallback runs
+        fallbacks = []
+
+        def oracle_split(self, idx, feature_ids):
+            fallbacks.append(len(feature_ids) == 6)
+            return scalar_best_split(self.XT.T, self.y, idx, feature_ids)
+
+        datasets = [random_node(seed)[:2] for seed in range(100, 104)]
+        rng = np.random.default_rng(7)
+        X = np.hstack([rng.normal(size=(60, 3)), np.ones((60, 6))])
+        datasets.append((X, (X[:, 0] + 0.5 * rng.normal(size=60) > 0).astype(np.int64)))
+        fitted = {}
+        for variant in ("array", "scalar"):
+            if variant == "scalar":
+                monkeypatch.setattr(_TreeBuilder, "_best_split", oracle_split)
+            fitted[variant] = []
+            for seed, (X, y) in enumerate(datasets):
+                y = y.copy()
+                y[:2] = (0, 1)
+                names = [f"f{j}" for j in range(X.shape[1])]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # identical rows, mixed labels
+                    model = fit_forest(X, y, names, ForestConfig(n_trees=8), seed=seed)
+                fitted[variant].append((model, X))
+        assert any(fallbacks)
+        for (got, X), (want, _) in zip(fitted["array"], fitted["scalar"]):
+            assert model_to_json(got) == model_to_json(want)
+            for tree in got.trees:
+                # rows on both sides of every threshold, and on it
+                rows = np.vstack([X, np.repeat(tree.threshold[:, None], X.shape[1], axis=1)])
+                assert tree.predict_prob(rows).tobytes() == scalar_predict_prob(tree, rows).tobytes()
+
+
+class TestTreeValue:
+    def test_internal_nodes_without_counts(self):
+        # hand-built trees record counts at leaves only
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = Tree(
+                feature=np.array([0, -1, -1]),
+                threshold=np.array([0.5, 0.0, 0.0]),
+                left=np.array([1, -1, -1]),
+                right=np.array([2, -1, -1]),
+                counts=np.array([[0, 0], [3, 1], [0, 2]], dtype=np.float64),
+            )
+            assert tree.value.tolist() == [0.0, 0.25, 1.0]
+            assert tree.predict_prob(column([0.5, 0.6, np.nan])).tolist() == [0.25, 1.0, 1.0]
+            assert tree.predict_prob(np.zeros((0, 1))).shape == (0,)
 
 
 def dict_medians(rows: list[dict], feature_names) -> dict[str, float]:

@@ -113,23 +113,20 @@ class TestAdditivityCheck:
             pipeline.stage_explain(trained)
 
 
+def fixture_config(tmp_path, **overrides):
+    """The fixture config, writing under `tmp_path`."""
+    fixture = parse_config_file(ROOT / "configs" / "fixture.conf")
+    fixture["dataset"] = str(ROOT / fixture["dataset"])
+    return build_config(fixture, env={}, overrides={"out_dir": str(tmp_path), **overrides})
+
+
 def test_threads_setting_does_not_change_models(tmp_path):
     # the fixture config at each threads setting; a 10-tree, 3-fold forest
     # keeps the two training runs short
-    fixture = parse_config_file(ROOT / "configs" / "fixture.conf")
-    fixture["dataset"] = str(ROOT / fixture["dataset"])
     models = {}
     for threads in (1, 2):
-        cfg = build_config(
-            fixture,
-            env={},
-            overrides={
-                "threads": threads,
-                "n_trees": 10,
-                "k_folds": 3,
-                "out_dir": str(tmp_path),
-                "run_id": f"threads-{threads}",
-            },
+        cfg = fixture_config(
+            tmp_path, threads=threads, n_trees=10, k_folds=3, run_id=f"threads-{threads}"
         )
         pipeline.stage_ingest(cfg)
         pipeline.stage_featurize(cfg)
@@ -137,3 +134,19 @@ def test_threads_setting_does_not_change_models(tmp_path):
         models[threads] = {p.name: p.read_bytes() for p in cfg.run_dir().glob("model_*.json")}
     assert len(models[1]) == 6  # 3 events x 2 scopes
     assert models[1] == models[2]
+
+
+def test_fold_reduction_warning_names_the_model(tmp_path):
+    # each event has 4 training sources of its minority class, so 10 folds
+    # become 4; the warning points at the caller of stage_train
+    cfg = fixture_config(tmp_path, n_trees=2, run_id="folds")
+    pipeline.stage_ingest(cfg)
+    pipeline.stage_featurize(cfg)
+    message = r"^(ferrydelay|parkfire|statuegift)/sources: reducing folds from 10 to 4$"
+    with pytest.warns(UserWarning, match=message) as caught:
+        pipeline.stage_train(cfg)
+    folds = [w for w in caught if "reducing folds" in str(w.message)]
+    assert {str(w.message).split(":")[0] for w in folds} == {
+        "ferrydelay/sources", "parkfire/sources", "statuegift/sources",
+    }
+    assert {w.filename for w in folds} == {__file__}
