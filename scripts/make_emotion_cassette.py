@@ -13,6 +13,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+
 from rumourlens.corpus import load_pheme_tree, partition
 from rumourlens.emotions import LABELS, RecordingProvider, emotion_table
 
@@ -44,7 +46,12 @@ def main() -> None:
             populations[pop].extend(t.text for t in getattr(part, pop))
     CASSETTE.write_text("")
     provider = RecordingProvider(HashModelProvider(), CASSETTE)
-    table = emotion_table(populations, provider)
+    # one classify call per population, so each recorded batch is keyed by
+    # that population's texts
+    dists = {pop: provider.classify(texts) for pop, texts in populations.items()}
+    scores = np.array([[d.scores[lab] for lab in LABELS] for pop in dists for d in dists[pop]])
+    rows = np.array([pop for pop in dists for _ in dists[pop]])
+    table = emotion_table(scores, {pop: rows == pop for pop in dists})
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {CASSETTE} and {TABLE}")
 

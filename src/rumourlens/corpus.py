@@ -117,17 +117,13 @@ def validate_corpus(corpus: EventCorpus) -> None:
 
 
 def propagate_labels(corpus: EventCorpus) -> EventCorpus:
-    """Force every reaction's label to its source's label. Idempotent."""
+    """Force every reaction's label to its source's label. Idempotent. A
+    reaction without a known source keeps its label; `validate_corpus`
+    rejects it."""
     source_labels = {t.id: t.label for t in corpus.sources}
     reactions = []
     for t in corpus.reactions:
-        if t.parent_id is None:
-            raise OrphanReaction(f"{corpus.event}: reaction {t.id!r} has no parent_id")
-        if t.parent_id not in source_labels:
-            raise OrphanReaction(
-                f"{corpus.event}: reaction {t.id!r} refers to unknown source {t.parent_id!r}"
-            )
-        want = source_labels[t.parent_id]
+        want = source_labels.get(t.parent_id, t.label)
         reactions.append(t if t.label is want else replace(t, label=want))
     return EventCorpus(
         event=corpus.event,

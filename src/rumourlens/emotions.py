@@ -16,6 +16,9 @@ Providers:
 * ``CassetteProvider`` replays recorded remote responses from a JSONL
   cassette keyed by a hash of the request batch, for offline runs and
   tests; ``RecordingProvider`` writes such cassettes.
+
+``emotion_table`` gives the per-population argmax shares of a matrix of
+per-tweet scores.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
+
+import numpy as np
 
 from .errors import MalformedResponse, ProviderUnavailable
 from .textprep import TokenKind, tokenize
@@ -206,26 +211,22 @@ class RecordingProvider:
         return out
 
 
-def classify(texts: list[str], provider) -> list[EmotionDist]:
-    """One distribution per text, in input order."""
-    dists = provider.classify(list(texts))
-    if len(dists) != len(texts):
-        raise MalformedResponse(f"provider returned {len(dists)} results for {len(texts)} texts")
-    return dists
-
-
 def emotion_table(
-    populations: dict[str, list[str]], provider
+    scores: np.ndarray, populations: dict[str, np.ndarray]
 ) -> dict[str, dict[str, float]]:
-    """Argmax-percentage table: population -> label -> % of tweets whose
-    argmax emotion is that label. Empty populations are omitted."""
+    """Argmax-percentage table: population -> label -> % of its scored
+    tweets whose top emotion is that label, the earlier label in LABELS
+    winning ties. `scores` holds one row of LABELS-ordered scores per
+    tweet, NaN where the tweet has none; `populations` maps each
+    population to its row mask. Rows without scores are not counted, and
+    a population with no scored row is omitted."""
+    top = np.where(np.isnan(scores).any(axis=1), -1, np.argmax(scores, axis=1))
     table = {}
-    for pop, texts in populations.items():
-        if not texts:
-            continue
-        dists = classify(texts, provider)
-        counts = {lab: 0 for lab in LABELS}
-        for d in dists:
-            counts[d.label] += 1
-        table[pop] = {lab: 100.0 * counts[lab] / len(dists) for lab in LABELS}
+    for pop, rows in populations.items():
+        labelled = top[rows & (top >= 0)]
+        if labelled.size:
+            table[pop] = {
+                lab: 100.0 * int(np.count_nonzero(labelled == k)) / labelled.size
+                for k, lab in enumerate(LABELS)
+            }
     return table

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import readability, senticnet, textprep
 from .corpus import EventCorpus
-from .errors import EmptyText
+from .errors import EmptyText, ParseError
 from .lexicon import Lexicon, score
 from .readability import SCORE_NAMES as READABILITY_FEATURES
 from .senticnet import DIMENSIONS as SENTIC_FEATURES
@@ -34,6 +34,13 @@ ALLPUNCT_FEATURE = "allpunct"
 #: lexicon categories folded into engine-computed columns
 _ENGINE_CATEGORY_NAMES = {"wc", "allpunct"}
 
+
+#: the feature families with fixed column names
+_FIXED_FAMILIES = (
+    ("readability", READABILITY_FEATURES),
+    ("concept-affect", SENTIC_FEATURES),
+    ("emotion", EMOTION_FEATURES),
+)
 
 #: the FeatureTable fields that hold one entry per row, in field order
 _ROW_COLUMNS = ("tweet_id", "event", "role", "label", "empty_text", "X")
@@ -74,9 +81,6 @@ class FeatureTable:
         """The rows selected by a boolean mask or an index array, in order."""
         return FeatureTable(self.names, *(getattr(self, c)[rows] for c in _ROW_COLUMNS))
 
-    def column(self, name: str) -> np.ndarray:
-        return self.X[:, self.names.index(name)]
-
     def classes(self) -> np.ndarray:
         """Class per row: 1 for rumour, 0 for non-rumour."""
         return (self.label == "rumour").astype(np.int64)
@@ -112,6 +116,15 @@ class Featurizer:
         self.stopwords = stopwords if stopwords is not None else textprep.load_stopwords()
         self.lemmatizer = lemmatizer or RuleLemmatizer()
         self.easy_words = easy_words if easy_words is not None else textprep.load_easy_words()
+        # a lexicon category becomes a column of its own name, which must
+        # not be taken by another family whether or not that family is on
+        for family, reserved in _FIXED_FAMILIES:
+            for category in lexicon.top_level():
+                if category in reserved:
+                    raise ParseError(
+                        f"lexicon category {category!r} clashes with the {family} "
+                        "feature of that name"
+                    )
         self.names = feature_names(lexicon, with_emotions=emotion_provider is not None)
         # column blocks in feature_names order: WC, the categories, allpunct,
         # readability, concepts, then the emotions
@@ -159,10 +172,3 @@ class Featurizer:
         concepts = senticnet.sentic_features(lemmas, self.sentic_table)
         if concepts.matched_concept_count:
             row[self._sentic] = concepts.values()
-
-
-def emotion_argmax(scores: np.ndarray) -> np.ndarray:
-    """Index into EMOTION_FEATURES of each row's top score, the earlier
-    label winning ties; -1 where the emotion scores are absent. `scores`
-    holds the EMOTION_FEATURES columns in that order."""
-    return np.where(np.isnan(scores).any(axis=1), -1, np.argmax(scores, axis=1))

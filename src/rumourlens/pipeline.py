@@ -4,7 +4,11 @@ Stages communicate through files in the run directory and a manifest
 recording which stages completed, so each command is idempotent and
 later stages can refuse to run out of order. Events lacking one of the
 two source populations are loaded and counted but excluded from the
-comparison/classification stages with a warning.
+compare, train and explain stages, each of which names them in a
+warning prefixed with the stage's name.
+
+Compare computes the KS grids, the population means and the emotion
+share table from row masks over the feature matrix's columns.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .classify import ForestConfig, derive_seed
 from .config import RunConfig, save_config
 from .corpus import AGGREGATED_EVENT, load_jsonl, load_pheme_tree, partition
 from .errors import AdditivityError, MissingArtifact, TooFewSamples
-from .features import EMOTION_FEATURES, FeatureTable, Featurizer, emotion_argmax
+from .features import EMOTION_FEATURES, FeatureTable, Featurizer
 
 MANIFEST = "manifest.json"
 
@@ -152,7 +156,10 @@ def stage_featurize(cfg: RunConfig) -> Path:
     return out / report.FEATURES_CSV
 
 
-def _usable_events(table: FeatureTable) -> list[str]:
+def _usable_events(table: FeatureTable, stage: str) -> list[str]:
+    """The events with both a rumour and a non-rumour source, sorted. Each
+    other event is named in a warning prefixed with `stage` and filed at
+    the caller of the stage function that asked."""
     sources = table.role == "source"
     usable = []
     for event in sorted(set(table.event[sources].tolist())):
@@ -161,90 +168,51 @@ def _usable_events(table: FeatureTable) -> list[str]:
             usable.append(event)
         else:
             warnings.warn(
-                f"event {event!r} lacks a rumour or non-rumour source population; excluded",
-                stacklevel=2,
+                f"{stage}: event {event!r} lacks a rumour or non-rumour source population; excluded",
+                stacklevel=3,
             )
     return usable
-
-
-def _ks_samples(
-    table: FeatureTable, role: str, usable: list[str], features: list[str]
-) -> dict[str, dict[str, tuple[list[float], list[float]]]]:
-    """samples[feature][event] = (rumour values, non-rumour values): one
-    role's defined values in row order, per usable event and pooled over
-    them."""
-    in_role = table.role == role
-    groups = {event: in_role & (table.event == event) for event in usable}
-    groups[AGGREGATED_EVENT] = in_role
-    rumour = table.label == "rumour"
-    samples = {}
-    for feature in features:
-        col = table.column(feature)
-        defined = ~np.isnan(col)
-        samples[feature] = {
-            event: (col[group & defined & rumour].tolist(), col[group & defined & ~rumour].tolist())
-            for event, group in groups.items()
-        }
-    return samples
 
 
 def stage_compare(cfg: RunConfig) -> list[Path]:
     require_stages(cfg, "compare")
     out = run_dir(cfg)
     table = report.read_features_csv(out / report.FEATURES_CSV)
-    usable = _usable_events(table)
+    usable = _usable_events(table, "compare")
     table = table.take(np.isin(table.event, usable))
 
-    # emotion scores feed the emotion table, not the KS matrices
-    ks_features = [f for f in table.names if f not in EMOTION_FEATURES]
-
-    # masks keep the original row order, so sample order (and float sums)
-    # do not depend on how the rows are grouped
+    # row masks keep the original row order, so sample order (and float
+    # sums) do not depend on how the rows are grouped
+    columns = {name: table.X[:, j] for j, name in enumerate(table.names)}
     rumour = table.label == "rumour"
     source = table.role == "source"
-    by_population = {
+    populations = {
         "r_src": rumour & source,
         "nr_src": ~rumour & source,
         "r_re": rumour & ~source,
         "nr_re": ~rumour & ~source,
     }
 
-    matrices = [
-        stats.significance_matrix(
-            _ks_samples(table, role, usable, ks_features),
-            alpha=cfg.alpha,
-            population_pair=pair,
-            feature_order=ks_features,
-            event_order=usable + [AGGREGATED_EVENT],
-        )
-        for pair, role in (("sources", "source"), ("reactions", "reaction"))
-    ]
+    # emotion scores feed the emotion table, not the KS grids
+    ks_columns = {f: col for f, col in columns.items() if f not in EMOTION_FEATURES}
+    written, aggregated = [], []
+    for pair, in_role, name in (
+        ("sources", source, report.KS_SOURCES_CSV),
+        ("reactions", ~source, report.KS_REACTIONS_CSV),
+    ):
+        per_event = {event: in_role & (table.event == event) for event in usable}
+        rows = stats.significance_matrix(ks_columns, per_event, rumour, cfg.alpha, pair)
+        report.write_ks_csv(out / name, rows)
+        written.append(out / name)
+        pooled = {AGGREGATED_EVENT: in_role}
+        aggregated += stats.significance_matrix(ks_columns, pooled, rumour, cfg.alpha, pair)
+    report.write_ks_csv(out / report.KS_AGGREGATED_CSV, aggregated)
+    report.write_means_csv(out / report.MEANS_CSV, stats.mean_report(columns, populations))
+    written += [out / report.KS_AGGREGATED_CSV, out / report.MEANS_CSV]
 
-    written = []
-    report.write_ks_csv(out / report.KS_SOURCES_CSV, [matrices[0]], events=usable)
-    report.write_ks_csv(out / report.KS_REACTIONS_CSV, [matrices[1]], events=usable)
-    report.write_ks_csv(out / report.KS_AGGREGATED_CSV, matrices, events=[AGGREGATED_EVENT])
-    written += [out / report.KS_SOURCES_CSV, out / report.KS_REACTIONS_CSV, out / report.KS_AGGREGATED_CSV]
-
-    mean_samples: dict[str, dict[str, list[float]]] = {
-        feature: {pop: table.column(feature)[rows].tolist() for pop, rows in by_population.items()}
-        for feature in table.names
-    }
-    report.write_means_csv(out / report.MEANS_CSV, stats.mean_report(mean_samples))
-    written.append(out / report.MEANS_CSV)
-
-    if any(f in table.names for f in EMOTION_FEATURES):
-        emotion_cols = [table.names.index(lab) for lab in EMOTION_FEATURES]
-        top = emotion_argmax(table.X[:, emotion_cols])
-        shares: dict[str, dict[str, float]] = {}
-        for pop, rows in by_population.items():
-            labelled = top[rows & (top >= 0)]
-            if not labelled.size:
-                continue
-            shares[pop] = {
-                lab: 100.0 * int(np.count_nonzero(labelled == k)) / labelled.size
-                for k, lab in enumerate(EMOTION_FEATURES)
-            }
+    if any(f in columns for f in EMOTION_FEATURES):
+        scores = np.column_stack([columns[lab] for lab in EMOTION_FEATURES])
+        shares = emotions.emotion_table(scores, populations)
         report.write_emotions_csv(out / report.EMOTIONS_CSV, shares)
         written.append(out / report.EMOTIONS_CSV)
 
@@ -277,7 +245,7 @@ def stage_train(cfg: RunConfig) -> Path:
     require_stages(cfg, "train")
     out = run_dir(cfg)
     table = report.read_features_csv(out / report.FEATURES_CSV)
-    usable = _usable_events(table)
+    usable = _usable_events(table, "train")
     config = forest_config(cfg)
     metrics_rows = []
     for event in usable:
@@ -342,7 +310,7 @@ def stage_explain(cfg: RunConfig) -> list[Path]:
     require_stages(cfg, "explain")
     out = run_dir(cfg)
     table = report.read_features_csv(out / report.FEATURES_CSV)
-    usable = _usable_events(table)
+    usable = _usable_events(table, "explain")
     rankings: dict = {}
     written = []
     for event in usable:

@@ -18,7 +18,6 @@ from .corpus import PartitionCounts
 from .emotions import LABELS as EMOTION_LABELS
 from .emotions import POPULATIONS
 from .features import FeatureTable
-from .stats import MeanCell, SignificanceMatrix
 
 PARTITIONS_CSV = "partitions.csv"
 FEATURES_CSV = "features.csv"
@@ -149,61 +148,28 @@ def read_features_csv(path) -> FeatureTable:
 # significance matrices
 
 
-def write_ks_csv(path, matrices: list[SignificanceMatrix], events: list[str] | None = None) -> None:
-    """Rows sorted by (feature, event, population_pair); absent cells are
-    skipped (they have no numbers to report)."""
-    rows = []
-    for matrix in matrices:
-        for feature in matrix.features:
-            for event in matrix.events:
-                if events is not None and event not in events:
-                    continue
-                cell = matrix.cells[(feature, event)]
-                if cell is None:
-                    continue
-                rows.append(
-                    [
-                        feature,
-                        event,
-                        matrix.population_pair,
-                        cell.ks.n1,
-                        cell.ks.n2,
-                        fnum(cell.ks.d_stat),
-                        fnum(cell.ks.p_value),
-                        fnum(cell.mean_rumour),
-                        fnum(cell.mean_nonrumour),
-                        str(cell.significant).lower(),
-                    ]
-                )
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+def write_ks_csv(path, rows: list[list]) -> None:
+    """KS rows as `stats.significance_matrix` gives them, sorted by
+    (feature, event, population_pair)."""
     with _open_write(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(KS_HEADER)
-        w.writerows(rows)
+        for row in sorted(rows, key=lambda r: (r[0], r[1], r[2])):
+            w.writerow(row[:5] + [fnum(v) for v in row[5:9]] + [str(row[9]).lower()])
 
 
 # ---------------------------------------------------------------------------
 # means
 
 
-def write_means_csv(path, means: dict[str, dict[str, MeanCell]]) -> None:
+def write_means_csv(path, rows: list[list]) -> None:
+    """Mean rows as `stats.mean_report` gives them, sorted by feature; the
+    populations of a feature keep their order."""
     with _open_write(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["feature", "population", "mean", "n", "absent"])
-        for feature in sorted(means):
-            for pop in POPULATIONS:
-                if pop not in means[feature]:
-                    continue
-                cell = means[feature][pop]
-                w.writerow(
-                    [
-                        feature,
-                        pop,
-                        "" if cell.mean is None else fnum(cell.mean),
-                        cell.n,
-                        cell.absent,
-                    ]
-                )
+        for feature, pop, mean, n, absent in sorted(rows, key=lambda r: r[0]):
+            w.writerow([feature, pop, "" if mean is None else fnum(mean), n, absent])
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +320,12 @@ def render_markdown(report: AnalysisReport) -> str:
     for pair, title in (("sources", "source tweets"), ("reactions", "reaction tweets")):
         lines.append(f"## Significance of features: rumour vs non-rumour {title}")
         lines.append("")
-        if "compare" in report.skipped:
-            lines.append(f"_skipped: {report.skipped['compare']}_")
-        else:
-            lines += _ks_grid(report.ks_rows, pair)
+        lines += _ks_grid(report.ks_rows, pair)
         lines.append("")
 
     lines.append("## Population means")
     lines.append("")
-    if "compare" in report.skipped:
-        lines.append(f"_skipped: {report.skipped['compare']}_")
-    elif report.means:
+    if report.means:
         by_feature: dict[str, dict[str, str]] = {}
         for row in report.means:
             by_feature.setdefault(row["feature"], {})[row["population"]] = row["mean"]

@@ -1,4 +1,4 @@
-"""Two-sample Kolmogorov-Smirnov testing and significance matrices.
+"""Two-sample Kolmogorov-Smirnov testing, the KS grid and population means.
 
 The D statistic is the supremum ECDF gap, computed by a merge scan over
 the sorted samples: both ECDFs are advanced past every distinct value of
@@ -11,6 +11,9 @@ asymptotic Kolmogorov distribution with the small-sample adjustment
 
 with the series truncated once terms fall below 1e-12, and the result
 clamped into (0, 1].
+
+The KS grid and the population means are computed from row masks over
+feature columns and come back as the rows of their CSV files.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import EmptySample, NonFiniteValue
+import numpy as np
 
-DEFAULT_ALPHA = 0.05
+from .errors import EmptySample, NonFiniteValue
 
 
 @dataclass(frozen=True)
@@ -88,103 +91,56 @@ def ks_two_sample(a, b) -> KsResult:
     return KsResult(d_stat=d, p_value=kolmogorov_p(d, len(va), len(vb)), n1=len(va), n2=len(vb))
 
 
-def mean(values) -> float:
-    values = list(values)
-    return sum(values) / len(values) if values else float("nan")
-
-
-@dataclass(frozen=True)
-class SignificanceCell:
-    feature: str
-    event: str
-    population_pair: str
-    ks: KsResult
-    mean_rumour: float
-    mean_nonrumour: float
-    significant: bool
-
-
-@dataclass(frozen=True)
-class SignificanceMatrix:
-    population_pair: str  # sources or reactions
-    features: tuple[str, ...]
-    events: tuple[str, ...]  # aggregated column included last when present
-    cells: dict[tuple[str, str], SignificanceCell | None]
-    alpha: float
-
-    def cell(self, feature: str, event: str) -> SignificanceCell | None:
-        return self.cells[(feature, event)]
-
-
 def significance_matrix(
-    samples: dict[str, dict[str, tuple[list[float], list[float]]]],
-    alpha: float = DEFAULT_ALPHA,
-    population_pair: str = "sources",
-    feature_order: list[str] | None = None,
-    event_order: list[str] | None = None,
-) -> SignificanceMatrix:
-    """Build the feature x event grid of KS comparisons.
+    columns: dict[str, np.ndarray],
+    groups: dict[str, np.ndarray],
+    rumour: np.ndarray,
+    alpha: float,
+    population_pair: str,
+) -> list[list]:
+    """The KS rows of one population pair, in `report.KS_HEADER` order.
 
-    ``samples[feature][event]`` holds the (rumour, non-rumour) sample
-    vectors for one cell. Cells with an empty side are emitted as absent
-    (None), not as zeros.
+    One cell per feature column (NaN = absent) and event row mask in
+    `groups` compares its defined rumour and non-rumour values in row
+    order; a cell with an empty side yields no row.
     """
-    features = tuple(feature_order if feature_order is not None else sorted(samples))
-    all_events: set[str] = set()
-    for per_event in samples.values():
-        all_events.update(per_event)
-    if event_order is not None:
-        events = tuple(event_order)
-    else:
-        named = sorted(e for e in all_events if e != "aggregated")
-        events = tuple(named + (["aggregated"] if "aggregated" in all_events else []))
-
-    cells: dict[tuple[str, str], SignificanceCell | None] = {}
-    for feature in features:
-        for event in events:
-            rum, non = samples.get(feature, {}).get(event, ([], []))
+    rows = []
+    for feature, col in columns.items():
+        defined = ~np.isnan(col)
+        for event, group in groups.items():
+            rum = col[group & defined & rumour].tolist()
+            non = col[group & defined & ~rumour].tolist()
             if not rum or not non:
-                cells[(feature, event)] = None
                 continue
             ks = ks_two_sample(rum, non)
-            cells[(feature, event)] = SignificanceCell(
-                feature=feature,
-                event=event,
-                population_pair=population_pair,
-                ks=ks,
-                mean_rumour=mean(rum),
-                mean_nonrumour=mean(non),
-                significant=ks.p_value < alpha,
+            rows.append(
+                [
+                    feature,
+                    event,
+                    population_pair,
+                    ks.n1,
+                    ks.n2,
+                    ks.d_stat,
+                    ks.p_value,
+                    sum(rum) / len(rum),
+                    sum(non) / len(non),
+                    ks.p_value < alpha,
+                ]
             )
-    return SignificanceMatrix(
-        population_pair=population_pair,
-        features=features,
-        events=events,
-        cells=cells,
-        alpha=alpha,
-    )
-
-
-@dataclass(frozen=True)
-class MeanCell:
-    mean: float | None
-    n: int
-    absent: int
+    return rows
 
 
 def mean_report(
-    samples: dict[str, dict[str, list[float]]]
-) -> dict[str, dict[str, MeanCell]]:
-    """Arithmetic means per feature and population over the defined values;
-    the count of absent (NaN) values is carried alongside."""
-    report: dict[str, dict[str, MeanCell]] = {}
-    for feature, populations in samples.items():
-        report[feature] = {}
-        for pop, values in populations.items():
-            defined = [v for v in values if not math.isnan(v)]
-            report[feature][pop] = MeanCell(
-                mean=(sum(defined) / len(defined)) if defined else None,
-                n=len(defined),
-                absent=len(values) - len(defined),
-            )
-    return report
+    columns: dict[str, np.ndarray], populations: dict[str, np.ndarray]
+) -> list[list]:
+    """(feature, population, mean, n, absent) per feature column and
+    population row mask: the mean of the defined values, summed left to
+    right in row order (None if there are none), and the NaN count."""
+    rows = []
+    for feature, col in columns.items():
+        for pop, mask in populations.items():
+            values = col[mask]
+            defined = values[~np.isnan(values)].tolist()
+            mean = sum(defined) / len(defined) if defined else None
+            rows.append([feature, pop, mean, len(defined), len(values) - len(defined)])
+    return rows

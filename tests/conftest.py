@@ -10,6 +10,22 @@ FIXTURES = ROOT / "fixtures"
 DATA = ROOT / "src" / "rumourlens" / "data"
 
 
+def texts_emotion_table(populations, provider):
+    """emotions.emotion_table on the scores `provider` gives each
+    population's texts, classified one population per call (the batches a
+    recorded cassette is keyed by)."""
+    import numpy as np
+
+    from rumourlens.emotions import LABELS, emotion_table
+
+    dists = {pop: provider.classify(texts) for pop, texts in populations.items()}
+    scores = [[d.scores[lab] for lab in LABELS] for pop in dists for d in dists[pop]]
+    owner = np.array([pop for pop in dists for _ in dists[pop]], dtype=str)
+    return emotion_table(
+        np.array(scores).reshape(-1, len(LABELS)), {pop: owner == pop for pop in dists}
+    )
+
+
 @pytest.fixture(scope="session")
 def mini_pheme_dir():
     return FIXTURES / "mini-pheme"

@@ -27,11 +27,12 @@ from rumourlens.classify import (
     split_train_test,
     stratified_folds,
 )
-from rumourlens.emotions import LABELS, LexiconFallbackProvider, emotion_table
+from rumourlens.emotions import LABELS, LexiconFallbackProvider
 from rumourlens.lexicon import build_lexicon, score
 from rumourlens.shapley import brute_shapley
 from rumourlens.stats import ks_two_sample
 from rumourlens.textprep import TextStats, tokenize
+from tests.conftest import texts_emotion_table
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "goldens" / "fixture_run"
@@ -316,7 +317,7 @@ def test_criterion_8_emotion_normalization(mini_pheme_dir):
     for texts in populations.values():
         for dist in provider.classify(texts):
             assert abs(sum(dist.scores.values()) - 1.0) < 1e-6
-    table = emotion_table(populations, provider)
+    table = texts_emotion_table(populations, provider)
     for pop, column in table.items():
         assert abs(sum(column.values()) - 100.0) < 0.01
         assert set(column) == set(LABELS)
@@ -330,7 +331,7 @@ def test_criterion_8_emotion_normalization(mini_pheme_dir):
     }
     for dist in provider.classify(generated["r_src"] + generated["nr_re"]):
         assert abs(sum(dist.scores.values()) - 1.0) < 1e-6
-    for column in emotion_table(generated, provider).values():
+    for column in texts_emotion_table(generated, provider).values():
         assert abs(sum(column.values()) - 100.0) < 0.01
 
     report_pass(8, "emotion normalization", started)

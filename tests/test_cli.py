@@ -150,6 +150,29 @@ class TestCliCommands:
         assert cli.main(["convert-dic", str(dic), str(out)]) == 0
         assert json.loads(out.read_text())["categories"]["pronoun"]["patterns"] == ["i", "we"]
 
+    @pytest.mark.parametrize(
+        "provider, category, family",
+        [
+            ("fallback", "anger", "emotion"),
+            ("none", "anger", "emotion"),
+            ("none", "polarity", "concept-affect"),
+        ],
+    )
+    def test_category_named_like_a_feature_rejected(
+        self, tmp_path, mini_pheme_dir, capsys, provider, category, family
+    ):
+        # convert-dic makes every .dic category top-level, and LIWC has anger
+        dic = tmp_path / "clash.dic"
+        dic.write_text(f"%\n1\t{category}\n2\tsocial\n%\nmad\t1\nwe\t2\n")
+        lexicon = tmp_path / "clash.json"
+        assert cli.main(["convert-dic", str(dic), str(lexicon)]) == 0
+        conf = write_config(tmp_path, mini_pheme_dir, emotion_provider=provider, lexicon=lexicon)
+        assert cli.main(["ingest", "--config", str(conf)]) == 0
+        assert cli.main(["featurize", "--config", str(conf)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: ParseError: lexicon category {category!r} clashes with the {family}" in err
+        assert not (tmp_path / "out" / "t" / report.FEATURES_CSV).exists()
+
     def test_run_config_persisted(self, tmp_path, mini_pheme_dir):
         conf = write_config(tmp_path, mini_pheme_dir)
         cli.main(["ingest", "--config", str(conf), "--seed", "99"])

@@ -110,6 +110,12 @@ class TestJsonl:
         with pytest.raises(OrphanReaction):
             load_jsonl(path)
 
+    def test_reaction_with_unknown_parent(self, tmp_path):
+        path = tmp_path / "orphan.jsonl"
+        write_jsonl(path, [jl("1", "source", "rumour"), jl("2", "reaction", "rumour", parent_id="9")])
+        with pytest.raises(OrphanReaction, match="refers to unknown source '9'"):
+            load_jsonl(path)
+
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "1", "text": "x", "event": "e", "role": "source", "label": "rumour", "parent_id": null}\nnot json\n')
@@ -186,9 +192,9 @@ class TestAggregateAndUsability:
             X=[[1.0]] * 4,
         )
         with pytest.warns(UserWarning, match="onesided"):
-            assert _usable_events(table) == ["both"]
+            assert _usable_events(table, "compare") == ["both"]
 
     def test_balanced_event_usable(self, mini_pheme_dir):
         table = read_features_csv(GOLDENS / "fixture_run" / "features.csv")
         events = sorted(c.event for c in load_pheme_tree(mini_pheme_dir))
-        assert _usable_events(table) == events
+        assert _usable_events(table, "compare") == events

@@ -11,11 +11,10 @@ from rumourlens.emotions import (
     LexiconFallbackProvider,
     RecordingProvider,
     RemoteProvider,
-    classify,
-    emotion_table,
     load_emotion_lexicon,
 )
 from rumourlens.errors import MalformedResponse, ProviderUnavailable
+from tests.conftest import texts_emotion_table
 
 
 class TestFallback:
@@ -100,7 +99,7 @@ def http_server():
 class TestRemote:
     def test_round_trip(self, http_server):
         provider = RemoteProvider(http_server, retries=0, backoff=0)
-        dists = classify(["pure fear here", "calm report"], provider)
+        dists = provider.classify(["pure fear here", "calm report"])
         assert [d.label for d in dists] == ["fear", "neutral"]
         assert all(sum(d.scores.values()) == pytest.approx(1.0, abs=1e-6) for d in dists)
 
@@ -147,7 +146,7 @@ class TestCassette:
 
 class TestEmotionTable:
     def test_single_tweet_population(self):
-        table = emotion_table({"r_src": ["terrified!"]}, LexiconFallbackProvider())
+        table = texts_emotion_table({"r_src": ["terrified!"]}, LexiconFallbackProvider())
         assert table["r_src"]["fear"] == 100.0
 
     def test_columns_sum_to_100(self):
@@ -157,19 +156,21 @@ class TestEmotionTable:
             "r_re": ["what a surprise", "furious rage", "crying"],
             "nr_re": ["update scheduled", "joyful smile", "shocking twist", "fine"],
         }
-        table = emotion_table(populations, LexiconFallbackProvider())
+        table = texts_emotion_table(populations, LexiconFallbackProvider())
         for pop, column in table.items():
             assert sum(column.values()) == pytest.approx(100.0, abs=0.01)
 
     def test_empty_population_omitted(self):
-        table = emotion_table({"r_src": [], "nr_src": ["ok"]}, LexiconFallbackProvider())
+        table = texts_emotion_table({"r_src": [], "nr_src": ["ok"]}, LexiconFallbackProvider())
         assert "r_src" not in table
         assert "nr_src" in table
 
     def test_provider_swap_keeps_shape(self, http_server):
         populations = {"r_src": ["fear fear", "calm"], "nr_re": ["fine day"]}
-        fallback = emotion_table(populations, LexiconFallbackProvider())
-        remote = emotion_table(populations, RemoteProvider(http_server, retries=0, backoff=0))
+        fallback = texts_emotion_table(populations, LexiconFallbackProvider())
+        remote = texts_emotion_table(
+            populations, RemoteProvider(http_server, retries=0, backoff=0)
+        )
         assert set(fallback) == set(remote)
         for pop in fallback:
             assert set(fallback[pop]) == set(remote[pop]) == set(LABELS)

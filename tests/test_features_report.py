@@ -7,7 +7,7 @@ import pytest
 
 from rumourlens import readability, report, textprep
 from rumourlens.corpus import EventCorpus, Label, PartitionCounts, Role, Tweet, load_pheme_tree
-from rumourlens.emotions import LexiconFallbackProvider
+from rumourlens.emotions import LexiconFallbackProvider, emotion_table
 from rumourlens.errors import EmptyText
 from rumourlens.features import (
     ALLPUNCT_FEATURE,
@@ -15,7 +15,6 @@ from rumourlens.features import (
     WC_FEATURE,
     FeatureTable,
     Featurizer,
-    emotion_argmax,
     feature_names,
 )
 from rumourlens.lexicon import score
@@ -56,26 +55,30 @@ class TestFeaturizer:
     def test_empty_text_row_flagged_and_absent(self, featurizer):
         table = featurizer.featurize_corpus(toy_corpus())
         assert table.empty_text.tolist() == [False, True, False]
-        assert table.column("WC")[1] == 0.0
-        assert math.isnan(table.column("function")[1])
+        assert table.X[1, table.names.index("WC")] == 0.0
+        assert math.isnan(table.X[1, table.names.index("function")])
         for name in SCORE_NAMES:
-            assert math.isnan(table.column(name)[1])
+            assert math.isnan(table.X[1, table.names.index(name)])
 
     def test_punctuation_only_readability_absent(self, featurizer):
         table = featurizer.featurize_corpus(toy_corpus())
-        assert table.column("WC")[2] == 0.0
-        assert math.isnan(table.column("flesch_score")[2])
+        assert table.X[2, table.names.index("WC")] == 0.0
+        assert math.isnan(table.X[2, table.names.index("flesch_score")])
 
     def test_emotion_scores_attached(self, featurizer):
         table = featurizer.featurize_corpus(toy_corpus())
         scores = table.X[0, [table.names.index(lab) for lab in EMOTION_FEATURES]]
         assert scores.sum() == pytest.approx(1.0, abs=1e-6)
-        assert EMOTION_FEATURES[emotion_argmax(scores.reshape(1, -1))[0]] == "fear"
+        shares = emotion_table(scores.reshape(1, -1), {"r_src": np.array([True])})
+        assert shares["r_src"]["fear"] == 100.0
 
     def test_emotion_argmax_ties_and_absence(self):
+        # the earlier label wins a tie; a row without scores is not counted
         scores = np.array([[0.5, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0], [np.nan] * 7, [1 / 7] * 7])
-        assert emotion_argmax(scores).tolist() == [0, -1, 0]
-        assert emotion_argmax(np.empty((0, 7))).tolist() == []
+        masks = {"all": np.ones(3, dtype=bool), "absent": np.array([False, True, False])}
+        anger = {lab: 100.0 if lab == "anger" else 0.0 for lab in EMOTION_FEATURES}
+        assert emotion_table(scores, masks) == {"all": anger}
+        assert emotion_table(np.empty((0, 7)), {"all": np.zeros(0, dtype=bool)}) == {}
 
     def test_no_provider_means_no_emotion_columns(self, demo_lexicon, demo_sentic_table):
         f = Featurizer(demo_lexicon, demo_sentic_table, emotion_provider=None)
@@ -266,8 +269,8 @@ class TestFeaturesCsv:
         loaded = report.read_features_csv(path)
         assert loaded.names == featurizer.names
         assert len(loaded) == 3
-        assert math.isnan(loaded.column("function")[1])
-        assert loaded.column("WC")[0] == table.column("WC")[0]
+        assert math.isnan(loaded.X[1, loaded.names.index("function")])
+        assert loaded.X[0, loaded.names.index("WC")] == table.X[0, table.names.index("WC")]
         assert loaded.empty_text.tolist() == [False, True, False]
 
     def test_header_carries_absence_sentinels(self, featurizer, tmp_path):
@@ -329,10 +332,13 @@ class TestTableSchemas:
     def test_ks_csv_schema(self, tmp_path):
         from rumourlens.stats import significance_matrix
 
-        samples = {"wc": {"e1": ([1.0, 2.0], [3.0, 4.0])}}
-        m = significance_matrix(samples, alpha=0.05, population_pair="sources")
+        columns = {"wc": np.array([1.0, 2.0, 3.0, 4.0])}
+        rumour = np.array([True, True, False, False])
+        ks_rows = significance_matrix(
+            columns, {"e1": np.ones(4, dtype=bool)}, rumour, alpha=0.05, population_pair="sources"
+        )
         path = tmp_path / "ks.csv"
-        report.write_ks_csv(path, [m])
+        report.write_ks_csv(path, ks_rows)
         rows = report.read_csv_rows(path)
         assert list(rows[0]) == report.KS_HEADER
         assert rows[0]["population_pair"] == "sources"
@@ -351,7 +357,7 @@ class TestTableSchemas:
         assert path.read_text().splitlines()[0] == "label,r_src,nr_src,r_re,nr_re"
 
     def test_means_and_metrics_headers_stable(self, tmp_path):
-        report.write_means_csv(tmp_path / "means.csv", {})
+        report.write_means_csv(tmp_path / "means.csv", [])
         assert (tmp_path / "means.csv").read_text().splitlines()[0] == (
             "feature,population,mean,n,absent"
         )
@@ -366,7 +372,7 @@ class TestMarkdown:
         analysis = report.AnalysisReport(
             partitions=[PartitionCounts("e1", 1, 1, 1, 1)],
             skipped={"emotions": "no emotion provider", "train": "training stage not run",
-                     "explain": "explain stage not run", "compare": "not run"},
+                     "explain": "explain stage not run"},
         )
         text = report.render_markdown(analysis)
         assert "skipped: no emotion provider" in text

@@ -10,10 +10,10 @@ import pytest
 
 from rumourlens import report
 from rumourlens.corpus import Label, Role, load_pheme_tree, partition
-from rumourlens.emotions import CassetteProvider, emotion_table
+from rumourlens.emotions import CassetteProvider
 from rumourlens.readability import flesch
 from rumourlens.textprep import clean_for_readability, load_easy_words, text_stats, tokenize
-from tests.conftest import GOLDENS, RESOURCES
+from tests.conftest import GOLDENS, RESOURCES, texts_emotion_table
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +89,7 @@ class TestEmotionCassetteReplay:
             for pop in populations:
                 populations[pop].extend(t.text for t in getattr(part, pop))
         provider = CassetteProvider(RESOURCES / "emotion_cassette.jsonl")
-        table = emotion_table(populations, provider)
+        table = texts_emotion_table(populations, provider)
         with open(RESOURCES / "emotion_cassette_table.json", encoding="utf-8") as fh:
             golden = json.load(fh)
         assert set(table) == set(golden)

@@ -306,10 +306,10 @@ class TestPopulation:
         tweet = Tweet("1", "?!?! ...", "e", Role.SOURCE, Label.RUMOUR)
         featurizer = Featurizer(demo_lexicon, demo_sentic_table)
         table = featurizer.featurize_corpus(EventCorpus(event="e", sources=[tweet], reactions=[]))
-        assert table.column(WC_FEATURE).tolist() == [0.0]
+        assert table.X[:, table.names.index(WC_FEATURE)].tolist() == [0.0]
         for name in lexicon_feature_names(demo_lexicon):
             if name != WC_FEATURE:
-                assert math.isnan(table.column(name)[0])
+                assert math.isnan(table.X[:, table.names.index(name)][0])
 
 
 class TestDicConverter:

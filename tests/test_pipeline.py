@@ -136,6 +136,30 @@ def test_threads_setting_does_not_change_models(tmp_path):
     assert models[1] == models[2]
 
 
+def test_exclusion_warning_names_the_stage(tmp_path):
+    # the fixture plus an event with rumour sources only; each stage that
+    # drops it says so, at the stage's caller
+    dataset = tmp_path / "onesided.jsonl"
+    lines = (ROOT / "fixtures" / "mini-pheme.jsonl").read_text(encoding="utf-8").splitlines()
+    for i in range(3):
+        tweet = {"id": f"9{i}", "text": "smoke over the bridge", "event": "onesided"}
+        lines.append(json.dumps({**tweet, "role": "source", "label": "rumour", "parent_id": None}))
+    dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = fixture_config(
+        tmp_path, dataset=str(dataset), dataset_format="jsonl", n_trees=2, k_folds=3,
+        run_id="onesided",
+    )
+    pipeline.stage_ingest(cfg)
+    pipeline.stage_featurize(cfg)
+    for stage in ("compare", "train", "explain"):
+        message = rf"^{stage}: event 'onesided' lacks a rumour or non-rumour source .*; excluded$"
+        with pytest.warns(UserWarning, match=message) as caught:
+            getattr(pipeline, f"stage_{stage}")(cfg)
+        excluded = [w for w in caught if "onesided" in str(w.message)]
+        assert len(excluded) == 1
+        assert excluded[0].filename == __file__
+
+
 def test_fold_reduction_warning_names_the_model(tmp_path):
     # each event has 4 training sources of its minority class, so 10 folds
     # become 4; the warning points at the caller of stage_train

@@ -1,11 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from rumourlens.errors import EmptySample, NonFiniteValue
+from rumourlens.report import KS_HEADER
 from rumourlens.stats import (
-    MeanCell,
     kolmogorov_p,
     ks_two_sample,
     mean_report,
@@ -94,6 +95,33 @@ class TestKs:
             ks_two_sample([1.0], [float("inf")])
 
 
+def ks_cells(samples, alpha=0.05, population_pair="sources"):
+    """significance_matrix on `samples[feature][event] = (rumour values,
+    non-rumour values)`, laid out as one column per feature: each (event,
+    side) is a block of rows, NaN where a feature has fewer values than
+    the block. Returns {(feature, event): KS_HEADER field -> value}."""
+    events = list(dict.fromkeys(e for per_event in samples.values() for e in per_event))
+    columns = {f: [] for f in samples}
+    owner, rumour = [], []
+    for event in events:
+        for side in (0, 1):
+            sides = {f: samples[f].get(event, ([], []))[side] for f in samples}
+            size = max(len(v) for v in sides.values())
+            for f, values in sides.items():
+                columns[f] += list(values) + [math.nan] * (size - len(values))
+            owner += [event] * size
+            rumour += [side == 0] * size
+    owner = np.array(owner)
+    rows = significance_matrix(
+        {f: np.array(col) for f, col in columns.items()},
+        {event: owner == event for event in events},
+        np.array(rumour),
+        alpha=alpha,
+        population_pair=population_pair,
+    )
+    return {(r[0], r[1]): dict(zip(KS_HEADER, r)) for r in rows}
+
+
 class TestSignificanceMatrix:
     def samples(self):
         rum = [1.0, 2.0, 3.0, 10.0, 11.0]
@@ -104,50 +132,51 @@ class TestSignificanceMatrix:
         }
 
     def test_grid_complete_with_absent_cells(self):
-        m = significance_matrix(self.samples(), alpha=0.05, population_pair="sources")
-        assert m.features == ("affect", "wc")
-        assert m.events == ("e1", "e2", "aggregated")
-        assert m.cell("affect", "e1") is None  # empty rumour side
-        assert m.cell("wc", "e1") is not None
+        cells = ks_cells(self.samples(), alpha=0.05, population_pair="sources")
+        grid = {(f, e) for f in ("affect", "wc") for e in ("e1", "e2", "aggregated")}
+        assert set(cells) == grid - {("affect", "e1")}
+        assert ("affect", "e1") not in cells  # empty rumour side
+        assert cells[("wc", "e1")]["population_pair"] == "sources"
 
     def test_significance_flag_tracks_alpha(self):
-        loose = significance_matrix(self.samples(), alpha=0.9999)
-        strict = significance_matrix(self.samples(), alpha=1e-12)
-        for key, cell in loose.cells.items():
-            if cell is None:
-                continue
-            assert cell.significant == (cell.ks.p_value < 0.9999)
-            strict_cell = strict.cells[key]
+        loose = ks_cells(self.samples(), alpha=0.9999)
+        strict = ks_cells(self.samples(), alpha=1e-12)
+        assert set(loose) == set(strict)
+        for key, cell in loose.items():
+            assert cell["significant"] == (cell["p_value"] < 0.9999)
+            strict_cell = strict[key]
             # identical p-values, only the flag moves with alpha
-            assert strict_cell.ks.p_value == cell.ks.p_value
-            assert not strict_cell.significant
+            assert strict_cell["p_value"] == cell["p_value"]
+            assert not strict_cell["significant"]
 
     def test_identical_population_cell(self):
-        m = significance_matrix(self.samples())
-        cell = m.cell("wc", "e2")
-        assert cell.ks.d_stat == 0.0
-        assert cell.ks.p_value == 1.0
-        assert not cell.significant
+        cell = ks_cells(self.samples())[("wc", "e2")]
+        assert cell["d_stat"] == 0.0
+        assert cell["p_value"] == 1.0
+        assert not cell["significant"]
 
     def test_means_recorded_per_side(self):
-        m = significance_matrix(self.samples())
-        cell = m.cell("wc", "e1")
-        assert cell.mean_rumour == pytest.approx(5.4)
-        assert cell.mean_nonrumour == pytest.approx(3.0)
+        cell = ks_cells(self.samples())[("wc", "e1")]
+        assert cell["mean_rumour"] == pytest.approx(5.4)
+        assert cell["mean_nonrumour"] == pytest.approx(3.0)
+
+
+def one_mean(values):
+    """mean_report's row for one feature and one population of `values`."""
+    rows = mean_report({"wc": np.array(values)}, {"r_src": np.ones(len(values), dtype=bool)})
+    assert len(rows) == 1
+    return rows[0]
 
 
 class TestMeanReport:
     def test_constant_population(self):
-        report = mean_report({"wc": {"r_src": [4.0, 4.0, 4.0]}})
-        assert report["wc"]["r_src"] == MeanCell(mean=4.0, n=3, absent=0)
+        assert one_mean([4.0, 4.0, 4.0]) == ["wc", "r_src", 4.0, 3, 0]
 
     def test_absent_values_counted_not_averaged(self):
-        report = mean_report({"wc": {"r_src": [2.0, math.nan, 4.0]}})
-        cell = report["wc"]["r_src"]
-        assert cell.mean == pytest.approx(3.0)
-        assert cell.n == 2
-        assert cell.absent == 1
+        _feature, _pop, mean, n, absent = one_mean([2.0, math.nan, 4.0])
+        assert mean == pytest.approx(3.0)
+        assert n == 2
+        assert absent == 1
 
     def test_all_absent(self):
-        report = mean_report({"wc": {"r_src": [math.nan, math.nan]}})
-        assert report["wc"]["r_src"].mean is None
+        assert one_mean([math.nan, math.nan])[2] is None
