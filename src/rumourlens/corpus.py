@@ -94,6 +94,11 @@ class Partition:
 
 def validate_corpus(corpus: EventCorpus) -> None:
     """Check the structural invariants of one event."""
+    if corpus.event == AGGREGATED_EVENT:
+        raise ParseError(
+            f"{corpus.provenance}: event {corpus.event!r} takes the reserved name "
+            f"{AGGREGATED_EVENT!r} of the pooled pseudo-event"
+        )
     seen = set()
     for t in corpus.sources + corpus.reactions:
         if t.id in seen:

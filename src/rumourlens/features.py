@@ -21,7 +21,7 @@ import numpy as np
 
 from . import readability, senticnet, textprep
 from .corpus import EventCorpus
-from .errors import EmptyText, ParseError
+from .errors import EmptyText, MalformedResponse, ParseError
 from .lexicon import Lexicon, score
 from .readability import SCORE_NAMES as READABILITY_FEATURES
 from .senticnet import DIMENSIONS as SENTIC_FEATURES
@@ -140,6 +140,11 @@ class Featurizer:
             self._text_features(tweet.text, row)
         if self.emotion_provider is not None:
             dists = self.emotion_provider.classify([t.text for t in tweets])
+            if len(dists) != len(tweets):
+                raise MalformedResponse(
+                    f"{corpus.event}: emotion provider returned {len(dists)} results "
+                    f"for {len(tweets)} texts"
+                )
             for row, dist in zip(X, dists):
                 row[self._sentic.stop :] = [dist.scores[lab] for lab in EMOTION_FEATURES]
         return FeatureTable.from_columns(

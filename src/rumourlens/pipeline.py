@@ -241,6 +241,14 @@ def _model_path(out: Path, event: str, scope: str) -> Path:
     return out / f"model_{event}_{scope}.json"
 
 
+def _relay_warnings(caught, label: str) -> None:
+    """Re-issue warnings recorded inside a stage (fewer folds, an
+    unsplittable node) prefixed with the model they concern, filed at the
+    caller of the stage function."""
+    for w in caught:
+        warnings.warn(f"{label}: {w.message}", w.category, stacklevel=3)
+
+
 def stage_train(cfg: RunConfig) -> Path:
     require_stages(cfg, "train")
     out = run_dir(cfg)
@@ -250,6 +258,7 @@ def stage_train(cfg: RunConfig) -> Path:
     metrics_rows = []
     for event in usable:
         for scope in _scopes(cfg):
+            label = f"{event}/{scope}"
             try:
                 rows, y, seed, train, test = _model_split(cfg, table, event, scope)
                 X = table.X[rows]
@@ -265,21 +274,22 @@ def stage_train(cfg: RunConfig) -> Path:
                         averaging=cfg.averaging,
                     )
             except TooFewSamples as exc:
-                warnings.warn(f"{event}/{scope}: {exc}; model skipped", stacklevel=2)
+                warnings.warn(f"{label}: {exc}; model skipped", stacklevel=2)
                 continue
-            # cross-validation warnings (fewer folds, say) name the model
-            for w in caught:
-                warnings.warn(f"{event}/{scope}: {w.message}", w.category, stacklevel=2)
+            _relay_warnings(caught, label)
             medians = classify.compute_medians(X[train])
             balanced = train[classify.oversample(y[train], seed=seed)]
-            model = classify.fit_forest(
-                X[balanced],
-                y[balanced],
-                table.names,
-                config=config,
-                seed=seed,
-                medians=medians,
-            )
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                model = classify.fit_forest(
+                    X[balanced],
+                    y[balanced],
+                    table.names,
+                    config=config,
+                    seed=seed,
+                    medians=medians,
+                )
+            _relay_warnings(caught, label)
             fold_scores = [m.accuracy for m in fold_metrics]
             model.fold_scores = fold_scores
             final = classify.evaluate(model, X[test], y[test], averaging=cfg.averaging)

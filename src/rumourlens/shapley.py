@@ -27,8 +27,21 @@ test oracle for the fast path.
 
 ``_prepare_tree`` computes what does not depend on the instance once per
 tree: each leaf's path conditions, the background rows' satisfaction of
-them and the leaf's distinct path features. ``explain_row`` returns one
-phi vector in the model's column order.
+them and the leaf's distinct path features. ``explain_rows`` returns the
+phi of many rows at once, in the model's column order; ``explain_row``
+is its one-row call. Per leaf, a chunk of instances meets the whole
+background in one pass over boolean blocks shaped (instances x path
+conditions x background rows). A chunk holds at most ``BLOCK_CELLS``
+cells: the rows per chunk are ``BLOCK_CELLS // (b * longest path)`` for
+each tree, at least one.
+
+The batching keeps the one-row summation order, so each phi is the same
+float, bit for bit, whatever the chunk size: per leaf, in leaf order, a
+feature's share is a sum over the contiguous background axis, scaled by
+the leaf value and added to phi (then the forbidden share subtracted);
+each tree's phi is divided by the background size, and the trees are
+added in order before dividing by their count. ``shap_summary`` sums
+the ranking's |phi| row by row, in row order, for the same reason.
 
 Instances and background sets are raw feature rows in the model's column
 order, NaN marking an absent value (the `<name>__absent` flag in
@@ -53,6 +66,9 @@ BRUTE_FORCE_MAX_FEATURES = 12
 
 DEFAULT_BACKGROUND_LIMIT = 256
 
+# cap on instances x path conditions x background rows in one boolean block
+BLOCK_CELLS = 1 << 18
+
 
 @lru_cache(maxsize=32)
 def _weight_table(d: int) -> np.ndarray:
@@ -68,47 +84,74 @@ def _weight_table(d: int) -> np.ndarray:
 
 @dataclass
 class _LeafPaths:
-    """Per-leaf path conditions of one tree, plus the background
-    satisfaction matrix (rows x conditions) and the distinct path
-    features, precomputed once."""
+    """One tree's leaves with their path conditions, precomputed once.
 
+    A condition is a column of the tree's side table: for each node n of
+    the tree, column n holds `x[feature[n]] <= threshold[n]` (the path
+    goes left) and column n + nodes its negation. Leaves without
+    conditions (a single-leaf tree) are left out: they move no phi."""
+
+    tree: Tree
     values: list[float]
-    cond_features: list[np.ndarray]
-    cond_thresholds: list[np.ndarray]
-    cond_dirs: list[np.ndarray]  # True: path goes left (x <= thr)
-    sat_bg: list[np.ndarray]
-    uniq_features: list[np.ndarray]  # sorted distinct entries of cond_features
-    uniq_inverse: list[np.ndarray]  # condition -> position in uniq_features
+    cond_cols: list[np.ndarray]  # side-table column per path condition
+    sat_bg: list[np.ndarray]  # conditions x background rows
+    uniq_features: list[np.ndarray]  # distinct path features
+    # the condition that opens each distinct feature, and (condition,
+    # feature position) of each later one; None where no feature repeats
+    uniq_first: list[np.ndarray | None]
+    repeats: list[list[tuple[int, int]]]
     bg_leaf_prob: np.ndarray  # plain tree output per background row
+    chunk_rows: int  # instances per (instances x conditions x background) block
 
 
 def _enumerate_leaves(tree: Tree):
+    """(leaf, [(node, goes left), ...] from the root), leaves depth first
+    and left before right."""
     stack = [(0, [])]
     while stack:
         node, conds = stack.pop()
         if tree.feature[node] == -1:
             yield node, conds
             continue
-        f, t = int(tree.feature[node]), float(tree.threshold[node])
-        stack.append((int(tree.right[node]), conds + [(f, t, False)]))
-        stack.append((int(tree.left[node]), conds + [(f, t, True)]))
+        stack.append((int(tree.right[node]), conds + [(node, False)]))
+        stack.append((int(tree.left[node]), conds + [(node, True)]))
+
+
+def _side_table(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """rows x (2 * nodes): whether each row goes left at each node, then
+    whether it goes right (a leaf's columns mean nothing)."""
+    goes_left = X[:, tree.feature] <= tree.threshold
+    return np.concatenate([goes_left, ~goes_left], axis=1)
 
 
 def _prepare_tree(tree: Tree, background: np.ndarray) -> _LeafPaths:
-    paths = _LeafPaths([], [], [], [], [], [], [], tree.predict_prob(background))
-    for node, conds in _enumerate_leaves(tree):
-        feats = np.array([c[0] for c in conds], dtype=np.int64)
-        thrs = np.array([c[1] for c in conds])
-        dirs = np.array([c[2] for c in conds])
-        sat = (background[:, feats] <= thrs) == dirs if conds else np.ones((background.shape[0], 0), bool)
-        paths.values.append(float(tree.value[node]))
-        paths.cond_features.append(feats)
-        paths.cond_thresholds.append(thrs)
-        paths.cond_dirs.append(dirs)
-        paths.sat_bg.append(sat)
-        uniq, inverse = np.unique(feats, return_inverse=True)
-        paths.uniq_features.append(uniq)
-        paths.uniq_inverse.append(inverse)
+    nodes = len(tree.feature)
+    bg_sides = _side_table(tree, background).T.copy()
+    paths = _LeafPaths(
+        tree=tree, values=[], cond_cols=[], sat_bg=[], uniq_features=[], uniq_first=[],
+        repeats=[], bg_leaf_prob=tree.predict_prob(background), chunk_rows=0,
+    )
+    longest = 1
+    for leaf, conds in _enumerate_leaves(tree):
+        if not conds:
+            continue
+        cols = np.array([node if left else node + nodes for node, left in conds])
+        feats = [int(tree.feature[node]) for node, _ in conds]
+        first, position, repeats = [], {}, []
+        for c, f in enumerate(feats):
+            if f in position:
+                repeats.append((c, position[f]))
+            else:
+                position[f] = len(first)
+                first.append(c)
+        paths.values.append(float(tree.value[leaf]))
+        paths.cond_cols.append(cols)
+        paths.sat_bg.append(bg_sides[cols])
+        paths.uniq_features.append(np.array(feats)[first])
+        paths.uniq_first.append(np.array(first) if repeats else None)
+        paths.repeats.append(repeats)
+        longest = max(longest, len(conds))
+    paths.chunk_rows = max(1, BLOCK_CELLS // (background.shape[0] * longest))
     return paths
 
 
@@ -121,7 +164,11 @@ class TreeShapExplainer:
         self.model = model
         self.background = background
         self.d = len(model.feature_names)
-        self._A = _weight_table(self.d)
+        # A[p, q] as A_pos[p * (d + 1) + q] = A[p - 1, q] and A_neg[...] =
+        # A[p, q - 1], plus a last 0.0 for pairs that never reach the leaf
+        A = _weight_table(self.d)
+        self._A_pos = np.append(np.vstack([A[:1], A[:-1]]), 0.0)
+        self._A_neg = np.append(np.hstack([A[:, :1], A[:, :-1]]), 0.0)
         self._trees = [_prepare_tree(t, background) for t in model.trees]
         self.base_value = float(
             np.mean([tp.bg_leaf_prob.mean() for tp in self._trees])
@@ -129,45 +176,73 @@ class TreeShapExplainer:
 
     def explain_row(self, x: np.ndarray) -> np.ndarray:
         """phi of one imputed row, in the model's column order."""
-        phi = np.zeros(self.d)
+        return self.explain_rows(x.reshape(1, -1))[0]
+
+    def explain_rows(self, X: np.ndarray) -> np.ndarray:
+        """phi of each imputed row of `X` (rows x model features). A row's
+        phi does not depend on the other rows or on the chunk size, bit
+        for bit: trees are added in order, each divided by the background
+        size first."""
+        if X.ndim != 2 or X.shape[1] != self.d:
+            raise FeatureMismatch("instance shape does not match the model's features")
+        phi = np.zeros(X.shape)
         for paths in self._trees:
-            phi += self._tree_phi(paths, x)
+            step = paths.chunk_rows
+            for start in range(0, X.shape[0], step):
+                phi[start : start + step] += self._tree_phi(paths, X[start : start + step])
         phi /= len(self._trees)
         return phi
 
-    def _tree_phi(self, paths: _LeafPaths, x: np.ndarray) -> np.ndarray:
-        phi = np.zeros(self.d)
+    def _tree_phi(self, paths: _LeafPaths, X: np.ndarray) -> np.ndarray:
+        """One tree's phi for a chunk of rows.
+
+        Per leaf, blocks run (instances, conditions, background), so each
+        phi entry is a sum over one contiguous background row: the order a
+        one-row sum adds in. Rows with no background row to reach a leaf
+        with would add exact zeros there and are left out of it."""
+        phi = np.zeros(X.shape)
         b = self.background.shape[0]
-        A = self._A
-        for leaf in range(len(paths.values)):
-            feats = paths.cond_features[leaf]
-            if feats.size == 0:
-                continue  # single-leaf tree: no feature influence
-            value = paths.values[leaf]
-            sat_x = (x[feats] <= paths.cond_thresholds[leaf]) == paths.cond_dirs[leaf]
+        x_sides = _side_table(paths.tree, X)
+        zero = self._A_pos.size - 1
+        for leaf, value in enumerate(paths.values):
+            sat_x = x_sides[:, paths.cond_cols[leaf], None]
             sat_r = paths.sat_bg[leaf]
-            # rows where any condition fails on both sides never reach the leaf
-            alive = ~(~sat_x & ~sat_r).any(axis=1)
-            if not alive.any():
-                continue
-            pos_cond = sat_x & ~sat_r
-            neg_cond = ~sat_x & sat_r
-            uniq, inverse = paths.uniq_features[leaf], paths.uniq_inverse[leaf]
-            pos = np.zeros((b, uniq.size), dtype=bool)
-            neg = np.zeros((b, uniq.size), dtype=bool)
-            for c, u in enumerate(inverse):
-                pos[:, u] |= pos_cond[:, c]
-                neg[:, u] |= neg_cond[:, c]
-            alive &= ~(pos & neg).any(axis=1)
-            if not alive.any():
-                continue
-            p = pos.sum(axis=1)
-            q = neg.sum(axis=1)
-            a_pos = A[np.maximum(p - 1, 0), q] * alive
-            a_neg = A[p, np.maximum(q - 1, 0)] * alive
-            for u_idx, feature in enumerate(uniq):
-                phi[feature] += value * (a_pos * pos[:, u_idx]).sum()
-                phi[feature] -= value * (a_neg * neg[:, u_idx]).sum()
+            not_x, not_r = ~sat_x, ~sat_r
+            # pairs where a condition fails on both sides never reach the leaf
+            alive = ~(not_x & not_r).any(axis=1)
+            live = alive.any(axis=1)
+            rows = slice(None)
+            if not live.all():
+                if not live.any():
+                    continue
+                rows = np.flatnonzero(live)
+                sat_x, not_x, alive = sat_x[rows], not_x[rows], alive[rows]
+                rows = rows[:, None]
+            pos = sat_x & not_r
+            neg = not_x & sat_r
+            first = paths.uniq_first[leaf]
+            if first is not None:
+                # a feature split more than once: one side must satisfy all
+                # of its conditions, or the pair never reaches the leaf
+                pos_cond, neg_cond = pos, neg
+                pos, neg = pos_cond[:, first], neg_cond[:, first]
+                for c, u in paths.repeats[leaf]:
+                    pos[:, u] |= pos_cond[:, c]
+                    neg[:, u] |= neg_cond[:, c]
+                alive &= ~(pos & neg).any(axis=1)
+                if not alive.any():
+                    continue
+            # p required and q forbidden features pick each pair's weights
+            at = pos.sum(axis=1) * (self.d + 1) + neg.sum(axis=1)
+            at[~alive] = zero
+            a_pos = self._A_pos.take(at)
+            a_neg = self._A_neg.take(at)
+            uniq = paths.uniq_features[leaf]
+            phi[rows, uniq] = (
+                phi[rows, uniq]
+                + value * (a_pos[:, None, :] * pos).sum(axis=2)
+                - value * (a_neg[:, None, :] * neg).sum(axis=2)
+            )
         return phi / b
 
 
@@ -242,13 +317,12 @@ def shap_summary(
     explainer = TreeShapExplainer(model, bg)
 
     X = model.impute(X)
-    phi = np.empty_like(X)
+    phi = explainer.explain_rows(X)
     # |phi| summed row by row in row order: a column sum of np.abs(phi)
     # may add in another order and change the last bit of the ranking
     abs_sums = np.zeros(len(model.feature_names))
-    for i, row in enumerate(X):
-        phi[i] = explainer.explain_row(row)
-        abs_sums += np.abs(phi[i])
+    for row in phi:
+        abs_sums += np.abs(row)
     mean_abs = abs_sums / len(X)
     ranking = sorted(
         zip(model.feature_names, mean_abs), key=lambda item: (-item[1], item[0])

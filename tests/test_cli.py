@@ -4,6 +4,7 @@ import pytest
 
 from rumourlens import cli, report
 from rumourlens.config import RunConfig, build_config, parse_config_file, validate_config
+from rumourlens.emotions import LexiconFallbackProvider
 from rumourlens.errors import ConfigError
 
 
@@ -171,6 +172,18 @@ class TestCliCommands:
         assert cli.main(["featurize", "--config", str(conf)]) == 1
         err = capsys.readouterr().err
         assert f"error: ParseError: lexicon category {category!r} clashes with the {family}" in err
+        assert not (tmp_path / "out" / "t" / report.FEATURES_CSV).exists()
+
+    def test_short_emotion_response_rejected(self, tmp_path, mini_pheme_dir, capsys, monkeypatch):
+        # a provider that drops its last 3 results must not leave the last
+        # rows without emotion scores
+        classify = LexiconFallbackProvider.classify
+        monkeypatch.setattr(LexiconFallbackProvider, "classify", lambda self, texts: classify(self, texts)[:-3])
+        conf = write_config(tmp_path, mini_pheme_dir)
+        assert cli.main(["ingest", "--config", str(conf)]) == 0
+        assert cli.main(["featurize", "--config", str(conf)]) == 1
+        err = capsys.readouterr().err
+        assert "error: MalformedResponse: ferrydelay: emotion provider returned 38 results for 41 texts" in err
         assert not (tmp_path / "out" / "t" / report.FEATURES_CSV).exists()
 
     def test_run_config_persisted(self, tmp_path, mini_pheme_dir):

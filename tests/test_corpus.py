@@ -3,6 +3,7 @@ import json
 import pytest
 
 from rumourlens.corpus import (
+    AGGREGATED_EVENT,
     EventCorpus,
     Label,
     Role,
@@ -83,6 +84,13 @@ class TestPhemeTree:
         with pytest.raises(DuplicateId):
             load_pheme_tree(tmp_path)
 
+    def test_event_named_like_the_pooled_event_rejected(self, tmp_path):
+        thread = tmp_path / AGGREGATED_EVENT / "rumours" / "1" / "source-tweets"
+        thread.mkdir(parents=True)
+        (thread / "1.json").write_text('{"id_str": "1", "text": "hi"}')
+        with pytest.raises(ParseError, match=r"event 'aggregated' takes the reserved name 'aggregated'"):
+            load_pheme_tree(tmp_path)
+
     def test_reaction_labels_propagated(self, mini_pheme_dir):
         for corpus in load_pheme_tree(mini_pheme_dir):
             labels = {t.id: t.label for t in corpus.sources}
@@ -114,6 +122,12 @@ class TestJsonl:
         path = tmp_path / "orphan.jsonl"
         write_jsonl(path, [jl("1", "source", "rumour"), jl("2", "reaction", "rumour", parent_id="9")])
         with pytest.raises(OrphanReaction, match="refers to unknown source '9'"):
+            load_jsonl(path)
+
+    def test_event_named_like_the_pooled_event_rejected(self, tmp_path):
+        path = tmp_path / "pooled.jsonl"
+        write_jsonl(path, [jl("1", "source", "rumour"), jl("2", "source", "rumour", event=AGGREGATED_EVENT)])
+        with pytest.raises(ParseError, match=r"event 'aggregated' takes the reserved name 'aggregated'"):
             load_jsonl(path)
 
     def test_parse_error_carries_line_number(self, tmp_path):

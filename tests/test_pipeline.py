@@ -1,5 +1,6 @@
 import json
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -100,14 +101,14 @@ class TestAdditivityCheck:
         ]
 
     def test_perturbed_phi_raises(self, trained, monkeypatch):
-        explain_row = shapley.TreeShapExplainer.explain_row
+        explain_rows = shapley.TreeShapExplainer.explain_rows
 
-        def perturbed(self, x):
-            phi = explain_row(self, x)
-            phi[0] += 1e-6
+        def perturbed(self, X):
+            phi = explain_rows(self, X)
+            phi[0, 0] += 1e-6
             return phi
 
-        monkeypatch.setattr(shapley.TreeShapExplainer, "explain_row", perturbed)
+        monkeypatch.setattr(shapley.TreeShapExplainer, "explain_rows", perturbed)
         message = r"stage 'explain', event 'ferrydelay', scope 'sources': tweet '\d+' .* = 1e-06,"
         with pytest.raises(AdditivityError, match=message):
             pipeline.stage_explain(trained)
@@ -174,3 +175,31 @@ def test_fold_reduction_warning_names_the_model(tmp_path):
         "ferrydelay/sources", "parkfire/sources", "statuegift/sources",
     }
     assert {w.filename for w in folds} == {__file__}
+
+
+def test_final_fit_warning_names_the_model(tmp_path):
+    # every source of the event has the same text under both labels, so no
+    # node can split: cross-validation and the final fit both warn, and
+    # each warning names the model and points at the caller of stage_train
+    dataset = tmp_path / "twins.jsonl"
+    lines = []
+    for i in range(12):
+        label = "rumour" if i % 2 else "non-rumour"
+        tweet = {"id": f"7{i}", "text": "smoke over the bridge", "event": "twins"}
+        lines.append(json.dumps({**tweet, "role": "source", "label": label, "parent_id": None}))
+    dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = fixture_config(
+        tmp_path, dataset=str(dataset), dataset_format="jsonl", scope="sources", n_trees=2,
+        k_folds=3, run_id="twins",
+    )
+    pipeline.stage_ingest(cfg)
+    pipeline.stage_featurize(cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pipeline.stage_train(cfg)
+    unsplittable = [w for w in caught if "unsplittable node" in str(w.message)]
+    # 3 folds and the final fit, one warning per tree
+    assert len(unsplittable) == 4 * 2
+    for w in unsplittable:
+        assert str(w.message).startswith("twins/sources: unsplittable node with mixed labels")
+        assert w.filename == __file__

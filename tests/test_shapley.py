@@ -1,9 +1,19 @@
+"""The Shapley explainer against the subset-sum oracle and against the
+per-row path it replaced.
+
+`oracle_explain_row` below is the earlier per-row TreeSHAP path, kept
+whole: per-leaf path conditions with background satisfaction as
+(background x conditions), and one instance at a time. The batched
+`TreeShapExplainer.explain_rows` must give the same phi bit for bit.
+"""
+
 import numpy as np
 import pytest
 
+from rumourlens import shapley
 from rumourlens.classify import ForestConfig, RandomForestModel, Tree, fit_forest
 from rumourlens.errors import FeatureMismatch, TooManyFeatures
-from rumourlens.shapley import TreeShapExplainer, brute_shapley, shap_summary
+from rumourlens.shapley import TreeShapExplainer, _weight_table, brute_shapley, shap_summary
 
 
 def leaf_tree(prob_counts):
@@ -222,3 +232,186 @@ class TestSummary:
         b = shap_summary(model, X[:3], background=X, background_limit=5, seed=11)
         assert a.ranking == b.ranking
         assert a.phi.tolist() == b.phi.tolist()
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-row explain path
+
+
+def oracle_enumerate_leaves(tree):
+    stack = [(0, [])]
+    while stack:
+        node, conds = stack.pop()
+        if tree.feature[node] == -1:
+            yield node, conds
+            continue
+        f, t = int(tree.feature[node]), float(tree.threshold[node])
+        stack.append((int(tree.right[node]), conds + [(f, t, False)]))
+        stack.append((int(tree.left[node]), conds + [(f, t, True)]))
+
+
+def oracle_prepare_tree(tree, background):
+    """Per leaf: (value, features, thresholds, directions, background
+    satisfaction (rows x conditions), distinct features, inverse)."""
+    leaves = []
+    for node, conds in oracle_enumerate_leaves(tree):
+        feats = np.array([c[0] for c in conds], dtype=np.int64)
+        thrs = np.array([c[1] for c in conds])
+        dirs = np.array([c[2] for c in conds])
+        sat = (background[:, feats] <= thrs) == dirs if conds else np.ones((background.shape[0], 0), bool)
+        uniq, inverse = np.unique(feats, return_inverse=True)
+        leaves.append((float(tree.value[node]), feats, thrs, dirs, sat, uniq, inverse))
+    return leaves
+
+
+def oracle_tree_phi(leaves, x, d, b):
+    phi = np.zeros(d)
+    A = _weight_table(d)
+    for value, feats, thrs, dirs, sat_r, uniq, inverse in leaves:
+        if feats.size == 0:
+            continue
+        sat_x = (x[feats] <= thrs) == dirs
+        alive = ~(~sat_x & ~sat_r).any(axis=1)
+        if not alive.any():
+            continue
+        pos_cond = sat_x & ~sat_r
+        neg_cond = ~sat_x & sat_r
+        pos = np.zeros((b, uniq.size), dtype=bool)
+        neg = np.zeros((b, uniq.size), dtype=bool)
+        for c, u in enumerate(inverse):
+            pos[:, u] |= pos_cond[:, c]
+            neg[:, u] |= neg_cond[:, c]
+        alive &= ~(pos & neg).any(axis=1)
+        if not alive.any():
+            continue
+        p = pos.sum(axis=1)
+        q = neg.sum(axis=1)
+        a_pos = A[np.maximum(p - 1, 0), q] * alive
+        a_neg = A[p, np.maximum(q - 1, 0)] * alive
+        for u_idx, feature in enumerate(uniq):
+            phi[feature] += value * (a_pos * pos[:, u_idx]).sum()
+            phi[feature] -= value * (a_neg * neg[:, u_idx]).sum()
+    return phi / b
+
+
+def oracle_explain_rows(model, background, X):
+    """phi of each imputed row of X, one row at a time."""
+    d, b = len(model.feature_names), background.shape[0]
+    trees = [oracle_prepare_tree(t, background) for t in model.trees]
+    out = np.empty(X.shape)
+    for i, x in enumerate(X):
+        phi = np.zeros(d)
+        for leaves in trees:
+            phi += oracle_tree_phi(leaves, x, d, b)
+        phi /= len(trees)
+        out[i] = phi
+    return out
+
+
+def assert_matches_oracle(model, background, X):
+    explainer = TreeShapExplainer(model, background)
+    got = explainer.explain_rows(X)
+    want = oracle_explain_rows(model, background, X)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    return explainer, got
+
+
+def random_forest_case(seed):
+    """A seeded forest of 1-8 trees on 1-5 features, a background of 1-30
+    rows and 1-12 rows to explain, all imputed."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 6))
+    names = [f"f{j}" for j in range(d)]
+    X, y = random_rows(rng, int(rng.integers(10, 60)), d)
+    y[0], y[1] = 1, 0
+    model = fit_forest(X, y, names, ForestConfig(n_trees=int(rng.integers(1, 9))), seed=seed)
+    background, _ = random_rows(rng, int(rng.integers(1, 31)), d)
+    rows_, _ = random_rows(rng, int(rng.integers(1, 13)), d)
+    return model, model.impute(background), model.impute(rows_)
+
+
+class TestBatchedExplainer:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_forests_bitwise_equal_to_oracle(self, seed):
+        model, background, X = random_forest_case(seed)
+        assert_matches_oracle(model, background, X)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_forests_match_brute_force(self, seed):
+        model, background, X = random_forest_case(100 + seed)
+        phi = TreeShapExplainer(model, background).explain_rows(X)
+        for x, row_phi in zip(X, phi):
+            brute = brute_shapley(model, x, background)
+            for j, name in enumerate(model.feature_names):
+                assert row_phi[j] == pytest.approx(brute[name], abs=1e-9)
+
+    def test_single_leaf_tree(self):
+        rng = np.random.default_rng(5)
+        X, y = random_rows(rng, 30, 3)
+        forest = fit_forest(X, y, ["a", "b", "c"], ForestConfig(n_trees=3), seed=2)
+        model = manual_model([leaf_tree([2, 5])] + forest.trees, ["a", "b", "c"])
+        explainer, phi = assert_matches_oracle(model, X[:9], X[9:20])
+        assert explainer._trees[0].values == []  # the leaf moves no phi
+        alone = manual_model([leaf_tree([2, 5])], ["a", "b", "c"])
+        assert not assert_matches_oracle(alone, X[:9], X[9:12])[1].any()
+
+    def test_repeated_feature_on_a_path(self):
+        # feature a is split at the root and again below it
+        tree = Tree(
+            feature=np.array([0, 1, -1, 0, -1, -1, -1]),
+            threshold=np.array([0.0, 0.5, 0.0, -1.0, 0.0, 0.0, 0.0]),
+            left=np.array([1, 3, -1, 5, -1, -1, -1]),
+            right=np.array([2, 4, -1, 6, -1, -1, -1]),
+            counts=np.array([[0, 0], [0, 0], [3, 1], [0, 0], [2, 6], [1, 9], [8, 2]], dtype=np.float64),
+        )
+        model = manual_model([tree, stump(1, 0.0, [3, 1], [1, 3])], ["a", "b"])
+        background = rows([-2.0, 0.0], [-0.5, 1.0], [3.0, -1.0], [-1.5, 0.2])
+        X = rows([-0.7, 0.3], [-3.0, 0.9], [0.4, -0.4], [-1.2, 0.6])
+        explainer, phi = assert_matches_oracle(model, background, X)
+        assert any(first is not None for first in explainer._trees[0].uniq_first)
+        for x, row_phi in zip(X, phi):
+            brute = brute_shapley(model, x, background)
+            assert row_phi.tolist() == pytest.approx([brute["a"], brute["b"]], abs=1e-12)
+
+    @pytest.mark.parametrize("bg_a", [[-2.0, -1.5], [-2.0, 2.0]])
+    def test_leaf_no_pair_reaches(self, bg_a):
+        # the leaf under a <= 0 and then a > 1 is empty: with every a <= 0
+        # each pair fails a > 1 on both sides; with a background row at
+        # a = 2 the pair needs a from both sides at once
+        tree = Tree(
+            feature=np.array([0, 0, -1, -1, -1]),
+            threshold=np.array([0.0, 1.0, 0.0, 0.0, 0.0]),
+            left=np.array([1, 3, -1, -1, -1]),
+            right=np.array([2, 4, -1, -1, -1]),
+            counts=np.array([[0, 0], [0, 0], [1, 9], [9, 1], [5, 5]], dtype=np.float64),
+        )
+        model = manual_model([tree], ["a", "b"])
+        background = rows(*([a, 0.5] for a in bg_a))
+        X = rows([-1.0, 0.0], [-0.5, 3.0])
+        assert_matches_oracle(model, background, X)
+
+    def test_one_row(self):
+        model, background, X = random_forest_case(3)
+        explainer, phi = assert_matches_oracle(model, background, X[:1])
+        assert phi.shape == (1, len(model.feature_names))
+        assert explainer.explain_row(X[0]).tolist() == phi[0].tolist()
+
+    def test_rows_cross_the_chunk_boundary(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        X, y = random_rows(rng, 50, 4)
+        model = fit_forest(X, y, ["a", "b", "c", "d"], ForestConfig(n_trees=4), seed=8)
+        background, instances = X[:10], X[10:27]
+        monkeypatch.setattr(shapley, "BLOCK_CELLS", 400)
+        explainer, phi = assert_matches_oracle(model, background, instances)
+        steps = [t.chunk_rows for t in explainer._trees]
+        assert max(steps) < len(instances) and len(instances) % min(steps)
+        monkeypatch.undo()
+        whole = TreeShapExplainer(model, background)
+        assert min(t.chunk_rows for t in whole._trees) >= len(instances)
+        assert phi.view(np.uint64).tolist() == whole.explain_rows(instances).view(np.uint64).tolist()
+
+    def test_row_shape_mismatch(self):
+        model = manual_model([leaf_tree([1, 1])], ["a", "b"])
+        explainer = TreeShapExplainer(model, np.zeros((3, 2)))
+        with pytest.raises(FeatureMismatch):
+            explainer.explain_rows(np.zeros((2, 3)))
