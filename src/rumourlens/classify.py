@@ -17,21 +17,42 @@ none of the sampled features admits an impurity-reducing split, the full
 feature set is scanned before the node is closed as a leaf. Class 0 is
 non-rumour, class 1 is rumour.
 
-Split search scores every cut of every candidate feature of a node in one
-array pass: the (features x rows) block is sorted per feature, class
-counts accumulate along the rows, and each side's Gini impurity is the
-elementwise `1 - (p0*p0 + p1*p1)`. A cut wins when it beats the best so
-far by more than 1e-15, scanning features in order and each feature's
-cuts ascending; unlike an argmax, this keeps an earlier cut over a later
-one that is better only by rounding. The decreases are not bit-identical
-to `1 - np.dot(p, p)`, the form `_gini` keeps for the parent impurity:
-`np.dot` may round `p0*p0 + p1*p1` once, as a fused multiply-add, where
-the array form rounds twice, and on x86-64 with numpy 2.4 that moves the
-last bit for about one class-count pair in six. The 1e-15 margin is about
-nine units in the last place of that sum (which lies in [0.5, 1]), so the
-two forms pick different cuts only when two decreases differ by the
-margin to within a few units; the oracle tests in tests/test_classify.py
-compare them on random nodes and forests.
+Trees grow in lockstep. Each tree keeps a depth-first stack of the nodes
+it has yet to create. At each step every tree that still has work pops
+nodes from its own stack, closing as leaves those that stop (too few
+rows, the depth limit, one class), up to its next node to split, and
+draws that node's feature subset from its own RNG. So each tree makes
+its draws, and numbers its nodes, in the pre-order of a recursive build:
+the models do not depend on how many trees share a step. One batched
+search then scores the candidate cuts of all the popped nodes; the
+nodes whose sampled features admit no cut get one more batched search
+over their remaining features. What stays per node is the RNG draw, the
+class counts and the row partition.
+
+The batched search gathers a (nodes x candidate features x rows) block
+from the imputed matrix through each node's rows, padding every node to
+the longest with a row of +inf in class 0. It sorts each row of the
+block, accumulates the class counts along it, and scores every cut with
+each side's elementwise Gini impurity `1 - (p0*p0 + p1*p1)`. Cuts
+between ties are void, and so is every cut whose right side holds
+padding. A block holds at most `SPLIT_BLOCK_CELLS` cells (a larger node
+is searched alone); a step's nodes are taken by size into as many
+searches as that needs.
+
+Per node, a cut wins when it beats the best so far by more than 1e-15,
+scanning features in order and each feature's cuts ascending; unlike an
+argmax, this keeps an earlier cut over a later one that is better only
+by rounding. The batched search replays that record chain for all nodes
+at once. The decreases are not bit-identical to `1 - np.dot(p, p)`, the
+form `_gini` keeps for the parent impurity: `np.dot` may round
+`p0*p0 + p1*p1` once, as a fused multiply-add, where the array form
+rounds twice, and on x86-64 with numpy 2.4 that moves the last bit for
+about one class-count pair in six. The 1e-15 margin is about nine units
+in the last place of that sum (which lies in [0.5, 1]), so the two forms
+pick different cuts only when two decreases differ by the margin to
+within a few units; the oracle tests in tests/test_classify.py compare
+them on random nodes and forests, and compare whole models with a
+recursive one-tree-at-a-time builder kept there as the reference.
 """
 
 from __future__ import annotations
@@ -213,112 +234,232 @@ def _gini(counts: np.ndarray) -> float:
     return float(1.0 - np.dot(p, p))
 
 
-class _TreeBuilder:
-    def __init__(self, X: np.ndarray, y: np.ndarray, config: ForestConfig, rng):
-        self.XT = np.ascontiguousarray(X.T)  # one contiguous row per feature
-        self.y = y
-        self.config = config
+# cells (nodes x candidate features x rows) of one batched cut search; a
+# node larger than this is searched alone
+SPLIT_BLOCK_CELLS = 1 << 12
+
+
+def _best_splits(
+    X: np.ndarray,
+    y: np.ndarray,
+    rows: np.ndarray,
+    n: np.ndarray,
+    feature_ids: np.ndarray,
+    parent_impurity: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best cut of each of K nodes: (impurity decrease, feature, threshold)
+    arrays, from the first record above `best + 1e-15` over the cuts of
+    the node's `feature_ids` row in order, each feature's cuts ascending;
+    (0.0, -1, 0.0) where no cut decreases the impurity.
+
+    `X` and `y` end in a padding row (+inf, class 0). Row k of `rows`
+    holds node k's `n[k]` row indices, then the padding row's index up to
+    the block width N; `parent_impurity[k]` is `_gini` of node k's class
+    counts. All cuts of all nodes are scored in one pass."""
+    k_nodes = len(rows)
+    width = rows.shape[1]
+    # at most three (nodes x features x rows) arrays live at once
+    block = X[rows[:, None, :], feature_ids[:, :, None]]
+    order = np.argsort(block, axis=2, kind="stable")
+    sorted_x = np.take_along_axis(block, order, axis=2)
+    del block
+    # cut c puts the c + 1 lowest rows left; cuts between ties and cuts
+    # at c >= n - 1, whose right side is padding, are void
+    void = ~(sorted_x[:, :, 1:] > sorted_x[:, :, :-1])
+    del sorted_x
+    void |= (np.arange(width - 1) >= (n - 1)[:, None])[:, None, :]
+    # class-1 counts left of each cut, from the labels in sorted order
+    order += (np.arange(k_nodes) * width)[:, None, None]
+    ones = y[rows].ravel()[order]
+    del order
+    np.cumsum(ones, axis=2, out=ones)
+    ones = ones.astype(np.float64)
+    left = ones[:, :, :-1]
+    n_left = np.arange(1.0, width)
+    size = n.astype(np.float64)[:, None, None]
+    n_right = size - n_left
+    n_right[n_right < 1.0] = 1.0  # a void cut's empty right side divides by 1, not 0
+    # each side's elementwise Gini, 1 - (p0*p0 + p1*p1), weighted by its
+    # row count, one operation at a time in place
+    decrease = n_left - left
+    decrease /= n_left
+    p = left / n_left
+    decrease *= decrease
+    p *= p
+    decrease += p
+    np.subtract(1.0, decrease, out=decrease)
+    decrease *= n_left
+    right = np.subtract(ones[:, :, -1:], left, out=left)
+    np.subtract(n_right, right, out=p)
+    p /= n_right
+    right /= n_right
+    p *= p
+    right *= right
+    p += right
+    del ones, left, right
+    np.subtract(1.0, p, out=p)
+    p *= n_right
+    decrease += p
+    del p
+    decrease /= size
+    np.subtract(parent_impurity[:, None, None], decrease, out=decrease)
+    decrease[void] = -np.inf
+    del void
+    # the record chain of every node at once: each round takes, per node
+    # still searching, the first cell past its last record that beats
+    # that record by more than 1e-15
+    flat = decrease.reshape(k_nodes, -1)
+    cells = np.arange(flat.shape[1])
+    best = np.zeros(k_nodes)
+    at = np.full(k_nodes, -1)
+    live = np.arange(k_nodes)
+    while live.size and cells.size:  # a node may have no candidate feature
+        above = flat[live] > (best[live] + 1e-15)[:, None]
+        above &= cells > at[live][:, None]
+        first = above.argmax(axis=1)
+        found = above[np.arange(live.size), first]
+        live, first = live[found], first[found]
+        at[live] = first
+        best[live] = flat[live, first]
+    split = np.flatnonzero(at >= 0)
+    row, cut = np.divmod(at[split], width - 1)
+    feature = np.full(k_nodes, -1)
+    feature[split] = feature_ids[split, row]
+    # the threshold lies between the cut's two sorted values, sorted
+    # again from the split nodes' chosen columns alone
+    column = X[rows[split], feature[split, None]]
+    column = np.take_along_axis(column, np.argsort(column, axis=1, kind="stable"), axis=1)
+    pick = np.arange(split.size)
+    threshold = np.zeros(k_nodes)
+    threshold[split] = (column[pick, cut] + column[pick, cut + 1]) / 2.0
+    return best, feature, threshold
+
+
+def _search_nodes(X, y, rows, n, feature_ids, parent_impurity):
+    """(feature, threshold) of `_best_splits` over any number of nodes, in
+    chunks of at most `SPLIT_BLOCK_CELLS` cells: the nodes are taken by
+    size, so each chunk pads its rows to a near size."""
+    feature = np.full(len(rows), -1)
+    threshold = np.zeros(len(rows))
+    by_size = np.argsort(n, kind="stable")
+    start = 0
+    while start < len(by_size):
+        stop = start + 1
+        while (
+            stop < len(by_size)
+            and (stop + 1 - start) * feature_ids.shape[1] * n[by_size[stop]] <= SPLIT_BLOCK_CELLS
+        ):
+            stop += 1
+        chunk = by_size[start:stop]
+        # each node's rows, then the padding row's index
+        padded = np.full((len(chunk), n[chunk[-1]]), len(X) - 1)
+        padded[np.arange(padded.shape[1]) < n[chunk, None]] = np.concatenate([rows[k] for k in chunk])
+        _, feature[chunk], threshold[chunk] = _best_splits(
+            X, y, padded, n[chunk], feature_ids[chunk], parent_impurity[chunk]
+        )
+        start = stop
+    return feature, threshold
+
+
+class _TreeGrowth:
+    """One tree of a forest grown in lockstep: its RNG stream, its nodes
+    in pre-order and a depth-first stack of the nodes still to create,
+    each as (rows, class-1 count, depth, parent, parent's child slot)."""
+
+    def __init__(self, rng, rows: np.ndarray, ones: int):
         self.rng = rng
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.counts: list[np.ndarray] = []
+        # six fields per node: feature, threshold, left, right, class counts
+        self.nodes: list = []
+        self.stack = [(rows, ones, 0, -1, 0)]
         self.warned_degenerate = False
 
-    def build(self) -> Tree:
-        self._grow(np.arange(self.XT.shape[1]), depth=0)
+    def next_split(self, config: ForestConfig, d: int, m: int):
+        """Create the stacked nodes in pre-order, closing each that stops
+        as a leaf, up to the first one to split: (node, rows, class-1
+        count, depth, drawn features), or None when the tree is done. The
+        drawn features, unsorted, are this node's draw from the tree's
+        RNG, as in a recursive depth-first build."""
+        while self.stack:
+            rows, ones, depth, parent, slot = self.stack.pop()
+            node = len(self.nodes) // 6
+            if parent >= 0:
+                self.nodes[6 * parent + slot] = node
+            n = len(rows)
+            self.nodes += (-1, 0.0, -1, -1, n - ones, ones)
+            if (
+                n < config.min_samples_split
+                or (config.max_depth is not None and depth >= config.max_depth)
+                or ones in (0, n)
+            ):
+                continue
+            return node, rows, ones, depth, self.rng.choice(d, size=m, replace=False)
+        return None
+
+    def tree(self) -> Tree:
+        nodes = np.array(self.nodes, dtype=np.float64).reshape(-1, 6)
         return Tree(
-            feature=np.array(self.feature, dtype=np.int64),
-            threshold=np.array(self.threshold, dtype=np.float64),
-            left=np.array(self.left, dtype=np.int64),
-            right=np.array(self.right, dtype=np.int64),
-            counts=np.array(self.counts, dtype=np.float64),
+            feature=nodes[:, 0].astype(np.int64),
+            threshold=nodes[:, 1].copy(),
+            left=nodes[:, 2].astype(np.int64),
+            right=nodes[:, 3].astype(np.int64),
+            counts=nodes[:, 4:].copy(),
         )
 
-    def _new_node(self, idx: np.ndarray) -> int:
-        node = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.counts.append(np.bincount(self.y[idx], minlength=2).astype(np.float64))
-        return node
 
-    def _best_split(self, idx: np.ndarray, feature_ids) -> tuple[float, int, float]:
-        """(impurity decrease, feature, threshold) of the first record
-        above `best + 1e-15` over the cuts of `feature_ids` in order, each
-        feature's cuts ascending; (0.0, -1, 0.0) when no cut decreases
-        the impurity. All cuts of all features are scored in one pass."""
-        y_node = self.y[idx]
-        parent_impurity = _gini(np.bincount(y_node, minlength=2))
-        n = len(idx)
-        block = self.XT[feature_ids[:, None], idx]  # (features, rows)
-        order = np.argsort(block, axis=1, kind="stable")
-        sorted_x = np.take_along_axis(block, order, axis=1)
-        # cut c puts the c + 1 lowest rows left; cuts between ties are void
-        ones = np.cumsum(y_node[order], axis=1)
-        left_ones = ones[:, :-1]
-        right_ones = ones[:, -1:] - left_ones
-        n_left = np.arange(1.0, n)
-        n_right = n - n_left
-        p0, p1 = (n_left - left_ones) / n_left, left_ones / n_left
-        gini_left = 1.0 - (p0 * p0 + p1 * p1)
-        p0, p1 = (n_right - right_ones) / n_right, right_ones / n_right
-        gini_right = 1.0 - (p0 * p0 + p1 * p1)
-        decrease = parent_impurity - (n_left * gini_left + n_right * gini_right) / n
-        decrease[~(sorted_x[:, 1:] > sorted_x[:, :-1])] = -np.inf
-        flat = decrease.ravel()
-        best, at, start = 0.0, -1, 0
-        while start < flat.size:
-            above = flat[start:] > best + 1e-15
-            first = int(above.argmax())
-            if not above[first]:
-                break
-            at = start + first
-            best, start = float(flat[at]), at + 1
-        if at == -1:
-            return (0.0, -1, 0.0)
-        row, cut = divmod(at, n - 1)
-        thr = (sorted_x[row, cut] + sorted_x[row, cut + 1]) / 2.0
-        return (best, int(feature_ids[row]), float(thr))
-
-    def _grow(self, idx: np.ndarray, depth: int) -> int:
-        node = self._new_node(idx)
-        y_node = self.y[idx]
-        if (
-            len(idx) < self.config.min_samples_split
-            or (self.config.max_depth is not None and depth >= self.config.max_depth)
-            or np.all(y_node == y_node[0])
-        ):
-            return node
-        d = self.XT.shape[0]
-        m = self.config.features_per_split(d)
-        sampled = np.sort(self.rng.choice(d, size=m, replace=False))
-        decrease, f, thr = self._best_split(idx, sampled)
-        if f == -1 and m < d:
-            rest = np.setdiff1d(np.arange(d), sampled)
-            decrease, f, thr = self._best_split(idx, rest)
-        if f == -1:
-            if not self.warned_degenerate:
-                warnings.warn(
-                    "unsplittable node with mixed labels (identical rows); majority leaf used",
-                    stacklevel=2,
-                )
-                self.warned_degenerate = True
-            return node
-        mask = self.XT[f, idx] <= thr
-        self.feature[node] = int(f)
-        self.threshold[node] = float(thr)
-        self.left[node] = self._grow(idx[mask], depth + 1)
-        self.right[node] = self._grow(idx[~mask], depth + 1)
-        return node
-
-
-def _fit_tree(X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int, tree_idx: int) -> Tree:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tree_idx,)))
-    boot = rng.integers(0, X.shape[0], size=X.shape[0])
-    return _TreeBuilder(X[boot], y[boot], config, rng).build()
+def _grow_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) -> list[Tree]:
+    """Grow all trees in lockstep. Each step, every tree that still has
+    work creates its next node to split (closing leaves on the way), and
+    one batched cut search scores all those nodes; the nodes with no cut
+    on their sampled features get one batched search over the rest."""
+    n, d = X.shape
+    m = config.features_per_split(d)
+    # one padding row (+inf, class 0) at index n fills every node's block
+    X = np.vstack([X, np.full(d, np.inf)])
+    y = np.append(y, 0)
+    impurity: dict[tuple[int, int], float] = {}  # `_gini` per class-count pair
+    growths = []
+    for tree_idx in range(config.n_trees):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tree_idx,)))
+        boot = rng.integers(0, n, size=n)
+        growths.append(_TreeGrowth(rng, boot, int(y[boot].sum())))
+    while True:
+        jobs = [(g, *job) for g in growths if (job := g.next_split(config, d, m)) is not None]
+        if not jobs:
+            break
+        _, _, rows, class_ones, _, sampled = zip(*jobs)
+        sizes = np.array([len(idx) for idx in rows])
+        sampled = np.sort(sampled, axis=1)
+        parent = np.empty(len(jobs))
+        for k, (size, ones) in enumerate(zip(sizes.tolist(), class_ones)):
+            if (size, ones) not in impurity:
+                impurity[size, ones] = _gini(np.array([size - ones, ones]))
+            parent[k] = impurity[size, ones]
+        feature, threshold = _search_nodes(X, y, rows, sizes, sampled, parent)
+        retry = np.flatnonzero(feature == -1)
+        if retry.size and m < d:
+            # the complement of each node's draw, ascending
+            rest = np.ones((retry.size, d), dtype=bool)
+            rest[np.arange(retry.size)[:, None], sampled[retry]] = False
+            rest = np.nonzero(rest)[1].reshape(retry.size, d - m)
+            feature[retry], threshold[retry] = _search_nodes(
+                X, y, [rows[k] for k in retry], sizes[retry], rest, parent[retry]
+            )
+        for (g, node, idx, ones, depth, _), f, thr in zip(jobs, feature.tolist(), threshold.tolist()):
+            if f == -1:
+                if not g.warned_degenerate:
+                    warnings.warn(
+                        "unsplittable node with mixed labels (identical rows); majority leaf used",
+                        stacklevel=3,
+                    )
+                    g.warned_degenerate = True
+                continue
+            g.nodes[6 * node : 6 * node + 2] = f, thr
+            go_left = X[idx, f] <= thr
+            left = idx[go_left]
+            left_ones = int(np.count_nonzero(y[left]))
+            g.stack.append((idx[~go_left], ones - left_ones, depth + 1, node, 3))
+            g.stack.append((left, left_ones, depth + 1, node, 2))
+    return [g.tree() for g in growths]
 
 
 def fit_forest(
@@ -341,7 +482,7 @@ def fit_forest(
     if len(np.unique(y)) < 2:
         raise SingleClass("training data holds a single class")
     return RandomForestModel(
-        trees=[_fit_tree(X, y, config, seed, i) for i in range(config.n_trees)],
+        trees=_grow_forest(X, y, config, seed),
         config=config,
         seed=seed,
         feature_names=tuple(feature_names),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from . import classify, emotions, lexicon, report, senticnet, shapley, stats, te
 from .classify import ForestConfig, derive_seed
 from .config import RunConfig, save_config
 from .corpus import AGGREGATED_EVENT, load_jsonl, load_pheme_tree, partition
-from .errors import AdditivityError, MissingArtifact, TooFewSamples
+from .errors import AdditivityError, FeatureMismatch, MissingArtifact, TooFewSamples
 from .features import EMOTION_FEATURES, FeatureTable, Featurizer
 
 MANIFEST = "manifest.json"
@@ -316,6 +317,18 @@ def stage_train(cfg: RunConfig) -> Path:
     return out / report.METRICS_CSV
 
 
+def _check_model_features(model, names, model_path: Path, event: str, scope: str) -> None:
+    """Raise FeatureMismatch, naming the first differing column, unless
+    the model was trained on exactly the feature columns `names`."""
+    for i, (want, got) in enumerate(zip_longest(model.feature_names, names)):
+        if want != got:
+            raise FeatureMismatch(
+                f"stage 'explain', event {event!r}, scope {scope!r}: feature column {i} is "
+                f"{'absent' if want is None else repr(want)} in {model_path.name} but "
+                f"{'absent' if got is None else repr(got)} in {report.FEATURES_CSV}"
+            )
+
+
 def stage_explain(cfg: RunConfig) -> list[Path]:
     require_stages(cfg, "explain")
     out = run_dir(cfg)
@@ -330,6 +343,7 @@ def stage_explain(cfg: RunConfig) -> list[Path]:
             if not model_path.exists():
                 continue
             model = classify.model_from_json(model_path.read_text(encoding="utf-8"))
+            _check_model_features(model, table.names, model_path, event, scope)
             rows, _y, _seed, train, _test = _model_split(cfg, table, event, scope)
             X, ids = table.X[rows], table.tweet_id[rows].tolist()
             summary = shapley.shap_summary(

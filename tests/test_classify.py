@@ -6,12 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rumourlens import classify
 from rumourlens.classify import (
     CLASSES,
     ForestConfig,
+    RandomForestModel,
     Tree,
+    _best_splits,
     _gini,
-    _TreeBuilder,
     build_matrix,
     compute_medians,
     cross_validate,
@@ -267,8 +269,27 @@ def random_node(seed):
     return X, y, idx, feature_ids
 
 
+def padded(X, y):
+    """`X` and `y` with the padding row (+inf, class 0) the batched search
+    expects at index len(X)."""
+    return np.vstack([X, np.full(X.shape[1], np.inf)]), np.append(y, 0)
+
+
 def array_best_split(X, y, idx, feature_ids):
-    return _TreeBuilder(X, y, ForestConfig(), rng=None)._best_split(idx, feature_ids)
+    """The batched search on a batch of one node."""
+    Xp, yp = padded(X, y)
+    parent = [_gini(np.bincount(y[idx], minlength=2))]
+    decrease, feature, threshold = _best_splits(
+        Xp, yp, idx[None, :], np.array([len(idx)]), np.asarray(feature_ids)[None, :], np.array(parent)
+    )
+    return float(decrease[0]), int(feature[0]), float(threshold[0])
+
+
+def scalar_best_splits(X, y, rows, n, feature_ids, parent_impurity):
+    """`_best_splits` one node at a time through the scalar oracle."""
+    found = [scalar_best_split(X, y, rows[k, : n[k]], feature_ids[k]) for k in range(len(rows))]
+    decrease, feature, threshold = (np.array(column) for column in zip(*found))
+    return decrease, feature, threshold
 
 
 # np.dot(p, p) may round p0*p0 + p1*p1 once (a fused multiply-add) where
@@ -289,6 +310,44 @@ class TestSplitSearchOracle:
             splits += want[1] != -1
         assert 500 < splits < 1000  # both outcomes are exercised
 
+    def test_ragged_batch_matches_scalar_search(self):
+        # 200 nodes of 2-200 rows in one call: each node's rows sit in a
+        # block of its own in one stacked matrix, its columns cycled to a
+        # common width of 9, and every node scans 4 of them; the shorter
+        # nodes are padded out to the longest
+        rng = np.random.default_rng(11)
+        blocks, labels, rows, feature_ids = [], [], [], []
+        offset = 0
+        for seed in range(200):
+            X, y, idx, _ = random_node(seed)
+            blocks.append(X[:, np.arange(9) % X.shape[1]])
+            labels.append(y)
+            rows.append(idx + offset)
+            feature_ids.append(np.sort(rng.choice(9, size=4, replace=False)))
+            offset += len(X)
+        X, y = np.vstack(blocks), np.concatenate(labels)
+        Xp, yp = padded(X, y)
+        n = np.array([len(idx) for idx in rows])
+        block = np.full((len(rows), n.max()), len(X))
+        for k, idx in enumerate(rows):
+            block[k, : n[k]] = idx
+        parent = np.array([_gini(np.bincount(y[idx], minlength=2)) for idx in rows])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # padded cells raise no floating-point warning
+            got = _best_splits(Xp, yp, block, n, np.array(feature_ids), parent)
+        assert (n < n.max()).sum() > 190  # most nodes are padded
+        outcomes = set()
+        for k, idx in enumerate(rows):
+            want = scalar_best_split(X, y, idx, feature_ids[k])
+            assert (int(got[1][k]), float(got[2][k])) == want[1:], k
+            assert abs(got[0][k] - want[0]) <= DECREASE_TOL, k
+            # a padded cell never wins: every threshold lies inside the
+            # node's own values
+            if want[1] != -1:
+                assert X[idx, want[1]].min() <= got[2][k] <= X[idx, want[1]].max(), k
+            outcomes.add(want[1] != -1)
+        assert outcomes == {True, False}
+
     def test_record_chain_is_not_argmax(self):
         # found by a seeded search over random_node: a later cut (feature 5)
         # beats the first record (feature 0) by 4 ulp, under the 1e-15
@@ -305,9 +364,9 @@ class TestSplitSearchOracle:
         # sampled features often admit no cut and the full-scan fallback runs
         fallbacks = []
 
-        def oracle_split(self, idx, feature_ids):
-            fallbacks.append(len(feature_ids) == 6)
-            return scalar_best_split(self.XT.T, self.y, idx, feature_ids)
+        def oracle_splits(X, y, rows, n, feature_ids, parent_impurity):
+            fallbacks.append(feature_ids.shape[1] == 6)
+            return scalar_best_splits(X, y, rows, n, feature_ids, parent_impurity)
 
         datasets = [random_node(seed)[:2] for seed in range(100, 104)]
         rng = np.random.default_rng(7)
@@ -316,7 +375,7 @@ class TestSplitSearchOracle:
         fitted = {}
         for variant in ("array", "scalar"):
             if variant == "scalar":
-                monkeypatch.setattr(_TreeBuilder, "_best_split", oracle_split)
+                monkeypatch.setattr(classify, "_best_splits", oracle_splits)
             fitted[variant] = []
             for seed, (X, y) in enumerate(datasets):
                 y = y.copy()
@@ -333,6 +392,202 @@ class TestSplitSearchOracle:
                 # rows on both sides of every threshold, and on it
                 rows = np.vstack([X, np.repeat(tree.threshold[:, None], X.shape[1], axis=1)])
                 assert tree.predict_prob(rows).tobytes() == scalar_predict_prob(tree, rows).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# oracle: the recursive one-tree-at-a-time builder that lockstep growth
+# replaced, kept whole
+
+
+class OracleTreeBuilder:
+    def __init__(self, X, y, config, rng):
+        self.XT = np.ascontiguousarray(X.T)
+        self.y = y
+        self.config = config
+        self.rng = rng
+        self.feature, self.threshold, self.left, self.right, self.counts = [], [], [], [], []
+        self.warned_degenerate = False
+
+    def build(self):
+        self._grow(np.arange(self.XT.shape[1]), depth=0)
+        return Tree(
+            feature=np.array(self.feature, dtype=np.int64),
+            threshold=np.array(self.threshold, dtype=np.float64),
+            left=np.array(self.left, dtype=np.int64),
+            right=np.array(self.right, dtype=np.int64),
+            counts=np.array(self.counts, dtype=np.float64),
+        )
+
+    def _new_node(self, idx):
+        node = len(self.feature)
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.counts.append(np.bincount(self.y[idx], minlength=2).astype(np.float64))
+        return node
+
+    def _best_split(self, idx, feature_ids):
+        y_node = self.y[idx]
+        parent_impurity = _gini(np.bincount(y_node, minlength=2))
+        n = len(idx)
+        block = self.XT[feature_ids[:, None], idx]
+        order = np.argsort(block, axis=1, kind="stable")
+        sorted_x = np.take_along_axis(block, order, axis=1)
+        ones = np.cumsum(y_node[order], axis=1)
+        left_ones = ones[:, :-1]
+        right_ones = ones[:, -1:] - left_ones
+        n_left = np.arange(1.0, n)
+        n_right = n - n_left
+        p0, p1 = (n_left - left_ones) / n_left, left_ones / n_left
+        gini_left = 1.0 - (p0 * p0 + p1 * p1)
+        p0, p1 = (n_right - right_ones) / n_right, right_ones / n_right
+        gini_right = 1.0 - (p0 * p0 + p1 * p1)
+        decrease = parent_impurity - (n_left * gini_left + n_right * gini_right) / n
+        decrease[~(sorted_x[:, 1:] > sorted_x[:, :-1])] = -np.inf
+        flat = decrease.ravel()
+        best, at, start = 0.0, -1, 0
+        while start < flat.size:
+            above = flat[start:] > best + 1e-15
+            first = int(above.argmax())
+            if not above[first]:
+                break
+            at = start + first
+            best, start = float(flat[at]), at + 1
+        if at == -1:
+            return (0.0, -1, 0.0)
+        row, cut = divmod(at, n - 1)
+        thr = (sorted_x[row, cut] + sorted_x[row, cut + 1]) / 2.0
+        return (best, int(feature_ids[row]), float(thr))
+
+    def _grow(self, idx, depth):
+        node = self._new_node(idx)
+        y_node = self.y[idx]
+        if (
+            len(idx) < self.config.min_samples_split
+            or (self.config.max_depth is not None and depth >= self.config.max_depth)
+            or np.all(y_node == y_node[0])
+        ):
+            return node
+        d = self.XT.shape[0]
+        m = self.config.features_per_split(d)
+        sampled = np.sort(self.rng.choice(d, size=m, replace=False))
+        decrease, f, thr = self._best_split(idx, sampled)
+        if f == -1 and m < d:
+            rest = np.setdiff1d(np.arange(d), sampled)
+            decrease, f, thr = self._best_split(idx, rest)
+        if f == -1:
+            if not self.warned_degenerate:
+                warnings.warn(
+                    "unsplittable node with mixed labels (identical rows); majority leaf used",
+                    stacklevel=2,
+                )
+                self.warned_degenerate = True
+            return node
+        mask = self.XT[f, idx] <= thr
+        self.feature[node] = int(f)
+        self.threshold[node] = float(thr)
+        self.left[node] = self._grow(idx[mask], depth + 1)
+        self.right[node] = self._grow(idx[~mask], depth + 1)
+        return node
+
+
+def oracle_fit_forest(X, y, feature_names, config, seed):
+    medians = compute_medians(X)
+    X = build_matrix(X, medians)
+    trees = []
+    for tree_idx in range(config.n_trees):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tree_idx,)))
+        boot = rng.integers(0, X.shape[0], size=X.shape[0])
+        trees.append(OracleTreeBuilder(X[boot], y[boot], config, rng).build())
+    return RandomForestModel(
+        trees=trees,
+        config=config,
+        seed=seed,
+        feature_names=tuple(feature_names),
+        medians={name: float(m) for name, m in zip(feature_names, medians)},
+    )
+
+
+def fit_recording_warnings(fit, X, y, config, seed):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = fit(X, y, [f"f{j}" for j in range(X.shape[1])], config, seed)
+    return model_to_json(model), [str(w.message) for w in caught]
+
+
+def oracle_datasets():
+    """(name, X, y): random nodes of 2-200 rows with ties, constant and
+    duplicated columns (and NaN cells to impute), blobs whose trees grow
+    to very different depths, and identical rows with mixed labels."""
+    for seed in range(200, 212):
+        X, y = random_node(seed)[:2]
+        X = X.copy()
+        X[np.random.default_rng(seed).random(X.shape) < 0.05] = np.nan
+        y = y.copy()
+        y[:2] = (0, 1)
+        yield f"node{seed}", X, y
+    rng = np.random.default_rng(3)
+    # one clean axis and noise: trees of a few nodes beside trees of dozens
+    X = np.hstack([rng.normal(size=(90, 2)), rng.integers(0, 3, size=(90, 4)).astype(float)])
+    y = ((X[:, 0] > 0) ^ (rng.random(90) < 0.25)).astype(np.int64)
+    yield "noisy", X, y
+    # one clean axis with two rows on the wrong side: a tree is a stump
+    # when its bootstrap misses both and grows deeper to isolate either
+    X = np.hstack([np.r_[-1 - rng.random(20), 1 + rng.random(20)][:, None], rng.normal(size=(40, 3))])
+    y = np.repeat(np.arange(2), 20)
+    y[[0, 25]] = (1, 0)
+    yield "mislabelled", X, y
+    yield "identical", np.ones((10, 3)), np.arange(10) % 2
+    yield "no features", np.zeros((6, 0)), np.arange(6) % 2
+    X = np.vstack([np.ones((6, 4)), rng.normal(size=(14, 4))])
+    y = np.r_[np.arange(6) % 2, rng.integers(0, 2, size=14)]
+    y[6:8] = (0, 1)
+    yield "some identical", X, y
+
+
+ORACLE_CONFIGS = [
+    ForestConfig(n_trees=37, max_features=max_features, min_samples_split=mss, max_depth=depth)
+    for max_features in ("sqrt", "all")
+    for mss, depth in ((2, None), (3, 1), (2, 2), (5, 3), (4, None))
+] + [ForestConfig(n_trees=1), ForestConfig(n_trees=1, max_features="all", max_depth=2)]
+
+
+class TestLockstepGrowth:
+    @pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=str)
+    def test_models_match_recursive_builder(self, config):
+        unsplittable = 0
+        for seed, (name, X, y) in enumerate(oracle_datasets()):
+            want, want_warnings = fit_recording_warnings(oracle_fit_forest, X, y, config, seed)
+            got, got_warnings = fit_recording_warnings(
+                lambda *a: fit_forest(*a[:3], config=a[3], seed=a[4]), X, y, config, seed
+            )
+            assert got == want, name
+            # one warning per tree that met an unsplittable node
+            assert got_warnings == want_warnings, name
+            unsplittable += len(got_warnings)
+        assert unsplittable > 0
+
+    def test_tree_depths_differ(self):
+        # lockstep steps go on while the deepest tree still splits
+        X, y = next((X, y) for name, X, y in oracle_datasets() if name == "mislabelled")
+        model = fit_forest(X, y, list("abcd"), ForestConfig(n_trees=37), seed=5)
+        depths = []
+        for tree in model.trees:
+            depth = np.zeros(len(tree.feature), dtype=np.int64)
+            for node in np.flatnonzero(tree.feature != -1):  # parents precede children
+                depth[[tree.left[node], tree.right[node]]] = depth[node] + 1
+            depths.append(int(depth.max()))
+        assert min(depths) == 1 and max(depths) >= 5
+
+    @pytest.mark.parametrize("cells", [1, 300])
+    def test_block_cap_does_not_change_models(self, monkeypatch, cells):
+        # a cap below one node's block searches every node alone; 300
+        # cells packs a few nodes per call
+        X, y, names = blob_data(40, distance=1.0, seed=4, d=9)
+        want = model_to_json(fit_forest(X, y, names, ForestConfig(n_trees=20), seed=2))
+        monkeypatch.setattr(classify, "SPLIT_BLOCK_CELLS", cells)
+        assert model_to_json(fit_forest(X, y, names, ForestConfig(n_trees=20), seed=2)) == want
 
 
 class TestTreeValue:

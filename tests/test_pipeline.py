@@ -5,10 +5,10 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from rumourlens import pipeline, shapley
+from rumourlens import classify, pipeline, shapley
 from rumourlens.config import RunConfig, build_config, parse_config_file
 from rumourlens.emotions import CassetteProvider, LexiconFallbackProvider, RemoteProvider
-from rumourlens.errors import AdditivityError
+from rumourlens.errors import AdditivityError, FeatureMismatch
 from rumourlens.pipeline import make_emotion_provider
 from rumourlens.senticnet import fetch_concepts, load_sentic_table
 from tests.conftest import ROOT
@@ -203,3 +203,34 @@ def test_final_fit_warning_names_the_model(tmp_path):
     for w in unsplittable:
         assert str(w.message).startswith("twins/sources: unsplittable node with mixed labels")
         assert w.filename == __file__
+
+
+def test_explain_rejects_renamed_feature_column(tmp_path):
+    # a features.csv whose header no longer matches the trained models:
+    # explain names the model file and the first column that differs
+    cfg = fixture_config(tmp_path, n_trees=2, k_folds=3, run_id="renamed")
+    pipeline.stage_ingest(cfg)
+    pipeline.stage_featurize(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # fewer folds, unsplittable nodes
+        pipeline.stage_train(cfg)
+    features = cfg.run_dir() / "features.csv"
+    header, rest = features.read_text(encoding="utf-8").split("\n", 1)
+    features.write_text(header.replace(",WC,", ",renamed,") + "\n" + rest, encoding="utf-8")
+    message = (
+        r"^stage 'explain', event 'ferrydelay', scope 'sources': feature column 0 is 'WC' "
+        r"in model_ferrydelay_sources\.json but 'renamed' in features\.csv$"
+    )
+    with pytest.raises(FeatureMismatch, match=message):
+        pipeline.stage_explain(cfg)
+    assert not (cfg.run_dir() / "shap_ferrydelay.csv").exists()
+
+
+def test_feature_check_names_a_missing_column(tmp_path):
+    model = classify.RandomForestModel(
+        trees=[], config=classify.ForestConfig(), seed=0, feature_names=("a", "b"), medians={}
+    )
+    pipeline._check_model_features(model, ["a", "b"], tmp_path / "m.json", "e", "sources")
+    message = r"feature column 1 is 'b' in m\.json but absent in features\.csv$"
+    with pytest.raises(FeatureMismatch, match=message):
+        pipeline._check_model_features(model, ["a"], tmp_path / "m.json", "e", "sources")
