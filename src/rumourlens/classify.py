@@ -26,8 +26,13 @@ its draws, and numbers its nodes, in the pre-order of a recursive build:
 the models do not depend on how many trees share a step. One batched
 search then scores the candidate cuts of all the popped nodes; the
 nodes whose sampled features admit no cut get one more batched search
-over their remaining features. What stays per node is the RNG draw, the
-class counts and the row partition.
+over their remaining features. One stable two-way pass then splits the
+rows of every node that found a cut: each node's rows are one segment of
+a concatenated array, running counts of the rows that go left give each
+row its place (O(rows), no sort), and every child gets its rows in parent
+order and its class-1 count. What stays per node is the RNG draw, a
+cached parent impurity and pushing the two children on the tree's stack;
+the trees of a forest are cut out of one node array at the end.
 
 The batched search gathers a (nodes x candidate features x rows) block
 from the imputed matrix through each node's rows, padding every node to
@@ -53,6 +58,17 @@ pick different cuts only when two decreases differ by the margin to
 within a few units; the oracle tests in tests/test_classify.py compare
 them on random nodes and forests, and compare whole models with a
 recursive one-tree-at-a-time builder kept there as the reference.
+
+Prediction routes a whole forest at once (`leaf_values`): the trees are
+packed into one flat node table, each tree's child indices offset by its
+first node, and every (tree, row) pair descends one level per step until
+all stand on leaves. Rows go in chunks of at most `ROUTE_BLOCK_PAIRS`
+pairs. `predict_proba` adds the per-tree leaf values with a running sum
+down the tree axis, which adds them in tree order, as a loop over the
+trees would, so the probabilities do not depend on the chunk size, bit
+for bit. `Tree.predict_prob` is the one-tree case of the same route.
+`model_from_json` checks a model file's trees once, on the packed
+arrays, so that every route ends on a leaf.
 """
 
 from __future__ import annotations
@@ -62,10 +78,11 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .errors import FeatureMismatch, SingleClass, TooFewSamples
+from .errors import FeatureMismatch, ParseError, SingleClass, TooFewSamples
 
 CLASSES = ("non-rumour", "rumour")
 
@@ -96,32 +113,76 @@ class Tree:
     """Flattened binary tree. feature[i] == -1 marks a leaf; counts[i]
     holds per-class training counts at node i (populated at leaves);
     value[i] is P(class 1) at node i, derived from counts once (0.0
-    where a node holds no counts)."""
+    where a node holds no counts) unless given."""
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
     counts: np.ndarray
-    value: np.ndarray = field(init=False, repr=False)
+    value: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        total = self.counts[:, 0] + self.counts[:, 1]
-        self.value = np.divide(
-            self.counts[:, 1], total, out=np.zeros(len(total)), where=total > 0
-        )
+        if self.value is None:
+            self.value = _rumour_share(self.counts)
 
     def predict_prob(self, X: np.ndarray) -> np.ndarray:
-        """P(class 1) per row. All rows descend together, one tree level
-        per step."""
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        active = np.flatnonzero(self.feature[node] != -1)
+        """P(class 1) per row: the one-tree case of `leaf_values`, the
+        route `RandomForestModel.predict_proba` takes for all trees."""
+        return leaf_values([self], X)[0]
+
+
+def _rumour_share(counts: np.ndarray) -> np.ndarray:
+    """P(class 1) per node from its (non-rumour, rumour) counts; 0.0 where
+    a node holds none."""
+    total = counts[:, 0] + counts[:, 1]
+    return np.divide(counts[:, 1], total, out=np.zeros(len(total)), where=total > 0)
+
+
+def _cut_trees(stop: list[int], feature, threshold, left, right, counts) -> list[Tree]:
+    """The trees of a forest whose node arrays hold tree t's nodes at
+    [stop[t - 1], stop[t]), each array a view; leaf values derived once."""
+    value = _rumour_share(counts)
+    return [
+        Tree(feature[a:b], threshold[a:b], left[a:b], right[a:b], counts[a:b], value[a:b])
+        for a, b in zip([0, *stop[:-1]], stop)
+    ]
+
+
+# (tree, row) pairs routed at once by `leaf_values`; larger inputs are
+# routed in chunks of rows
+ROUTE_BLOCK_PAIRS = 1 << 13
+
+
+def leaf_values(trees: list[Tree], X: np.ndarray) -> np.ndarray:
+    """(trees x rows) array: the value of the leaf each row of `X` reaches
+    in each tree. The trees are packed into one node table (child indices
+    offset by each tree's first node) and every (tree, row) pair descends
+    together, one tree level per step."""
+    sizes = [len(t.feature) for t in trees]
+    start = np.cumsum(sizes) - sizes
+    offset = np.repeat(start, sizes)
+    feature = np.concatenate([t.feature for t in trees])
+    threshold = np.concatenate([t.threshold for t in trees])
+    left = np.concatenate([t.left for t in trees]) + offset
+    right = np.concatenate([t.right for t in trees]) + offset
+    value = np.concatenate([t.value for t in trees])
+    out = np.empty((len(trees), X.shape[0]))
+    step = max(1, ROUTE_BLOCK_PAIRS // len(trees))
+    for lo in range(0, X.shape[0], step):
+        rows = X[lo : lo + step]
+        # pair p is (tree p // r, row p % r) of the chunk's r rows
+        r = rows.shape[0]
+        node = np.repeat(start, r)
+        row = np.tile(np.arange(r), len(trees))
+        active = np.flatnonzero(feature[node] != -1)
         while active.size:
             at = node[active]
-            go_left = X[active, self.feature[at]] <= self.threshold[at]
-            node[active] = np.where(go_left, self.left[at], self.right[at])
-            active = active[self.feature[node[active]] != -1]
-        return self.value[node]
+            go_left = rows[row[active], feature[at]] <= threshold[at]
+            node[active] = np.where(go_left, left[at], right[at])
+            active = active[feature[node[active]] != -1]
+        out[:, lo : lo + r] = value[node].reshape(len(trees), r)
+    return out
 
 
 @dataclass
@@ -134,14 +195,17 @@ class RandomForestModel:
     fold_scores: list[float] = field(default_factory=list)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """P(class 1) per imputed row: the mean of the trees' leaf values,
+        routed in one pass over the packed forest and added in tree
+        order."""
         if X.shape[1] != len(self.feature_names):
             raise FeatureMismatch(
                 f"model expects {len(self.feature_names)} features, got {X.shape[1]}"
             )
-        probs = np.zeros(X.shape[0])
-        for tree in self.trees:
-            probs += tree.predict_prob(X)
-        return probs / len(self.trees)
+        # a running sum down the tree axis adds the trees in order, as a
+        # loop of `probs += tree.predict_prob(X)` would
+        values = leaf_values(self.trees, X)
+        return np.cumsum(values, axis=0, out=values)[-1] / len(self.trees)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         # ties go to class 0
@@ -395,22 +459,28 @@ class _TreeGrowth:
             return node, rows, ones, depth, self.rng.choice(d, size=m, replace=False)
         return None
 
-    def tree(self) -> Tree:
-        nodes = np.array(self.nodes, dtype=np.float64).reshape(-1, 6)
-        return Tree(
-            feature=nodes[:, 0].astype(np.int64),
-            threshold=nodes[:, 1].copy(),
-            left=nodes[:, 2].astype(np.int64),
-            right=nodes[:, 3].astype(np.int64),
-            counts=nodes[:, 4:].copy(),
-        )
+
+def _partition(X, y, rows, n, feature, threshold):
+    """Split K nodes at once, in one stable two-way pass (no sort). `rows`
+    holds node k's `n[k]` row indices as its k-th segment (every node
+    holds rows); the node splits at (`feature[k]`, `threshold[k]`).
+    Returns (the rows that go left, node after node, each node's in
+    parent order; likewise the rows that go right; each node's left row
+    count; each node's class-1 count on the left)."""
+    go_left = X.ravel().take(rows * X.shape[1] + feature.repeat(n)) <= threshold.repeat(n)
+    start = n.cumsum() - n
+    n_left = np.add.reduceat(go_left, start, dtype=np.int64)
+    left_ones = np.add.reduceat(y.take(rows) * go_left, start)
+    # compress: as rows[go_left], several times faster
+    return rows.compress(go_left), rows.compress(~go_left), n_left, left_ones
 
 
 def _grow_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) -> list[Tree]:
     """Grow all trees in lockstep. Each step, every tree that still has
-    work creates its next node to split (closing leaves on the way), and
-    one batched cut search scores all those nodes; the nodes with no cut
-    on their sampled features get one batched search over the rest."""
+    work creates its next node to split (closing leaves on the way), one
+    batched cut search scores all those nodes (the nodes with no cut on
+    their sampled features get one batched search over the rest), and one
+    partition splits the rows of every node that found a cut."""
     n, d = X.shape
     m = config.features_per_split(d)
     # one padding row (+inf, class 0) at index n fills every node's block
@@ -444,22 +514,40 @@ def _grow_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) 
             feature[retry], threshold[retry] = _search_nodes(
                 X, y, [rows[k] for k in retry], sizes[retry], rest, parent[retry]
             )
-        for (g, node, idx, ones, depth, _), f, thr in zip(jobs, feature.tolist(), threshold.tolist()):
-            if f == -1:
+        split = np.flatnonzero(feature != -1)
+        if split.size < len(jobs):
+            for k in np.flatnonzero(feature == -1).tolist():
+                g = jobs[k][0]
                 if not g.warned_degenerate:
                     warnings.warn(
                         "unsplittable node with mixed labels (identical rows); majority leaf used",
                         stacklevel=3,
                     )
                     g.warned_degenerate = True
-                continue
+            jobs = [jobs[k] for k in split.tolist()]
+            rows, sizes, feature, threshold = [rows[k] for k in split], sizes[split], feature[split], threshold[split]
+        if not jobs:
+            continue
+        left_rows, right_rows, n_left, left_ones = _partition(
+            X, y, np.concatenate(rows), sizes, feature, threshold
+        )
+        # each node's children: the next run of left rows, and of right rows
+        la = ra = 0
+        for (g, node, idx, ones, depth, _), f, thr, nl, ol in zip(
+            jobs, feature.tolist(), threshold.tolist(), n_left.tolist(), left_ones.tolist()
+        ):
+            lb, rb = la + nl, ra + len(idx) - nl
             g.nodes[6 * node : 6 * node + 2] = f, thr
-            go_left = X[idx, f] <= thr
-            left = idx[go_left]
-            left_ones = int(np.count_nonzero(y[left]))
-            g.stack.append((idx[~go_left], ones - left_ones, depth + 1, node, 3))
-            g.stack.append((left, left_ones, depth + 1, node, 2))
-    return [g.tree() for g in growths]
+            # the right child waits on the stack while the left subtree
+            # grows: a copy, so it does not hold this step's whole array
+            g.stack.append((right_rows[ra:rb].copy(), ones - ol, depth + 1, node, 3))
+            g.stack.append((left_rows[la:lb], ol, depth + 1, node, 2))
+            la, ra = lb, rb
+    # every tree's nodes in one array, cut back into trees
+    stop = np.cumsum([len(g.nodes) // 6 for g in growths]).tolist()
+    nodes = np.fromiter(chain.from_iterable(g.nodes for g in growths), np.float64, 6 * stop[-1]).reshape(-1, 6)
+    feature, left, right = nodes[:, [0, 2, 3]].T.astype(np.int64)
+    return _cut_trees(stop, feature, nodes[:, 1].copy(), left, right, nodes[:, 4:].copy())
 
 
 def fit_forest(
@@ -630,22 +718,14 @@ def model_to_json(model: RandomForestModel) -> str:
 
 
 def model_from_json(text: str) -> RandomForestModel:
+    """The model `model_to_json` wrote; ParseError, naming the tree, for
+    trees that would not route every row to a leaf."""
     payload = json.loads(text)
     if payload.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format {payload.get('format_version')!r}")
     cfg = payload["config"]
-    trees = [
-        Tree(
-            feature=np.array(t["feature"], dtype=np.int64),
-            threshold=np.array(t["threshold"], dtype=np.float64),
-            left=np.array(t["left"], dtype=np.int64),
-            right=np.array(t["right"], dtype=np.int64),
-            counts=np.array(t["counts"], dtype=np.float64),
-        )
-        for t in payload["trees"]
-    ]
     return RandomForestModel(
-        trees=trees,
+        trees=_trees_from_lists(payload["trees"], len(payload["feature_names"])),
         config=ForestConfig(
             n_trees=cfg["n_trees"],
             max_features=cfg["max_features"],
@@ -657,3 +737,55 @@ def model_from_json(text: str) -> RandomForestModel:
         medians=payload["medians"],
         fold_scores=payload.get("fold_scores", []),
     )
+
+
+def _trees_from_lists(raw: list[dict], d: int) -> list[Tree]:
+    """The trees of a model file, parsed into one array per field for the
+    whole forest and checked there once, so that every row descends to a
+    leaf: each tree has nodes, and as many entries in every field; counts
+    are one pair per node; a split node's feature lies in [0, d) and its
+    children after it in its own tree; a leaf has no children. Raises
+    ParseError naming the tree and the cause."""
+    if not raw:
+        raise ParseError("the model holds no trees")
+    sizes = [len(t["feature"]) for t in raw]
+    for i, (t, n) in enumerate(zip(raw, sizes)):
+        if n == 0:
+            raise ParseError(f"tree {i}: no nodes")
+        for key in ("threshold", "left", "right", "counts"):
+            if len(t[key]) != n:
+                raise ParseError(f"tree {i}: {len(t[key])} {key} entries for {n} nodes")
+
+    def column(key, dtype, shape=()):
+        try:
+            values = np.array(list(chain.from_iterable(t[key] for t in raw)), dtype=dtype)
+            if values.shape[1:] == shape:
+                return values
+        except (TypeError, ValueError):
+            pass
+        for i, t in enumerate(raw):  # the first tree at fault
+            try:
+                fits = np.array(t[key], dtype=dtype).shape[1:] == shape
+            except (TypeError, ValueError):
+                fits = False
+            if not fits:
+                what = "(non-rumour, rumour) count pairs" if shape else "numbers"
+                raise ParseError(f"tree {i}: {key} entries are not {what}")
+
+    feature, threshold = column("feature", np.int64), column("threshold", np.float64)
+    left, right = column("left", np.int64), column("right", np.int64)
+    counts = column("counts", np.float64, (2,))
+    stop = np.cumsum(sizes)
+    node = np.arange(len(feature)) - np.repeat(stop - sizes, sizes)  # index within its tree
+    n = np.repeat(sizes, sizes)
+    leaf = feature == -1
+    for bad, cause in (
+        (~leaf & ((feature < 0) | (feature >= d)), lambda k: f"feature {feature[k]} outside [0, {d})"),
+        (leaf & ((left != -1) | (right != -1)), lambda k: f"leaf has children {left[k]}, {right[k]}"),
+        (~leaf & ((left <= node) | (left >= n)), lambda k: f"left child {left[k]} not in ({node[k]}, {n[k]})"),
+        (~leaf & ((right <= node) | (right >= n)), lambda k: f"right child {right[k]} not in ({node[k]}, {n[k]})"),
+    ):
+        if bad.any():
+            k = int(bad.argmax())
+            raise ParseError(f"tree {int(np.searchsorted(stop, k, side='right'))}: node {node[k]}: {cause(k)}")
+    return _cut_trees(stop.tolist(), feature, threshold, left, right, counts)

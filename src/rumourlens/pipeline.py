@@ -24,7 +24,7 @@ from . import classify, emotions, lexicon, report, senticnet, shapley, stats, te
 from .classify import ForestConfig, derive_seed
 from .config import RunConfig, save_config
 from .corpus import AGGREGATED_EVENT, load_jsonl, load_pheme_tree, partition
-from .errors import AdditivityError, FeatureMismatch, MissingArtifact, TooFewSamples
+from .errors import AdditivityError, FeatureMismatch, MissingArtifact, ParseError, TooFewSamples
 from .features import EMOTION_FEATURES, FeatureTable, Featurizer
 
 MANIFEST = "manifest.json"
@@ -342,7 +342,12 @@ def stage_explain(cfg: RunConfig) -> list[Path]:
             model_path = _model_path(out, event, scope)
             if not model_path.exists():
                 continue
-            model = classify.model_from_json(model_path.read_text(encoding="utf-8"))
+            try:
+                model = classify.model_from_json(model_path.read_text(encoding="utf-8"))
+            except ParseError as exc:
+                raise ParseError(
+                    f"stage 'explain', event {event!r}, scope {scope!r}: {model_path.name}: {exc}"
+                ) from exc
             _check_model_features(model, table.names, model_path, event, scope)
             rows, _y, _seed, train, _test = _model_split(cfg, table, event, scope)
             X, ids = table.X[rows], table.tweet_id[rows].tolist()
@@ -363,10 +368,7 @@ def stage_explain(cfg: RunConfig) -> list[Path]:
                     f"has base + sum(phi) - output = {gaps[worst]:.3g}, "
                     f"beyond {ADDITIVITY_TOLERANCE:g}"
                 )
-            rankings.setdefault(event, {})[scope] = [
-                {"rank": i + 1, "feature": name, "mean_abs_phi": value}
-                for i, (name, value) in enumerate(summary.ranking)
-            ]
+            rankings.setdefault(event, {})[scope] = report.ranking_entries(summary.ranking)
             above_median = summary.values > np.median(summary.values, axis=0)
             blocks.append((scope, ids, summary.values, summary.phi, above_median))
         if blocks:

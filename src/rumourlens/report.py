@@ -241,6 +241,14 @@ def write_shap_points_csv(path, names: list[str], blocks: list[tuple]) -> None:
                     w.writerow([scope, tweet_id, name, fnum(value), fnum(phi_j), str(above).lower()])
 
 
+def ranking_entries(ranking) -> list[dict]:
+    """(feature, mean |phi|) pairs as `shap_rankings.json` entries: each
+    value kept to the 10 significant digits of `fnum`, ranked by (-value
+    as written, feature), so the file agrees with its own order."""
+    written = sorted(((float(fnum(v)), name) for name, v in ranking), key=lambda item: (-item[0], item[1]))
+    return [{"rank": i + 1, "feature": name, "mean_abs_phi": v} for i, (v, name) in enumerate(written)]
+
+
 def write_shap_rankings_json(path, rankings: dict) -> None:
     """{event: {scope: [{rank, feature, mean_abs_phi}, ...]}}"""
     with _open_write(path) as fh:

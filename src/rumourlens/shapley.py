@@ -27,9 +27,11 @@ test oracle for the fast path.
 
 ``_prepare_tree`` computes what does not depend on the instance once per
 tree: each leaf's path conditions, the background rows' satisfaction of
-them and the leaf's distinct path features. ``explain_rows`` returns the
-phi of many rows at once, in the model's column order; ``explain_row``
-is its one-row call. Per leaf, a chunk of instances meets the whole
+them and the leaf's distinct path features. The base value takes every
+tree's output on the background from one route of the whole forest
+(``classify.leaf_values``). ``explain_rows`` returns the phi of many
+rows at once, in the model's column order; ``explain_row`` is its
+one-row call. Per leaf, a chunk of instances meets the whole
 background in one pass over boolean blocks shaped (instances x path
 conditions x background rows). A chunk holds at most ``BLOCK_CELLS``
 cells: the rows per chunk are ``BLOCK_CELLS // (b * longest path)`` for
@@ -40,8 +42,10 @@ float, bit for bit, whatever the chunk size: per leaf, in leaf order, a
 feature's share is a sum over the contiguous background axis, scaled by
 the leaf value and added to phi (then the forbidden share subtracted);
 each tree's phi is divided by the background size, and the trees are
-added in order before dividing by their count. ``shap_summary`` sums
-the ranking's |phi| row by row, in row order, for the same reason.
+added in order before dividing by their count. The ranking's mean |phi|
+is a plain column sum: ``shap_rankings.json`` keeps 10 significant
+digits of it, so the order of that sum can move a written value only
+where it lies on a rounding boundary at the 10th digit.
 
 Instances and background sets are raw feature rows in the model's column
 order, NaN marking an absent value (the `<name>__absent` flag in
@@ -59,7 +63,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .classify import RandomForestModel, Tree
+from .classify import RandomForestModel, Tree, leaf_values
 from .errors import FeatureMismatch, TooManyFeatures
 
 BRUTE_FORCE_MAX_FEATURES = 12
@@ -100,7 +104,6 @@ class _LeafPaths:
     # feature position) of each later one; None where no feature repeats
     uniq_first: list[np.ndarray | None]
     repeats: list[list[tuple[int, int]]]
-    bg_leaf_prob: np.ndarray  # plain tree output per background row
     chunk_rows: int  # instances per (instances x conditions x background) block
 
 
@@ -129,7 +132,7 @@ def _prepare_tree(tree: Tree, background: np.ndarray) -> _LeafPaths:
     bg_sides = _side_table(tree, background).T.copy()
     paths = _LeafPaths(
         tree=tree, values=[], cond_cols=[], sat_bg=[], uniq_features=[], uniq_first=[],
-        repeats=[], bg_leaf_prob=tree.predict_prob(background), chunk_rows=0,
+        repeats=[], chunk_rows=0,
     )
     longest = 1
     for leaf, conds in _enumerate_leaves(tree):
@@ -170,8 +173,9 @@ class TreeShapExplainer:
         self._A_pos = np.append(np.vstack([A[:1], A[:-1]]), 0.0)
         self._A_neg = np.append(np.hstack([A[:, :1], A[:, :-1]]), 0.0)
         self._trees = [_prepare_tree(t, background) for t in model.trees]
+        # each tree's mean output over the background, then their mean
         self.base_value = float(
-            np.mean([tp.bg_leaf_prob.mean() for tp in self._trees])
+            np.mean([values.mean() for values in leaf_values(model.trees, background)])
         )
 
     def explain_row(self, x: np.ndarray) -> np.ndarray:
@@ -318,12 +322,7 @@ def shap_summary(
 
     X = model.impute(X)
     phi = explainer.explain_rows(X)
-    # |phi| summed row by row in row order: a column sum of np.abs(phi)
-    # may add in another order and change the last bit of the ranking
-    abs_sums = np.zeros(len(model.feature_names))
-    for row in phi:
-        abs_sums += np.abs(row)
-    mean_abs = abs_sums / len(X)
+    mean_abs = np.abs(phi).sum(axis=0) / len(X)
     ranking = sorted(
         zip(model.feature_names, mean_abs), key=lambda item: (-item[1], item[0])
     )

@@ -5,6 +5,7 @@ skipped unless RUMOURLENS_PHEME_DIR is set; it is documented as an
 offline reproduction recipe, not a CI gate.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -271,6 +272,11 @@ def test_criterion_6_end_to_end_fixture(tmp_path):
     out = tmp_path / "out" / "fixture"
     for name in GOLDEN_ARTIFACTS:
         assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), f"{name} differs from golden"
+    # the models themselves, by hash: `sha256sum` lines
+    models = dict(line.split()[::-1] for line in (GOLDEN / "models.sha256").read_text(encoding="utf-8").splitlines())
+    assert sorted(models) == sorted(p.name for p in out.glob("model_*.json"))
+    for name, digest in models.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, f"{name} differs from golden"
     report_pass(6, "end-to-end fixture run, byte-identical", started)
 
 

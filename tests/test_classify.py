@@ -14,6 +14,7 @@ from rumourlens.classify import (
     Tree,
     _best_splits,
     _gini,
+    _partition,
     build_matrix,
     compute_medians,
     cross_validate,
@@ -26,7 +27,8 @@ from rumourlens.classify import (
     split_train_test,
     stratified_folds,
 )
-from rumourlens.errors import FeatureMismatch, SingleClass, TooFewSamples
+from rumourlens.errors import FeatureMismatch, ParseError, SingleClass, TooFewSamples
+from rumourlens.shapley import TreeShapExplainer
 
 RUMOUR, NON_RUMOUR = CLASSES.index("rumour"), CLASSES.index("non-rumour")
 
@@ -605,6 +607,165 @@ class TestTreeValue:
             assert tree.value.tolist() == [0.0, 0.25, 1.0]
             assert tree.predict_prob(column([0.5, 0.6, np.nan])).tolist() == [0.25, 1.0, 1.0]
             assert tree.predict_prob(np.zeros((0, 1))).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# the step partition and the packed forest route, against the per-node
+# boolean split and the per-tree walk they replaced
+
+
+class TestStepPartition:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_node_boolean_split(self, seed):
+        # bootstrap row indices repeat, thresholds sit on row values, and
+        # some nodes hold one row or send every row one way
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 5, size=(40, 3)).astype(float)
+        y = rng.integers(0, 2, size=40)
+        n = rng.integers(1, 30, size=12)
+        rows = [rng.integers(0, 40, size=k) for k in n]
+        feature = rng.integers(0, 3, size=12)
+        threshold = rng.integers(-1, 6, size=12) + rng.choice([0.0, 0.5], size=12)
+        left, right, n_left, left_ones = _partition(X, y, np.concatenate(rows), n, feature, threshold)
+        want_left, want_right = [], []
+        for k, idx in enumerate(rows):
+            go_left = X[idx, feature[k]] <= threshold[k]
+            want_left.append(idx[go_left])
+            want_right.append(idx[~go_left])
+            assert n_left[k] == np.count_nonzero(go_left)
+            assert left_ones[k] == np.count_nonzero(y[idx[go_left]])
+        assert left.tolist() == np.concatenate(want_left).tolist()
+        assert right.tolist() == np.concatenate(want_right).tolist()
+
+
+def in_order_sum(trees, X):
+    """The forest output as the per-tree loop added it, tree by tree."""
+    probs = np.zeros(X.shape[0])
+    for tree in trees:
+        probs += scalar_predict_prob(tree, X)
+    return probs / len(trees)
+
+
+def leaf_tree(counts):
+    return Tree(
+        feature=np.array([-1]), threshold=np.array([0.0]), left=np.array([-1]),
+        right=np.array([-1]), counts=np.array([counts], dtype=np.float64),
+    )
+
+
+def route_cases():
+    """(model, rows): fitted forests on random nodes, one with single-leaf
+    trees among its trees; rows on both sides of every threshold and on it."""
+    for seed in range(300, 306):
+        X, y = random_node(seed)[:2]
+        y = y.copy()
+        y[:2] = (0, 1)
+        config = ForestConfig(n_trees=int(np.random.default_rng(seed).integers(1, 12)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # identical rows, mixed labels
+            model = fit_forest(X, y, [f"f{j}" for j in range(X.shape[1])], config, seed=seed)
+        if seed == 300:
+            model.trees[1:1] = [leaf_tree([2, 1]), leaf_tree([0, 5])]
+        thresholds = np.concatenate([t.threshold[t.feature != -1] for t in model.trees])
+        on = np.repeat(thresholds[:, None], X.shape[1], axis=1)
+        yield model, np.vstack([X, on])
+
+
+class TestPackedRoute:
+    def test_matches_in_order_per_tree_sum(self):
+        for model, X in route_cases():
+            for rows in (X, X[:1], X[:0]):
+                assert model.predict_proba(rows).tobytes() == in_order_sum(model.trees, rows).tobytes()
+
+    def test_single_leaf_forest(self):
+        model = RandomForestModel(
+            trees=[leaf_tree([1, 3]), leaf_tree([3, 0])], config=ForestConfig(n_trees=2),
+            seed=0, feature_names=("x",), medians={"x": 0.0},
+        )
+        assert model.predict_proba(column([0.0, 7.0])).tolist() == [0.375, 0.375]
+
+    @pytest.mark.parametrize("cap", [1, 5, 64])
+    def test_chunk_boundaries_do_not_change_outputs(self, monkeypatch, cap):
+        # a cap of 1 routes one row per chunk; 5 and 64 pairs cut the rows
+        # into chunks that do not divide them evenly
+        cases = list(route_cases())
+        want = [model.predict_proba(X).tobytes() for model, X in cases]
+        monkeypatch.setattr(classify, "ROUTE_BLOCK_PAIRS", cap)
+        for (model, X), expected in zip(cases, want):
+            assert model.predict_proba(X).tobytes() == expected
+            assert model.predict_proba(X).tobytes() == in_order_sum(model.trees, X).tobytes()
+
+    def test_explainer_base_value_unchanged(self):
+        # each tree's mean output over the background, then their mean
+        for model, X in route_cases():
+            explainer = TreeShapExplainer(model, X)
+            want = float(np.mean([scalar_predict_prob(t, X).mean() for t in model.trees]))
+            assert explainer.base_value == want
+
+
+# ---------------------------------------------------------------------------
+# model files that would not route every row to a leaf are rejected
+
+
+def two_tree_payload():
+    """A saved two-tree model on features (a, b) as a dict; tree 1 has 5
+    nodes: a split on b, a leaf, a split on a and its two leaves."""
+    model = RandomForestModel(
+        trees=[
+            leaf_tree([1, 1]),
+            Tree(
+                feature=np.array([1, -1, 0, -1, -1]),
+                threshold=np.array([0.5, 0.0, 1.5, 0.0, 0.0]),
+                left=np.array([1, -1, 3, -1, -1]),
+                right=np.array([2, -1, 4, -1, -1]),
+                counts=np.array([[0, 0], [2, 1], [0, 0], [1, 0], [0, 3]], dtype=np.float64),
+            ),
+        ],
+        config=ForestConfig(n_trees=2), seed=0, feature_names=("a", "b"), medians={"a": 0.0, "b": 0.0},
+    )
+    return json.loads(model_to_json(model))
+
+
+def load_edited(edit):
+    payload = two_tree_payload()
+    edit(payload["trees"][1])
+    return model_from_json(json.dumps(payload))
+
+
+class TestModelFileChecks:
+    def test_intact_model_loads(self):
+        model = load_edited(lambda tree: None)
+        assert model.predict_proba(np.array([[2.0, 1.0], [0.0, 0.0]])).tolist() == [0.75, (0.5 + 1 / 3) / 2]
+
+    def test_child_pointing_back_to_an_ancestor(self):
+        # a cycle: routing from node 0 would come back to node 0 forever
+        with pytest.raises(ParseError, match=r"^tree 1: node 0: left child 0 not in \(0, 5\)$"):
+            load_edited(lambda tree: tree["left"].__setitem__(0, 0))
+
+    def test_child_past_the_last_node(self):
+        with pytest.raises(ParseError, match=r"^tree 1: node 2: right child 5 not in \(2, 5\)$"):
+            load_edited(lambda tree: tree["right"].__setitem__(2, 5))
+
+    def test_leaf_with_a_child(self):
+        with pytest.raises(ParseError, match=r"^tree 1: node 3: leaf has children 4, -1$"):
+            load_edited(lambda tree: tree["left"].__setitem__(3, 4))
+
+    @pytest.mark.parametrize("feature", [2, -2])
+    def test_split_feature_outside_the_model(self, feature):
+        with pytest.raises(ParseError, match=rf"^tree 1: node 2: feature {feature} outside \[0, 2\)$"):
+            load_edited(lambda tree: tree["feature"].__setitem__(2, feature))
+
+    def test_field_lengths_differ(self):
+        with pytest.raises(ParseError, match=r"^tree 1: 4 threshold entries for 5 nodes$"):
+            load_edited(lambda tree: tree["threshold"].pop())
+
+    def test_counts_not_pairs(self):
+        with pytest.raises(ParseError, match=r"^tree 1: counts entries are not \(non-rumour, rumour\) count pairs$"):
+            load_edited(lambda tree: tree["counts"][4].append(1.0))
+
+    def test_tree_without_nodes(self):
+        with pytest.raises(ParseError, match=r"^tree 1: no nodes$"):
+            load_edited(lambda tree: [tree[key].clear() for key in tree])
 
 
 def dict_medians(rows: list[dict], feature_names) -> dict[str, float]:

@@ -367,6 +367,21 @@ class TestTableSchemas:
         )
 
 
+    def test_shap_rankings_written_to_ten_digits_in_their_own_order(self, tmp_path):
+        # 0.0016875 summed in two orders: the last bits differ, the written
+        # values do not, so the tie goes to the feature name
+        ranking = [("surprise", 0.0016875000000000002), ("affect", 0.0016874999999999998), ("wc", 0.3)]
+        entries = report.ranking_entries(ranking)
+        assert entries == [
+            {"rank": 1, "feature": "wc", "mean_abs_phi": 0.3},
+            {"rank": 2, "feature": "affect", "mean_abs_phi": 0.0016875},
+            {"rank": 3, "feature": "surprise", "mean_abs_phi": 0.0016875},
+        ]
+        path = tmp_path / "shap_rankings.json"
+        report.write_shap_rankings_json(path, {"e": {"sources": entries}})
+        assert '"mean_abs_phi": 0.0016875,' in path.read_text()
+        assert report.ranking_entries([("x", 1 / 3)])[0]["mean_abs_phi"] == 0.3333333333
+
 class TestMarkdown:
     def test_skipped_sections_named(self):
         analysis = report.AnalysisReport(

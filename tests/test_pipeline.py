@@ -8,7 +8,7 @@ import pytest
 from rumourlens import classify, pipeline, shapley
 from rumourlens.config import RunConfig, build_config, parse_config_file
 from rumourlens.emotions import CassetteProvider, LexiconFallbackProvider, RemoteProvider
-from rumourlens.errors import AdditivityError, FeatureMismatch
+from rumourlens.errors import AdditivityError, FeatureMismatch, ParseError
 from rumourlens.pipeline import make_emotion_provider
 from rumourlens.senticnet import fetch_concepts, load_sentic_table
 from tests.conftest import ROOT
@@ -224,6 +224,27 @@ def test_explain_rejects_renamed_feature_column(tmp_path):
     with pytest.raises(FeatureMismatch, match=message):
         pipeline.stage_explain(cfg)
     assert not (cfg.run_dir() / "shap_ferrydelay.csv").exists()
+
+
+def test_explain_rejects_a_cyclic_model(tmp_path):
+    # a model file whose first tree sends node 0 back to itself: explain
+    # stops before routing any row and names the model file
+    cfg = fixture_config(tmp_path, n_trees=2, k_folds=3, run_id="cyclic")
+    pipeline.stage_ingest(cfg)
+    pipeline.stage_featurize(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # fewer folds, unsplittable nodes
+        pipeline.stage_train(cfg)
+    path = cfg.run_dir() / "model_parkfire_reactions.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["trees"][0]["left"][0] = 0
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    message = (
+        r"^stage 'explain', event 'parkfire', scope 'reactions': model_parkfire_reactions\.json: "
+        r"tree 0: node 0: left child 0 not in \(0, \d+\)$"
+    )
+    with pytest.raises(ParseError, match=message):
+        pipeline.stage_explain(cfg)
 
 
 def test_feature_check_names_a_missing_column(tmp_path):

@@ -209,6 +209,12 @@ class TestSummary:
         for (n1, v1), (n2, v2) in zip(summary.ranking, expect):
             assert v1 == pytest.approx(v2, abs=1e-12)
 
+    def test_ranking_is_the_mean_abs_phi(self):
+        model, X = self.build()
+        summary = shap_summary(model, X[:9], background=X)
+        mean_abs = np.abs(summary.phi).sum(axis=0) / 9
+        assert dict(summary.ranking) == dict(zip(model.feature_names, mean_abs.tolist()))
+
     def test_every_instance_appears_once_per_feature(self):
         model, X = self.build()
         summary = shap_summary(model, X[:7], background=X)
