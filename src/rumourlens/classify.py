@@ -60,13 +60,14 @@ them on random nodes and forests, and compare whole models with a
 recursive one-tree-at-a-time builder kept there as the reference.
 
 Prediction routes a whole forest at once (`leaf_values`): the trees are
-packed into one flat node table, each tree's child indices offset by its
-first node, and every (tree, row) pair descends one level per step until
-all stand on leaves. Rows go in chunks of at most `ROUTE_BLOCK_PAIRS`
-pairs. `predict_proba` adds the per-tree leaf values with a running sum
-down the tree axis, which adds them in tree order, as a loop over the
-trees would, so the probabilities do not depend on the chunk size, bit
-for bit. `Tree.predict_prob` is the one-tree case of the same route.
+packed into one flat node table (`pack_forest`, which the explainer
+shares), each tree's child indices offset by its first node, and every
+(tree, row) pair descends one level per step until all stand on leaves.
+Rows go in chunks of at most `ROUTE_BLOCK_PAIRS` pairs. `predict_proba`
+adds the per-tree leaf values with a running sum down the tree axis,
+which adds them in tree order, as a loop over the trees would, so the
+probabilities do not depend on the chunk size, bit for bit.
+`Tree.predict_prob` is the one-tree case of the same route.
 `model_from_json` checks a model file's trees once, on the packed
 arrays, so that every route ends on a leaf.
 """
@@ -154,19 +155,29 @@ def _cut_trees(stop: list[int], feature, threshold, left, right, counts) -> list
 ROUTE_BLOCK_PAIRS = 1 << 13
 
 
-def leaf_values(trees: list[Tree], X: np.ndarray) -> np.ndarray:
-    """(trees x rows) array: the value of the leaf each row of `X` reaches
-    in each tree. The trees are packed into one node table (child indices
-    offset by each tree's first node) and every (tree, row) pair descends
-    together, one tree level per step."""
+def pack_forest(trees: list[Tree]):
+    """The trees as one flat node table: (each tree's root, then feature,
+    threshold, left, right and value per node), tree t's nodes after tree
+    t - 1's and child indices offset by each tree's first node."""
     sizes = [len(t.feature) for t in trees]
     start = np.cumsum(sizes) - sizes
     offset = np.repeat(start, sizes)
-    feature = np.concatenate([t.feature for t in trees])
-    threshold = np.concatenate([t.threshold for t in trees])
-    left = np.concatenate([t.left for t in trees]) + offset
-    right = np.concatenate([t.right for t in trees]) + offset
-    value = np.concatenate([t.value for t in trees])
+    return (
+        start,
+        np.concatenate([t.feature for t in trees]),
+        np.concatenate([t.threshold for t in trees]),
+        np.concatenate([t.left for t in trees]) + offset,
+        np.concatenate([t.right for t in trees]) + offset,
+        np.concatenate([t.value for t in trees]),
+    )
+
+
+def leaf_values(trees: list[Tree], X: np.ndarray) -> np.ndarray:
+    """(trees x rows) array: the value of the leaf each row of `X` reaches
+    in each tree. The trees are packed into one node table
+    (`pack_forest`) and every (tree, row) pair descends together, one
+    tree level per step."""
+    start, feature, threshold, left, right, value = pack_forest(trees)
     out = np.empty((len(trees), X.shape[0]))
     step = max(1, ROUTE_BLOCK_PAIRS // len(trees))
     for lo in range(0, X.shape[0], step):

@@ -25,32 +25,51 @@ and ``pipeline.stage_explain`` checks it for every explained row.
 ``brute_shapley`` evaluates the defining subset sum directly and is the
 test oracle for the fast path.
 
-``_prepare_tree`` computes what does not depend on the instance once per
-tree: each leaf's path conditions, the background rows' satisfaction of
-them and the leaf's distinct path features. The base value takes every
-tree's output on the background from one route of the whole forest
-(``classify.leaf_values``). ``explain_rows`` returns the phi of many
-rows at once, in the model's column order; ``explain_row`` is its
-one-row call. Per leaf, a chunk of instances meets the whole
-background in one pass over boolean blocks shaped (instances x path
-conditions x background rows). A chunk holds at most ``BLOCK_CELLS``
-cells: the rows per chunk are ``BLOCK_CELLS // (b * longest path)`` for
-each tree, at least one.
+The explainer packs the forest once (``_leaf_table``). It descends all
+trees together, one level per step, over the node table that
+``classify.pack_forest`` builds for prediction too, and lists every leaf
+with its tree, its value and one slot per distinct feature its path
+splits: the bounds lo < x <= hi that the path's conditions on that
+feature set. A row meets a slot iff it meets each of those conditions,
+and a pair (row, background row) reaches the leaf iff one of the two
+meets each slot, so a feature split twice on a path needs no case of
+its own: it is required where only the row meets its slot and forbidden
+where only the background row does. The leaves are listed by tree and,
+within a tree, depth first and left before right, an order taken from
+the paths' turns and not from node ids. Which background rows meet
+which slot is computed once; the base value takes every tree's output
+on the background from one route of the whole forest
+(``classify.leaf_values``).
 
-The batching keeps the one-row summation order, so each phi is the same
-float, bit for bit, whatever the chunk size: per leaf, in leaf order, a
-feature's share is a sum over the contiguous background axis, scaled by
-the leaf value and added to phi (then the forbidden share subtracted);
-each tree's phi is divided by the background size, and the trees are
-added in order before dividing by their count. The ranking's mean |phi|
-is a plain column sum: ``shap_rankings.json`` keeps 10 significant
-digits of it, so the order of that sum can move a written value only
-where it lies on a rounding boundary at the 10th digit.
+``explain_rows`` returns the phi of many rows at once, in the model's
+column order; ``explain_row`` is its one-row call. Rows go in chunks of
+``BLOCK_CELLS // (b * most slots on a path)``, at least one, so that
+one leaf always fits a block of ``BLOCK_CELLS`` (rows x leaves x slots
+x background rows) boolean cells. The leaves go in windows of their
+order, and within a window the leaves with the same number of slots u
+share blocks, each scored in one pass; a block of several leaves, and a
+window's share tables, keep to ``BLOCK_CELLS`` bytes of floats. In a
+pair that reaches the leaf, each slot the row does not meet is
+forbidden, with the same share for all of them, and a slot the row
+meets has no forbidden share: only one share per slot is computed.
+
+Each phi is the float the one-row, one-leaf path gives, bit for bit,
+whatever the chunk, window and block sizes: a share is a sum over the
+contiguous background axis, as there; it is scaled by the leaf value;
+the shares reach a tree's phi by an unbuffered add (``np.add.at``) in
+the tree's leaf order (the share left out of a slot is an exact zero,
+which adds nothing); each tree's phi is divided by the background size;
+and the trees are added in order by a running sum before dividing by
+their count. The ranking's mean |phi| is a plain column sum:
+``shap_rankings.json`` keeps 10 significant digits of it, so the order
+of that sum can move a written value only where it lies on a rounding
+boundary at the 10th digit.
 
 Instances and background sets are raw feature rows in the model's column
 order, NaN marking an absent value (the `<name>__absent` flag in
 features.csv); both are imputed with the model's frozen training medians
-before they are explained.
+before they are explained, and the explainer refuses a non-finite value
+(NonFiniteValue): a NaN would go right at every split.
 """
 
 from __future__ import annotations
@@ -63,14 +82,16 @@ from math import comb, factorial
 
 import numpy as np
 
-from .classify import RandomForestModel, Tree, leaf_values
-from .errors import FeatureMismatch, TooManyFeatures
+from .classify import RandomForestModel, Tree, leaf_values, pack_forest
+from .errors import EmptySample, FeatureMismatch, NonFiniteValue, TooManyFeatures
 
 BRUTE_FORCE_MAX_FEATURES = 12
 
 DEFAULT_BACKGROUND_LIMIT = 256
 
-# cap on instances x path conditions x background rows in one boolean block
+# cap on the cells of one block, rows x leaves x slots x background rows;
+# a block of several leaves, and a window's tables, keep to this many bytes
+# of floats
 BLOCK_CELLS = 1 << 18
 
 
@@ -87,75 +108,102 @@ def _weight_table(d: int) -> np.ndarray:
 
 
 @dataclass
-class _LeafPaths:
-    """One tree's leaves with their path conditions, precomputed once.
+class _LeafGroup:
+    """The leaves whose paths split on u distinct features.
 
-    A condition is a column of the tree's side table: for each node n of
-    the tree, column n holds `x[feature[n]] <= threshold[n]` (the path
-    goes left) and column n + nodes its negation. Leaves without
-    conditions (a single-leaf tree) are left out: they move no phi."""
+    Slot s of a leaf stands for every condition on its path on one
+    feature, features ascending: a row meets them all iff
+    lo < x[feature] <= hi."""
 
-    tree: Tree
-    values: list[float]
-    cond_cols: list[np.ndarray]  # side-table column per path condition
-    sat_bg: list[np.ndarray]  # conditions x background rows
-    uniq_features: list[np.ndarray]  # distinct path features
-    # the condition that opens each distinct feature, and (condition,
-    # feature position) of each later one; None where no feature repeats
-    uniq_first: list[np.ndarray | None]
-    repeats: list[list[tuple[int, int]]]
-    chunk_rows: int  # instances per (instances x conditions x background) block
+    leaves: np.ndarray  # positions in the table's leaf order, ascending
+    feature: np.ndarray  # leaves x u
+    lo: np.ndarray  # leaves x u
+    hi: np.ndarray  # leaves x u
+    sat_bg: np.ndarray  # leaves x u x background rows: the row meets the slot
 
 
-def _enumerate_leaves(tree: Tree):
-    """(leaf, [(node, goes left), ...] from the root), leaves depth first
-    and left before right."""
-    stack = [(0, [])]
-    while stack:
-        node, conds = stack.pop()
-        if tree.feature[node] == -1:
-            yield node, conds
-            continue
-        stack.append((int(tree.right[node]), conds + [(node, False)]))
-        stack.append((int(tree.left[node]), conds + [(node, True)]))
+@dataclass
+class _LeafTable:
+    """Every leaf of a forest that has a path (a single-leaf tree moves no
+    phi), by tree and, within a tree, depth first and left before right.
+    Leaf l owns share columns col0[l] to col0[l + 1], one per slot."""
+
+    tree: np.ndarray  # per leaf
+    value: np.ndarray  # per leaf
+    col0: np.ndarray  # per leaf, then the column count
+    col_tree: np.ndarray  # per share column
+    col_feature: np.ndarray  # per share column
+    groups: list[_LeafGroup]
+    widest: int  # most slots on one path
 
 
-def _side_table(tree: Tree, X: np.ndarray) -> np.ndarray:
-    """rows x (2 * nodes): whether each row goes left at each node, then
-    whether it goes right (a leaf's columns mean nothing)."""
-    goes_left = X[:, tree.feature] <= tree.threshold
-    return np.concatenate([goes_left, ~goes_left], axis=1)
+def _leaf_table(trees: list[Tree], background: np.ndarray) -> _LeafTable:
+    start, feature, threshold, left, right, value = pack_forest(trees)
+    nodes = len(feature)
+    # descend every tree from its root, one level per step, carrying each
+    # node's path: the nodes from the root, + nodes where it turns right
+    node, tree = start, np.arange(len(trees))
+    path = np.empty((len(trees), 0), dtype=np.int64)
+    found = []  # per depth: the leaves there, their trees and paths
+    while node.size:
+        leaf = feature[node] == -1
+        found.append((node[leaf], tree[leaf], path[leaf]))
+        node, tree, path = node[~leaf], tree[~leaf], path[~leaf]
+        path = np.hstack([np.vstack([path, path]), np.concatenate([node, node + nodes])[:, None]])
+        node = np.concatenate([left[node], right[node]])
+        tree = np.concatenate([tree, tree])
+    node = np.concatenate([n for n, _, _ in found])
+    tree = np.concatenate([t for _, t, _ in found])
+    steps = np.full((node.size, len(found)), -1)
+    filled = 0
+    for depth, (_, _, path) in enumerate(found):
+        steps[filled : filled + len(path), :depth] = path
+        filled += len(path)
+    # depth first and left before right is the order of the turns from the
+    # root; no path is a prefix of another, so padding cannot tie
+    order = np.lexsort([*(steps >= nodes).T[::-1], tree])
+    order = order[steps[order, 0] >= 0]  # a single-leaf tree moves no phi
+    node, tree, steps = node[order], tree[order], steps[order]
 
-
-def _prepare_tree(tree: Tree, background: np.ndarray) -> _LeafPaths:
-    nodes = len(tree.feature)
-    bg_sides = _side_table(tree, background).T.copy()
-    paths = _LeafPaths(
-        tree=tree, values=[], cond_cols=[], sat_bg=[], uniq_features=[], uniq_first=[],
-        repeats=[], chunk_rows=0,
+    # one slot per feature a leaf's path splits, features ascending: the
+    # bounds lo < x <= hi its conditions on that feature set (a NaN
+    # threshold sends every row right, as a split on it does)
+    on_path = steps >= 0
+    leaf, step = np.nonzero(on_path)[0], steps[on_path]
+    split = step % nodes
+    by_slot = np.lexsort([feature[split], leaf])
+    leaf, split, right = leaf[by_slot], split[by_slot], step[by_slot] >= nodes
+    opens = np.ones(leaf.size, dtype=bool)
+    opens[1:] = (leaf[1:] != leaf[:-1]) | (feature[split[1:]] != feature[split[:-1]])
+    first = np.flatnonzero(opens)
+    slot_lo = np.fmax.reduceat(np.where(right, threshold[split], -np.inf), first)
+    slot_hi = np.minimum.reduceat(np.where(right, np.inf, threshold[split]), first)
+    col_feature = feature[split[first]]
+    slots = np.bincount(leaf[first], minlength=node.size)
+    col0 = np.concatenate([[0], np.cumsum(slots)])
+    groups = []
+    for u in np.unique(slots):
+        leaves = np.flatnonzero(slots == u)
+        cols = col0[leaves, None] + np.arange(u)
+        lo, hi = slot_lo[cols], slot_hi[cols]
+        sat_bg = _meets(background.T[col_feature[cols]], lo[..., None], hi[..., None])
+        groups.append(_LeafGroup(leaves, col_feature[cols], lo, hi, sat_bg))
+    return _LeafTable(
+        tree=tree,
+        value=value[node],
+        col0=col0,
+        col_tree=np.repeat(tree, slots),
+        col_feature=col_feature,
+        groups=groups,
+        widest=int(slots.max(initial=0)),
     )
-    longest = 1
-    for leaf, conds in _enumerate_leaves(tree):
-        if not conds:
-            continue
-        cols = np.array([node if left else node + nodes for node, left in conds])
-        feats = [int(tree.feature[node]) for node, _ in conds]
-        first, position, repeats = [], {}, []
-        for c, f in enumerate(feats):
-            if f in position:
-                repeats.append((c, position[f]))
-            else:
-                position[f] = len(first)
-                first.append(c)
-        paths.values.append(float(tree.value[leaf]))
-        paths.cond_cols.append(cols)
-        paths.sat_bg.append(bg_sides[cols])
-        paths.uniq_features.append(np.array(feats)[first])
-        paths.uniq_first.append(np.array(first) if repeats else None)
-        paths.repeats.append(repeats)
-        longest = max(longest, len(conds))
-    paths.chunk_rows = max(1, BLOCK_CELLS // (background.shape[0] * longest))
-    return paths
+
+
+def _meets(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Whether x goes the path's way at every condition of a slot: left
+    (x <= threshold) at each up to hi, right (not x <= threshold) at each
+    up to lo."""
+    return (x <= hi) & ~(x <= lo)
 
 
 class TreeShapExplainer:
@@ -164,19 +212,24 @@ class TreeShapExplainer:
     def __init__(self, model: RandomForestModel, background: np.ndarray):
         if background.ndim != 2 or background.shape[1] != len(model.feature_names):
             raise FeatureMismatch("background shape does not match the model's features")
+        if not background.shape[0]:
+            raise EmptySample("the background set has no rows")
+        _require_finite(background, "background row")
         self.model = model
         self.background = background
         self.d = len(model.feature_names)
-        # A[p, q] as A_pos[p * (d + 1) + q] = A[p - 1, q] and A_neg[...] =
-        # A[p, q - 1], plus a last 0.0 for pairs that never reach the leaf
+        # row 0 holds A[p - 1, q] at p * (d + 1) + q and row 1 A[p, q - 1],
+        # plus a last 0.0 for pairs that never reach the leaf
         A = _weight_table(self.d)
-        self._A_pos = np.append(np.vstack([A[:1], A[:-1]]), 0.0)
-        self._A_neg = np.append(np.hstack([A[:, :1], A[:, :-1]]), 0.0)
-        self._trees = [_prepare_tree(t, background) for t in model.trees]
+        self._A = np.stack([
+            np.append(np.vstack([A[:1], A[:-1]]), 0.0),
+            np.append(np.hstack([A[:, :1], A[:, :-1]]), 0.0),
+        ])
+        self._leaves = _leaf_table(model.trees, background)
+        # rows per chunk, so that one leaf with the most slots fits a block
+        self._chunk_rows = max(1, BLOCK_CELLS // (background.shape[0] * max(1, self._leaves.widest)))
         # each tree's mean output over the background, then their mean
-        self.base_value = float(
-            np.mean([values.mean() for values in leaf_values(model.trees, background)])
-        )
+        self.base_value = float(leaf_values(model.trees, background).mean(axis=1).mean())
 
     def explain_row(self, x: np.ndarray) -> np.ndarray:
         """phi of one imputed row, in the model's column order."""
@@ -184,70 +237,106 @@ class TreeShapExplainer:
 
     def explain_rows(self, X: np.ndarray) -> np.ndarray:
         """phi of each imputed row of `X` (rows x model features). A row's
-        phi does not depend on the other rows or on the chunk size, bit
+        phi does not depend on the other rows or on the block sizes, bit
         for bit: trees are added in order, each divided by the background
         size first."""
         if X.ndim != 2 or X.shape[1] != self.d:
             raise FeatureMismatch("instance shape does not match the model's features")
+        _require_finite(X, "row")
         phi = np.zeros(X.shape)
-        for paths in self._trees:
-            step = paths.chunk_rows
-            for start in range(0, X.shape[0], step):
-                phi[start : start + step] += self._tree_phi(paths, X[start : start + step])
-        phi /= len(self._trees)
+        step = self._chunk_rows
+        for start in range(0, X.shape[0], step):
+            phi[start : start + step] = self._chunk_phi(X[start : start + step])
+        phi /= len(self.model.trees)
         return phi
 
-    def _tree_phi(self, paths: _LeafPaths, X: np.ndarray) -> np.ndarray:
-        """One tree's phi for a chunk of rows.
+    def _chunk_phi(self, X: np.ndarray) -> np.ndarray:
+        """The sum of the trees' phi for a chunk of rows, added in tree
+        order.
 
-        Per leaf, blocks run (instances, conditions, background), so each
-        phi entry is a sum over one contiguous background row: the order a
-        one-row sum adds in. Rows with no background row to reach a leaf
-        with would add exact zeros there and are left out of it."""
-        phi = np.zeros(X.shape)
-        b = self.background.shape[0]
-        x_sides = _side_table(paths.tree, X)
-        zero = self._A_pos.size - 1
-        for leaf, value in enumerate(paths.values):
-            sat_x = x_sides[:, paths.cond_cols[leaf], None]
-            sat_r = paths.sat_bg[leaf]
-            not_x, not_r = ~sat_x, ~sat_r
-            # pairs where a condition fails on both sides never reach the leaf
-            alive = ~(not_x & not_r).any(axis=1)
-            live = alive.any(axis=1)
-            rows = slice(None)
-            if not live.all():
-                if not live.any():
-                    continue
-                rows = np.flatnonzero(live)
-                sat_x, not_x, alive = sat_x[rows], not_x[rows], alive[rows]
-                rows = rows[:, None]
-            pos = sat_x & not_r
-            neg = not_x & sat_r
-            first = paths.uniq_first[leaf]
-            if first is not None:
-                # a feature split more than once: one side must satisfy all
-                # of its conditions, or the pair never reaches the leaf
-                pos_cond, neg_cond = pos, neg
-                pos, neg = pos_cond[:, first], neg_cond[:, first]
-                for c, u in paths.repeats[leaf]:
-                    pos[:, u] |= pos_cond[:, c]
-                    neg[:, u] |= neg_cond[:, c]
-                alive &= ~(pos & neg).any(axis=1)
-                if not alive.any():
-                    continue
-            # p required and q forbidden features pick each pair's weights
-            at = pos.sum(axis=1) * (self.d + 1) + neg.sum(axis=1)
-            at[~alive] = zero
-            a_pos = self._A_pos.take(at)
-            a_neg = self._A_neg.take(at)
-            uniq = paths.uniq_features[leaf]
-            phi[rows, uniq] = (
-                phi[rows, uniq]
-                + value * (a_pos[:, None, :] * pos).sum(axis=2)
-                - value * (a_neg[:, None, :] * neg).sum(axis=2)
-            )
-        return phi / b
+        The leaves go in windows, in the table's order, whose shares and
+        trees' phi fill (rows x share columns) and (rows x trees x
+        features) tables of about BLOCK_CELLS bytes together. Each
+        block of a window's leaves writes its shares into that table; one
+        unbuffered add then carries them into each tree's phi per row and
+        feature in column order, the tree's leaf order, going on from
+        where the last window left a tree it did not finish."""
+        table, d, rows = self._leaves, self.d, X.shape[0]
+        phi = np.zeros((rows, d))
+        if not table.tree.size:
+            return phi
+        floats = BLOCK_CELLS // np.dtype(float).itemsize
+        extent = table.col0[:-1] + d * table.tree
+        cuts = np.flatnonzero(np.diff(extent // max(1, floats // rows))) + 1
+        unfinished = np.zeros((rows, 0, d))
+        for l0, l1 in zip([0, *cuts], [*cuts, table.tree.size]):
+            c0, c1 = table.col0[l0], table.col0[l1]
+            shares = np.zeros((rows, c1 - c0))
+            for group in table.groups:
+                lo, hi = np.searchsorted(group.leaves, [l0, l1])
+                per = max(1, floats // (rows * group.sat_bg[0].size))
+                for at in range(lo, hi, per):
+                    self._score_block(group, slice(at, min(at + per, hi)), X, shares, c0)
+            t0, t1 = table.tree[l0], table.tree[l1 - 1] + 1
+            tree_phi = np.zeros((rows, t1 - t0, d))
+            tree_phi[:, : unfinished.shape[1]] = unfinished
+            cell = (table.col_tree[c0:c1] - t0) * d + table.col_feature[c0:c1]
+            np.add.at(tree_phi.reshape(-1), np.arange(0, tree_phi.size, tree_phi[0].size)[:, None] + cell, shares)
+            done = t1 - t0 - (l1 < table.tree.size and table.tree[l1] == t1 - 1)
+            tree_phi, unfinished = tree_phi[:, :done] / self.background.shape[0], tree_phi[:, done:]
+            if done:
+                # a running sum down the tree axis adds the trees in order
+                tree_phi[:, 0] += phi
+                phi = np.cumsum(tree_phi, axis=1, out=tree_phi)[:, -1]
+        return phi
+
+    def _score_block(self, group: _LeafGroup, block: slice, X: np.ndarray, shares, c0: int) -> None:
+        """Write the shares of a block of a group's leaves for every row
+        of `X` into `shares`, whose column 0 is share column c0.
+
+        Where a background row reaches the leaf with the row, each slot
+        the row does not meet the background row meets: the slot's
+        feature is forbidden, and its share is the same sum for all such
+        slots of the pair. A slot the row meets is required where the
+        background row does not meet it. Each share is a sum over one
+        contiguous background row: the order a one-row sum adds in.
+        Pairs with no background row to reach the leaf with would write
+        zeros and are left out."""
+        u = group.feature.shape[1]
+        sat_x = _meets(X[:, group.feature[block]], group.lo[block], group.hi[block])
+        sat_r = group.sat_bg[block]
+        leaves, b = sat_r.shape[0], sat_r.shape[2]
+        # pairs where a slot fails on both sides never reach the leaf
+        alive = (sat_x[..., None] | sat_r).all(axis=2)
+        pair = np.flatnonzero(alive.any(axis=2))
+        if not pair.size:
+            return
+        row, leaf = np.divmod(pair, leaves)
+        x_meets = sat_x.reshape(-1, u)[pair]
+        required = x_meets[..., None] & ~sat_r[leaf]
+        # p required and q forbidden features pick each pair's weights
+        at = np.multiply(required.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(u)), self.d + 1, dtype=np.intp)
+        at += u - x_meets.sum(axis=1, keepdims=True)
+        at[~alive.reshape(-1, b)[pair]] = self._A.shape[1] - 1
+        a_pos, a_neg = self._A.take(at, axis=1)
+        position = group.leaves[block][leaf]
+        value = self._leaves.value[position, None]
+        share = np.where(x_meets, 0.0, -(value * a_neg.sum(axis=1, keepdims=True)))
+        # required shares, where some background row does not meet the slot
+        some = np.flatnonzero(x_meets & ~sat_r.all(axis=2)[leaf])
+        weights = a_pos[some // u]
+        weights *= required.reshape(-1, b)[some]
+        share.reshape(-1)[some] = value[some // u, 0] * weights.sum(axis=1)
+        cols = (row * shares.shape[1] - c0)[:, None] + self._leaves.col0[position, None] + np.arange(u)
+        shares.reshape(-1)[cols] = share
+
+
+def _require_finite(X: np.ndarray, what: str) -> None:
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        raise NonFiniteValue(
+            f"{what} {int(bad.argmax())} holds a non-finite value; impute with the model's medians first"
+        )
 
 
 def brute_shapley(
@@ -313,6 +402,8 @@ def shap_summary(
     The background is subsampled (seeded) beyond `background_limit` rows
     for tractability.
     """
+    if not len(X):
+        raise EmptySample("no rows to explain")
     bg = model.impute(background)
     if bg.shape[0] > background_limit:
         rng = np.random.default_rng(seed)

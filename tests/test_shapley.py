@@ -1,18 +1,21 @@
 """The Shapley explainer against the subset-sum oracle and against the
 per-row path it replaced.
 
-`oracle_explain_row` below is the earlier per-row TreeSHAP path, kept
+`oracle_explain_rows` below is the earlier per-row TreeSHAP path, kept
 whole: per-leaf path conditions with background satisfaction as
-(background x conditions), and one instance at a time. The batched
-`TreeShapExplainer.explain_rows` must give the same phi bit for bit.
+(background x conditions), one leaf and one instance at a time. The
+forest-packed `TreeShapExplainer.explain_rows` must give the same phi
+bit for bit.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rumourlens import shapley
-from rumourlens.classify import ForestConfig, RandomForestModel, Tree, fit_forest
-from rumourlens.errors import FeatureMismatch, TooManyFeatures
+from rumourlens.classify import ForestConfig, RandomForestModel, Tree, fit_forest, model_from_json, model_to_json
+from rumourlens.errors import EmptySample, FeatureMismatch, NonFiniteValue, TooManyFeatures
 from rumourlens.shapley import TreeShapExplainer, _weight_table, brute_shapley, shap_summary
 
 
@@ -357,7 +360,7 @@ class TestBatchedExplainer:
         forest = fit_forest(X, y, ["a", "b", "c"], ForestConfig(n_trees=3), seed=2)
         model = manual_model([leaf_tree([2, 5])] + forest.trees, ["a", "b", "c"])
         explainer, phi = assert_matches_oracle(model, X[:9], X[9:20])
-        assert explainer._trees[0].values == []  # the leaf moves no phi
+        assert 0 not in explainer._leaves.tree  # the leaf moves no phi
         alone = manual_model([leaf_tree([2, 5])], ["a", "b", "c"])
         assert not assert_matches_oracle(alone, X[:9], X[9:12])[1].any()
 
@@ -374,7 +377,13 @@ class TestBatchedExplainer:
         background = rows([-2.0, 0.0], [-0.5, 1.0], [3.0, -1.0], [-1.5, 0.2])
         X = rows([-0.7, 0.3], [-3.0, 0.9], [0.4, -0.4], [-1.2, 0.6])
         explainer, phi = assert_matches_oracle(model, background, X)
-        assert any(first is not None for first in explainer._trees[0].uniq_first)
+        # the leaves under a, b and a again (nodes 5 and 6) hold one slot
+        # for a, bounded on both sides where the path turns both ways
+        table = explainer._leaves
+        assert np.diff(table.col0)[table.tree == 0].tolist() == [2, 2, 2, 1]
+        deep = table.groups[1]
+        assert deep.feature[:2].tolist() == [[0, 1], [0, 1]]
+        assert deep.lo[:2, 0].tolist() == [-np.inf, -1.0] and deep.hi[:2, 0].tolist() == [-1.0, 0.0]
         for x, row_phi in zip(X, phi):
             brute = brute_shapley(model, x, background)
             assert row_phi.tolist() == pytest.approx([brute["a"], brute["b"]], abs=1e-12)
@@ -409,11 +418,11 @@ class TestBatchedExplainer:
         background, instances = X[:10], X[10:27]
         monkeypatch.setattr(shapley, "BLOCK_CELLS", 400)
         explainer, phi = assert_matches_oracle(model, background, instances)
-        steps = [t.chunk_rows for t in explainer._trees]
-        assert max(steps) < len(instances) and len(instances) % min(steps)
+        step = explainer._chunk_rows
+        assert step < len(instances) and len(instances) % step
         monkeypatch.undo()
         whole = TreeShapExplainer(model, background)
-        assert min(t.chunk_rows for t in whole._trees) >= len(instances)
+        assert whole._chunk_rows >= len(instances)
         assert phi.view(np.uint64).tolist() == whole.explain_rows(instances).view(np.uint64).tolist()
 
     def test_row_shape_mismatch(self):
@@ -421,3 +430,94 @@ class TestBatchedExplainer:
         explainer = TreeShapExplainer(model, np.zeros((3, 2)))
         with pytest.raises(FeatureMismatch):
             explainer.explain_rows(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("cells", [1, 300])
+    def test_block_caps_give_the_same_phi(self, monkeypatch, cells):
+        model, background, X = random_forest_case(7)
+        default = TreeShapExplainer(model, background).explain_rows(X)
+        monkeypatch.setattr(shapley, "BLOCK_CELLS", cells)
+        _explainer, phi = assert_matches_oracle(model, background, X)
+        assert phi.view(np.uint64).tolist() == default.view(np.uint64).tolist()
+
+    def test_large_deep_forest(self):
+        # 60 fitted trees on 20 features, deep enough that paths split a
+        # feature more than once, with single-leaf trees among them
+        rng = np.random.default_rng(31)
+        names = [f"f{j}" for j in range(20)]
+        X, y = random_rows(rng, 160, 20)
+        forest = fit_forest(X, y, names, ForestConfig(n_trees=57), seed=31)
+        trees = forest.trees[:20] + [leaf_tree([3, 1])] + forest.trees[20:40] + [leaf_tree([0, 2])]
+        model = manual_model(trees + forest.trees[40:] + [leaf_tree([1, 1])], names)
+        explainer, _phi = assert_matches_oracle(model, X[:24], X[130:136])
+        assert not {20, 41, 59} & set(explainer._leaves.tree.tolist())
+        # the deepest path has fewer slots than conditions
+        depth = max(_depth(t) for t in forest.trees)
+        assert depth >= 10 and explainer._leaves.widest < depth
+
+    @pytest.mark.parametrize("seed", [9, 10, 11])
+    def test_breadth_first_numbering_gives_the_same_phi(self, seed):
+        model, background, X = random_forest_case(seed)
+        renumbered = replace(model, trees=[_breadth_first(t) for t in model.trees])
+        renumbered = model_from_json(model_to_json(renumbered))
+        assert any(a.left.tolist() != b.left.tolist() for a, b in zip(model.trees, renumbered.trees))
+        assert renumbered.predict_proba(X).tolist() == model.predict_proba(X).tolist()
+        want = TreeShapExplainer(model, background).explain_rows(X)
+        got = TreeShapExplainer(renumbered, background).explain_rows(X)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_nan_threshold_sends_every_row_right(self):
+        tree = Tree(
+            feature=np.array([0, 1, -1, -1, 0, -1, -1]),
+            threshold=np.array([0.5, np.nan, 0.0, 0.0, np.nan, 0.0, 0.0]),
+            left=np.array([1, 2, -1, -1, 5, -1, -1]),
+            right=np.array([4, 3, -1, -1, 6, -1, -1]),
+            counts=np.array([[0, 0], [0, 0], [3, 1], [1, 2], [0, 0], [2, 6], [1, 9]], dtype=np.float64),
+        )
+        model = manual_model([tree], ["a", "b"])
+        background = rows([-2.0, 0.0], [-0.5, 1.0], [3.0, -1.0], [1.5, 0.2])
+        assert_matches_oracle(model, background, rows([-0.7, 0.3], [2.0, 0.9], [0.4, -0.4]))
+
+    def test_empty_background(self):
+        model, background, _X = random_forest_case(2)
+        with pytest.raises(EmptySample, match="background"):
+            TreeShapExplainer(model, background[:0])
+
+    def test_no_rows_to_summarize(self):
+        model, background, X = random_forest_case(2)
+        with pytest.raises(EmptySample, match="no rows to explain"):
+            shap_summary(model, X[:0], background=background)
+
+    def test_non_finite_values_are_refused(self):
+        # a NaN would route right at every split, unlike the imputed value
+        # brute_shapley explains
+        rng = np.random.default_rng(4)
+        X, y = random_rows(rng, 30, 3)
+        model = fit_forest(X, y, ["a", "b", "c"], ForestConfig(n_trees=5), seed=4)
+        explainer = TreeShapExplainer(model, X[:10])
+        with pytest.raises(NonFiniteValue, match="row 1 .*impute"):
+            explainer.explain_rows(rows([0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]))
+        with pytest.raises(NonFiniteValue, match="background row 2"):
+            TreeShapExplainer(model, rows([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [np.inf, 0.0, 0.0]))
+
+
+def _depth(tree):
+    depth = np.zeros(len(tree.feature), dtype=np.int64)
+    for i in np.flatnonzero(tree.feature != -1):
+        depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
+    return int(depth.max())
+
+
+def _breadth_first(tree):
+    """The tree with its nodes numbered level by level from the root."""
+    order, at = [0], 0
+    while at < len(order):
+        node = order[at]
+        if tree.feature[node] != -1:
+            order += [int(tree.left[node]), int(tree.right[node])]
+        at += 1
+    new_id = np.append(np.empty(len(order), dtype=np.int64), -1)  # a leaf's -1 stays -1
+    new_id[order] = np.arange(len(order))
+    return Tree(
+        feature=tree.feature[order], threshold=tree.threshold[order],
+        left=new_id[tree.left[order]], right=new_id[tree.right[order]], counts=tree.counts[order],
+    )
