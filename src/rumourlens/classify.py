@@ -333,7 +333,8 @@ def _best_splits(
     counts. All cuts of all nodes are scored in one pass."""
     k_nodes = len(rows)
     width = rows.shape[1]
-    # at most three (nodes x features x rows) arrays live at once
+    # the sorted values stay live for the thresholds: with them, at most
+    # four (nodes x features x rows) arrays and the void mask live at once
     block = X[rows[:, None, :], feature_ids[:, :, None]]
     order = np.argsort(block, axis=2, kind="stable")
     sorted_x = np.take_along_axis(block, order, axis=2)
@@ -341,7 +342,6 @@ def _best_splits(
     # cut c puts the c + 1 lowest rows left; cuts between ties and cuts
     # at c >= n - 1, whose right side is padding, are void
     void = ~(sorted_x[:, :, 1:] > sorted_x[:, :, :-1])
-    del sorted_x
     void |= (np.arange(width - 1) >= (n - 1)[:, None])[:, None, :]
     # class-1 counts left of each cut, from the labels in sorted order
     order += (np.arange(k_nodes) * width)[:, None, None]
@@ -400,13 +400,9 @@ def _best_splits(
     row, cut = np.divmod(at[split], width - 1)
     feature = np.full(k_nodes, -1)
     feature[split] = feature_ids[split, row]
-    # the threshold lies between the cut's two sorted values, sorted
-    # again from the split nodes' chosen columns alone
-    column = X[rows[split], feature[split, None]]
-    column = np.take_along_axis(column, np.argsort(column, axis=1, kind="stable"), axis=1)
-    pick = np.arange(split.size)
+    # the threshold lies between the cut's two sorted values
     threshold = np.zeros(k_nodes)
-    threshold[split] = (column[pick, cut] + column[pick, cut + 1]) / 2.0
+    threshold[split] = (sorted_x[split, row, cut] + sorted_x[split, row, cut + 1]) / 2.0
     return best, feature, threshold
 
 

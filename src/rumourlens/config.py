@@ -130,6 +130,10 @@ def validate_config(cfg: RunConfig) -> None:
         expect(cfg.emotion_url != "", "emotion_provider=remote requires emotion_url")
     if cfg.emotion_provider == "cassette":
         expect(cfg.emotion_cassette != "", "emotion_provider=cassette requires emotion_cassette")
+    expect(cfg.emotion_timeout > 0.0, f"emotion_timeout must be > 0, got {cfg.emotion_timeout}")
+    expect(cfg.emotion_retries >= 0, f"emotion_retries must be >= 0, got {cfg.emotion_retries}")
+    expect(cfg.emotion_batch_size >= 1, f"emotion_batch_size must be >= 1, got {cfg.emotion_batch_size}")
+    expect(cfg.emotion_parallel >= 1, f"emotion_parallel must be >= 1, got {cfg.emotion_parallel}")
     expect(0.0 < cfg.alpha < 1.0, f"alpha must be in (0, 1), got {cfg.alpha}")
     expect(0.0 < cfg.split_ratio < 1.0, f"split_ratio must be in (0, 1), got {cfg.split_ratio}")
     expect(cfg.k_folds >= 2, f"k_folds must be >= 2, got {cfg.k_folds}")

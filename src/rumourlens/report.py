@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from .corpus import PartitionCounts
 from .emotions import LABELS as EMOTION_LABELS
 from .emotions import POPULATIONS
+from .errors import ParseError
 from .features import FeatureTable
 
 PARTITIONS_CSV = "partitions.csv"
@@ -125,19 +126,27 @@ def write_features_csv(path, table: FeatureTable) -> None:
 
 
 def read_features_csv(path) -> FeatureTable:
-    """Absent values come back as NaN."""
+    """Absent values come back as NaN; a record of the wrong length or a
+    value that is not a number raises ParseError."""
     nan = math.nan
     meta: list[list[str]] = [[], [], [], [], []]  # tweet_id, event, role, label, empty_text
     X = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: line 1: no header")
         feature_names = [h for h in header[5:] if not h.endswith("__absent")]
         for record in reader:
+            if len(record) != len(header):
+                raise ParseError(f"{path}: line {reader.line_num}: {len(record)} cells, expected {len(header)}")
             for column, cell in zip(meta, record):
                 column.append(cell)
             cells = zip(record[5::2], record[6::2])
-            X.append([nan if absent == "true" else float(raw) for raw, absent in cells])
+            try:
+                X.append([nan if absent == "true" else float(raw) for raw, absent in cells])
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
     tweet_id, event, role, label, empty_text = meta
     return FeatureTable.from_columns(
         feature_names, tweet_id, event, role, label, [e == "true" for e in empty_text], X

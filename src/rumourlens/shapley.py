@@ -11,10 +11,10 @@ Splits satisfied by both sides constrain nothing; splits satisfied only
 by the instance require the feature in S; splits satisfied only by the
 background row forbid it; splits satisfied by neither kill the leaf.
 Collapsing repeated path features leaves a required set P and a
-forbidden set N, and the leaf's value enters phi_j weighted by a closed
-form over coalition sizes:
-
-    A(p, q) = sum_k C(d-1-p-q, k) * w(p+k),   w(s) = s!(d-1-s)!/d!
+forbidden set N, and the leaf's value enters phi_j weighted by
+A(p, q) = sum_k C(d-1-p-q, k) * s!(d-1-s)!/d! at s = p + k, in closed
+form p! q! / (p+q+1)! (the share of the orders of j and p + q other
+features that put p given ones before j and the q others after it):
 
     j in P:  phi_j += leaf_value * A(p-1, q)
     j in N:  phi_j -= leaf_value * A(p, q-1)
@@ -43,12 +43,13 @@ on the background from one route of the whole forest
 
 ``explain_rows`` returns the phi of many rows at once, in the model's
 column order; ``explain_row`` is its one-row call. Rows go in chunks of
-``BLOCK_CELLS // (b * most slots on a path)``, at least one, so that
-one leaf always fits a block of ``BLOCK_CELLS`` (rows x leaves x slots
-x background rows) boolean cells. The leaves go in windows of their
-order, and within a window the leaves with the same number of slots u
-share blocks, each scored in one pass; a block of several leaves, and a
-window's share tables, keep to ``BLOCK_CELLS`` bytes of floats. In a
+``BLOCK_CELLS // max(b * most slots on a path, trees * d)``, at least
+one: one leaf fits a block of ``BLOCK_CELLS`` (rows x leaves x slots x
+background rows) booleans, and the chunk's (rows x trees x features)
+accumulator ``BLOCK_CELLS`` floats. The leaves go in windows of their
+share columns; within a window the leaves with the same number of slots
+u share blocks, each scored in one pass; a block of several leaves, and
+a window's share table, keep to ``BLOCK_CELLS`` bytes of floats. In a
 pair that reaches the leaf, each slot the row does not meet is
 forbidden, with the same share for all of them, and a slot the row
 meets has no forbidden share: only one share per slot is computed.
@@ -56,11 +57,12 @@ meets has no forbidden share: only one share per slot is computed.
 Each phi is the float the one-row, one-leaf path gives, bit for bit,
 whatever the chunk, window and block sizes: a share is a sum over the
 contiguous background axis, as there; it is scaled by the leaf value;
-the shares reach a tree's phi by an unbuffered add (``np.add.at``) in
-the tree's leaf order (the share left out of a slot is an exact zero,
-which adds nothing); each tree's phi is divided by the background size;
-and the trees are added in order by a running sum before dividing by
-their count. The ranking's mean |phi| is a plain column sum:
+the shares reach a tree's phi in the accumulator by an unbuffered add
+(``np.add.at``) in the tree's leaf order (the share left out of a slot
+is an exact zero, which adds nothing), so no window carries a tree to
+the next; each tree's phi is divided by the background size; and the
+trees are added in order by a running sum before dividing by their
+count. The ranking's mean |phi| is a plain column sum:
 ``shap_rankings.json`` keeps 10 significant digits of it, so the order
 of that sum can move a written value only where it lies on a rounding
 boundary at the 10th digit.
@@ -78,7 +80,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
@@ -97,13 +99,11 @@ BLOCK_CELLS = 1 << 18
 
 @lru_cache(maxsize=32)
 def _weight_table(d: int) -> np.ndarray:
-    """A[p, q] for p + q <= d - 1, computed exactly then cast to float."""
-    w = [Fraction(factorial(s) * factorial(d - 1 - s), factorial(d)) for s in range(d)]
+    """A[p, q] = p! q! / (p + q + 1)! for p + q <= d - 1, rounded once."""
     table = np.zeros((d + 1, d + 1))
     for p in range(d):
         for q in range(d - p):
-            m = d - 1 - p - q
-            table[p, q] = float(sum(comb(m, k) * w[p + k] for k in range(m + 1)))
+            table[p, q] = factorial(p) * factorial(q) / factorial(p + q + 1)
     return table
 
 
@@ -131,8 +131,7 @@ class _LeafTable:
     tree: np.ndarray  # per leaf
     value: np.ndarray  # per leaf
     col0: np.ndarray  # per leaf, then the column count
-    col_tree: np.ndarray  # per share column
-    col_feature: np.ndarray  # per share column
+    col_cell: np.ndarray  # per share column: tree * features + feature
     groups: list[_LeafGroup]
     widest: int  # most slots on one path
 
@@ -192,8 +191,7 @@ def _leaf_table(trees: list[Tree], background: np.ndarray) -> _LeafTable:
         tree=tree,
         value=value[node],
         col0=col0,
-        col_tree=np.repeat(tree, slots),
-        col_feature=col_feature,
+        col_cell=np.repeat(tree, slots) * background.shape[1] + col_feature,
         groups=groups,
         widest=int(slots.max(initial=0)),
     )
@@ -227,7 +225,9 @@ class TreeShapExplainer:
         ])
         self._leaves = _leaf_table(model.trees, background)
         # rows per chunk, so that one leaf with the most slots fits a block
-        self._chunk_rows = max(1, BLOCK_CELLS // (background.shape[0] * max(1, self._leaves.widest)))
+        # and the chunk's accumulator keeps to BLOCK_CELLS floats
+        cells = max(background.shape[0] * self._leaves.widest, len(model.trees) * self.d)
+        self._chunk_rows = max(1, BLOCK_CELLS // cells)
         # each tree's mean output over the background, then their mean
         self.base_value = float(leaf_values(model.trees, background).mean(axis=1).mean())
 
@@ -254,22 +254,18 @@ class TreeShapExplainer:
         """The sum of the trees' phi for a chunk of rows, added in tree
         order.
 
-        The leaves go in windows, in the table's order, whose shares and
-        trees' phi fill (rows x share columns) and (rows x trees x
-        features) tables of about BLOCK_CELLS bytes together. Each
-        block of a window's leaves writes its shares into that table; one
-        unbuffered add then carries them into each tree's phi per row and
-        feature in column order, the tree's leaf order, going on from
-        where the last window left a tree it did not finish."""
-        table, d, rows = self._leaves, self.d, X.shape[0]
-        phi = np.zeros((rows, d))
-        if not table.tree.size:
-            return phi
+        The leaves go in windows of their share columns, whose (rows x
+        columns) share table keeps to about BLOCK_CELLS bytes; each block
+        of a window's leaves writes its shares there. One unbuffered add
+        carries them, in column order (each tree's leaf order), into the
+        chunk's (rows x trees x features) accumulator, so no window
+        leaves state for the next. Then each tree's phi is divided by the
+        background size and a running sum adds the trees in order."""
+        table, rows = self._leaves, X.shape[0]
+        acc = np.zeros((rows, len(self.model.trees), self.d))
         floats = BLOCK_CELLS // np.dtype(float).itemsize
-        extent = table.col0[:-1] + d * table.tree
-        cuts = np.flatnonzero(np.diff(extent // max(1, floats // rows))) + 1
-        unfinished = np.zeros((rows, 0, d))
-        for l0, l1 in zip([0, *cuts], [*cuts, table.tree.size]):
+        cuts = np.flatnonzero(np.diff(table.col0[:-1] // max(1, floats // rows))) + 1
+        for l0, l1 in zip([0, *cuts], [*cuts, table.value.size]):
             c0, c1 = table.col0[l0], table.col0[l1]
             shares = np.zeros((rows, c1 - c0))
             for group in table.groups:
@@ -277,18 +273,9 @@ class TreeShapExplainer:
                 per = max(1, floats // (rows * group.sat_bg[0].size))
                 for at in range(lo, hi, per):
                     self._score_block(group, slice(at, min(at + per, hi)), X, shares, c0)
-            t0, t1 = table.tree[l0], table.tree[l1 - 1] + 1
-            tree_phi = np.zeros((rows, t1 - t0, d))
-            tree_phi[:, : unfinished.shape[1]] = unfinished
-            cell = (table.col_tree[c0:c1] - t0) * d + table.col_feature[c0:c1]
-            np.add.at(tree_phi.reshape(-1), np.arange(0, tree_phi.size, tree_phi[0].size)[:, None] + cell, shares)
-            done = t1 - t0 - (l1 < table.tree.size and table.tree[l1] == t1 - 1)
-            tree_phi, unfinished = tree_phi[:, :done] / self.background.shape[0], tree_phi[:, done:]
-            if done:
-                # a running sum down the tree axis adds the trees in order
-                tree_phi[:, 0] += phi
-                phi = np.cumsum(tree_phi, axis=1, out=tree_phi)[:, -1]
-        return phi
+            np.add.at(acc.reshape(-1), np.arange(0, acc.size, acc[0].size)[:, None] + table.col_cell[c0:c1], shares)
+        acc /= self.background.shape[0]
+        return np.cumsum(acc, axis=1, out=acc)[:, -1]
 
     def _score_block(self, group: _LeafGroup, block: slice, X: np.ndarray, shares, c0: int) -> None:
         """Write the shares of a block of a group's leaves for every row

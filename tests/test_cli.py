@@ -6,6 +6,7 @@ from rumourlens import cli, report
 from rumourlens.config import RunConfig, build_config, parse_config_file, validate_config
 from rumourlens.emotions import LexiconFallbackProvider
 from rumourlens.errors import ConfigError
+from tests.conftest import RESOURCES
 
 
 def write_config(tmp_path, mini_pheme_dir, **extra):
@@ -185,6 +186,58 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert "error: MalformedResponse: ferrydelay: emotion provider returned 38 results for 41 texts" in err
         assert not (tmp_path / "out" / "t" / report.FEATURES_CSV).exists()
+
+    @pytest.mark.parametrize(
+        "key, value, rule",
+        [
+            ("emotion_batch_size", 0, ">= 1"),
+            ("emotion_parallel", 0, ">= 1"),
+            ("emotion_retries", -1, ">= 0"),
+            ("emotion_timeout", 0.0, "> 0"),
+            ("emotion_timeout", "nan", "> 0"),
+        ],
+    )
+    @pytest.mark.parametrize("provider", ["cassette", "remote"])
+    def test_emotion_settings_validated(self, tmp_path, mini_pheme_dir, capsys, provider, key, value, rule):
+        # a zero batch size or pool used to surface as a raw ValueError
+        # from range() or the thread pool once featurize reached them
+        conf = write_config(
+            tmp_path,
+            mini_pheme_dir,
+            emotion_provider=provider,
+            emotion_cassette=RESOURCES / "emotion_cassette.jsonl",
+            emotion_url="http://localhost:9/classify",
+            **{key: value},
+        )
+        assert cli.main(["featurize", "--config", str(conf)]) == 2
+        assert f"error: config: {key} must be {rule}, got" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["truncated", "not a number", "empty"])
+    @pytest.mark.parametrize("command", ["compare", "train", "explain"])
+    def test_damaged_features_csv_rejected(self, tmp_path, mini_pheme_dir, capsys, damage, command):
+        conf = write_config(tmp_path, mini_pheme_dir, n_trees=3, k_folds=2)
+        assert cli.main(["ingest", "--config", str(conf)]) == 0
+        assert cli.main(["featurize", "--config", str(conf)]) == 0
+        if command == "explain":
+            assert cli.main(["train", "--config", str(conf)]) == 0
+        path = tmp_path / "out" / "t" / report.FEATURES_CSV
+        lines = path.read_text().splitlines(keepends=True)
+        header, last = lines[0].split(","), lines[-1].split(",")
+        if damage == "truncated":
+            # a write cut short inside the last record
+            lines[-1] = ",".join(last[: len(last) // 2])
+            want = f"line {len(lines)}: {len(last) // 2} cells, expected {len(header)}"
+        elif damage == "not a number":
+            lines[-1] = ",".join(last[:5] + ["n/a"] + last[6:])
+            want = f"line {len(lines)}: could not convert string to float: 'n/a'"
+        else:
+            # cut short before the header was written
+            lines = []
+            want = "line 1: no header"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(conf)]) == 1
+        assert f"error: ParseError: {path}: {want}" in capsys.readouterr().err
 
     def test_run_config_persisted(self, tmp_path, mini_pheme_dir):
         conf = write_config(tmp_path, mini_pheme_dir)

@@ -9,6 +9,8 @@ bit for bit.
 """
 
 from dataclasses import replace
+from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -339,6 +341,23 @@ def random_forest_case(seed):
     return model, model.impute(background), model.impute(rows_)
 
 
+def oracle_weight_table(d):
+    """A[p, q] as the defining sum over coalition sizes, in exact
+    fractions, then cast to float."""
+    w = [Fraction(factorial(s) * factorial(d - 1 - s), factorial(d)) for s in range(d)]
+    table = np.zeros((d + 1, d + 1))
+    for p in range(d):
+        for q in range(d - p):
+            m = d - 1 - p - q
+            table[p, q] = float(sum(comb(m, k) * w[p + k] for k in range(m + 1)))
+    return table
+
+
+@pytest.mark.parametrize("d", range(1, 41))
+def test_weight_table_is_the_subset_sum(d):
+    assert _weight_table(d).view(np.uint64).tolist() == oracle_weight_table(d).view(np.uint64).tolist()
+
+
 class TestBatchedExplainer:
     @pytest.mark.parametrize("seed", range(12))
     def test_random_forests_bitwise_equal_to_oracle(self, seed):
@@ -424,6 +443,24 @@ class TestBatchedExplainer:
         whole = TreeShapExplainer(model, background)
         assert whole._chunk_rows >= len(instances)
         assert phi.view(np.uint64).tolist() == whole.explain_rows(instances).view(np.uint64).tolist()
+
+    def test_accumulator_bounds_the_chunk(self):
+        # stumps have one slot per leaf and a 1-row background, so the
+        # (rows x trees x features) accumulator, not the leaf block, sets
+        # the chunk's rows
+        rng = np.random.default_rng(12)
+        d, n_trees = 64, 256
+        trees = [
+            stump(int(rng.integers(d)), float(rng.normal()), rng.integers(0, 9, 2), rng.integers(0, 9, 2))
+            for _ in range(n_trees)
+        ]
+        model = manual_model(trees, [f"f{j}" for j in range(d)])
+        background, instances = random_rows(rng, 1, d)[0], random_rows(rng, 36, d)[0]
+        explainer, _phi = assert_matches_oracle(model, background, instances)
+        step = explainer._chunk_rows
+        assert explainer._leaves.widest == 1
+        assert 1 < step and step * n_trees * d <= shapley.BLOCK_CELLS
+        assert len(instances) > 2 * step
 
     def test_row_shape_mismatch(self):
         model = manual_model([leaf_tree([1, 1])], ["a", "b"])
