@@ -23,10 +23,10 @@ nodes from its own stack, closing as leaves those that stop (too few
 rows, the depth limit, one class), up to its next node to split, and
 draws that node's feature subset from its own RNG. So each tree makes
 its draws, and numbers its nodes, in the pre-order of a recursive build:
-the models do not depend on how many trees share a step. One batched
-search then scores the candidate cuts of all the popped nodes; the
-nodes whose sampled features admit no cut get one more batched search
-over their remaining features. One stable two-way pass then splits the
+the models do not depend on how many trees share a step. One search
+then scores the candidate cuts of all the popped nodes; the nodes
+whose sampled features admit no cut get one more search over their
+remaining features. One stable two-way pass then splits the
 rows of every node that found a cut: each node's rows are one segment of
 a concatenated array, running counts of the rows that go left give each
 row its place (O(rows), no sort), and every child gets its rows in parent
@@ -34,25 +34,28 @@ order and its class-1 count. What stays per node is the RNG draw, a
 cached parent impurity and pushing the two children on the tree's stack;
 the trees of a forest are cut out of one node array at the end.
 
-The batched search gathers a (nodes x candidate features x rows) block
-from the imputed matrix through each node's rows, padding every node to
-the longest with a row of +inf in class 0. It sorts each row of the
-block, accumulates the class counts along it, and scores every cut with
-each side's elementwise Gini impurity `1 - (p0*p0 + p1*p1)`. Cuts
-between ties are void, and so is every cut whose right side holds
-padding. A block holds at most `SPLIT_BLOCK_CELLS` cells (a larger node
-is searched alone); a step's nodes are taken by size into as many
-searches as that needs.
+The search counts cuts on rank-encoded columns, after SLIQ (Mehta,
+Agrawal & Rissanen, EDBT 1996). Each fit encodes its imputed matrix
+once: every value becomes its rank among its column's distinct values,
+kept in one flat table. Every (node, candidate feature, row) cell
+becomes one int64 key of (segment = node and feature, rank, class), and
+one sort orders the keys. The cuts are the places where the rank
+changes within a segment; cumulative class counts give each cut its
+sides' elementwise Gini impurity `1 - (p0*p0 + p1*p1)`, and its
+threshold is the midpoint of the node's two distinct values around it.
+A search holds at most `SPLIT_BLOCK_CELLS` cells, unpadded (a larger
+node is searched alone); a step's nodes are taken in order.
 
 Per node, a cut wins when it beats the best so far by more than 1e-15,
 scanning features in order and each feature's cuts ascending; unlike an
 argmax, this keeps an earlier cut over a later one that is better only
-by rounding. The batched search replays that record chain for all nodes
-at once. The decreases are not bit-identical to `1 - np.dot(p, p)`, the
-form `_gini` keeps for the parent impurity: `np.dot` may round
-`p0*p0 + p1*p1` once, as a fused multiply-add, where the array form
-rounds twice, and on x86-64 with numpy 2.4 that moves the last bit for
-about one class-count pair in six. The 1e-15 margin is about nine units
+by rounding. The search replays that record chain for all nodes at
+once, over each node's running maxima only: a record beats every
+earlier cut of its node. The decreases are not bit-identical to
+`1 - np.dot(p, p)`, the form `_gini` keeps for the parent impurity:
+`np.dot` may round `p0*p0 + p1*p1` once, as a fused multiply-add, where
+the array form rounds twice, and on x86-64 with numpy 2.4 that moves the
+last bit for about one class-count pair in six. The 1e-15 margin is about nine units
 in the last place of that sum (which lies in [0.5, 1]), so the two forms
 pick different cuts only when two decreases differ by the margin to
 within a few units; the oracle tests in tests/test_classify.py compare
@@ -83,7 +86,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import FeatureMismatch, ParseError, SingleClass, TooFewSamples
+from .errors import FeatureMismatch, NonFiniteValue, ParseError, SingleClass, TooFewSamples
 
 CLASSES = ("non-rumour", "rumour")
 
@@ -238,15 +241,12 @@ class RandomForestModel:
 def compute_medians(X: np.ndarray) -> np.ndarray:
     """Per-column median over the defined (non-NaN) values; 0.0 when a
     column is absent everywhere (nothing to estimate from)."""
+    sorted_x = np.sort(X, axis=0, kind="stable")  # absent (NaN) cells sort last
+    defined = np.count_nonzero(~np.isnan(X), axis=0)
     medians = np.zeros(X.shape[1])
-    for j in range(X.shape[1]):
-        col = X[:, j]
-        defined = np.sort(col[~np.isnan(col)], kind="stable")
-        if defined.size:
-            mid = defined.size // 2
-            medians[j] = (
-                defined[mid] if defined.size % 2 else (defined[mid - 1] + defined[mid]) / 2.0
-            )
+    odd, even = (np.flatnonzero((defined > 0) & (defined % 2 == r)) for r in (1, 0))
+    medians[odd] = sorted_x[defined[odd] // 2, odd]
+    medians[even] = (sorted_x[defined[even] // 2 - 1, even] + sorted_x[defined[even] // 2, even]) / 2.0
     return medians
 
 
@@ -309,124 +309,128 @@ def _gini(counts: np.ndarray) -> float:
     return float(1.0 - np.dot(p, p))
 
 
-# cells (nodes x candidate features x rows) of one batched cut search; a
-# node larger than this is searched alone
-SPLIT_BLOCK_CELLS = 1 << 12
+def _rank_codes(X: np.ndarray, y: np.ndarray):
+    """The imputed matrix rank-encoded once per fit for the cut search:
+    (codes, values, offset, width). `codes[i, j]` is `2 * rank + y[i]`,
+    where rank is that of `X[i, j]` among column j's sorted distinct
+    values; `values[offset[j] + r]` is column j's value of rank r; no
+    column holds more than `width` distinct values."""
+    order = np.argsort(X, axis=0, kind="stable")
+    sorted_x = np.take_along_axis(X, order, axis=0)
+    new = np.ones(X.shape, dtype=bool)
+    new[1:] = sorted_x[1:] > sorted_x[:-1]
+    codes = np.empty(X.shape, dtype=np.int64)
+    np.put_along_axis(codes, order, 2 * (np.cumsum(new, axis=0) - 1) + y[order], axis=0)
+    distinct = new.sum(axis=0)
+    return codes, sorted_x.T[new.T], np.cumsum(distinct) - distinct, int(distinct.max(initial=1))
 
 
-def _best_splits(
-    X: np.ndarray,
-    y: np.ndarray,
-    rows: np.ndarray,
-    n: np.ndarray,
-    feature_ids: np.ndarray,
-    parent_impurity: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+# (node, candidate feature, row) cells of one cut search; a step's nodes
+# are taken in order into as many searches as that needs, a larger node
+# alone. A few arrays of this length live at once; the busiest step of
+# perfbench's reactions-model (100 root nodes) holds 12,000 cells, so
+# every step there is one search
+SPLIT_BLOCK_CELLS = 1 << 16
+
+
+def _best_splits(codes, rows, n, feature_ids, parent_impurity):
     """Best cut of each of K nodes: (impurity decrease, feature, threshold)
     arrays, from the first record above `best + 1e-15` over the cuts of
     the node's `feature_ids` row in order, each feature's cuts ascending;
     (0.0, -1, 0.0) where no cut decreases the impurity.
 
-    `X` and `y` end in a padding row (+inf, class 0). Row k of `rows`
-    holds node k's `n[k]` row indices, then the padding row's index up to
-    the block width N; `parent_impurity[k]` is `_gini` of node k's class
-    counts. All cuts of all nodes are scored in one pass."""
-    k_nodes = len(rows)
-    width = rows.shape[1]
-    # the sorted values stay live for the thresholds: with them, at most
-    # four (nodes x features x rows) arrays and the void mask live at once
-    block = X[rows[:, None, :], feature_ids[:, :, None]]
-    order = np.argsort(block, axis=2, kind="stable")
-    sorted_x = np.take_along_axis(block, order, axis=2)
-    del block
-    # cut c puts the c + 1 lowest rows left; cuts between ties and cuts
-    # at c >= n - 1, whose right side is padding, are void
-    void = ~(sorted_x[:, :, 1:] > sorted_x[:, :, :-1])
-    void |= (np.arange(width - 1) >= (n - 1)[:, None])[:, None, :]
-    # class-1 counts left of each cut, from the labels in sorted order
-    order += (np.arange(k_nodes) * width)[:, None, None]
-    ones = y[rows].ravel()[order]
-    del order
-    np.cumsum(ones, axis=2, out=ones)
-    ones = ones.astype(np.float64)
-    left = ones[:, :, :-1]
-    n_left = np.arange(1.0, width)
-    size = n.astype(np.float64)[:, None, None]
+    `codes` is `_rank_codes` of the imputed matrix; `rows` holds node k's
+    `n[k]` row indices as its k-th segment; `parent_impurity[k]` is
+    `_gini` of node k's class counts. All cuts of all nodes are counted
+    in one sort of one integer key per (node, feature, row) cell."""
+    codes, values, offset, width = codes
+    k_nodes, m = feature_ids.shape
+    # key (segment, rank, class) of each cell; segment k * m + i holds the
+    # cells of node k's i-th feature, so the sorted keys run node after
+    # node, feature after feature, each feature's ranks ascending
+    keys = codes.ravel().take(rows[:, None] * codes.shape[1] + np.repeat(feature_ids, n, axis=0))
+    keys += np.repeat(np.arange(k_nodes * m).reshape(k_nodes, m) * (2 * width), n, axis=0)
+    keys = np.sort(keys, axis=None)
+    cells = np.repeat(n, m)
+    end = np.cumsum(cells)  # one past each segment's last cell
+    start = end - cells
+    # class-1 counts up to each cell; a cut after cell c lies between two
+    # ranks of one segment
+    ones = np.concatenate([[0], np.cumsum(keys & 1)])
+    keys >>= 1
+    at = keys[1:] != keys[:-1]
+    at[end[:-1] - 1] = False
+    cut = np.flatnonzero(at)
+    segment = keys[cut] // width
+    k = segment // m
+    first = start[segment]
+    left = (ones[cut + 1] - ones[first]).astype(np.float64)
+    right = (ones[end] - ones[start])[segment] - left
+    n_left = (cut + 1 - first).astype(np.float64)
+    size = n[k].astype(np.float64)
     n_right = size - n_left
-    n_right[n_right < 1.0] = 1.0  # a void cut's empty right side divides by 1, not 0
     # each side's elementwise Gini, 1 - (p0*p0 + p1*p1), weighted by its
-    # row count, one operation at a time in place
-    decrease = n_left - left
-    decrease /= n_left
-    p = left / n_left
-    decrease *= decrease
-    p *= p
-    decrease += p
-    np.subtract(1.0, decrease, out=decrease)
-    decrease *= n_left
-    right = np.subtract(ones[:, :, -1:], left, out=left)
-    np.subtract(n_right, right, out=p)
-    p /= n_right
-    right /= n_right
-    p *= p
-    right *= right
-    p += right
-    del ones, left, right
-    np.subtract(1.0, p, out=p)
-    p *= n_right
-    decrease += p
-    del p
-    decrease /= size
-    np.subtract(parent_impurity[:, None, None], decrease, out=decrease)
-    decrease[void] = -np.inf
-    del void
-    # the record chain of every node at once: each round takes, per node
-    # still searching, the first cell past its last record that beats
-    # that record by more than 1e-15
-    flat = decrease.reshape(k_nodes, -1)
-    cells = np.arange(flat.shape[1])
+    # row count
+    decrease = parent_impurity[k] - (
+        n_left * (1.0 - (((n_left - left) / n_left) ** 2 + (left / n_left) ** 2))
+        + n_right * (1.0 - (((n_right - right) / n_right) ** 2 + (right / n_right) ** 2))
+    ) / size
+    # the record chain of every node at once. A record beats 1e-15 (the
+    # first record's bar) and every earlier cut of its node. Lifted by its
+    # node's index, each node's decreases lie in [k, k + 1), so one running
+    # maximum serves all nodes; it rounds, so it keeps each node's strict
+    # running maxima and the cuts that tie them after rounding, and drops
+    # only cuts below an earlier cut, which are never records
+    live = np.flatnonzero(decrease > 1e-15)
+    lifted = k[live] + decrease[live]
+    live = live[lifted == np.maximum.accumulate(lifted)]
     best = np.zeros(k_nodes)
-    at = np.full(k_nodes, -1)
-    live = np.arange(k_nodes)
-    while live.size and cells.size:  # a node may have no candidate feature
-        above = flat[live] > (best[live] + 1e-15)[:, None]
-        above &= cells > at[live][:, None]
-        first = above.argmax(axis=1)
-        found = above[np.arange(live.size), first]
-        live, first = live[found], first[found]
-        at[live] = first
-        best[live] = flat[live, first]
-    split = np.flatnonzero(at >= 0)
-    row, cut = np.divmod(at[split], width - 1)
+    record = np.full(k_nodes, -1)
+    while live.size:
+        # a node's first live cut is its next record, and so is each next
+        # one while it beats the one before by more than 1e-15; the live
+        # cuts past the run's last record must beat that one so
+        owner, v = k[live], decrease[live]
+        head = np.ones(live.size, dtype=bool)
+        head[1:] = owner[1:] != owner[:-1]
+        stop = np.append(head, True)
+        stop[1:-1] |= ~(v[1:] > v[:-1] + 1e-15)
+        at = np.flatnonzero(stop)
+        last = at[1:][head[at[:-1]]] - 1
+        record[owner[last]] = live[last]
+        best[owner[last]] = v[last]
+        live = live[v > best[owner] + 1e-15]
+    split = np.flatnonzero(record >= 0)
+    c, segment = cut[record[split]], segment[record[split]]
     feature = np.full(k_nodes, -1)
-    feature[split] = feature_ids[split, row]
-    # the threshold lies between the cut's two sorted values
+    feature[split] = feature_ids[split, segment % m]
+    # the midpoint of the node's two adjacent distinct values around the cut
+    base = offset[feature[split]] - segment * width
     threshold = np.zeros(k_nodes)
-    threshold[split] = (sorted_x[split, row, cut] + sorted_x[split, row, cut + 1]) / 2.0
+    threshold[split] = (values[base + keys[c]] + values[base + keys[c + 1]]) / 2.0
     return best, feature, threshold
 
 
-def _search_nodes(X, y, rows, n, feature_ids, parent_impurity):
-    """(feature, threshold) of `_best_splits` over any number of nodes, in
-    chunks of at most `SPLIT_BLOCK_CELLS` cells: the nodes are taken by
-    size, so each chunk pads its rows to a near size."""
-    feature = np.full(len(rows), -1)
-    threshold = np.zeros(len(rows))
-    by_size = np.argsort(n, kind="stable")
+def _search_nodes(codes, rows, n, feature_ids, parent_impurity):
+    """(feature, threshold) of `_best_splits` over any number of nodes,
+    taken in order into searches of at most `SPLIT_BLOCK_CELLS` cells (a
+    larger node alone). `rows` holds node k's `n[k]` rows as its k-th
+    segment."""
+    feature = np.full(len(n), -1)
+    threshold = np.zeros(len(n))
+    row_end = np.cumsum(n)
+    cell_end = row_end * feature_ids.shape[1]
     start = 0
-    while start < len(by_size):
-        stop = start + 1
-        while (
-            stop < len(by_size)
-            and (stop + 1 - start) * feature_ids.shape[1] * n[by_size[stop]] <= SPLIT_BLOCK_CELLS
-        ):
-            stop += 1
-        chunk = by_size[start:stop]
-        # each node's rows, then the padding row's index
-        padded = np.full((len(chunk), n[chunk[-1]]), len(X) - 1)
-        padded[np.arange(padded.shape[1]) < n[chunk, None]] = np.concatenate([rows[k] for k in chunk])
+    while start < len(n):
+        done = cell_end[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(cell_end, done + SPLIT_BLOCK_CELLS, side="right")))
+        chunk = slice(start, stop)
         _, feature[chunk], threshold[chunk] = _best_splits(
-            X, y, padded, n[chunk], feature_ids[chunk], parent_impurity[chunk]
+            codes,
+            rows[row_end[start] - n[start] : row_end[stop - 1]],
+            n[chunk],
+            feature_ids[chunk],
+            parent_impurity[chunk],
         )
         start = stop
     return feature, threshold
@@ -483,16 +487,15 @@ def _partition(X, y, rows, n, feature, threshold):
 
 
 def _grow_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) -> list[Tree]:
-    """Grow all trees in lockstep. Each step, every tree that still has
-    work creates its next node to split (closing leaves on the way), one
-    batched cut search scores all those nodes (the nodes with no cut on
-    their sampled features get one batched search over the rest), and one
-    partition splits the rows of every node that found a cut."""
+    """Grow all trees in lockstep on the rank codes of `X`. Each step,
+    every tree that still has work creates its next node to split
+    (closing leaves on the way), one cut search scores all those nodes
+    (the nodes with no cut on their sampled features get one search over
+    the rest), and one partition splits the rows of every node that found
+    a cut."""
     n, d = X.shape
     m = config.features_per_split(d)
-    # one padding row (+inf, class 0) at index n fills every node's block
-    X = np.vstack([X, np.full(d, np.inf)])
-    y = np.append(y, 0)
+    codes = _rank_codes(X, y)
     impurity: dict[tuple[int, int], float] = {}  # `_gini` per class-count pair
     growths = []
     for tree_idx in range(config.n_trees):
@@ -511,7 +514,8 @@ def _grow_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) 
             if (size, ones) not in impurity:
                 impurity[size, ones] = _gini(np.array([size - ones, ones]))
             parent[k] = impurity[size, ones]
-        feature, threshold = _search_nodes(X, y, rows, sizes, sampled, parent)
+        step_rows = np.concatenate(rows)
+        feature, threshold = _search_nodes(codes, step_rows, sizes, sampled, parent)
         retry = np.flatnonzero(feature == -1)
         if retry.size and m < d:
             # the complement of each node's draw, ascending
@@ -519,7 +523,7 @@ def _grow_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) 
             rest[np.arange(retry.size)[:, None], sampled[retry]] = False
             rest = np.nonzero(rest)[1].reshape(retry.size, d - m)
             feature[retry], threshold[retry] = _search_nodes(
-                X, y, [rows[k] for k in retry], sizes[retry], rest, parent[retry]
+                codes, step_rows[np.repeat(feature == -1, sizes)], sizes[retry], rest, parent[retry]
             )
         split = np.flatnonzero(feature != -1)
         if split.size < len(jobs):
@@ -532,12 +536,11 @@ def _grow_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) 
                     )
                     g.warned_degenerate = True
             jobs = [jobs[k] for k in split.tolist()]
-            rows, sizes, feature, threshold = [rows[k] for k in split], sizes[split], feature[split], threshold[split]
+            step_rows = step_rows[np.repeat(feature != -1, sizes)]
+            sizes, feature, threshold = sizes[split], feature[split], threshold[split]
         if not jobs:
             continue
-        left_rows, right_rows, n_left, left_ones = _partition(
-            X, y, np.concatenate(rows), sizes, feature, threshold
-        )
+        left_rows, right_rows, n_left, left_ones = _partition(X, y, step_rows, sizes, feature, threshold)
         # each node's children: the next run of left rows, and of right rows
         la = ra = 0
         for (g, node, idx, ones, depth, _), f, thr, nl, ol in zip(
@@ -574,6 +577,9 @@ def fit_forest(
     if medians is None:
         medians = compute_medians(X)
     X = build_matrix(X, medians)
+    if not np.isfinite(X).all():
+        row, col = np.argwhere(~np.isfinite(X))[0]
+        raise NonFiniteValue(f"training row {row}, feature {feature_names[col]!r}: {X[row, col]} after imputation")
     if len(np.unique(y)) < 2:
         raise SingleClass("training data holds a single class")
     return RandomForestModel(

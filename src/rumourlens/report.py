@@ -14,6 +14,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .corpus import PartitionCounts
 from .emotions import LABELS as EMOTION_LABELS
 from .emotions import POPULATIONS
@@ -126,11 +128,13 @@ def write_features_csv(path, table: FeatureTable) -> None:
 
 
 def read_features_csv(path) -> FeatureTable:
-    """Absent values come back as NaN; a record of the wrong length or a
-    value that is not a number raises ParseError."""
+    """Absent values come back as NaN; a record of the wrong length, a
+    value that is not a number and a non-finite value (nan, inf) not
+    flagged absent raise ParseError."""
     nan = math.nan
     meta: list[list[str]] = [[], [], [], [], []]  # tweet_id, event, role, label, empty_text
     X = []
+    absent = []  # count of absent flags per record
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -142,15 +146,42 @@ def read_features_csv(path) -> FeatureTable:
                 raise ParseError(f"{path}: line {reader.line_num}: {len(record)} cells, expected {len(header)}")
             for column, cell in zip(meta, record):
                 column.append(cell)
-            cells = zip(record[5::2], record[6::2])
+            flags = record[6::2]
+            absent.append(flags.count("true"))
             try:
-                X.append([nan if absent == "true" else float(raw) for raw, absent in cells])
+                if absent[-1]:
+                    X.append([nan if flag == "true" else float(raw) for raw, flag in zip(record[5::2], flags)])
+                else:
+                    X.append(list(map(float, record[5::2])))
             except ValueError as exc:
                 raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
     tweet_id, event, role, label, empty_text = meta
-    return FeatureTable.from_columns(
+    table = FeatureTable.from_columns(
         feature_names, tweet_id, event, role, label, [e == "true" for e in empty_text], X
     )
+    del X  # the matrix holds the rows now; free them before the check
+    # an absent cell reads as NaN, so a record holds more non-finite values
+    # than absent flags only where a value flagged present is nan or inf
+    bad = np.count_nonzero(~np.isfinite(table.X), axis=1) != np.array(absent, dtype=np.int64)
+    if bad.any():
+        raise ParseError(_non_finite_cell(path, int(bad.argmax())))
+    return table
+
+
+def _non_finite_cell(path, index: int) -> str:
+    """'<path>: line N: <cause>' for the first value of the index-th
+    record of a features CSV that is nan or inf but not flagged absent."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        for _ in range(index + 1):
+            record = next(reader)
+    name, raw = next(
+        (name, raw)
+        for name, raw, flag in zip(header[5::2], record[5::2], record[6::2])
+        if flag != "true" and not math.isfinite(float(raw))
+    )
+    return f"{path}: line {reader.line_num}: feature {name!r} holds {raw!r}, which is not finite, but is not flagged absent"
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from rumourlens.classify import (
     _best_splits,
     _gini,
     _partition,
+    _rank_codes,
     build_matrix,
     compute_medians,
     cross_validate,
@@ -27,7 +28,7 @@ from rumourlens.classify import (
     split_train_test,
     stratified_folds,
 )
-from rumourlens.errors import FeatureMismatch, ParseError, SingleClass, TooFewSamples
+from rumourlens.errors import FeatureMismatch, NonFiniteValue, ParseError, SingleClass, TooFewSamples
 from rumourlens.shapley import TreeShapExplainer
 
 RUMOUR, NON_RUMOUR = CLASSES.index("rumour"), CLASSES.index("non-rumour")
@@ -151,6 +152,17 @@ class TestForest:
         with pytest.raises(FeatureMismatch):
             evaluate(model, np.zeros((2, 5)), np.zeros(2, dtype=np.int64))
 
+    @pytest.mark.parametrize(
+        "cell, medians",
+        [(np.inf, None), (-np.inf, None), (np.nan, [np.inf, 0.0]), (np.nan, [-np.inf, 0.0])],
+        ids=["inf", "-inf", "inf median", "-inf median"],
+    )
+    def test_non_finite_matrix_rejected(self, cell, medians):
+        X, y, names = blob_data(10, seed=3)
+        X[4, 0] = cell
+        with pytest.raises(NonFiniteValue, match="training row 4, feature 'f0'"):
+            fit_forest(X, y, names, ForestConfig(n_trees=2), seed=0, medians=medians)
+
     def test_serialization_round_trip(self):
         X, y, names = blob_data(20, seed=6)
         model = fit_forest(X, y, names, ForestConfig(n_trees=5), seed=8)
@@ -271,27 +283,49 @@ def random_node(seed):
     return X, y, idx, feature_ids
 
 
-def padded(X, y):
-    """`X` and `y` with the padding row (+inf, class 0) the batched search
-    expects at index len(X)."""
-    return np.vstack([X, np.full(X.shape[1], np.inf)]), np.append(y, 0)
-
-
 def array_best_split(X, y, idx, feature_ids):
-    """The batched search on a batch of one node."""
-    Xp, yp = padded(X, y)
+    """The count search on a batch of one node."""
     parent = [_gini(np.bincount(y[idx], minlength=2))]
     decrease, feature, threshold = _best_splits(
-        Xp, yp, idx[None, :], np.array([len(idx)]), np.asarray(feature_ids)[None, :], np.array(parent)
+        _rank_codes(X, y), idx, np.array([len(idx)]), np.asarray(feature_ids)[None, :], np.array(parent)
     )
     return float(decrease[0]), int(feature[0]), float(threshold[0])
 
 
-def scalar_best_splits(X, y, rows, n, feature_ids, parent_impurity):
-    """`_best_splits` one node at a time through the scalar oracle."""
-    found = [scalar_best_split(X, y, rows[k, : n[k]], feature_ids[k]) for k in range(len(rows))]
+def scalar_best_splits(codes, rows, n, feature_ids, parent_impurity):
+    """`_best_splits` one node at a time through the scalar oracle, on
+    the matrix and classes that the rank codes hold."""
+    codes, values, offset, _ = codes
+    X = values[offset + codes // 2]
+    y = codes[:, 0] % 2
+    nodes = np.split(rows, np.cumsum(n)[:-1])
+    found = [scalar_best_split(X, y, idx, feature_ids[k]) for k, idx in enumerate(nodes)]
     decrease, feature, threshold = (np.array(column) for column in zip(*found))
     return decrease, feature, threshold
+
+
+def edge_nodes():
+    """(name, X, y, idx, feature_ids) of nodes at the edges of the rank
+    encoding."""
+    # the median of [0, 0, 10, 10] is 5, which no row holds until the
+    # absent cells take it, so the rank table must include it
+    X = np.array([0.0, 0.0, 10.0, 10.0, np.nan, np.nan])[:, None]
+    yield "median no row holds", build_matrix(X, compute_medians(X)), np.array([0, 0, 1, 1, 0, 0]), np.arange(6), [0]
+    rng = np.random.default_rng(5)
+    for seed in range(6):
+        X, y = random_node(seed)[:2]
+        yield f"two rows {seed}", X, y, rng.choice(len(X), size=2, replace=False), np.arange(X.shape[1])
+    # column 0 takes five values, but only 2.0 in the node
+    X = np.column_stack([np.arange(40) % 5, rng.normal(size=40)]).astype(float)
+    y = (X[:, 1] > 0).astype(np.int64)
+    yield "constant in the node", X, y, np.flatnonzero(X[:, 0] == 2.0), [0, 1]
+    yield "constant in the node only", X, y, np.flatnonzero(X[:, 0] == 2.0), [0]
+    # -0.0 and 0.0 are one value; cuts on either side of them
+    X = np.array([-0.0, 0.0, -0.0, 0.0, 1.0, -1.0, 0.0, -0.0, 2.0, -2.0])[:, None]
+    y = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 0])
+    yield "signed zeros", X, y, np.arange(10), [0]
+    yield "signed zeros, right of the cut", X, 1 - (X[:, 0] <= -1.0).astype(np.int64), np.arange(10), [0]
+    yield "signed zeros, left of the cut", X, (X[:, 0] >= 1.0).astype(np.int64), np.arange(10), [0]
 
 
 # np.dot(p, p) may round p0*p0 + p1*p1 once (a fused multiply-add) where
@@ -315,8 +349,8 @@ class TestSplitSearchOracle:
     def test_ragged_batch_matches_scalar_search(self):
         # 200 nodes of 2-200 rows in one call: each node's rows sit in a
         # block of its own in one stacked matrix, its columns cycled to a
-        # common width of 9, and every node scans 4 of them; the shorter
-        # nodes are padded out to the longest
+        # common width of 9, and every node scans 4 of them; the nodes'
+        # rows are concatenated, each node as long as it is
         rng = np.random.default_rng(11)
         blocks, labels, rows, feature_ids = [], [], [], []
         offset = 0
@@ -328,23 +362,19 @@ class TestSplitSearchOracle:
             feature_ids.append(np.sort(rng.choice(9, size=4, replace=False)))
             offset += len(X)
         X, y = np.vstack(blocks), np.concatenate(labels)
-        Xp, yp = padded(X, y)
         n = np.array([len(idx) for idx in rows])
-        block = np.full((len(rows), n.max()), len(X))
-        for k, idx in enumerate(rows):
-            block[k, : n[k]] = idx
         parent = np.array([_gini(np.bincount(y[idx], minlength=2)) for idx in rows])
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # padded cells raise no floating-point warning
-            got = _best_splits(Xp, yp, block, n, np.array(feature_ids), parent)
-        assert (n < n.max()).sum() > 190  # most nodes are padded
+            warnings.simplefilter("error")  # no cell raises a floating-point warning
+            got = _best_splits(_rank_codes(X, y), np.concatenate(rows), n, np.array(feature_ids), parent)
+        assert (n < n.max()).sum() > 190  # most nodes are shorter than the longest
         outcomes = set()
         for k, idx in enumerate(rows):
             want = scalar_best_split(X, y, idx, feature_ids[k])
             assert (int(got[1][k]), float(got[2][k])) == want[1:], k
             assert abs(got[0][k] - want[0]) <= DECREASE_TOL, k
-            # a padded cell never wins: every threshold lies inside the
-            # node's own values
+            # every threshold lies inside the node's own values, not
+            # between values that only other nodes hold
             if want[1] != -1:
                 assert X[idx, want[1]].min() <= got[2][k] <= X[idx, want[1]].max(), k
             outcomes.add(want[1] != -1)
@@ -361,14 +391,35 @@ class TestSplitSearchOracle:
         assert argmax[1:] != want[1:] and 0.0 < argmax[0] - want[0] < 1e-15
         assert array_best_split(X, y, idx, feature_ids)[1:] == want[1:]
 
+    @pytest.mark.parametrize("case", [case[0] for case in edge_nodes()])
+    def test_edge_nodes_match_scalar_search(self, case):
+        X, y, idx, feature_ids = next(rest for name, *rest in edge_nodes() if name == case)
+        want = scalar_best_split(X, y, idx, feature_ids)
+        got = array_best_split(X, y, idx, feature_ids)
+        assert got[1] == want[1]
+        assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()  # signed zeros too
+        assert abs(got[0] - want[0]) <= DECREASE_TOL
+        if case == "median no row holds":
+            assert got[1:] == (0, 7.5)  # between the median 5 and 10
+
+    def test_all_features_match_scalar_search(self):
+        # max_features = "all": every node scans every column
+        for seed in range(300):
+            X, y, idx, _ = random_node(seed)
+            feature_ids = np.arange(X.shape[1])
+            want = scalar_best_split(X, y, idx, feature_ids)
+            got = array_best_split(X, y, idx, feature_ids)
+            assert got[1:] == want[1:], seed
+            assert abs(got[0] - want[0]) <= DECREASE_TOL, seed
+
     def test_forests_match_scalar_oracle(self, monkeypatch):
         # the last dataset has 6 of 9 columns constant, so a node's 3
         # sampled features often admit no cut and the full-scan fallback runs
         fallbacks = []
 
-        def oracle_splits(X, y, rows, n, feature_ids, parent_impurity):
+        def oracle_splits(codes, rows, n, feature_ids, parent_impurity):
             fallbacks.append(feature_ids.shape[1] == 6)
-            return scalar_best_splits(X, y, rows, n, feature_ids, parent_impurity)
+            return scalar_best_splits(codes, rows, n, feature_ids, parent_impurity)
 
         datasets = [random_node(seed)[:2] for seed in range(100, 104)]
         rng = np.random.default_rng(7)
@@ -584,7 +635,7 @@ class TestLockstepGrowth:
 
     @pytest.mark.parametrize("cells", [1, 300])
     def test_block_cap_does_not_change_models(self, monkeypatch, cells):
-        # a cap below one node's block searches every node alone; 300
+        # a cap below one node's cells searches every node alone; 300
         # cells packs a few nodes per call
         X, y, names = blob_data(40, distance=1.0, seed=4, d=9)
         want = model_to_json(fit_forest(X, y, names, ForestConfig(n_trees=20), seed=2))
@@ -793,6 +844,20 @@ def dict_matrix(rows: list[dict], feature_names, medians: dict[str, float]) -> n
     return X
 
 
+def loop_medians(X: np.ndarray) -> np.ndarray:
+    """Reference: the per-column loop that one sort of the matrix replaced."""
+    medians = np.zeros(X.shape[1])
+    for j in range(X.shape[1]):
+        col = X[:, j]
+        defined = np.sort(col[~np.isnan(col)], kind="stable")
+        if defined.size:
+            mid = defined.size // 2
+            medians[j] = (
+                defined[mid] if defined.size % 2 else (defined[mid - 1] + defined[mid]) / 2.0
+            )
+    return medians
+
+
 class TestImputation:
     def test_median_from_defined_values_only(self):
         X = np.array([[1.0, np.nan], [3.0, 10.0], [np.nan, 20.0]])
@@ -828,6 +893,19 @@ class TestImputation:
         assert [m.hex() for m in medians.tolist()] == [expected[n].hex() for n in names]
         got = build_matrix(X, medians)
         assert got.tobytes() == dict_matrix(rows, names, expected).tobytes()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_bitwise_equal_to_column_loop(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n, d = int(rng.integers(0, 60)), int(rng.integers(1, 8))
+        pool = [0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf]
+        X = np.where(rng.random((n, d)) < 0.6, rng.choice(pool, size=(n, d)), rng.normal(size=(n, d)))
+        X[rng.random((n, d)) < rng.random()] = np.nan
+        X[:, rng.random(d) < 0.3] = np.nan  # columns absent everywhere
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the median of -inf and inf
+            want, got = loop_medians(X), compute_medians(X)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCrossValidate:

@@ -212,7 +212,7 @@ class TestCliCommands:
         assert cli.main(["featurize", "--config", str(conf)]) == 2
         assert f"error: config: {key} must be {rule}, got" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["truncated", "not a number", "empty"])
+    @pytest.mark.parametrize("damage", ["truncated", "not a number", "empty", "nan", "inf", "-inf", "Infinity"])
     @pytest.mark.parametrize("command", ["compare", "train", "explain"])
     def test_damaged_features_csv_rejected(self, tmp_path, mini_pheme_dir, capsys, damage, command):
         conf = write_config(tmp_path, mini_pheme_dir, n_trees=3, k_folds=2)
@@ -230,10 +230,15 @@ class TestCliCommands:
         elif damage == "not a number":
             lines[-1] = ",".join(last[:5] + ["n/a"] + last[6:])
             want = f"line {len(lines)}: could not convert string to float: 'n/a'"
-        else:
+        elif damage == "empty":
             # cut short before the header was written
             lines = []
             want = "line 1: no header"
+        else:
+            # a non-finite value in a cell not flagged absent
+            j = next(j for j in range(6, len(last), 2) if last[j].strip() == "false")
+            lines[-1] = ",".join(last[: j - 1] + [damage] + last[j:])
+            want = f"line {len(lines)}: feature {header[j - 1]!r} holds {damage!r}, which is not finite, but is not flagged absent"
         path.write_text("".join(lines))
         capsys.readouterr()
         assert cli.main([command, "--config", str(conf)]) == 1
