@@ -731,25 +731,31 @@ def model_to_json(model: RandomForestModel) -> str:
 
 
 def model_from_json(text: str) -> RandomForestModel:
-    """The model `model_to_json` wrote; ParseError, naming the tree, for
-    trees that would not route every row to a leaf."""
-    payload = json.loads(text)
-    if payload.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format {payload.get('format_version')!r}")
-    cfg = payload["config"]
-    return RandomForestModel(
-        trees=_trees_from_lists(payload["trees"], len(payload["feature_names"])),
-        config=ForestConfig(
-            n_trees=cfg["n_trees"],
-            max_features=cfg["max_features"],
-            min_samples_split=cfg["min_samples_split"],
-            max_depth=cfg["max_depth"],
-        ),
-        seed=payload["seed"],
-        feature_names=tuple(payload["feature_names"]),
-        medians=payload["medians"],
-        fold_scores=payload.get("fold_scores", []),
-    )
+    """The model `model_to_json` wrote. ParseError for text that is not
+    JSON, another format version or a missing key, and, naming the tree,
+    for trees that would not route every row to a leaf."""
+    try:
+        payload = json.loads(text)
+        if payload["format_version"] != MODEL_FORMAT_VERSION:
+            raise ParseError(f"unsupported model format {payload['format_version']!r}")
+        cfg = payload["config"]
+        return RandomForestModel(
+            trees=_trees_from_lists(payload["trees"], len(payload["feature_names"])),
+            config=ForestConfig(
+                n_trees=cfg["n_trees"],
+                max_features=cfg["max_features"],
+                min_samples_split=cfg["min_samples_split"],
+                max_depth=cfg["max_depth"],
+            ),
+            seed=payload["seed"],
+            feature_names=tuple(payload["feature_names"]),
+            medians=payload["medians"],
+            fold_scores=payload.get("fold_scores", []),
+        )
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    except KeyError as exc:
+        raise ParseError(f"missing key {exc}") from exc
 
 
 def _trees_from_lists(raw: list[dict], d: int) -> list[Tree]:

@@ -1,14 +1,13 @@
 """Run configuration: flat key=value config files, environment overrides
 (RUMOURLENS_<KEY>), then command-line flags, in increasing precedence.
-The resolved configuration is validated up front and persisted into the
-output directory as run_config.json.
+The resolved configuration is validated up front; the ingest stage
+persists it into the run directory as run_config.json.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -145,10 +144,4 @@ def validate_config(cfg: RunConfig) -> None:
     expect(cfg.shap_background >= 1, f"shap_background must be >= 1, got {cfg.shap_background}")
     expect(cfg.scope in ("sources", "reactions", "both"), f"bad scope {cfg.scope!r}")
     expect(cfg.threads >= 0, f"threads must be >= 0, got {cfg.threads}")
-
-
-def save_config(cfg: RunConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 

@@ -30,12 +30,11 @@ import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
 from .errors import MalformedResponse, ProviderUnavailable
-from .textprep import TokenKind, tokenize
+from .textprep import TokenKind, bundled, tokenize
 
 LABELS = ("anger", "disgust", "fear", "joy", "neutral", "sadness", "surprise")
 
@@ -58,13 +57,8 @@ def _to_dist(scores: dict[str, float], low_confidence: bool = False) -> EmotionD
 
 def load_emotion_lexicon(path=None) -> dict[str, set[str]]:
     """JSON map of label -> word list covering the seven labels."""
-    if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    else:
-        raw = json.loads(
-            resources.files("rumourlens.data").joinpath("emotion_lexicon.json").read_text("utf-8")
-        )
+    with open(bundled("emotion_lexicon.json") if path is None else path, encoding="utf-8") as fh:
+        raw = json.load(fh)
     return {lab: {w.lower() for w in raw.get(lab, [])} for lab in LABELS}
 
 

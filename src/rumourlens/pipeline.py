@@ -1,11 +1,11 @@
 """Stage implementations behind the CLI.
 
-Stages communicate through files in the run directory and a manifest
-recording which stages completed, so each command is idempotent and
-later stages can refuse to run out of order. Events lacking one of the
-two source populations are loaded and counted but excluded from the
-compare, train and explain stages, each of which names them in a
-warning prefixed with the stage's name.
+Stages communicate through files in the run directory, each written
+whole through `report`, and a manifest recording which stages completed,
+so each command is idempotent and later stages can refuse to run out of
+order. Events lacking one of the two source populations are loaded and
+counted but excluded from the compare, train and explain stages, each of
+which names them in a warning prefixed with the stage's name.
 
 Compare computes the KS grids, the population means and the emotion
 share table from row masks over the feature matrix's columns.
@@ -13,8 +13,8 @@ share table from row masks over the feature matrix's columns.
 
 from __future__ import annotations
 
-import json
 import warnings
+from dataclasses import asdict
 from itertools import zip_longest
 from pathlib import Path
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import classify, emotions, lexicon, report, senticnet, shapley, stats, textprep
 from .classify import ForestConfig, derive_seed
-from .config import RunConfig, save_config
+from .config import RunConfig
 from .corpus import AGGREGATED_EVENT, load_jsonl, load_pheme_tree, partition
 from .errors import AdditivityError, FeatureMismatch, MissingArtifact, ParseError, TooFewSamples
 from .features import EMOTION_FEATURES, FeatureTable, Featurizer
@@ -43,15 +43,6 @@ SCOPES = ("sources", "reactions")
 # largest |base + sum(phi) - model output| an explained row may show
 ADDITIVITY_TOLERANCE = 1e-9
 
-_DATA_DIR = "rumourlens.data"
-
-
-def _bundled(name: str) -> Path:
-    from importlib import resources
-
-    return Path(str(resources.files(_DATA_DIR).joinpath(name)))
-
-
 def run_dir(cfg: RunConfig) -> Path:
     d = cfg.run_dir()
     d.mkdir(parents=True, exist_ok=True)
@@ -60,17 +51,13 @@ def run_dir(cfg: RunConfig) -> Path:
 
 def _read_manifest(cfg: RunConfig) -> dict:
     path = run_dir(cfg) / MANIFEST
-    if path.exists():
-        return json.loads(path.read_text(encoding="utf-8"))
-    return {"stages": {}}
+    return report.read_json(path) if path.exists() else {"stages": {}}
 
 
 def _mark_stage(cfg: RunConfig, stage: str) -> None:
     manifest = _read_manifest(cfg)
     manifest["stages"][stage] = True
-    (run_dir(cfg) / MANIFEST).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    report.write_json(run_dir(cfg) / MANIFEST, manifest)
 
 
 def require_stages(cfg: RunConfig, stage: str) -> None:
@@ -106,8 +93,8 @@ def make_emotion_provider(cfg: RunConfig):
 
 
 def make_featurizer(cfg: RunConfig) -> Featurizer:
-    lex = lexicon.load_lexicon(cfg.lexicon or _bundled("demo_lexicon.json"))
-    table = senticnet.load_sentic_table(cfg.sentic_table or _bundled("sentic_demo.csv"))
+    lex = lexicon.load_lexicon(cfg.lexicon or textprep.bundled("demo_lexicon.json"))
+    table = senticnet.load_sentic_table(cfg.sentic_table or textprep.bundled("sentic_demo.csv"))
     stopwords = textprep.load_stopwords(cfg.stopwords_path or None)
     easy = textprep.load_easy_words(cfg.easy_words_path or None)
     lemmatizer = textprep.RuleLemmatizer(
@@ -138,7 +125,7 @@ def forest_config(cfg: RunConfig) -> ForestConfig:
 
 def stage_ingest(cfg: RunConfig) -> Path:
     out = run_dir(cfg)
-    save_config(cfg, out / "run_config.json")
+    report.write_json(out / "run_config.json", asdict(cfg))
     corpora = load_corpora(cfg)
     counts = [partition(c).counts() for c in corpora]
     report.write_partitions_csv(out / report.PARTITIONS_CSV, counts)
@@ -157,10 +144,19 @@ def stage_featurize(cfg: RunConfig) -> Path:
     return out / report.FEATURES_CSV
 
 
+def _stage_inputs(cfg: RunConfig, stage: str) -> tuple[Path, FeatureTable, list[str]]:
+    """(run directory, feature table, usable events) of a stage that
+    reads `features.csv`, once the stages it needs have run."""
+    require_stages(cfg, stage)
+    out = run_dir(cfg)
+    table = report.read_features_csv(out / report.FEATURES_CSV)
+    return out, table, _usable_events(table, stage)
+
+
 def _usable_events(table: FeatureTable, stage: str) -> list[str]:
     """The events with both a rumour and a non-rumour source, sorted. Each
     other event is named in a warning prefixed with `stage` and filed at
-    the caller of the stage function that asked."""
+    the caller of the stage function that asked (through `_stage_inputs`)."""
     sources = table.role == "source"
     usable = []
     for event in sorted(set(table.event[sources].tolist())):
@@ -170,16 +166,13 @@ def _usable_events(table: FeatureTable, stage: str) -> list[str]:
         else:
             warnings.warn(
                 f"{stage}: event {event!r} lacks a rumour or non-rumour source population; excluded",
-                stacklevel=3,
+                stacklevel=4,
             )
     return usable
 
 
 def stage_compare(cfg: RunConfig) -> list[Path]:
-    require_stages(cfg, "compare")
-    out = run_dir(cfg)
-    table = report.read_features_csv(out / report.FEATURES_CSV)
-    usable = _usable_events(table, "compare")
+    out, table, usable = _stage_inputs(cfg, "compare")
     table = table.take(np.isin(table.event, usable))
 
     # row masks keep the original row order, so sample order (and float
@@ -251,10 +244,7 @@ def _relay_warnings(caught, label: str) -> None:
 
 
 def stage_train(cfg: RunConfig) -> Path:
-    require_stages(cfg, "train")
-    out = run_dir(cfg)
-    table = report.read_features_csv(out / report.FEATURES_CSV)
-    usable = _usable_events(table, "train")
+    out, table, usable = _stage_inputs(cfg, "train")
     config = forest_config(cfg)
     metrics_rows = []
     for event in usable:
@@ -294,9 +284,7 @@ def stage_train(cfg: RunConfig) -> Path:
             fold_scores = [m.accuracy for m in fold_metrics]
             model.fold_scores = fold_scores
             final = classify.evaluate(model, X[test], y[test], averaging=cfg.averaging)
-            _model_path(out, event, scope).write_text(
-                classify.model_to_json(model), encoding="utf-8"
-            )
+            report.write_text(_model_path(out, event, scope), classify.model_to_json(model))
             metrics_rows.append(
                 {
                     "event": event,
@@ -330,10 +318,7 @@ def _check_model_features(model, names, model_path: Path, event: str, scope: str
 
 
 def stage_explain(cfg: RunConfig) -> list[Path]:
-    require_stages(cfg, "explain")
-    out = run_dir(cfg)
-    table = report.read_features_csv(out / report.FEATURES_CSV)
-    usable = _usable_events(table, "explain")
+    out, table, usable = _stage_inputs(cfg, "explain")
     rankings: dict = {}
     written = []
     for event in usable:
@@ -344,7 +329,7 @@ def stage_explain(cfg: RunConfig) -> list[Path]:
                 continue
             try:
                 model = classify.model_from_json(model_path.read_text(encoding="utf-8"))
-            except ParseError as exc:
+            except (ParseError, UnicodeDecodeError) as exc:
                 raise ParseError(
                     f"stage 'explain', event {event!r}, scope {scope!r}: {model_path.name}: {exc}"
                 ) from exc
@@ -375,7 +360,7 @@ def stage_explain(cfg: RunConfig) -> list[Path]:
             path = out / f"shap_{event}.csv"
             report.write_shap_points_csv(path, table.names, blocks)
             written.append(path)
-    report.write_shap_rankings_json(out / report.SHAP_RANKINGS_JSON, rankings)
+    report.write_json(out / report.SHAP_RANKINGS_JSON, rankings)
     written.append(out / report.SHAP_RANKINGS_JSON)
     _mark_stage(cfg, "explain")
     return written
@@ -399,10 +384,10 @@ def stage_report(cfg: RunConfig) -> Path:
     else:
         analysis.skipped["train"] = "training stage not run"
     if done.get("explain") and (out / report.SHAP_RANKINGS_JSON).exists():
-        analysis.shap_rankings = report.read_shap_rankings_json(out / report.SHAP_RANKINGS_JSON)
+        analysis.shap_rankings = report.read_json(out / report.SHAP_RANKINGS_JSON)
     else:
         analysis.skipped["explain"] = "explain stage not run"
-    (out / report.REPORT_MD).write_text(report.render_markdown(analysis), encoding="utf-8")
+    report.write_text(out / report.REPORT_MD, report.render_markdown(analysis))
     _mark_stage(cfg, "report")
     return out / report.REPORT_MD
 

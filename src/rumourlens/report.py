@@ -1,10 +1,11 @@
-"""Table assembly and rendering.
-
-Every pipeline table has one CSV schema, written and read here so the
-formats stay stable, plus a human-readable markdown rendering where
-significant cells are marked with a check/cross. All output is
-deterministic: fixed column orders, fixed float formatting, no
-timestamps.
+"""Run files: how they reach the disk, how they are read back, and the
+markdown report. Every run file is written through `open_run_file`
+(UTF-8, no newline translation) into `<name>.tmp`, which replaces the
+target only once complete, so a file is there whole or not at all.
+`write_csv`, `write_json` and `write_text` sit on it; each table's writer
+keeps only its header, row order and cell formatting. Read errors name
+the file. Output is deterministic: fixed column orders, fixed float
+formatting, no timestamps.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,8 +75,46 @@ def fnum(x: float) -> str:
     return format(float(x), ".10g")
 
 
-def _open_write(path):
-    return open(path, "w", encoding="utf-8", newline="")
+@contextmanager
+def open_run_file(path):
+    """A text handle whose contents replace `path` only if the block
+    completes; on an exception `path` is left as it was."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """`header`, then each row of the iterable `rows`, consumed as written."""
+    with open_run_file(path) as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_json(path, obj) -> None:
+    with open_run_file(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_text(path, text: str) -> None:
+    with open_run_file(path) as fh:
+        fh.write(text)
+
+
+def read_json(path):
+    """The JSON value in `path`; ParseError naming the file if it is not JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def read_csv_rows(path) -> list[dict]:
@@ -87,11 +128,8 @@ def read_csv_rows(path) -> list[dict]:
 
 
 def write_partitions_csv(path, counts: list[PartitionCounts]) -> None:
-    with _open_write(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["event", "nr_src", "r_src", "nr_re", "r_re", "total"])
-        for c in counts:
-            w.writerow([c.event, c.nr_src, c.r_src, c.nr_re, c.r_re, c.total])
+    rows = ([c.event, c.nr_src, c.r_src, c.nr_re, c.r_re, c.total] for c in counts)
+    write_csv(path, ["event", "nr_src", "r_src", "nr_re", "r_re", "total"], rows)
 
 
 def read_partitions_csv(path) -> list[PartitionCounts]:
@@ -115,16 +153,17 @@ def write_features_csv(path, table: FeatureTable) -> None:
     header = ["tweet_id", "event", "role", "label", "empty_text"]
     for name in table.names:
         header += [name, f"{name}__absent"]
-    with _open_write(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        columns = (table.tweet_id, table.event, table.role, table.label, table.empty_text)
-        for *meta, empty_text, values in zip(*(c.tolist() for c in columns), table.X):
-            record = meta + [str(empty_text).lower()]
-            for v in values.tolist():
-                absent = math.isnan(v)
-                record += ["" if absent else fnum(v), "true" if absent else "false"]
-            w.writerow(record)
+    write_csv(path, header, _feature_records(table))
+
+
+def _feature_records(table: FeatureTable):
+    columns = (table.tweet_id, table.event, table.role, table.label, table.empty_text)
+    for *meta, empty_text, values in zip(*(c.tolist() for c in columns), table.X):
+        record = meta + [str(empty_text).lower()]
+        for v in values.tolist():
+            absent = math.isnan(v)
+            record += ["" if absent else fnum(v), "true" if absent else "false"]
+        yield record
 
 
 def read_features_csv(path) -> FeatureTable:
@@ -191,11 +230,8 @@ def _non_finite_cell(path, index: int) -> str:
 def write_ks_csv(path, rows: list[list]) -> None:
     """KS rows as `stats.significance_matrix` gives them, sorted by
     (feature, event, population_pair)."""
-    with _open_write(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(KS_HEADER)
-        for row in sorted(rows, key=lambda r: (r[0], r[1], r[2])):
-            w.writerow(row[:5] + [fnum(v) for v in row[5:9]] + [str(row[9]).lower()])
+    ordered = sorted(rows, key=lambda r: (r[0], r[1], r[2]))
+    write_csv(path, KS_HEADER, (r[:5] + [fnum(v) for v in r[5:9]] + [str(r[9]).lower()] for r in ordered))
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +241,9 @@ def write_ks_csv(path, rows: list[list]) -> None:
 def write_means_csv(path, rows: list[list]) -> None:
     """Mean rows as `stats.mean_report` gives them, sorted by feature; the
     populations of a feature keep their order."""
-    with _open_write(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["feature", "population", "mean", "n", "absent"])
-        for feature, pop, mean, n, absent in sorted(rows, key=lambda r: r[0]):
-            w.writerow([feature, pop, "" if mean is None else fnum(mean), n, absent])
+    ordered = sorted(rows, key=lambda r: r[0])
+    cells = ([f, pop, "" if mean is None else fnum(mean), n, absent] for f, pop, mean, n, absent in ordered)
+    write_csv(path, ["feature", "population", "mean", "n", "absent"], cells)
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +251,8 @@ def write_means_csv(path, rows: list[list]) -> None:
 
 
 def write_emotions_csv(path, table: dict[str, dict[str, float]]) -> None:
-    with _open_write(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["label"] + list(POPULATIONS))
-        for label in EMOTION_LABELS:
-            row = [label]
-            for pop in POPULATIONS:
-                row.append(fnum(table[pop][label]) if pop in table else "")
-            w.writerow(row)
+    rows = ([lab] + [fnum(table[pop][lab]) if pop in table else "" for pop in POPULATIONS] for lab in EMOTION_LABELS)
+    write_csv(path, ["label"] + list(POPULATIONS), rows)
 
 
 def read_emotions_csv(path) -> dict[str, dict[str, float]]:
@@ -241,25 +269,9 @@ def read_emotions_csv(path) -> dict[str, dict[str, float]]:
 
 
 def write_metrics_csv(path, rows: list[dict]) -> None:
-    with _open_write(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(METRICS_HEADER)
-        for r in sorted(rows, key=lambda r: (r["event"], r["scope"])):
-            w.writerow(
-                [
-                    r["event"],
-                    r["scope"],
-                    r["n_train"],
-                    r["n_test"],
-                    r["cv_folds"],
-                    fnum(r["cv_accuracy_mean"]),
-                    fnum(r["cv_accuracy_std"]),
-                    fnum(r["accuracy"]),
-                    fnum(r["precision"]),
-                    fnum(r["recall"]),
-                    fnum(r["f1"]),
-                ]
-            )
+    ordered = sorted(rows, key=lambda r: (r["event"], r["scope"]))
+    counts, scores = METRICS_HEADER[:5], METRICS_HEADER[5:]
+    write_csv(path, METRICS_HEADER, ([r[k] for k in counts] + [fnum(r[k]) for k in scores] for r in ordered))
 
 
 # ---------------------------------------------------------------------------
@@ -270,35 +282,22 @@ def write_shap_points_csv(path, names: list[str], blocks: list[tuple]) -> None:
     """Per-point export: one file per event, scope column first. Each block
     is (scope, ids, values, phi, above_median), matrix row i being tweet
     ids[i] and column j feature names[j]; written block, row, column."""
-    with _open_write(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["scope", "instance_id", "feature", "value", "phi", "above_median"])
-        for scope, ids, values, phi, above_median in blocks:
-            for tweet_id, row_values, row_phi, row_above in zip(
-                ids, values.tolist(), phi.tolist(), above_median.tolist()
-            ):
-                for name, value, phi_j, above in zip(names, row_values, row_phi, row_above):
-                    w.writerow([scope, tweet_id, name, fnum(value), fnum(phi_j), str(above).lower()])
+    rows = (
+        [scope, tweet_id, name, fnum(value), fnum(phi_j), str(above).lower()]
+        for scope, ids, values, phi, above_median in blocks
+        for tweet_id, row_values, row_phi, row_above in zip(ids, values.tolist(), phi.tolist(), above_median.tolist())
+        for name, value, phi_j, above in zip(names, row_values, row_phi, row_above)
+    )
+    write_csv(path, ["scope", "instance_id", "feature", "value", "phi", "above_median"], rows)
 
 
 def ranking_entries(ranking) -> list[dict]:
     """(feature, mean |phi|) pairs as `shap_rankings.json` entries: each
     value kept to the 10 significant digits of `fnum`, ranked by (-value
-    as written, feature), so the file agrees with its own order."""
+    as written, feature), so the file agrees with its own order. The file
+    holds {event: {scope: entries}}."""
     written = sorted(((float(fnum(v)), name) for name, v in ranking), key=lambda item: (-item[0], item[1]))
     return [{"rank": i + 1, "feature": name, "mean_abs_phi": v} for i, (v, name) in enumerate(written)]
-
-
-def write_shap_rankings_json(path, rankings: dict) -> None:
-    """{event: {scope: [{rank, feature, mean_abs_phi}, ...]}}"""
-    with _open_write(path) as fh:
-        json.dump(rankings, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_shap_rankings_json(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
+from pathlib import Path
 
 from .errors import EmptyText
 
@@ -242,19 +242,15 @@ def text_stats(text: str, easy_words: set[str]) -> TextStats:
 # bundled data files
 
 
-def _read_data_text(name: str) -> str:
-    return resources.files("rumourlens.data").joinpath(name).read_text(encoding="utf-8")
+def bundled(name: str) -> Path:
+    """The path of a data file shipped in the package's `data` directory."""
+    return Path(__file__).parent / "data" / name
 
 
-def load_wordlist(path=None, *, _default: str | None = None) -> set[str]:
+def load_wordlist(path) -> set[str]:
     """One word per line; '#'-prefixed lines are comments."""
-    if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
-    else:
-        raw = _read_data_text(_default)
     words = set()
-    for line in raw.splitlines():
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip().lower()
         if line and not line.startswith("#"):
             words.add(line)
@@ -262,20 +258,16 @@ def load_wordlist(path=None, *, _default: str | None = None) -> set[str]:
 
 
 def load_stopwords(path=None) -> set[str]:
-    return load_wordlist(path, _default="stopwords.txt")
+    return load_wordlist(bundled("stopwords.txt") if path is None else path)
 
 
 def load_easy_words(path=None) -> set[str]:
-    return load_wordlist(path, _default="easy_words.txt")
+    return load_wordlist(bundled("easy_words.txt") if path is None else path)
 
 
 def load_lemma_exceptions(path=None) -> dict[str, str]:
     """TSV of irregular form -> lemma."""
-    if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
-    else:
-        raw = _read_data_text("lemma_exceptions.tsv")
+    raw = Path(bundled("lemma_exceptions.tsv") if path is None else path).read_text(encoding="utf-8")
     table = {}
     for line in raw.splitlines():
         line = line.strip()

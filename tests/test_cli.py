@@ -244,6 +244,45 @@ class TestCliCommands:
         assert cli.main([command, "--config", str(conf)]) == 1
         assert f"error: ParseError: {path}: {want}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "damage, want",
+        [
+            ("not json", "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            ("format 2", "unsupported model format 2"),
+            ("no trees", "missing key 'trees'"),
+            ("not utf-8", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ],
+    )
+    def test_damaged_model_file_rejected(self, tmp_path, mini_pheme_dir, capsys, damage, want):
+        conf = write_config(tmp_path, mini_pheme_dir, n_trees=3, k_folds=2)
+        for command in ("ingest", "featurize", "train"):
+            assert cli.main([command, "--config", str(conf)]) == 0
+        path = tmp_path / "out" / "t" / "model_parkfire_reactions.json"
+        payload = json.loads(path.read_text())
+        if damage == "format 2":
+            payload["format_version"] = 2
+        elif damage == "no trees":
+            del payload["trees"]
+        path.write_text("{broken" if damage == "not json" else json.dumps(payload))
+        if damage == "not utf-8":
+            path.write_bytes(b"\xff" + path.read_bytes())
+        capsys.readouterr()
+        assert cli.main(["explain", "--config", str(conf)]) == 1
+        want = f"error: ParseError: stage 'explain', event 'parkfire', scope 'reactions': {path.name}: {want}\n"
+        assert capsys.readouterr().err == want
+
+    @pytest.mark.parametrize("name", ["manifest.json", "shap_rankings.json"])
+    def test_truncated_json_rejected(self, tmp_path, mini_pheme_dir, capsys, name):
+        # a JSON run file cut short: the stage reading it names the file
+        conf = write_config(tmp_path, mini_pheme_dir, n_trees=3, k_folds=2)
+        for command in ("ingest", "featurize", "compare", "train", "explain"):
+            assert cli.main([command, "--config", str(conf)]) == 0
+        path = tmp_path / "out" / "t" / name
+        path.write_text(path.read_text()[:11])
+        capsys.readouterr()
+        assert cli.main(["report", "--config", str(conf)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: ParseError: {path}: ")
+
     def test_run_config_persisted(self, tmp_path, mini_pheme_dir):
         conf = write_config(tmp_path, mini_pheme_dir)
         cli.main(["ingest", "--config", str(conf), "--seed", "99"])

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import re
+import subprocess
 import sys
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 from rumourlens import readability, report, textprep
 from rumourlens.corpus import EventCorpus, Label, PartitionCounts, Role, Tweet, load_pheme_tree
 from rumourlens.emotions import LexiconFallbackProvider, emotion_table
-from rumourlens.errors import EmptyText
+from rumourlens.errors import EmptyText, ParseError
 from rumourlens.features import (
     ALLPUNCT_FEATURE,
     EMOTION_FEATURES,
@@ -21,6 +24,7 @@ from rumourlens.lexicon import score
 from rumourlens.readability import SCORE_NAMES
 from rumourlens.senticnet import DIMENSIONS, sentic_features
 from rumourlens.textprep import TokenKind, clean_for_readability, is_negation, text_stats, tokenize
+from tests.conftest import ROOT
 
 
 @pytest.fixture()
@@ -378,9 +382,82 @@ class TestTableSchemas:
             {"rank": 3, "feature": "surprise", "mean_abs_phi": 0.0016875},
         ]
         path = tmp_path / "shap_rankings.json"
-        report.write_shap_rankings_json(path, {"e": {"sources": entries}})
+        report.write_json(path, {"e": {"sources": entries}})
         assert '"mean_abs_phi": 0.0016875,' in path.read_text()
         assert report.ranking_entries([("x", 1 / 3)])[0]["mean_abs_phi"] == 0.3333333333
+
+
+# writes 20,000 rows, says so once most of them have reached the temp file,
+# then stalls until it is killed
+KILLED_WRITER = """
+import sys, time
+from rumourlens import report
+
+def rows():
+    for i in range(20000):
+        yield [i, "x" * 40]
+    print("writing", flush=True)
+    time.sleep(60)
+    yield ["never written"]
+
+report.write_csv(sys.argv[1], ["i", "pad"], rows())
+"""
+
+
+class TestRunFiles:
+    @pytest.mark.parametrize("previous", [b"i,pad\n0,old\n", None])
+    def test_killed_write_leaves_previous_file_whole(self, tmp_path, previous):
+        path = tmp_path / "table.csv"
+        if previous is not None:
+            path.write_bytes(previous)
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        child = subprocess.Popen(
+            [sys.executable, "-c", KILLED_WRITER, str(path)], stdout=subprocess.PIPE, text=True, env=env
+        )
+        try:
+            assert child.stdout.readline() == "writing\n"
+        finally:
+            child.kill()
+            child.wait(timeout=30)
+            child.stdout.close()
+        if previous is None:
+            assert not path.exists()
+        else:
+            assert path.read_bytes() == previous
+        # the rows written before the kill sit beside the target; the next
+        # write of the file replaces them
+        assert (tmp_path / "table.csv.tmp").stat().st_size > 100_000
+        report.write_csv(path, ["i"], [[1]])
+        assert path.read_bytes() == b"i\n1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
+
+    def test_failed_write_removes_temp_file(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_bytes(b"i\n0\n")
+
+        def rows():
+            yield [1]
+            raise ValueError("row 2 cannot be formatted")
+
+        with pytest.raises(ValueError, match="row 2"):
+            report.write_csv(path, ["i"], rows())
+        assert path.read_bytes() == b"i\n0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
+
+    def test_json_and_text_writers(self, tmp_path):
+        report.write_json(tmp_path / "a.json", {"b": [1, 2], "a": None})
+        assert (tmp_path / "a.json").read_bytes() == b'{\n  "a": null,\n  "b": [\n    1,\n    2\n  ]\n}\n'
+        assert report.read_json(tmp_path / "a.json") == {"a": None, "b": [1, 2]}
+        report.write_text(tmp_path / "r.md", "# \u2713\nline\r\n")
+        assert (tmp_path / "r.md").read_bytes() == "# \u2713\nline\r\n".encode("utf-8")
+
+    @pytest.mark.parametrize("text", ['{"stages": ', "", "\udcff"])
+    def test_read_json_names_the_file(self, tmp_path, text):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: "):
+            report.read_json(path)
+
 
 class TestMarkdown:
     def test_skipped_sections_named(self):
