@@ -64,24 +64,31 @@ def load_emotion_lexicon(path=None) -> dict[str, set[str]]:
 
 class LexiconFallbackProvider:
     """Deterministic word-list provider used when no model endpoint is
-    available. Scores are normalized per-label hit counts."""
+    available. Scores are normalized per-label hit counts. The labels a
+    word hits are looked up once per distinct word surface and kept on
+    the provider, which assumes its `lexicon` does not change."""
 
     def __init__(self, lexicon: dict[str, set[str]] | None = None):
         self.lexicon = lexicon if lexicon is not None else load_emotion_lexicon()
+        self._hits: dict[str, tuple[int, ...]] = {}  # surface -> LABELS positions it hits
 
     def classify(self, texts: list[str]) -> list[EmotionDist]:
         return [self._one(t) for t in texts]
 
     def _one(self, text: str) -> EmotionDist:
-        words = [t.surface.lower() for t in tokenize(text) if t.kind is TokenKind.WORD]
-        counts = {lab: 0 for lab in LABELS}
-        for w in words:
-            for lab in LABELS:
-                if w in self.lexicon[lab]:
-                    counts[lab] += 1
-        if sum(counts.values()) == 0:
+        memo = self._hits
+        counts = [0] * len(LABELS)
+        for t in tokenize(text):
+            if t.kind is TokenKind.WORD:
+                w = t.surface
+                if w not in memo:
+                    lower = w.lower()
+                    memo[w] = tuple(k for k, lab in enumerate(LABELS) if lower in self.lexicon[lab])
+                for k in memo[w]:
+                    counts[k] += 1
+        if not any(counts):
             return _to_dist(dict.fromkeys(LABELS, 1.0), low_confidence=True)
-        return _to_dist({lab: float(c) for lab, c in counts.items()})
+        return _to_dist({lab: float(c) for lab, c in zip(LABELS, counts)})
 
 
 class RemoteProvider:

@@ -7,6 +7,14 @@ are undefined for a tweet (no words, no matched concepts, no emotion
 provider configured) are absent, not zero; downstream consumers decide
 whether to exclude (distribution tests) or impute (classification).
 
+A `Featurizer` does each family's per-word work once per distinct word.
+It asks the lexicon for its feature categories only, and it keeps the
+per-word memos of readability counts and concept lemmas (see `textprep`)
+for as long as it lives, which in the pipeline is one featurize stage.
+The lexicon and the fallback emotion provider keep their own per-word
+memos, and the stage builds those afresh too. A featurizer's word lists
+must not change once it has featurized.
+
 Every stage holds the features as one `FeatureTable`: a float64 matrix
 with one column per feature, in which NaN means absent, beside the
 per-tweet id, event, role, label and empty-text columns. On disk
@@ -15,6 +23,7 @@ per-tweet id, event, role, label and empty-text columns. On disk
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +50,9 @@ _FIXED_FAMILIES = (
     ("concept-affect", SENTIC_FEATURES),
     ("emotion", EMOTION_FEATURES),
 )
+
+_ABSENT_READABILITY = (math.nan,) * len(READABILITY_FEATURES)
+_ABSENT_CONCEPTS = (math.nan,) * len(SENTIC_FEATURES)
 
 #: the FeatureTable fields that hold one entry per row, in field order
 _ROW_COLUMNS = ("tweet_id", "event", "role", "label", "empty_text", "X")
@@ -126,18 +138,18 @@ class Featurizer:
                         "feature of that name"
                     )
         self.names = feature_names(lexicon, with_emotions=emotion_provider is not None)
-        # column blocks in feature_names order: WC, the categories, allpunct,
-        # readability, concepts, then the emotions
-        self._allpunct = len(lexicon_feature_names(lexicon)) - 1
-        self._categories = self.names[1 : self._allpunct]
-        self._readability = slice(self._allpunct + 1, self._allpunct + 1 + len(READABILITY_FEATURES))
-        self._sentic = slice(self._readability.stop, self._readability.stop + len(SENTIC_FEATURES))
+        self._categories = lexicon_feature_names(lexicon)[1:-1]
+        # the column where the emotion block starts
+        self._emotions = len(feature_names(lexicon, with_emotions=False))
+        # per-word memos under this featurizer's word lists (see textprep)
+        self._word_stats: dict[str, textprep.WordStats] = {}
+        self._lemmas: dict[str, str | None] = {}
 
     def featurize_corpus(self, corpus: EventCorpus) -> FeatureTable:
         tweets = list(corpus.sources) + list(corpus.reactions)
-        X = np.full((len(tweets), len(self.names)), np.nan)
-        for tweet, row in zip(tweets, X):
-            self._text_features(tweet.text, row)
+        X = np.empty((len(tweets), len(self.names)))
+        for row, tweet in zip(X, tweets):
+            row[: self._emotions] = self._text_features(tweet.text)
         if self.emotion_provider is not None:
             dists = self.emotion_provider.classify([t.text for t in tweets])
             if len(dists) != len(tweets):
@@ -146,7 +158,7 @@ class Featurizer:
                     f"for {len(tweets)} texts"
                 )
             for row, dist in zip(X, dists):
-                row[self._sentic.stop :] = [dist.scores[lab] for lab in EMOTION_FEATURES]
+                row[self._emotions :] = [dist.scores[lab] for lab in EMOTION_FEATURES]
         return FeatureTable.from_columns(
             self.names,
             tweet_id=[t.id for t in tweets],
@@ -157,23 +169,26 @@ class Featurizer:
             X=X,
         )
 
-    def _text_features(self, text: str, row: np.ndarray) -> None:
-        """Write the text-derived features of one tweet into its matrix row,
-        which starts all NaN; a family left NaN is absent."""
+    def _text_features(self, text: str) -> list[float]:
+        """The text-derived features of one tweet in `names` order: WC, the
+        categories, allpunct, readability, then concepts. A family the
+        tweet lacks is NaN, which means absent."""
         tokens = tokenize(text)
-        profile = score(tokens, self.lexicon)
-        row[0] = profile.word_count
+        profile = score(tokens, self.lexicon, self._categories)
+        row = [profile.word_count]
         if profile.word_count:
-            row[1 : self._allpunct] = [profile.percentages[cat] for cat in self._categories]
-            row[self._allpunct] = profile.punctuation["all_punct"]
+            row += profile.percentages.values()
+            row.append(profile.punctuation["all_punct"])
+        else:
+            row += [math.nan] * (len(self._categories) + 1)
 
         try:
-            stats = text_stats(clean_for_readability(text), self.easy_words)
-            row[self._readability] = readability.all_scores(stats).values()
+            stats = text_stats(clean_for_readability(text), self.easy_words, self._word_stats)
+            row += readability.all_scores(stats).values()
         except EmptyText:
-            pass  # nothing to score: the readability family is absent
+            row += _ABSENT_READABILITY  # nothing to score
 
-        lemmas = clean_for_senticnet(tokens, self.stopwords, self.lemmatizer)
+        lemmas = clean_for_senticnet(tokens, self.stopwords, self.lemmatizer, self._lemmas)
         concepts = senticnet.sentic_features(lemmas, self.sentic_table)
-        if concepts.matched_concept_count:
-            row[self._sentic] = concepts.values()
+        row += concepts.values() if concepts.matched_concept_count else _ABSENT_CONCEPTS
+        return row

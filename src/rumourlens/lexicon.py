@@ -26,13 +26,13 @@ Matching is compiled: each ``Lexicon`` indexes its literals and its stems
 (pattern → categories) when it is made, and looks each distinct word up
 once, the literal index plus every prefix of the word in the stem index.
 The result is memoised on the lexicon, so that memo grows with the
-distinct vocabulary scored against it.
+distinct vocabulary scored against it. ``score`` profiles the categories
+it is asked for, by default all of them.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import BadPattern, CycleError, EmptyCategory, ParseError
@@ -209,43 +209,46 @@ class CategoryProfile:
     punctuation: dict[str, float]  # empty when word_count == 0
 
 
-def score(tokens: list[Token], lexicon: Lexicon) -> CategoryProfile:
+def score(tokens: list[Token], lexicon: Lexicon, categories=None) -> CategoryProfile:
     """Profile one tokenized text against a lexicon.
 
-    With zero word tokens all percentage maps are empty (absent, not zero).
-    Apostrophes inside word tokens count toward the apostrophe and
-    all_punct buckets, matching how contraction-heavy text is scored by
-    dictionary tools.
+    `categories` names the lexicon categories to profile, in the order
+    `percentages` lists them; by default every category, in lexicon
+    order. With zero word tokens all percentage maps are empty (absent,
+    not zero). Apostrophes inside word tokens count toward the
+    apostrophe and all_punct buckets, matching how contraction-heavy
+    text is scored by dictionary tools.
     """
-    words = [t.surface.lower() for t in tokens if t.kind is TokenKind.WORD]
-    wc = len(words)
-    if wc == 0:
-        return CategoryProfile(word_count=0, percentages={}, punctuation={})
-
+    hits = dict.fromkeys(lexicon.categories, 0)
     punct_counts = dict.fromkeys(PUNCT_KEYS, 0)
-    punct_surfaces = []
-    for t in tokens:
-        if t.kind is TokenKind.PUNCTUATION:
-            punct_surfaces.append(t.surface)
+    memo = lexicon._memo  # read first: a method call per word costs more
+    wc = 0
+    for surface, kind in tokens:
+        if kind is TokenKind.WORD:
+            wc += 1
+            w = surface.lower()
+            found = memo.get(w)
+            if found is None:
+                found = lexicon.word_categories(w)
+            for cname in found:
+                hits[cname] += 1
+            inner = w.count("'")
+            if inner:
+                punct_counts["apostrophe"] += inner
+                punct_counts["all_punct"] += inner
+        elif kind is TokenKind.PUNCTUATION:
             punct_counts["all_punct"] += 1
-            bucket = _PUNCT_BUCKET.get(t.surface)
+            bucket = _PUNCT_BUCKET.get(surface)
             if bucket:
                 punct_counts[bucket] += 1
-    for w in words:
-        inner = w.count("'")
-        if inner:
-            punct_counts["apostrophe"] += inner
-            punct_counts["all_punct"] += inner
-
-    hits = dict.fromkeys(lexicon.categories, 0)
-    for w, n in Counter(words).items():
-        for cname in lexicon.word_categories(w):
-            hits[cname] += n
-    for p in punct_surfaces:
-        for cname in lexicon.punct_categories(p):
-            hits[cname] += 1
-    percentages = {cname: 100.0 * n / wc for cname, n in hits.items()}
-
+            for cname in lexicon.punct_categories(surface):
+                hits[cname] += 1
+    if wc == 0:
+        return CategoryProfile(word_count=0, percentages={}, punctuation={})
+    # integer counts: the order they grew in cannot change them
+    if categories is None:
+        categories = lexicon.categories
+    percentages = {cname: 100.0 * hits[cname] / wc for cname in categories}
     punctuation = {k: 100.0 * v / wc for k, v in punct_counts.items()}
     return CategoryProfile(word_count=wc, percentages=percentages, punctuation=punctuation)
 

@@ -51,7 +51,12 @@ def run_dir(cfg: RunConfig) -> Path:
 
 def _read_manifest(cfg: RunConfig) -> dict:
     path = run_dir(cfg) / MANIFEST
-    return report.read_json(path) if path.exists() else {"stages": {}}
+    if not path.exists():
+        return {"stages": {}}
+    manifest = report.read_json(path)
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
+        raise ParseError(f"{path}: not an object holding a 'stages' object")
+    return manifest
 
 
 def _mark_stage(cfg: RunConfig, stage: str) -> None:

@@ -16,6 +16,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -73,6 +74,13 @@ POPULATION_TITLES = {
 
 def fnum(x: float) -> str:
     return format(float(x), ".10g")
+
+
+def fnums(row: list[float]) -> list[str]:
+    """`fnum` of each float in one row, without a Python call per cell.
+    Writers format a row at a time, never whole columns up front, so a
+    table's text is never all in memory at once."""
+    return list(map(format, row, repeat(".10g")))
 
 
 @contextmanager
@@ -158,11 +166,14 @@ def write_features_csv(path, table: FeatureTable) -> None:
 
 def _feature_records(table: FeatureTable):
     columns = (table.tweet_id, table.event, table.role, table.label, table.empty_text)
+    present = ["false"] * len(table.names)
     for *meta, empty_text, values in zip(*(c.tolist() for c in columns), table.X):
-        record = meta + [str(empty_text).lower()]
-        for v in values.tolist():
-            absent = math.isnan(v)
-            record += ["" if absent else fnum(v), "true" if absent else "false"]
+        cells, flags = fnums(values.tolist()), present
+        if "nan" in cells:  # NaN, and only NaN, formats as "nan"
+            flags = ["true" if c == "nan" else "false" for c in cells]
+            cells = ["" if c == "nan" else c for c in cells]
+        record = [*meta, str(empty_text).lower(), *cells, *flags]
+        record[5::2], record[6::2] = cells, flags  # value, flag, value, flag, ...
         yield record
 
 
@@ -283,10 +294,10 @@ def write_shap_points_csv(path, names: list[str], blocks: list[tuple]) -> None:
     is (scope, ids, values, phi, above_median), matrix row i being tweet
     ids[i] and column j feature names[j]; written block, row, column."""
     rows = (
-        [scope, tweet_id, name, fnum(value), fnum(phi_j), str(above).lower()]
+        [scope, tweet_id, name, value, phi_j, "true" if above else "false"]
         for scope, ids, values, phi, above_median in blocks
         for tweet_id, row_values, row_phi, row_above in zip(ids, values.tolist(), phi.tolist(), above_median.tolist())
-        for name, value, phi_j, above in zip(names, row_values, row_phi, row_above)
+        for name, value, phi_j, above in zip(names, fnums(row_values), fnums(row_phi), row_above)
     )
     write_csv(path, ["scope", "instance_id", "feature", "value", "phi", "above_median"], rows)
 

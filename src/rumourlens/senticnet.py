@@ -14,7 +14,7 @@ import csv
 import json
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DuplicateConcept, OutOfRange, ParseError
 
@@ -28,6 +28,17 @@ MAX_PHRASE_LEN = 4
 @dataclass(frozen=True)
 class SenticTable:
     entries: dict[str, tuple[float, float, float, float, float]]
+    # derived from `entries` and so kept out of equality: each concept's
+    # first word -> the most words (at most MAX_PHRASE_LEN) of a concept
+    # starting with it
+    _longest: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for concept in self.entries:
+            first = concept.partition("_")[0]
+            span = min(concept.count("_") + 1, MAX_PHRASE_LEN)
+            if span > self._longest.get(first, 0):
+                self._longest[first] = span
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -77,14 +88,18 @@ def match_concepts(lemmas: list[str], table: SenticTable) -> list[str]:
 
     At each position the 4-, 3-, 2- then 1-word join is tried; on a match
     those words are consumed, otherwise the position advances by one.
+    Only joins no longer than the longest concept that starts with the
+    position's first word can match, so only those are tried: a join of
+    k lemmas has at least k words, and its first word is the lemma's.
     """
+    entries, longest = table.entries, table._longest
     matched = []
     i = 0
     n = len(lemmas)
     while i < n:
-        for span in range(min(MAX_PHRASE_LEN, n - i), 0, -1):
+        for span in range(min(longest.get(lemmas[i].partition("_")[0], 0), n - i), 0, -1):
             concept = "_".join(lemmas[i : i + span])
-            if concept in table.entries:
+            if concept in entries:
                 matched.append(concept)
                 i += span
                 break

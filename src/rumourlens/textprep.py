@@ -12,6 +12,14 @@ families:
   tokenizes that cleaned text again, because the cleaner's spans do not
   always fall on raw token boundaries.
 * emotion providers receive the raw text itself.
+
+Tokens are named tuples of (surface, kind). What a family derives from
+one word depends only on the word and the family's word lists, so it is
+worked out once per distinct word: ``concept_lemma`` and ``word_stats``
+give a word's record, and ``clean_for_senticnet`` and ``text_stats``
+take a memo of those records keyed by the word as written. The memo
+belongs to whoever holds the word lists (the featurizer of one run), and
+a call without one does each word's work afresh.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import EmptyText
 
@@ -39,8 +48,7 @@ class TokenKind(Enum):
     NUMBER = "number"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     surface: str
     kind: TokenKind
 
@@ -73,6 +81,9 @@ _GROUP_KIND = {
 }
 
 
+_new_tuple = tuple.__new__
+
+
 def tokenize(text: str) -> list[Token]:
     """Split text into classified tokens. Total: never raises.
 
@@ -81,11 +92,8 @@ def tokenize(text: str) -> list[Token]:
     with internal apostrophes; every other non-space character becomes a
     single punctuation token.
     """
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = _GROUP_KIND[m.lastgroup]
-        tokens.append(Token(m.group(), kind))
-    return tokens
+    # tuple.__new__ builds the Token without the Python-level Token.__new__
+    return [_new_tuple(Token, (m.group(), _GROUP_KIND[m.lastgroup])) for m in _TOKEN_RE.finditer(text)]
 
 
 def count_syllables(word: str) -> int:
@@ -171,22 +179,38 @@ def is_negation(word: str) -> bool:
     return w in NEGATIONS or w.endswith("n't")
 
 
-def clean_for_senticnet(tokens: list[Token], stopwords: set[str], lemmatizer: RuleLemmatizer) -> list[str]:
+def concept_lemma(word: str, stopwords: set[str], lemmatizer: RuleLemmatizer) -> str | None:
+    """A word token's concept lemma: the lowercased word if it is a
+    negation, None if it is a stopword, else its lemma."""
+    w = word.lower()
+    if is_negation(w):
+        return w
+    if w in stopwords:
+        return None
+    return lemmatizer.lemmatize(w)
+
+
+def clean_for_senticnet(
+    tokens: list[Token], stopwords: set[str], lemmatizer: RuleLemmatizer, memo: dict | None = None
+) -> list[str]:
     """Lowercased, lemmatized word tokens with stopwords removed.
 
-    Negation words always survive the stopword filter.
+    Negation words always survive the stopword filter. `memo` maps each
+    word surface seen to its `concept_lemma` under these stopwords and
+    this lemmatizer; a caller that keeps one memo for them does each
+    distinct word's work once.
     """
+    if memo is None:
+        memo = {}
     out = []
     for tok in tokens:
-        if tok.kind is not TokenKind.WORD:
-            continue
-        w = tok.surface.lower()
-        if is_negation(w):
-            out.append(w)
-            continue
-        if w in stopwords:
-            continue
-        out.append(lemmatizer.lemmatize(w))
+        if tok.kind is TokenKind.WORD:
+            w = tok.surface
+            if w not in memo:
+                memo[w] = concept_lemma(w, stopwords, lemmatizer)
+            lemma = memo[w]
+            if lemma is not None:
+                out.append(lemma)
     return out
 
 
@@ -216,26 +240,46 @@ def _is_complex(word: str, syllables: int) -> bool:
     return True
 
 
-def text_stats(text: str, easy_words: set[str]) -> TextStats:
+class WordStats(NamedTuple):
+    """One word's share of the TextStats counts: its syllables, and 1 or 0
+    for each word class."""
+
+    syllables: int
+    polysyllables: int
+    complex_words: int
+    difficult_words: int
+
+
+def word_stats(word: str, easy_words: set[str]) -> WordStats:
+    syllables = count_syllables(word)
+    return WordStats(
+        syllables,
+        int(syllables >= 3),
+        int(_is_complex(word, syllables)),
+        int(word.lower() not in easy_words),
+    )
+
+
+def text_stats(text: str, easy_words: set[str], memo: dict | None = None) -> TextStats:
     """Counts over readability-cleaned text.
 
     Sentence boundaries are ``[.!?]+`` runs followed by space or end of
     text; any text containing a word has at least one sentence. Raises
-    EmptyText when no word is present.
+    EmptyText when no word is present. `memo` maps each word surface
+    seen to its `word_stats` under these easy words; a caller that keeps
+    one memo for them does each distinct word's work once.
     """
     words = [t.surface for t in tokenize(text) if t.kind is TokenKind.WORD]
     if not words:
         raise EmptyText("no words in text")
+    if memo is None:
+        memo = {}
+    for w in words:
+        if w not in memo:
+            memo[w] = word_stats(w, easy_words)
     sentences = max(len(_SENTENCE_END_RE.findall(text)), 1)
-    syllable_counts = [count_syllables(w) for w in words]
-    return TextStats(
-        words=len(words),
-        sentences=sentences,
-        syllables=sum(syllable_counts),
-        polysyllables=sum(1 for c in syllable_counts if c >= 3),
-        complex_words=sum(1 for w, c in zip(words, syllable_counts) if _is_complex(w, c)),
-        difficult_words=sum(1 for w in words if w.lower() not in easy_words),
-    )
+    # integer sums, so the order they run in cannot change them
+    return TextStats(len(words), sentences, *map(sum, zip(*map(memo.__getitem__, words))))
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,19 @@ class TestCliCommands:
         assert cli.main(["report", "--config", str(conf)]) == 1
         assert capsys.readouterr().err.startswith(f"error: ParseError: {path}: ")
 
+    @pytest.mark.parametrize("manifest", ["[]", "{}", '{"stages": []}', "null"])
+    def test_manifest_of_the_wrong_shape_rejected(self, tmp_path, mini_pheme_dir, capsys, manifest):
+        # JSON that parses but is not {"stages": {...}}: the stage names the file
+        conf = write_config(tmp_path, mini_pheme_dir, n_trees=3, k_folds=2)
+        for command in ("ingest", "featurize", "compare"):
+            assert cli.main([command, "--config", str(conf)]) == 0
+        path = tmp_path / "out" / "t" / "manifest.json"
+        path.write_text(manifest)
+        capsys.readouterr()
+        assert cli.main(["report", "--config", str(conf)]) == 1
+        want = f"error: ParseError: {path}: not an object holding a 'stages' object\n"
+        assert capsys.readouterr().err == want
+
     def test_run_config_persisted(self, tmp_path, mini_pheme_dir):
         conf = write_config(tmp_path, mini_pheme_dir)
         cli.main(["ingest", "--config", str(conf), "--seed", "99"])

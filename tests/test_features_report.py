@@ -223,6 +223,28 @@ class TestRowWriter:
         assert n == 121
         assert len(calls) == per_tweet * n
 
+    def test_lexicon_profiles_only_the_feature_categories(
+        self, demo_lexicon, demo_sentic_table, mini_pheme_dir, monkeypatch
+    ):
+        from rumourlens import features
+
+        profiled = []
+        original = features.score
+
+        def recorded(*args, **kwargs):
+            profile = original(*args, **kwargs)
+            profiled.append(list(profile.percentages))
+            return profile
+
+        monkeypatch.setattr(features, "score", recorded)
+        featurizer = Featurizer(demo_lexicon, demo_sentic_table)
+        for corpus in load_pheme_tree(mini_pheme_dir):
+            featurizer.featurize_corpus(corpus)
+        wanted = features.lexicon_feature_names(demo_lexicon)[1:-1]
+        assert len(wanted) == 14 and len(demo_lexicon.categories) == 74
+        assert len(profiled) == 121
+        assert all(p in ([], wanted) for p in profiled) and wanted in profiled
+
     def test_word_lists_load_once_per_featurizer(self, demo_lexicon, demo_sentic_table, mini_pheme_dir, monkeypatch):
         loads = {"load_stopwords": 0, "load_easy_words": 0}
         for name in loads:
@@ -316,6 +338,14 @@ class TestFeaturesCsv:
         again = tmp_path / "again.csv"
         report.write_features_csv(again, report.read_features_csv(path))
         assert again.read_bytes() == path.read_bytes()
+
+    def test_row_formatter_equals_fnum_per_cell(self):
+        rng = np.random.default_rng(3)
+        specials = [0.0, -0.0, 5e-324, 1e-300, 2.5e-18, 1e300, 100.0 / 3, 1 / 3, math.inf, -math.inf, math.nan]
+        for _ in range(50):
+            row = (rng.normal(0.0, 1.0, 30) * 10.0 ** rng.integers(-30, 30, 30)).tolist() + specials
+            assert report.fnums(row) == [report.fnum(v) for v in row]
+        assert report.fnums([]) == []
 
     def test_concat_keeps_row_order(self):
         a, b = small_table([[1.0, 2.0]]), small_table([[3.0, np.nan], [5.0, 6.0]])

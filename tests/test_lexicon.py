@@ -120,6 +120,20 @@ class TestScore:
         profile = score(tokenize("we go"), lex)
         assert profile.percentages["a"] == profile.percentages["b"] == 50.0
 
+    def test_named_categories_only_in_the_order_asked(self, demo_lexicon):
+        tokens = tokenize("We can't stop! Terrified crowds, running from the fire... (again)")
+        full = score(tokens, demo_lexicon)
+        asked = ["social", "allpunct", "function", "pronoun"]
+        narrowed = score(tokens, demo_lexicon, asked)
+        assert list(narrowed.percentages) == asked
+        assert narrowed.percentages == {c: full.percentages[c] for c in asked}
+        assert (narrowed.word_count, narrowed.punctuation) == (full.word_count, full.punctuation)
+        assert score(tokens, demo_lexicon, []).percentages == {}
+
+    def test_unknown_named_category_raises(self, demo_lexicon):
+        with pytest.raises(KeyError):
+            score(tokenize("we go"), demo_lexicon, ["pronoun", "no-such-category"])
+
 
 WORD_BANK = [
     "fire", "fires", "firefighter", "we", "they", "running", "run", "happy",

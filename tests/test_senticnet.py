@@ -112,6 +112,23 @@ class TestMatching:
                 lemmas, demo_sentic_table
             )
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_indexed_matcher_equals_the_plain_scan(self, seed):
+        # 1- to 4-word concepts, a first word that is also a concept of its
+        # own, an empty part, a 5-word concept, and lemmas that hold '_'
+        table = make_table({c: [0.0] * 5 for c in (
+            "a", "a_b", "a_b_c", "a_b_c_d", "b_c", "c_d_e", "d",
+            "x__y", "e_f_g_h_i", "b", "f_g", "g_h",
+        )})
+        words = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "x", "y", "z", "", "a_b", "b_", "e_f", "_"]
+        rng = random.Random(seed)
+        for _ in range(400):
+            lemmas = [rng.choice(words) for _ in range(rng.randrange(0, 14))]
+            assert match_concepts(lemmas, table) == self.brute_force(lemmas, table), lemmas
+        assert match_concepts(["x", "", "y", "a", "b", "c", "d", "c", "d", "e"], table) == ["x__y", "a_b_c_d", "c_d_e"]
+        assert match_concepts(["e_f", "g", "h", "i"], table) == ["e_f_g_h_i"]
+        assert match_concepts(["a_b", "c"], table) == ["a_b_c"]
+
     def test_determinism(self, demo_sentic_table):
         lemmas = ["fear", "celebrate", "special", "occasion", "panic"]
         first = match_concepts(lemmas, demo_sentic_table)
