@@ -139,11 +139,18 @@ def propagate_labels(corpus: EventCorpus) -> EventCorpus:
 
 
 def _read_tweet_json(path: Path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+    """The JSON object in one tweet file; ParseError naming the file if it
+    is not UTF-8, not JSON or not an object."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: a tweet must be a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 _LABEL_DIRS = {"rumours": Label.RUMOUR, "non-rumours": Label.NONRUMOUR}
@@ -164,6 +171,8 @@ def _tweet_from_json(obj: dict, path: Path, event: str, role: Role, label: Label
         raise MissingField(f"{path}: tweet has no id_str/id")
     if "text" not in obj:
         raise MissingField(f"{path}: tweet {tweet_id} has no text")
+    if not isinstance(obj["text"], str):
+        raise ParseError(f"{path}: tweet {tweet_id}: text is not a string but {obj['text']!r:.40}")
     return Tweet(
         id=tweet_id,
         text=obj["text"],
@@ -211,38 +220,41 @@ def load_jsonl(path) -> list[EventCorpus]:
     """Load a line-delimited export; yields the same populations as the
     tree loader does for equivalent content (events sorted by name)."""
     by_event: dict[str, dict[str, list[Tweet]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(str(exc), line=lineno) from exc
-            for key in ("id", "text", "event", "role", "label"):
-                if key not in obj:
-                    raise MissingField(f"line {lineno}: missing field {key!r}")
-            try:
-                role = Role(obj["role"])
-                label = Label(obj["label"])
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from exc
-            parent_id = obj.get("parent_id")
-            if role is Role.REACTION and not parent_id:
-                raise OrphanReaction(f"line {lineno}: reaction {obj['id']!r} has no parent_id")
-            if role is Role.SOURCE and parent_id:
-                raise ParseError(f"source {obj['id']!r} must not have parent_id", line=lineno)
-            tweet = Tweet(
-                id=str(obj["id"]),
-                text=obj["text"],
-                event=obj["event"],
-                role=role,
-                label=label,
-                parent_id=str(parent_id) if parent_id else None,
-                created_at=obj.get("created_at"),
-            )
-            bucket = by_event.setdefault(tweet.event, {"sources": [], "reactions": []})
-            bucket["sources" if role is Role.SOURCE else "reactions"].append(tweet)
+    for lineno, line in _numbered_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(str(exc), line=lineno) from exc
+        if not isinstance(obj, dict):
+            raise ParseError(f"a tweet must be a JSON object, got {type(obj).__name__}", line=lineno)
+        for key in ("id", "text", "event", "role", "label"):
+            if key not in obj:
+                raise MissingField(f"line {lineno}: missing field {key!r}")
+        if not isinstance(obj["text"], str):
+            raise ParseError(f"tweet {obj['id']!r}: text is not a string but {obj['text']!r:.40}", line=lineno)
+        try:
+            role = Role(obj["role"])
+            label = Label(obj["label"])
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from exc
+        parent_id = obj.get("parent_id")
+        if role is Role.REACTION and not parent_id:
+            raise OrphanReaction(f"line {lineno}: reaction {obj['id']!r} has no parent_id")
+        if role is Role.SOURCE and parent_id:
+            raise ParseError(f"source {obj['id']!r} must not have parent_id", line=lineno)
+        tweet = Tweet(
+            id=str(obj["id"]),
+            text=obj["text"],
+            event=obj["event"],
+            role=role,
+            label=label,
+            parent_id=str(parent_id) if parent_id else None,
+            created_at=obj.get("created_at"),
+        )
+        bucket = by_event.setdefault(tweet.event, {"sources": [], "reactions": []})
+        bucket["sources" if role is Role.SOURCE else "reactions"].append(tweet)
     corpora = []
     for event in sorted(by_event):
         corpus = EventCorpus(
@@ -255,6 +267,28 @@ def load_jsonl(path) -> list[EventCorpus]:
         validate_corpus(corpus)
         corpora.append(corpus)
     return corpora
+
+
+def _numbered_lines(path):
+    """(line number, line) for each line of a UTF-8 text file; ParseError
+    naming the first line that is not UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            # the decoder reads ahead, so find the line in the raw bytes
+            with open(path, "rb") as raw:
+                lines = enumerate(raw.read().splitlines(), start=1)
+                lineno = next((n for n, line in lines if not _is_utf8(line)), None)
+            raise ParseError(f"not UTF-8: {exc.reason}", line=lineno) from exc
+
+
+def _is_utf8(data: bytes) -> bool:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 def partition(corpus: EventCorpus) -> Partition:

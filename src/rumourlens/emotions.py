@@ -12,7 +12,12 @@ Providers:
   with configurable timeout, retries and bounded request parallelism.
 * ``LexiconFallbackProvider`` counts hits in per-label word lists and
   normalizes; with no hits the distribution is uniform and flagged
-  low-confidence.
+  low-confidence. Its scores come from the word tokens alone:
+  ``label_hits`` gives the labels one word hits, and ``from_hits`` turns
+  a text's per-word hits into its distribution. ``classify`` tokenizes
+  each text and does both; the featurizer, which has tokenized the text
+  already and keeps each word's hits in its per-word record, calls
+  ``from_hits`` itself and never ``classify``.
 * ``CassetteProvider`` replays recorded remote responses from a JSONL
   cassette keyed by a hash of the request batch, for offline runs and
   tests; ``RecordingProvider`` writes such cassettes.
@@ -51,8 +56,13 @@ class EmotionDist:
 def _to_dist(scores: dict[str, float], low_confidence: bool = False) -> EmotionDist:
     total = sum(scores.values())
     normed = {lab: scores[lab] / total for lab in LABELS}
-    label = max(LABELS, key=lambda lab: normed[lab])  # max() keeps first on ties
+    label = max(LABELS, key=normed.__getitem__)  # max() keeps first on ties
     return EmotionDist(scores=normed, label=label, low_confidence=low_confidence)
+
+
+#: the fallback's distribution of a text without a hit, copied for each
+#: such text so that no two results share a scores dict
+_UNIFORM = _to_dist(dict.fromkeys(LABELS, 1.0), low_confidence=True)
 
 
 def load_emotion_lexicon(path=None) -> dict[str, set[str]]:
@@ -64,31 +74,33 @@ def load_emotion_lexicon(path=None) -> dict[str, set[str]]:
 
 class LexiconFallbackProvider:
     """Deterministic word-list provider used when no model endpoint is
-    available. Scores are normalized per-label hit counts. The labels a
-    word hits are looked up once per distinct word surface and kept on
-    the provider, which assumes its `lexicon` does not change."""
+    available. Scores are normalized per-label hit counts."""
 
     def __init__(self, lexicon: dict[str, set[str]] | None = None):
         self.lexicon = lexicon if lexicon is not None else load_emotion_lexicon()
-        self._hits: dict[str, tuple[int, ...]] = {}  # surface -> LABELS positions it hits
 
     def classify(self, texts: list[str]) -> list[EmotionDist]:
-        return [self._one(t) for t in texts]
+        label_hits = self.label_hits
+        return [
+            self.from_hits([label_hits(s) for s, kind in tokenize(text) if kind is TokenKind.WORD])
+            for text in texts
+        ]
 
-    def _one(self, text: str) -> EmotionDist:
-        memo = self._hits
+    def label_hits(self, word: str) -> tuple[int, ...]:
+        """The LABELS positions whose word list holds `word`, in any case."""
+        lower = word.lower()
+        return tuple(k for k, lab in enumerate(LABELS) if lower in self.lexicon[lab])
+
+    def from_hits(self, hits) -> EmotionDist:
+        """The distribution of a text whose word tokens hit these labels
+        (one `label_hits` tuple per word token)."""
         counts = [0] * len(LABELS)
-        for t in tokenize(text):
-            if t.kind is TokenKind.WORD:
-                w = t.surface
-                if w not in memo:
-                    lower = w.lower()
-                    memo[w] = tuple(k for k, lab in enumerate(LABELS) if lower in self.lexicon[lab])
-                for k in memo[w]:
-                    counts[k] += 1
+        for word_hits in hits:
+            for k in word_hits:
+                counts[k] += 1
         if not any(counts):
-            return _to_dist(dict.fromkeys(LABELS, 1.0), low_confidence=True)
-        return _to_dist({lab: float(c) for lab, c in zip(LABELS, counts)})
+            return EmotionDist(dict(_UNIFORM.scores), _UNIFORM.label, low_confidence=True)
+        return _to_dist(dict(zip(LABELS, map(float, counts))))
 
 
 class RemoteProvider:

@@ -7,13 +7,18 @@ are undefined for a tweet (no words, no matched concepts, no emotion
 provider configured) are absent, not zero; downstream consumers decide
 whether to exclude (distribution tests) or impute (classification).
 
-A `Featurizer` does each family's per-word work once per distinct word.
-It asks the lexicon for its feature categories only, and it keeps the
-per-word memos of readability counts and concept lemmas (see `textprep`)
-for as long as it lives, which in the pipeline is one featurize stage.
-The lexicon and the fallback emotion provider keep their own per-word
-memos, and the stage builds those afresh too. A featurizer's word lists
-must not change once it has featurized.
+A `Featurizer` tokenizes each tweet once (see `textprep`). The token
+list goes to the lexicon, which profiles the feature categories only.
+Each word token is then read from one record per distinct word surface,
+worked out when the featurizer first meets the surface and kept for as
+long as it lives, which in the pipeline is one featurize stage. The
+record holds the word's readability counts, its concept lemma and the
+labels it hits in the `fallback` emotion provider's word lists, so the
+readability sums, the concept lemmas and the fallback's emotion scores
+all come from the same records. The lexicon keeps its own memo of the
+positions each surface hits, and the stage builds that lexicon afresh
+too. A featurizer's word lists must not change once it has featurized.
+Other emotion providers get the raw texts through `classify`.
 
 Every stage holds the features as one `FeatureTable`: a float64 matrix
 with one column per feature, in which NaN means absent, beside the
@@ -25,17 +30,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import readability, senticnet, textprep
 from .corpus import EventCorpus
-from .errors import EmptyText, MalformedResponse, ParseError
+from .errors import MalformedResponse, ParseError
 from .lexicon import Lexicon, score
 from .readability import SCORE_NAMES as READABILITY_FEATURES
 from .senticnet import DIMENSIONS as SENTIC_FEATURES
-from .emotions import LABELS as EMOTION_FEATURES
-from .textprep import RuleLemmatizer, clean_for_readability, clean_for_senticnet, text_stats, tokenize
+from .emotions import LABELS as EMOTION_FEATURES, LexiconFallbackProvider
+from .textprep import RuleLemmatizer, TextStats, TokenKind, WordStats, clean_for_readability, concept_lemma
+from .textprep import count_sentences, tokenize, word_stats
 
 WC_FEATURE = "WC"
 ALLPUNCT_FEATURE = "allpunct"
@@ -53,6 +60,20 @@ _FIXED_FAMILIES = (
 
 _ABSENT_READABILITY = (math.nan,) * len(READABILITY_FEATURES)
 _ABSENT_CONCEPTS = (math.nan,) * len(SENTIC_FEATURES)
+
+_WORD = TokenKind.WORD
+
+
+class WordRecord(NamedTuple):
+    """What every family needs of one word surface: its readability
+    counts, its concept lemma (None: a stopword) and the LABELS positions
+    it hits in the fallback emotion provider's word lists (none without
+    that provider)."""
+
+    stats: WordStats
+    lemma: str | None
+    emotions: tuple[int, ...]
+
 
 #: the FeatureTable fields that hold one entry per row, in field order
 _ROW_COLUMNS = ("tweet_id", "event", "role", "label", "empty_text", "X")
@@ -138,19 +159,21 @@ class Featurizer:
                         "feature of that name"
                     )
         self.names = feature_names(lexicon, with_emotions=emotion_provider is not None)
-        self._categories = lexicon_feature_names(lexicon)[1:-1]
+        self._categories = tuple(lexicon_feature_names(lexicon)[1:-1])
         # the column where the emotion block starts
         self._emotions = len(feature_names(lexicon, with_emotions=False))
-        # per-word memos under this featurizer's word lists (see textprep)
-        self._word_stats: dict[str, textprep.WordStats] = {}
-        self._lemmas: dict[str, str | None] = {}
+        # the fallback provider scores from the records; others from `classify`
+        self._fallback = emotion_provider if isinstance(emotion_provider, LexiconFallbackProvider) else None
+        # word surface -> its record under this featurizer's word lists
+        self._words: dict[str, WordRecord] = {}
 
     def featurize_corpus(self, corpus: EventCorpus) -> FeatureTable:
         tweets = list(corpus.sources) + list(corpus.reactions)
         X = np.empty((len(tweets), len(self.names)))
         for row, tweet in zip(X, tweets):
-            row[: self._emotions] = self._text_features(tweet.text)
-        if self.emotion_provider is not None:
+            values = self._text_features(tweet.text)
+            row[: len(values)] = values
+        if self.emotion_provider is not None and self._fallback is None:
             dists = self.emotion_provider.classify([t.text for t in tweets])
             if len(dists) != len(tweets):
                 raise MalformedResponse(
@@ -170,9 +193,10 @@ class Featurizer:
         )
 
     def _text_features(self, text: str) -> list[float]:
-        """The text-derived features of one tweet in `names` order: WC, the
-        categories, allpunct, readability, then concepts. A family the
-        tweet lacks is NaN, which means absent."""
+        """One tweet's features in `names` order: WC, the categories,
+        allpunct, readability, concepts, then the emotions if the provider
+        is the fallback (`featurize_corpus` asks any other provider for
+        them). A family the tweet lacks is NaN, which means absent."""
         tokens = tokenize(text)
         profile = score(tokens, self.lexicon, self._categories)
         row = [profile.word_count]
@@ -182,13 +206,31 @@ class Featurizer:
         else:
             row += [math.nan] * (len(self._categories) + 1)
 
-        try:
-            stats = text_stats(clean_for_readability(text), self.easy_words, self._word_stats)
-            row += readability.all_scores(stats).values()
-        except EmptyText:
+        records = self._words
+        words = [records.get(s) or self._record(s) for s, kind in tokens if kind is _WORD]
+        stats, lemmas, emotions = zip(*words) if words else ((), (), ())
+        cleaned = clean_for_readability(text)
+        if "://" in text or "www" in text:
+            # removing a URL can split, join or expose words, so readability
+            # counts the cleaned text's words, as `text_stats` does
+            stats = [(records.get(s) or self._record(s)).stats for s, kind in tokenize(cleaned) if kind is _WORD]
+        if stats:
+            # integer sums, so the order they run in cannot change them
+            counts = TextStats(len(stats), count_sentences(cleaned), *map(sum, zip(*stats)))
+            row += readability.all_scores(counts).values()
+        else:
             row += _ABSENT_READABILITY  # nothing to score
 
-        lemmas = clean_for_senticnet(tokens, self.stopwords, self.lemmatizer, self._lemmas)
-        concepts = senticnet.sentic_features(lemmas, self.sentic_table)
+        concepts = senticnet.sentic_features([w for w in lemmas if w is not None], self.sentic_table)
         row += concepts.values() if concepts.matched_concept_count else _ABSENT_CONCEPTS
+        if self._fallback is not None:
+            row += self._fallback.from_hits(emotions).scores.values()  # in LABELS order
         return row
+
+    def _record(self, surface: str) -> WordRecord:
+        record = self._words[surface] = WordRecord(
+            word_stats(surface, self.easy_words),
+            concept_lemma(surface, self.stopwords, self.lemmatizer),
+            self._fallback.label_hits(surface) if self._fallback is not None else (),
+        )
+        return record

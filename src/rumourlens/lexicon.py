@@ -23,11 +23,13 @@ child literal needs the same literal or a prefixing stem in the parent,
 a child stem a prefixing stem, a punctuation mark the same mark.
 
 Matching is compiled: each ``Lexicon`` indexes its literals and its stems
-(pattern → categories) when it is made, and looks each distinct word up
-once, the literal index plus every prefix of the word in the stem index.
-The result is memoised on the lexicon, so that memo grows with the
-distinct vocabulary scored against it. ``score`` profiles the categories
-it is asked for, by default all of them.
+(pattern → categories) when it is made, and matches a word against the
+literal index plus every prefix of the word in the stem index. ``score``
+profiles the categories it is asked for, by default all of them, and
+counts by position in that list: for each list of categories asked for,
+the lexicon keeps the positions each word surface and punctuation mark
+hits, so each distinct surface is matched once and that memo grows with
+the distinct vocabulary scored against it.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ class Lexicon:
     version: str = ""
     # compiled forms, derived from `categories` and so kept out of
     # equality: pattern -> category positions (punctuation: -> names),
-    # and the per-word memo
+    # and the per-surface memo of `_profile_index`
     _literal_index: dict[str, list[int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -90,7 +92,7 @@ class Lexicon:
     _punct_index: dict[str, list[str]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _memo: dict[str, tuple[str, ...]] = field(
+    _profiles: dict[tuple[str, ...], tuple[dict, dict]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -108,19 +110,30 @@ class Lexicon:
 
     def word_categories(self, word: str) -> tuple[str, ...]:
         """Categories a lower-cased word token matches, in `categories` order."""
-        found = self._memo.get(word)
-        if found is None:
-            hits = set(self._literal_index.get(word, ()))
-            stems = self._stem_index
-            for i in range(len(word) + 1):  # prefix 0 is a bare '*'
-                hits.update(stems.get(word[:i], ()))
-            names = list(self.categories)
-            found = self._memo[word] = tuple(names[pos] for pos in sorted(hits))
-        return found
+        hits = set(self._literal_index.get(word, ()))
+        stems = self._stem_index
+        for i in range(len(word) + 1):  # prefix 0 is a bare '*'
+            hits.update(stems.get(word[:i], ()))
+        names = list(self.categories)
+        return tuple(names[pos] for pos in sorted(hits))
 
     def punct_categories(self, surface: str) -> list[str]:
         """Categories listing a punctuation token's surface as a literal."""
         return self._punct_index.get(surface, [])
+
+    def _profile_index(self, categories: tuple[str, ...]) -> tuple[dict, dict]:
+        """(token surface -> the counters of a `categories` profile it adds
+        to, category name -> its positions in `categories`); `score` fills
+        the first as it meets surfaces. KeyError for an unknown name."""
+        index = self._profiles.get(categories)
+        if index is None:
+            where: dict[str, list[int]] = {}
+            for pos, name in enumerate(categories):
+                if name not in self.categories:
+                    raise KeyError(name)
+                where.setdefault(name, []).append(pos)
+            index = self._profiles[categories] = ({}, where)
+        return index
 
 
 def _compile_category(name: str, patterns: list[str], parent: str | None) -> Category:
@@ -209,6 +222,11 @@ class CategoryProfile:
     punctuation: dict[str, float]  # empty when word_count == 0
 
 
+_PUNCT_POSITION = {mark: PUNCT_KEYS.index(key) for mark, key in _PUNCT_BUCKET.items()}
+_ALL_PUNCT = PUNCT_KEYS.index("all_punct")
+_APOSTROPHE = PUNCT_KEYS.index("apostrophe")
+
+
 def score(tokens: list[Token], lexicon: Lexicon, categories=None) -> CategoryProfile:
     """Profile one tokenized text against a lexicon.
 
@@ -219,38 +237,39 @@ def score(tokens: list[Token], lexicon: Lexicon, categories=None) -> CategoryPro
     apostrophe and all_punct buckets, matching how contraction-heavy
     text is scored by dictionary tools.
     """
-    hits = dict.fromkeys(lexicon.categories, 0)
-    punct_counts = dict.fromkeys(PUNCT_KEYS, 0)
-    memo = lexicon._memo  # read first: a method call per word costs more
-    wc = 0
+    names = tuple(lexicon.categories if categories is None else categories)
+    slots, where = lexicon._profile_index(names)
+    n = len(names)
+    # one counter per category, then per PUNCT_KEYS bucket, then the words
+    counts = [0] * (n + len(PUNCT_KEYS) + 1)
     for surface, kind in tokens:
-        if kind is TokenKind.WORD:
-            wc += 1
-            w = surface.lower()
-            found = memo.get(w)
+        if kind is TokenKind.WORD or kind is TokenKind.PUNCTUATION:
+            # a word and a punctuation mark never share a surface
+            found = slots.get(surface)
             if found is None:
-                found = lexicon.word_categories(w)
-            for cname in found:
-                hits[cname] += 1
-            inner = w.count("'")
-            if inner:
-                punct_counts["apostrophe"] += inner
-                punct_counts["all_punct"] += inner
-        elif kind is TokenKind.PUNCTUATION:
-            punct_counts["all_punct"] += 1
-            bucket = _PUNCT_BUCKET.get(surface)
-            if bucket:
-                punct_counts[bucket] += 1
-            for cname in lexicon.punct_categories(surface):
-                hits[cname] += 1
+                found = slots[surface] = _token_slots(lexicon, surface, kind, where, n)
+            for k in found:
+                counts[k] += 1
+    wc = counts[-1]
     if wc == 0:
         return CategoryProfile(word_count=0, percentages={}, punctuation={})
     # integer counts: the order they grew in cannot change them
-    if categories is None:
-        categories = lexicon.categories
-    percentages = {cname: 100.0 * hits[cname] / wc for cname in categories}
-    punctuation = {k: 100.0 * v / wc for k, v in punct_counts.items()}
+    percentages = dict(zip(names, [100.0 * c / wc for c in counts[:n]]))
+    punctuation = dict(zip(PUNCT_KEYS, [100.0 * c / wc for c in counts[n:-1]]))
     return CategoryProfile(word_count=wc, percentages=percentages, punctuation=punctuation)
+
+
+def _token_slots(lexicon: Lexicon, surface: str, kind: TokenKind, where: dict[str, list[int]], n: int):
+    """The counters of an n-category profile (see `score`) that one word
+    or punctuation token adds 1 to, a counter listed once per 1 added."""
+    if kind is TokenKind.WORD:
+        matched = lexicon.word_categories(surface.lower())
+        marks = (n + _APOSTROPHE, n + _ALL_PUNCT) * surface.count("'") + (n + len(PUNCT_KEYS),)
+    else:
+        matched = lexicon.punct_categories(surface)
+        bucket = _PUNCT_POSITION.get(surface)
+        marks = (n + _ALL_PUNCT,) if bucket is None else (n + _ALL_PUNCT, n + bucket)
+    return tuple(pos for name in matched for pos in where.get(name, ())) + marks
 
 
 def convert_dic(dic_path, json_path=None) -> Lexicon:

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -157,24 +158,40 @@ def read_partitions_csv(path) -> list[PartitionCounts]:
 # feature matrix (absence kept explicit, never a magic number)
 
 
+#: characters that make the csv writer quote a cell, or may (a lone "\r")
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
 def write_features_csv(path, table: FeatureTable) -> None:
+    """One record per row: the five meta cells, then each feature's value
+    and absence flag. A row with no absent value and no meta cell to quote
+    is formatted by one template, whose "%.10g" cells equal `fnum`; any
+    other row goes through the csv writer."""
     header = ["tweet_id", "event", "role", "label", "empty_text"]
     for name in table.names:
         header += [name, f"{name}__absent"]
-    write_csv(path, header, _feature_records(table))
-
-
-def _feature_records(table: FeatureTable):
+    plain = "%s,%s,%s,%s,%s" + ",%.10g,false" * len(table.names) + "\n"
     columns = (table.tweet_id, table.event, table.role, table.label, table.empty_text)
-    present = ["false"] * len(table.names)
-    for *meta, empty_text, values in zip(*(c.tolist() for c in columns), table.X):
-        cells, flags = fnums(values.tolist()), present
-        if "nan" in cells:  # NaN, and only NaN, formats as "nan"
-            flags = ["true" if c == "nan" else "false" for c in cells]
-            cells = ["" if c == "nan" else c for c in cells]
-        record = [*meta, str(empty_text).lower(), *cells, *flags]
-        record[5::2], record[6::2] = cells, flags  # value, flag, value, flag, ...
-        yield record
+    absent = np.isnan(table.X).any(axis=1).tolist()
+    with open_run_file(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for *meta, empty_text, has_absent, values in zip(*(c.tolist() for c in columns), absent, table.X):
+            empty_text = "true" if empty_text else "false"
+            if has_absent or _CSV_SPECIAL.search("".join(meta)):
+                writer.writerow(_feature_record(meta, empty_text, values.tolist()))
+            else:
+                fh.write(plain % (*meta, empty_text, *values.tolist()))
+
+
+def _feature_record(meta: list[str], empty_text: str, values: list[float]) -> list[str]:
+    """A features.csv record, NaN cells written as the empty cell flagged absent."""
+    cells = fnums(values)
+    flags = ["true" if c == "nan" else "false" for c in cells]  # NaN, and only NaN, formats as "nan"
+    cells = ["" if c == "nan" else c for c in cells]
+    record = [*meta, empty_text, *cells, *flags]
+    record[5::2], record[6::2] = cells, flags  # value, flag, value, flag, ...
+    return record
 
 
 def read_features_csv(path) -> FeatureTable:

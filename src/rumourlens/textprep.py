@@ -1,25 +1,32 @@
 """Tokenization, syllable counting and the cleaning pipelines.
 
-A tweet's raw text is prepared three ways for the downstream feature
-families:
+A tweet's raw text is tokenized once (``tokenize``), and that one token
+stream feeds every feature family:
 
-* one raw token stream (``tokenize``) feeds both the dictionary engine,
-  which needs every word and punctuation mark, and the concept lemmas:
-  ``clean_for_senticnet`` lowercases, lemmatizes and drops stopwords from
-  its word tokens while always preserving negation words.
-* ``clean_for_readability`` keeps sentence punctuation (the period matters
-  for sentence counting) while stripping tweet markup; ``text_stats``
-  tokenizes that cleaned text again, because the cleaner's spans do not
-  always fall on raw token boundaries.
-* emotion providers receive the raw text itself.
+* the dictionary engine reads every word and punctuation mark;
+* the concept lemmas are its word tokens lowercased, lemmatized and
+  stripped of stopwords, negation words always kept (``concept_lemma``
+  for one word, ``clean_for_senticnet`` for a token list);
+* readability counts its word tokens. Sentences are counted on the
+  readability-cleaned text (``clean_for_readability``), which keeps
+  sentence punctuation and strips tweet markup, because spaces the
+  cleaner removes change where a sentence ends ("a .  ." has two raw
+  sentence ends and one cleaned). The cleaner only changes which words
+  there are around a URL, whose removal can split, join or expose words
+  ("a'http://x", "1http://@x", "www .foo"), so only a text holding
+  "://" or "www" tokenizes its cleaned text again for readability.
+  Everywhere else it removes whole tokens (mentions, hashtags, emoji) or
+  spaces, so the words stay as they were: no emoji character is a word
+  character, so the raw text's words already end at an emoji;
+* the ``fallback`` emotion provider counts the labels its word tokens hit.
 
 Tokens are named tuples of (surface, kind). What a family derives from
 one word depends only on the word and the family's word lists, so it is
-worked out once per distinct word: ``concept_lemma`` and ``word_stats``
-give a word's record, and ``clean_for_senticnet`` and ``text_stats``
-take a memo of those records keyed by the word as written. The memo
-belongs to whoever holds the word lists (the featurizer of one run), and
-a call without one does each word's work afresh.
+worked out once per distinct word: ``word_stats`` and ``concept_lemma``
+give a word's readability counts and concept lemma, which the featurizer
+keeps in one record per word surface (see `features`). ``text_stats``
+and ``clean_for_senticnet`` take an optional memo of those values keyed
+by the word as written; a call without one does each word's work afresh.
 """
 
 from __future__ import annotations
@@ -117,7 +124,7 @@ _URL_RE = re.compile(r"\b(?:https?://|www\.)\S+")
 _MENTION_RE = re.compile(r"@\w+")
 _HASHTAG_RE = re.compile(r"\#\w+")
 _EMOJI_RE = re.compile(f"[{_EMOJI_RANGES}]")
-_SPACE_BEFORE_PUNCT_RE = re.compile(r"\s+([.!?,;:])")
+_SPACE_BEFORE_PUNCT_RE = re.compile(r"\s+(?=[.!?,;:])")
 
 
 def clean_for_readability(text: str) -> str:
@@ -127,13 +134,16 @@ def clean_for_readability(text: str) -> str:
     Not idempotent: the space before punctuation is dropped last, so it
     can join a bare URL scheme to the punctuation, and "http:// ,"
     cleans to "http://,", which a second pass removes as a URL."""
-    out = _URL_RE.sub(" ", text)
+    out = text
+    if "://" in out or "www." in out:  # a URL holds one of them
+        out = _URL_RE.sub(" ", out)
     out = _MENTION_RE.sub(" ", out)
     out = _HASHTAG_RE.sub(" ", out)
-    out = _EMOJI_RE.sub(" ", out)
-    out = re.sub(r"\s+", " ", out)
-    out = _SPACE_BEFORE_PUNCT_RE.sub(r"\1", out)
-    return out.strip()
+    if not out.isascii():  # every emoji is outside ASCII
+        out = _EMOJI_RE.sub(" ", out)
+    # each whitespace run becomes one space, none left at either end
+    out = " ".join(out.split())
+    return _SPACE_BEFORE_PUNCT_RE.sub("", out)
 
 
 class RuleLemmatizer:
@@ -260,11 +270,16 @@ def word_stats(word: str, easy_words: set[str]) -> WordStats:
     )
 
 
+def count_sentences(text: str) -> int:
+    """Sentence ends in readability-cleaned text: ``[.!?]+`` runs followed
+    by space or end of text, and at least one."""
+    return max(len(_SENTENCE_END_RE.findall(text)), 1)
+
+
 def text_stats(text: str, easy_words: set[str], memo: dict | None = None) -> TextStats:
     """Counts over readability-cleaned text.
 
-    Sentence boundaries are ``[.!?]+`` runs followed by space or end of
-    text; any text containing a word has at least one sentence. Raises
+    Sentences are counted by ``count_sentences``. Raises
     EmptyText when no word is present. `memo` maps each word surface
     seen to its `word_stats` under these easy words; a caller that keeps
     one memo for them does each distinct word's work once.
@@ -277,7 +292,7 @@ def text_stats(text: str, easy_words: set[str], memo: dict | None = None) -> Tex
     for w in words:
         if w not in memo:
             memo[w] = word_stats(w, easy_words)
-    sentences = max(len(_SENTENCE_END_RE.findall(text)), 1)
+    sentences = count_sentences(text)
     # integer sums, so the order they run in cannot change them
     return TextStats(len(words), sentences, *map(sum, zip(*map(memo.__getitem__, words))))
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rumourlens import cli, report
+from rumourlens import cli, pipeline, report
 from rumourlens.config import RunConfig, build_config, parse_config_file, validate_config
 from rumourlens.emotions import LexiconFallbackProvider
 from rumourlens.errors import ConfigError
@@ -88,6 +88,15 @@ class TestCliCommands:
         conf.write_text("dataset =\n")
         assert cli.main(["ingest", "--config", str(conf)]) == 2
         assert "config" in capsys.readouterr().err
+
+    def test_ingest_rejects_a_tweet_whose_text_is_not_a_string(self, tmp_path, capsys):
+        thread = tmp_path / "corpus" / "e" / "rumours" / "1" / "source-tweets"
+        thread.mkdir(parents=True)
+        (thread / "1.json").write_text('{"id_str": "1", "text": null}', encoding="utf-8")
+        conf = write_config(tmp_path, tmp_path / "corpus")
+        assert cli.main(["ingest", "--config", str(conf)]) == 1
+        want = f"error: ParseError: {thread / '1.json'}: tweet 1: text is not a string but None\n"
+        assert capsys.readouterr().err == want
 
     def test_threads_key_still_loads(self, tmp_path, mini_pheme_dir):
         conf = write_config(tmp_path, mini_pheme_dir, threads=2)
@@ -177,9 +186,14 @@ class TestCliCommands:
 
     def test_short_emotion_response_rejected(self, tmp_path, mini_pheme_dir, capsys, monkeypatch):
         # a provider that drops its last 3 results must not leave the last
-        # rows without emotion scores
-        classify = LexiconFallbackProvider.classify
-        monkeypatch.setattr(LexiconFallbackProvider, "classify", lambda self, texts: classify(self, texts)[:-3])
+        # rows without emotion scores. The fallback provider itself scores
+        # each tweet from the featurizer's word records, not through
+        # `classify`, so a provider that does go through it wraps it here.
+        class ShortProvider:
+            def classify(self, texts):
+                return LexiconFallbackProvider().classify(texts)[:-3]
+
+        monkeypatch.setattr(pipeline, "make_emotion_provider", lambda cfg: ShortProvider())
         conf = write_config(tmp_path, mini_pheme_dir)
         assert cli.main(["ingest", "--config", str(conf)]) == 0
         assert cli.main(["featurize", "--config", str(conf)]) == 1

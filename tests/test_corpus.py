@@ -91,6 +91,25 @@ class TestPhemeTree:
         with pytest.raises(ParseError, match=r"event 'aggregated' takes the reserved name 'aggregated'"):
             load_pheme_tree(tmp_path)
 
+    @pytest.mark.parametrize(
+        "content, want",
+        [
+            (b'{"id_str": "1", "text": "caf\xe9"}', "not UTF-8: 'utf-8' codec can't decode byte 0xe9"),
+            (b'[{"id_str": "1", "text": "hi"}]', "a tweet must be a JSON object, got list"),
+            (b'"hi"', "a tweet must be a JSON object, got str"),
+            (b'{"id_str": "1", "text": null}', "tweet 1: text is not a string but None"),
+            (b'{"id_str": "1", "text": ["hi"]}', "tweet 1: text is not a string but ['hi']"),
+        ],
+        ids=["not-utf8", "list", "string", "null-text", "list-text"],
+    )
+    def test_malformed_tweet_file_named(self, tmp_path, content, want):
+        thread = tmp_path / "e" / "rumours" / "1" / "source-tweets"
+        thread.mkdir(parents=True)
+        (thread / "1.json").write_bytes(content)
+        with pytest.raises(ParseError) as err:
+            load_pheme_tree(tmp_path)
+        assert str(err.value).startswith(f"{thread / '1.json'}: {want}")
+
     def test_reaction_labels_propagated(self, mini_pheme_dir):
         for corpus in load_pheme_tree(mini_pheme_dir):
             labels = {t.id: t.label for t in corpus.sources}
@@ -136,6 +155,37 @@ class TestJsonl:
         with pytest.raises(ParseError) as err:
             load_jsonl(path)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_line_not_utf8_named(self, tmp_path, newline):
+        # far enough down that the decoder has read past it before the
+        # loader reaches the line above it
+        good = json.dumps(jl("1", "source", "rumour")) + newline
+        filler = [json.dumps(jl(str(i), "reaction", "rumour", parent_id="1")) + newline for i in range(2, 200)]
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes((good + "".join(filler)).encode() + b'{"id": "x", "text": "caf\xe9"}' + newline.encode())
+        with pytest.raises(ParseError, match="^line 200: not UTF-8: invalid continuation byte$") as err:
+            load_jsonl(path)
+        assert err.value.line == 200
+
+    @pytest.mark.parametrize(
+        "line, want",
+        [
+            ('["1", "hi"]', "line 2: a tweet must be a JSON object, got list"),
+            ("7", "line 2: a tweet must be a JSON object, got int"),
+            ('{"id": "2", "text": null, "event": "e", "role": "source", "label": "rumour"}',
+             "line 2: tweet '2': text is not a string but None"),
+            ('{"id": "2", "text": 5, "event": "e", "role": "source", "label": "rumour"}',
+             "line 2: tweet '2': text is not a string but 5"),
+        ],
+        ids=["list", "number", "null-text", "number-text"],
+    )
+    def test_malformed_tweet_line_named(self, tmp_path, line, want):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(jl("1", "source", "rumour")) + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_jsonl(path)
+        assert str(err.value) == want and err.value.line == 2
 
     def test_round_trip_matches_tree_loader(self, mini_pheme_dir, mini_pheme_jsonl):
         tree = load_pheme_tree(mini_pheme_dir)

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import os
 import random
@@ -166,6 +168,11 @@ def random_corpus(demo_lexicon, demo_sentic_table, n=300, seed=5):
             w = rng.choice(pool)
             text += rng.choice([" ", " ", " ", "", ". ", "! "]) + rng.choice([w, w.upper(), w.capitalize()])
         texts.append(text)
+    return corpus_of_texts(texts)
+
+
+def corpus_of_texts(texts):
+    """One rumour thread: the first text is the source, the rest replies."""
     src = Tweet("0", texts[0], "r", Role.SOURCE, Label.RUMOUR)
     reactions = [
         Tweet(str(i), text, "r", Role.REACTION, Label.RUMOUR, parent_id="0") for i, text in enumerate(texts) if i
@@ -212,16 +219,32 @@ class TestRowWriter:
             present = ~np.isnan(X[:, featurizer.names.index(name)])
             assert 0 < present.sum() < len(X), name
 
-    @pytest.mark.parametrize("provider,per_tweet", [(None, 2), (LexiconFallbackProvider(), 3)])
-    def test_tokenize_calls_per_tweet(
-        self, demo_lexicon, demo_sentic_table, mini_pheme_dir, monkeypatch, provider, per_tweet
-    ):
+    @pytest.mark.parametrize("provider", [None, LexiconFallbackProvider()], ids=["no-provider", "fallback"])
+    def test_tokenize_calls_per_tweet(self, demo_lexicon, demo_sentic_table, mini_pheme_dir, monkeypatch, provider):
+        # one call per tweet, and one more for each text whose URL the
+        # readability cleaner removes
         featurizer = Featurizer(demo_lexicon, demo_sentic_table, emotion_provider=provider)
         corpora = load_pheme_tree(mini_pheme_dir)
         calls = count_tokenize_calls(monkeypatch)
-        n = sum(len(featurizer.featurize_corpus(c)) for c in corpora)
-        assert n == 121
-        assert len(calls) == per_tweet * n
+        tweets = [t for c in corpora for t in c.sources + c.reactions]
+        with_url = [t for t in tweets if "://" in t.text or "www" in t.text]
+        assert sum(len(featurizer.featurize_corpus(c)) for c in corpora) == len(tweets) == 121
+        assert 0 < len(with_url) < len(tweets)
+        assert len(calls) == len(tweets) + len(with_url)
+        assert sorted(calls) == sorted([t.text for t in tweets] + [clean_for_readability(t.text) for t in with_url])
+
+    @pytest.mark.parametrize("provider", [None, LexiconFallbackProvider()], ids=["no-provider", "fallback"])
+    def test_one_tokenize_call_per_tweet_without_urls(
+        self, demo_lexicon, demo_sentic_table, monkeypatch, provider
+    ):
+        featurizer = Featurizer(demo_lexicon, demo_sentic_table, emotion_provider=provider)
+        base = random_corpus(demo_lexicon, demo_sentic_table)
+        # the random texts with their URL schemes and www prefixes broken
+        texts = [t.text.replace("://", ": //").replace("www", "w w w") for t in base.sources + base.reactions]
+        corpus = corpus_of_texts(texts)
+        calls = count_tokenize_calls(monkeypatch)
+        featurizer.featurize_corpus(corpus)
+        assert calls == texts
 
     def test_lexicon_profiles_only_the_feature_categories(
         self, demo_lexicon, demo_sentic_table, mini_pheme_dir, monkeypatch
@@ -346,6 +369,36 @@ class TestFeaturesCsv:
             row = (rng.normal(0.0, 1.0, 30) * 10.0 ** rng.integers(-30, 30, 30)).tolist() + specials
             assert report.fnums(row) == [report.fnum(v) for v in row]
         assert report.fnums([]) == []
+
+    def test_row_template_writes_what_the_csv_writer_writes(self, tmp_path):
+        # plain rows, rows with absent values and rows whose meta cells need
+        # quoting, against the csv writer with `fnum` per cell
+        rng = np.random.default_rng(11)
+        specials = [0.0, -0.0, 5e-324, 1e-300, 1e16, 100.0 / 3, math.inf, -math.inf]
+        n = 60
+        X = (rng.normal(0.0, 1.0, (n, 8)) * 10.0 ** rng.integers(-30, 30, (n, 8))).tolist()
+        X[0] = specials
+        for i in range(3, n, 7):
+            X[i][i % 8] = math.nan
+        ids = [f"t{i}" for i in range(n)]
+        ids[1], ids[2], ids[4], ids[5], ids[6] = 'a,b', 'say "x"', "line\nbreak", "cr\rx", "x,\n"
+        table = FeatureTable.from_columns(
+            [f"f{k}" for k in range(8)], ids, ["e"] * n, ["source"] * n, ["rumour"] * n,
+            [i % 2 == 0 for i in range(n)], X,
+        )
+        path = tmp_path / "features.csv"
+        report.write_features_csv(path, table)
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["tweet_id", "event", "role", "label", "empty_text"] + [
+            cell for k in range(8) for cell in (f"f{k}", f"f{k}__absent")
+        ])
+        for i, row in enumerate(X):
+            record = [ids[i], "e", "source", "rumour", "true" if i % 2 == 0 else "false"]
+            for v in row:
+                record += ["", "true"] if math.isnan(v) else [report.fnum(v), "false"]
+            writer.writerow(record)
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
 
     def test_concat_keeps_row_order(self):
         a, b = small_table([[1.0, 2.0]]), small_table([[3.0, np.nan], [5.0, 6.0]])

@@ -29,6 +29,7 @@ from rumourlens.features import Featurizer, lexicon_feature_names
 from rumourlens.lexicon import _PUNCT_BUCKET, PUNCT_KEYS, build_lexicon
 from rumourlens.senticnet import SenticTable
 from rumourlens.textprep import (
+    _EMOJI_RANGES,
     _GROUP_KIND,
     _SENTENCE_END_RE,
     _TOKEN_RE,
@@ -41,6 +42,7 @@ from rumourlens.textprep import (
     is_negation,
     load_easy_words,
     load_stopwords,
+    tokenize,
 )
 
 # ---------------------------------------------------------------------------
@@ -219,6 +221,16 @@ EDGE_TEXTS = [
     "@user #tag http://t.co/x www.example.com",
     "celebrate special occasion special occasion celebrate",
     "alpha beta gamma delta alpha beta gamma beta gamma delta",
+    # removing the URL changes the words: readability counts the cleaned ones
+    "@http://x",
+    "#http://x y",
+    "1http://@x",
+    "a'http://x",
+    "www .foo",
+    # markup removed without changing the words
+    "Wow!#tag ok",
+    # two raw sentence ends, one once the cleaner drops the space before "."
+    "a .  . b",
 ]
 
 #: overlapping multi-word concepts, one with an empty part
@@ -236,7 +248,7 @@ PIECES = [
     "@user", "#fire", "#Hoax", "http://t.co/x", "http://", "www.example.com", "\U0001f631", "☀",
     "3.5", "1,000", "42", "don't", "isn't", "o'clock", "'tis", "can't", "rock'n'roll", "!", "?", ".", "...", ",", ";",
     "(", ")", "'", "not", "never", "no", "the", "is", "a", "alpha", "beta", "gamma", "delta", "extraordinary", "circumstances",
-    "happened", "considered", "running", "ate", "children", "went",
+    "happened", "considered", "running", "ate", "children", "went", "www", "http", "://",
 ]
 
 
@@ -355,3 +367,50 @@ def test_oracle_corpora_cover_the_edge_cases(demo_lexicon, demo_sentic_table):
     assert set(EDGE_TEXTS) <= set(texts)
     assert any(w.startswith("'") for w in words) and any("n't" in w for w in words)
     assert any(w.isupper() and len(w) > 1 for w in words)
+
+
+# ---------------------------------------------------------------------------
+# readability words: the raw text's unless a URL is removed
+
+
+def raw_words(text):
+    return [t.surface for t in tokenize(text) if t.kind is TokenKind.WORD]
+
+
+def cleaned_words(text):
+    return raw_words(clean_for_readability(text))
+
+
+#: fragments that random strings join, often with no space between
+FRAGMENTS = [
+    "a", "Bc", "don't", "'", "''", "x'y", "@", "@u", "#", "#t", "http", "https", "://", ":", "/", "//", "www", ".",
+    "www.", "w", "http://x", "www.x", "\U0001f631", "\u2600", "1", "2.5", "_", "-", "!", "?", ",", ";", " ", "  ",
+    "\t", "\n", "(", ")", '"', "é", "ß",
+]
+
+
+def test_raw_words_are_the_readability_words_without_a_url():
+    rng = random.Random(17)
+    plain = 0
+    for _ in range(5000):
+        text = "".join(rng.choice(FRAGMENTS) for _ in range(rng.randrange(1, 9)))
+        if "://" in text or "www" in text:
+            continue
+        plain += 1
+        assert raw_words(text) == cleaned_words(text), repr(text)
+    assert plain > 1000
+
+
+def test_the_url_edge_texts_change_their_words():
+    for text in ("@http://x", "1http://@x", "a'http://x", "www .foo", "http:// ,"):
+        assert raw_words(text) != cleaned_words(text), text
+
+
+def test_no_emoji_is_a_word_character():
+    # the premise that removing emoji cannot change which words a text holds
+    assert len(_EMOJI_RANGES) % 3 == 0
+    for i in range(0, len(_EMOJI_RANGES), 3):
+        first, dash, last = _EMOJI_RANGES[i : i + 3]
+        assert dash == "-"
+        for cp in range(ord(first), ord(last) + 1):
+            assert not re.match(r"\w", chr(cp)), hex(cp)
