@@ -306,14 +306,22 @@ def write_metrics_csv(path, rows: list[dict]) -> None:
 # shap exports
 
 
+# |phi| below this is written as 0: the residue of adding terms that
+# cancel, whose digits follow the order they are added in
+PHI_FLOOR = 1e-12
+
+
 def write_shap_points_csv(path, names: list[str], blocks: list[tuple]) -> None:
     """Per-point export: one file per event, scope column first. Each block
     is (scope, ids, values, phi, above_median), matrix row i being tweet
-    ids[i] and column j feature names[j]; written block, row, column."""
+    ids[i] and column j feature names[j]; written block, row, column. A
+    phi with |phi| < PHI_FLOOR is written as 0 (never -0)."""
     rows = (
         [scope, tweet_id, name, value, phi_j, "true" if above else "false"]
         for scope, ids, values, phi, above_median in blocks
-        for tweet_id, row_values, row_phi, row_above in zip(ids, values.tolist(), phi.tolist(), above_median.tolist())
+        for tweet_id, row_values, row_phi, row_above in zip(
+            ids, values.tolist(), np.where(np.abs(phi) < PHI_FLOOR, 0.0, phi).tolist(), above_median.tolist()
+        )
         for name, value, phi_j, above in zip(names, fnums(row_values), fnums(row_phi), row_above)
     )
     write_csv(path, ["scope", "instance_id", "feature", "value", "phi", "above_median"], rows)

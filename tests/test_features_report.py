@@ -454,6 +454,14 @@ class TestTableSchemas:
         )
 
 
+    def test_shap_points_write_phi_below_the_floor_as_zero(self, tmp_path):
+        path = tmp_path / "shap_e.csv"
+        phi = np.array([[-0.0, 1e-13, -1e-12, 1e-12]])
+        names = ["a", "b", "c", "d"]
+        report.write_shap_points_csv(path, names, [("reactions", ["t1"], np.ones((1, 4)), phi, phi > 0)])
+        written = [row["phi"] for row in report.read_csv_rows(path)]
+        assert written == ["0", "0", "-1e-12", "1e-12"]
+
     def test_shap_rankings_written_to_ten_digits_in_their_own_order(self, tmp_path):
         # 0.0016875 summed in two orders: the last bits differ, the written
         # values do not, so the tie goes to the feature name
