@@ -25,47 +25,47 @@ and ``pipeline.stage_explain`` checks it for every explained row.
 ``brute_shapley`` evaluates the defining subset sum directly and is the
 test oracle for the fast path.
 
-The explainer packs the forest once (``_leaf_table``). It descends all
-trees together, one level per step, over the node table that
-``classify.pack_forest`` builds for prediction too, and lists every leaf
-with its tree, its value and one slot per distinct feature its path
-splits: the bounds lo < x <= hi that the path's conditions on that
-feature set. A row meets a slot iff it meets each of those conditions,
-and a pair (row, background row) reaches the leaf iff one of the two
-meets each slot, so a feature split twice on a path needs no case of
-its own: it is required where only the row meets its slot and forbidden
-where only the background row does. The leaves are listed by tree and,
-within a tree, depth first and left before right, an order taken from
-the paths' turns and not from node ids. Which background rows meet
-which slot is computed once; the base value takes every tree's output
-on the background from one route of the whole forest
-(``classify.leaf_values``).
+The explainer walks the forest once per chunk of rows, over the node
+table ``classify.pack_forest`` builds for prediction too: every (row,
+tree) pair of the chunk descends together, one level per step. A
+frontier entry is a row, a node, the required set P and the forbidden
+set N (bit sets, with their sizes p and q kept as counters) and a mask
+of up to 64 background rows (one group; a larger background has
+several). At a split on feature f the background rows that go the
+row's way follow it; those that go the other way branch into two
+entries, the row's child with f added to P and their own child with f
+added to N. A feature already in P sends every background row the
+row's way, and one in N each its own way. At a leaf, value *
+popcount(mask) * A(p-1, q) is due to each feature in P and -value *
+popcount(mask) * A(p, q-1) to each in N: the sum over the pairs the
+leaf formula above counts. Which way each background row goes at each
+node is computed once, one bit per row.
+
+Each feature in an entry's P or N was added by exactly one entry on its
+way down. So instead of spreading each leaf's terms over its features,
+the walk keeps each level's parent links and leaf terms, then sums them
+back up: every entry gets the sums of the P terms and of the N terms of
+the leaves below it, and the entry that added f to P (or N) adds its P
+(or N) sum to phi_f. That costs a few operations per entry walked,
+whatever p and q are.
 
 ``explain_rows`` returns the phi of many rows at once, in the model's
-column order; ``explain_row`` is its one-row call. Rows go in chunks of
-``BLOCK_CELLS // max(b * most slots on a path, trees * d)``, at least
-one: one leaf fits a block of ``BLOCK_CELLS`` (rows x leaves x slots x
-background rows) booleans, and the chunk's (rows x trees x features)
-accumulator ``BLOCK_CELLS`` floats. The leaves go in windows of their
-share columns; within a window the leaves with the same number of slots
-u share blocks, each scored in one pass; a block of several leaves, and
-a window's share table, keep to ``BLOCK_CELLS`` bytes of floats. In a
-pair that reaches the leaf, each slot the row does not meet is
-forbidden, with the same share for all of them, and a slot the row
-meets has no forbidden share: only one share per slot is computed.
-
-Each phi is the float the one-row, one-leaf path gives, bit for bit,
-whatever the chunk, window and block sizes: a share is a sum over the
-contiguous background axis, as there; it is scaled by the leaf value;
-the shares reach a tree's phi in the accumulator by an unbuffered add
-(``np.add.at``) in the tree's leaf order (the share left out of a slot
-is an exact zero, which adds nothing), so no window carries a tree to
-the next; each tree's phi is divided by the background size; and the
-trees are added in order by a running sum before dividing by their
-count. The ranking's mean |phi| is a plain column sum:
-``shap_rankings.json`` keeps 10 significant digits of it, so the order
-of that sum can move a written value only where it lies on a rounding
-boundary at the 10th digit.
+column order; ``explain_row`` is its one-row call. A chunk of rows walks
+about ``FRONTIER_ENTRIES`` entries, all levels together: the first
+chunk holds that many rows per 8 x leaves x background groups of the
+forest, each later one as many as the entries per row of the chunk
+before it allow, at least one. A level lists the entries that follow
+the row, then those sent their own way, then those sent the row's way,
+each in its parents' order. So each row's entries, their sums (a
+parent adds its children in level order) and the adds into phi
+(``np.add.at``, deepest level first, each in level order) come in an
+order set by that row alone, and the sum is divided by the background
+size times the trees: each phi is the same float, bit for bit, whatever
+the other rows and the chunk sizes. It differs from adding the formula
+above leaf by leaf only in the last bits. The ranking's mean |phi| is
+a plain column sum: ``shap_rankings.json`` keeps 10 significant digits
+of it, and ``shap_<event>.csv`` writes |phi| below
+``report.PHI_FLOOR`` as 0.
 
 Instances and background sets are raw feature rows in the model's column
 order, NaN marking an absent value (the `<name>__absent` flag in
@@ -84,17 +84,17 @@ from math import factorial
 
 import numpy as np
 
-from .classify import RandomForestModel, Tree, leaf_values, pack_forest
+from .classify import RandomForestModel, leaf_values, pack_forest
 from .errors import EmptySample, FeatureMismatch, NonFiniteValue, TooManyFeatures
 
 BRUTE_FORCE_MAX_FEATURES = 12
 
 DEFAULT_BACKGROUND_LIMIT = 256
 
-# cap on the cells of one block, rows x leaves x slots x background rows;
-# a block of several leaves, and a window's tables, keep to this many bytes
-# of floats
-BLOCK_CELLS = 1 << 18
+# entries a chunk of rows walks, over all its levels, about: the first
+# chunk is sized from the forest's leaves, later ones from what the walk
+# measured
+FRONTIER_ENTRIES = 1 << 18
 
 
 @lru_cache(maxsize=32)
@@ -105,103 +105,6 @@ def _weight_table(d: int) -> np.ndarray:
         for q in range(d - p):
             table[p, q] = factorial(p) * factorial(q) / factorial(p + q + 1)
     return table
-
-
-@dataclass
-class _LeafGroup:
-    """The leaves whose paths split on u distinct features.
-
-    Slot s of a leaf stands for every condition on its path on one
-    feature, features ascending: a row meets them all iff
-    lo < x[feature] <= hi."""
-
-    leaves: np.ndarray  # positions in the table's leaf order, ascending
-    feature: np.ndarray  # leaves x u
-    lo: np.ndarray  # leaves x u
-    hi: np.ndarray  # leaves x u
-    sat_bg: np.ndarray  # leaves x u x background rows: the row meets the slot
-
-
-@dataclass
-class _LeafTable:
-    """Every leaf of a forest that has a path (a single-leaf tree moves no
-    phi), by tree and, within a tree, depth first and left before right.
-    Leaf l owns share columns col0[l] to col0[l + 1], one per slot."""
-
-    tree: np.ndarray  # per leaf
-    value: np.ndarray  # per leaf
-    col0: np.ndarray  # per leaf, then the column count
-    col_cell: np.ndarray  # per share column: tree * features + feature
-    groups: list[_LeafGroup]
-    widest: int  # most slots on one path
-
-
-def _leaf_table(trees: list[Tree], background: np.ndarray) -> _LeafTable:
-    start, feature, threshold, left, right, value = pack_forest(trees)
-    nodes = len(feature)
-    # descend every tree from its root, one level per step, carrying each
-    # node's path: the nodes from the root, + nodes where it turns right
-    node, tree = start, np.arange(len(trees))
-    path = np.empty((len(trees), 0), dtype=np.int64)
-    found = []  # per depth: the leaves there, their trees and paths
-    while node.size:
-        leaf = feature[node] == -1
-        found.append((node[leaf], tree[leaf], path[leaf]))
-        node, tree, path = node[~leaf], tree[~leaf], path[~leaf]
-        path = np.hstack([np.vstack([path, path]), np.concatenate([node, node + nodes])[:, None]])
-        node = np.concatenate([left[node], right[node]])
-        tree = np.concatenate([tree, tree])
-    node = np.concatenate([n for n, _, _ in found])
-    tree = np.concatenate([t for _, t, _ in found])
-    steps = np.full((node.size, len(found)), -1)
-    filled = 0
-    for depth, (_, _, path) in enumerate(found):
-        steps[filled : filled + len(path), :depth] = path
-        filled += len(path)
-    # depth first and left before right is the order of the turns from the
-    # root; no path is a prefix of another, so padding cannot tie
-    order = np.lexsort([*(steps >= nodes).T[::-1], tree])
-    order = order[steps[order, 0] >= 0]  # a single-leaf tree moves no phi
-    node, tree, steps = node[order], tree[order], steps[order]
-
-    # one slot per feature a leaf's path splits, features ascending: the
-    # bounds lo < x <= hi its conditions on that feature set (a NaN
-    # threshold sends every row right, as a split on it does)
-    on_path = steps >= 0
-    leaf, step = np.nonzero(on_path)[0], steps[on_path]
-    split = step % nodes
-    by_slot = np.lexsort([feature[split], leaf])
-    leaf, split, right = leaf[by_slot], split[by_slot], step[by_slot] >= nodes
-    opens = np.ones(leaf.size, dtype=bool)
-    opens[1:] = (leaf[1:] != leaf[:-1]) | (feature[split[1:]] != feature[split[:-1]])
-    first = np.flatnonzero(opens)
-    slot_lo = np.fmax.reduceat(np.where(right, threshold[split], -np.inf), first)
-    slot_hi = np.minimum.reduceat(np.where(right, np.inf, threshold[split]), first)
-    col_feature = feature[split[first]]
-    slots = np.bincount(leaf[first], minlength=node.size)
-    col0 = np.concatenate([[0], np.cumsum(slots)])
-    groups = []
-    for u in np.unique(slots):
-        leaves = np.flatnonzero(slots == u)
-        cols = col0[leaves, None] + np.arange(u)
-        lo, hi = slot_lo[cols], slot_hi[cols]
-        sat_bg = _meets(background.T[col_feature[cols]], lo[..., None], hi[..., None])
-        groups.append(_LeafGroup(leaves, col_feature[cols], lo, hi, sat_bg))
-    return _LeafTable(
-        tree=tree,
-        value=value[node],
-        col0=col0,
-        col_cell=np.repeat(tree, slots) * background.shape[1] + col_feature,
-        groups=groups,
-        widest=int(slots.max(initial=0)),
-    )
-
-
-def _meets(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Whether x goes the path's way at every condition of a slot: left
-    (x <= threshold) at each up to hi, right (not x <= threshold) at each
-    up to lo."""
-    return (x <= hi) & ~(x <= lo)
 
 
 class TreeShapExplainer:
@@ -216,18 +119,19 @@ class TreeShapExplainer:
         self.model = model
         self.background = background
         self.d = len(model.feature_names)
-        # row 0 holds A[p - 1, q] at p * (d + 1) + q and row 1 A[p, q - 1],
-        # plus a last 0.0 for pairs that never reach the leaf
+        # A[p - 1, q] and -A[p, q - 1] at p * (d + 1) + q: the weights of a
+        # leaf's required and forbidden features
         A = _weight_table(self.d)
-        self._A = np.stack([
-            np.append(np.vstack([A[:1], A[:-1]]), 0.0),
-            np.append(np.hstack([A[:, :1], A[:, :-1]]), 0.0),
-        ])
-        self._leaves = _leaf_table(model.trees, background)
-        # rows per chunk, so that one leaf with the most slots fits a block
-        # and the chunk's accumulator keeps to BLOCK_CELLS floats
-        cells = max(background.shape[0] * self._leaves.widest, len(model.trees) * self.d)
-        self._chunk_rows = max(1, BLOCK_CELLS // cells)
+        self._weights = np.stack([np.vstack([A[:1], A[:-1]]).ravel(), -np.hstack([A[:, :1], A[:, :-1]]).ravel()])
+        self._forest = pack_forest(model.trees)
+        feature, threshold = self._forest[1:3]
+        # bit r % 64 of [r // 64, node]: background row r goes left there
+        groups = -(-background.shape[0] // 64)
+        self._goes_left = np.zeros((groups, feature.size), dtype=np.uint64)
+        for r, row in enumerate(background):
+            self._goes_left[r // 64] |= (row[feature] <= threshold).astype(np.uint64) << np.uint64(r % 64)
+        # a row walks a few entries per leaf and background group
+        self._first_rows = max(1, FRONTIER_ENTRIES // (8 * int((feature == -1).sum()) * groups))
         # each tree's mean output over the background, then their mean
         self.base_value = float(leaf_values(model.trees, background).mean(axis=1).mean())
 
@@ -237,85 +141,98 @@ class TreeShapExplainer:
 
     def explain_rows(self, X: np.ndarray) -> np.ndarray:
         """phi of each imputed row of `X` (rows x model features). A row's
-        phi does not depend on the other rows or on the block sizes, bit
-        for bit: trees are added in order, each divided by the background
-        size first."""
+        phi does not depend on the other rows or on the chunk sizes, bit
+        for bit."""
         if X.ndim != 2 or X.shape[1] != self.d:
             raise FeatureMismatch("instance shape does not match the model's features")
         _require_finite(X, "row")
         phi = np.zeros(X.shape)
-        step = self._chunk_rows
-        for start in range(0, X.shape[0], step):
-            phi[start : start + step] = self._chunk_phi(X[start : start + step])
-        phi /= len(self.model.trees)
+        at, rows = 0, self._first_rows
+        while at < X.shape[0]:
+            walked = self._walk(X[at : at + rows], phi[at : at + rows])
+            at += rows
+            rows = max(1, FRONTIER_ENTRIES * rows // walked)
+        phi /= self.background.shape[0] * len(self.model.trees)
         return phi
 
-    def _chunk_phi(self, X: np.ndarray) -> np.ndarray:
-        """The sum of the trees' phi for a chunk of rows, added in tree
-        order.
+    def _walk(self, X: np.ndarray, phi: np.ndarray) -> int:
+        """Add the phi terms of the rows of `X` to `phi`; return the number
+        of entries walked.
 
-        The leaves go in windows of their share columns, whose (rows x
-        columns) share table keeps to about BLOCK_CELLS bytes; each block
-        of a window's leaves writes its shares there. One unbuffered add
-        carries them, in column order (each tree's leaf order), into the
-        chunk's (rows x trees x features) accumulator, so no window
-        leaves state for the next. Then each tree's phi is divided by the
-        background size and a running sum adds the trees in order."""
-        table, rows = self._leaves, X.shape[0]
-        acc = np.zeros((rows, len(self.model.trees), self.d))
-        floats = BLOCK_CELLS // np.dtype(float).itemsize
-        cuts = np.flatnonzero(np.diff(table.col0[:-1] // max(1, floats // rows))) + 1
-        for l0, l1 in zip([0, *cuts], [*cuts, table.value.size]):
-            c0, c1 = table.col0[l0], table.col0[l1]
-            shares = np.zeros((rows, c1 - c0))
-            for group in table.groups:
-                lo, hi = np.searchsorted(group.leaves, [l0, l1])
-                per = max(1, floats // (rows * group.sat_bg[0].size))
-                for at in range(lo, hi, per):
-                    self._score_block(group, slice(at, min(at + per, hi)), X, shares, c0)
-            np.add.at(acc.reshape(-1), np.arange(0, acc.size, acc[0].size)[:, None] + table.col_cell[c0:c1], shares)
-        acc /= self.background.shape[0]
-        return np.cumsum(acc, axis=1, out=acc)[:, -1]
+        An entry's P and N are bit sets, a word per 64 features, and p and
+        q one code, p * (d + 1) + q. Going down, each level keeps its
+        leaves' terms and, per entry of the next level, its parent and its
+        credit: 2 x the phi cell (row x features + f) of the feature f it
+        put in P, or that plus 1 for N, or -1. Going back up, each entry's
+        sums of its leaves' P and N terms reach its credit cell and then
+        its parent."""
+        start, feature, threshold, left, right, value = self._forest
+        d, groups, w = self.d, self._goes_left.shape[0], -(-self.d // 64)
+        # one entry per (row, tree, background group), with all its rows
+        row = np.repeat(np.arange(X.shape[0]), start.size * groups)
+        node = np.tile(np.repeat(start, groups), X.shape[0])
+        group = np.tile(np.arange(groups), X.shape[0] * start.size)
+        last = self.background.shape[0] - 64 * (groups - 1)
+        mask = np.where(group == groups - 1, np.uint64(2**last - 1), np.uint64(2**64 - 1))
+        sets = np.zeros((row.size, 2 * w), dtype=np.uint64)  # P's words, then N's
+        pq = np.zeros(row.size, dtype=np.intp)
+        levels, walked = [], 0
+        while row.size:
+            walked += row.size
+            f = feature[node]
+            leaf = np.flatnonzero(f == -1)
+            terms = self._weights[:, pq[leaf]] * (value[node[leaf]] * _popcount(mask[leaf]))
+            cell = row * d + f
+            x_left = X.reshape(-1)[cell] <= threshold[node]
+            go_left = self._goes_left.reshape(-1)[group * feature.size + node]
+            agree = mask & np.where(x_left, go_left, ~go_left)
+            differ = mask ^ agree
+            lo, hi = left[node], right[node]
+            x_child, own_child = np.where(x_left, lo, hi), np.where(x_left, hi, lo)
+            word, bit = f >> 6, np.left_shift(np.uint64(1), (f & 63).astype(np.uint64))
+            at = np.arange(row.size) * (2 * w) + word
+            in_p = sets.reshape(-1)[at] & bit != 0
+            in_n = sets.reshape(-1)[at + w] & bit != 0
+            # the background rows that go the row's way follow it (all of
+            # them where f is in P); the others go their own way with f
+            # in N and, unless f is in N already, the row's way with f in
+            # P; a leaf sends nothing on
+            follow_mask = np.where(in_p, mask, agree)
+            follow_mask[leaf] = differ[leaf] = 0
+            follow = np.flatnonzero(follow_mask)
+            forbid = np.flatnonzero(~in_p & (differ != 0))
+            new = ~in_n[forbid]
+            require = forbid[new]
+            take = np.concatenate([follow, forbid, require])
+            credit = np.concatenate([np.full(follow.size, -1), np.where(new, 2 * cell[forbid] + 1, -1), 2 * cell[require]])
+            levels.append((row.size, leaf, terms, take, credit))
+            row, group, pq, sets = row[take], group[take], pq[take], np.take(sets, take, axis=0)
+            node = np.concatenate([x_child[follow], own_child[forbid], x_child[require]])
+            mask = np.concatenate([follow_mask[follow], differ[forbid], differ[require]])
+            at = follow.size + np.flatnonzero(new)
+            sets[at, w + word[require]] |= bit[require]
+            pq[at] += 1
+            at = follow.size + forbid.size + np.arange(require.size)
+            sets[at, word[require]] |= bit[require]
+            pq[at] += d + 1
+        sums = np.zeros((2, 0))  # per entry of the level below: P, N
+        for size, leaf, terms, parent, credit in reversed(levels):
+            got = np.flatnonzero(credit >= 0)
+            np.add.at(phi.reshape(-1), credit[got] >> 1, sums.reshape(-1)[(credit[got] & 1) * sums.shape[1] + got])
+            up = np.zeros((2, size))
+            up[:, leaf] = terms
+            up[0] += np.bincount(parent, sums[0], minlength=size)
+            up[1] += np.bincount(parent, sums[1], minlength=size)
+            sums = up
+        return walked
 
-    def _score_block(self, group: _LeafGroup, block: slice, X: np.ndarray, shares, c0: int) -> None:
-        """Write the shares of a block of a group's leaves for every row
-        of `X` into `shares`, whose column 0 is share column c0.
 
-        Where a background row reaches the leaf with the row, each slot
-        the row does not meet the background row meets: the slot's
-        feature is forbidden, and its share is the same sum for all such
-        slots of the pair. A slot the row meets is required where the
-        background row does not meet it. Each share is a sum over one
-        contiguous background row: the order a one-row sum adds in.
-        Pairs with no background row to reach the leaf with would write
-        zeros and are left out."""
-        u = group.feature.shape[1]
-        sat_x = _meets(X[:, group.feature[block]], group.lo[block], group.hi[block])
-        sat_r = group.sat_bg[block]
-        leaves, b = sat_r.shape[0], sat_r.shape[2]
-        # pairs where a slot fails on both sides never reach the leaf
-        alive = (sat_x[..., None] | sat_r).all(axis=2)
-        pair = np.flatnonzero(alive.any(axis=2))
-        if not pair.size:
-            return
-        row, leaf = np.divmod(pair, leaves)
-        x_meets = sat_x.reshape(-1, u)[pair]
-        required = x_meets[..., None] & ~sat_r[leaf]
-        # p required and q forbidden features pick each pair's weights
-        at = np.multiply(required.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(u)), self.d + 1, dtype=np.intp)
-        at += u - x_meets.sum(axis=1, keepdims=True)
-        at[~alive.reshape(-1, b)[pair]] = self._A.shape[1] - 1
-        a_pos, a_neg = self._A.take(at, axis=1)
-        position = group.leaves[block][leaf]
-        value = self._leaves.value[position, None]
-        share = np.where(x_meets, 0.0, -(value * a_neg.sum(axis=1, keepdims=True)))
-        # required shares, where some background row does not meet the slot
-        some = np.flatnonzero(x_meets & ~sat_r.all(axis=2)[leaf])
-        weights = a_pos[some // u]
-        weights *= required.reshape(-1, b)[some]
-        share.reshape(-1)[some] = value[some // u, 0] * weights.sum(axis=1)
-        cols = (row * shares.shape[1] - c0)[:, None] + self._leaves.col0[position, None] + np.arange(u)
-        shares.reshape(-1)[cols] = share
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 (numpy 1.24 has no bitwise_count)."""
+    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.intp)
 
 
 def _require_finite(X: np.ndarray, what: str) -> None:

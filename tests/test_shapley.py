@@ -1,11 +1,14 @@
 """The Shapley explainer against the subset-sum oracle and against the
-per-row path it replaced.
+per-row paths it replaced.
 
 `oracle_explain_rows` below is the earlier per-row TreeSHAP path, kept
 whole: per-leaf path conditions with background satisfaction as
-(background x conditions), one leaf and one instance at a time. The
-forest-packed `TreeShapExplainer.explain_rows` must give the same phi
-bit for bit.
+(background x conditions), one leaf and one instance at a time. It adds
+in another order than the walk, so `TreeShapExplainer.explain_rows` must
+agree with it within 1e-14. `oracle_walk_rows` is the walk itself, one
+row, tree and background group at a time with Python sets, adding in
+the order the explainer promises: the explainer must give its phi bit
+for bit.
 """
 
 from dataclasses import replace
@@ -319,11 +322,70 @@ def oracle_explain_rows(model, background, X):
     return out
 
 
+def oracle_walk_rows(model, background, X):
+    """phi of each imputed row of X by the interventional walk, one row at
+    a time, in the order the explainer adds in.
+
+    Going down, an entry is (tree, node, P, N, background rows, parent,
+    credit), the rows one group of at most 64, and a level lists first
+    the entries that follow the row, then those sent their own way with
+    the feature in N, then those sent the row's way with it in P, each
+    kind in its parents' order. The credit is the (feature, side) an
+    entry put in P (0) or N (1). Going back up from the deepest level,
+    an entry's (P, N) sums are its leaf terms or its children's sums
+    added in level order to 0.0; then each entry with a credit adds
+    that side's sum to its feature, in level order."""
+    d, b = len(model.feature_names), len(background)
+    A = _weight_table(d)
+    groups = [range(lo, min(lo + 64, b)) for lo in range(0, b, 64)]
+    out = np.empty(X.shape)
+    for i, x in enumerate(X):
+        empty = frozenset()
+        levels = [[(tree, 0, empty, empty, list(rows), None, None) for tree in model.trees for rows in groups]]
+        while levels[-1]:
+            follow, own, required = [], [], []
+            for at, (tree, node, P, N, rows, _parent, _credit) in enumerate(levels[-1]):
+                f = int(tree.feature[node])
+                if f == -1:
+                    continue
+                t = tree.threshold[node]
+                x_left = x[f] <= t
+                x_child, own_child = (tree.left, tree.right) if x_left else (tree.right, tree.left)
+                agree = [r for r in rows if (background[r, f] <= t) == x_left]
+                differ = [r for r in rows if (background[r, f] <= t) != x_left]
+                if f in P or agree:
+                    follow.append((tree, x_child[node], P, N, rows if f in P else agree, at, None))
+                if f not in P and differ:
+                    own.append((tree, own_child[node], P, N | {f}, differ, at, None if f in N else (f, 1)))
+                    if f not in N:
+                        required.append((tree, x_child[node], P | {f}, N, differ, at, (f, 0)))
+            levels.append(follow + own + required)
+        phi = np.zeros(d)
+        below, below_sums = [], []
+        for level in reversed(levels):
+            sums = []
+            for tree, node, P, N, rows, _parent, _credit in level:
+                if tree.feature[node] == -1:
+                    reach = float(tree.value[node]) * len(rows)
+                    p, q = len(P), len(N)
+                    sums.append([reach * A[max(p - 1, 0), q], reach * -A[p, max(q - 1, 0)]])
+                else:
+                    sums.append([0.0, 0.0])
+            for (*_entry, parent, _credit), (pos, neg) in zip(below, below_sums):
+                sums[parent][0] += pos
+                sums[parent][1] += neg
+            for (*_entry, _parent, credit), entry_sums in zip(level, sums):
+                if credit is not None:
+                    phi[credit[0]] += entry_sums[credit[1]]
+            below, below_sums = level, sums
+        out[i] = phi / (b * len(model.trees))
+    return out
+
+
 def assert_matches_oracle(model, background, X):
     explainer = TreeShapExplainer(model, background)
     got = explainer.explain_rows(X)
-    want = oracle_explain_rows(model, background, X)
-    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    np.testing.assert_allclose(got, oracle_explain_rows(model, background, X), rtol=0, atol=1e-14)
     return explainer, got
 
 
@@ -362,7 +424,8 @@ class TestBatchedExplainer:
     @pytest.mark.parametrize("seed", range(12))
     def test_random_forests_bitwise_equal_to_oracle(self, seed):
         model, background, X = random_forest_case(seed)
-        assert_matches_oracle(model, background, X)
+        _explainer, phi = assert_matches_oracle(model, background, X)
+        assert phi.view(np.uint64).tolist() == oracle_walk_rows(model, background, X).view(np.uint64).tolist()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_forests_match_brute_force(self, seed):
@@ -378,8 +441,7 @@ class TestBatchedExplainer:
         X, y = random_rows(rng, 30, 3)
         forest = fit_forest(X, y, ["a", "b", "c"], ForestConfig(n_trees=3), seed=2)
         model = manual_model([leaf_tree([2, 5])] + forest.trees, ["a", "b", "c"])
-        explainer, phi = assert_matches_oracle(model, X[:9], X[9:20])
-        assert 0 not in explainer._leaves.tree  # the leaf moves no phi
+        assert_matches_oracle(model, X[:9], X[9:20])
         alone = manual_model([leaf_tree([2, 5])], ["a", "b", "c"])
         assert not assert_matches_oracle(alone, X[:9], X[9:12])[1].any()
 
@@ -395,14 +457,8 @@ class TestBatchedExplainer:
         model = manual_model([tree, stump(1, 0.0, [3, 1], [1, 3])], ["a", "b"])
         background = rows([-2.0, 0.0], [-0.5, 1.0], [3.0, -1.0], [-1.5, 0.2])
         X = rows([-0.7, 0.3], [-3.0, 0.9], [0.4, -0.4], [-1.2, 0.6])
-        explainer, phi = assert_matches_oracle(model, background, X)
-        # the leaves under a, b and a again (nodes 5 and 6) hold one slot
-        # for a, bounded on both sides where the path turns both ways
-        table = explainer._leaves
-        assert np.diff(table.col0)[table.tree == 0].tolist() == [2, 2, 2, 1]
-        deep = table.groups[1]
-        assert deep.feature[:2].tolist() == [[0, 1], [0, 1]]
-        assert deep.lo[:2, 0].tolist() == [-np.inf, -1.0] and deep.hi[:2, 0].tolist() == [-1.0, 0.0]
+        _explainer, phi = assert_matches_oracle(model, background, X)
+        assert phi.view(np.uint64).tolist() == oracle_walk_rows(model, background, X).view(np.uint64).tolist()
         for x, row_phi in zip(X, phi):
             brute = brute_shapley(model, x, background)
             assert row_phi.tolist() == pytest.approx([brute["a"], brute["b"]], abs=1e-12)
@@ -435,32 +491,16 @@ class TestBatchedExplainer:
         X, y = random_rows(rng, 50, 4)
         model = fit_forest(X, y, ["a", "b", "c", "d"], ForestConfig(n_trees=4), seed=8)
         background, instances = X[:10], X[10:27]
-        monkeypatch.setattr(shapley, "BLOCK_CELLS", 400)
-        explainer, phi = assert_matches_oracle(model, background, instances)
-        step = explainer._chunk_rows
-        assert step < len(instances) and len(instances) % step
-        monkeypatch.undo()
-        whole = TreeShapExplainer(model, background)
-        assert whole._chunk_rows >= len(instances)
-        assert phi.view(np.uint64).tolist() == whole.explain_rows(instances).view(np.uint64).tolist()
-
-    def test_accumulator_bounds_the_chunk(self):
-        # stumps have one slot per leaf and a 1-row background, so the
-        # (rows x trees x features) accumulator, not the leaf block, sets
-        # the chunk's rows
-        rng = np.random.default_rng(12)
-        d, n_trees = 64, 256
-        trees = [
-            stump(int(rng.integers(d)), float(rng.normal()), rng.integers(0, 9, 2), rng.integers(0, 9, 2))
-            for _ in range(n_trees)
-        ]
-        model = manual_model(trees, [f"f{j}" for j in range(d)])
-        background, instances = random_rows(rng, 1, d)[0], random_rows(rng, 36, d)[0]
-        explainer, _phi = assert_matches_oracle(model, background, instances)
-        step = explainer._chunk_rows
-        assert explainer._leaves.widest == 1
-        assert 1 < step and step * n_trees * d <= shapley.BLOCK_CELLS
-        assert len(instances) > 2 * step
+        whole = TreeShapExplainer(model, background).explain_rows(instances)
+        chunks = []
+        walk = TreeShapExplainer._walk
+        monkeypatch.setattr(TreeShapExplainer, "_walk", lambda self, X, phi: chunks.append(len(X)) or walk(self, X, phi))
+        monkeypatch.setattr(shapley, "FRONTIER_ENTRIES", 400)
+        _explainer, phi = assert_matches_oracle(model, background, instances)
+        # the first chunk is sized from the leaves, later ones from the
+        # widest level before them
+        assert len(set(chunks)) > 1 and sum(chunks) == len(instances)
+        assert phi.view(np.uint64).tolist() == whole.view(np.uint64).tolist()
 
     def test_row_shape_mismatch(self):
         model = manual_model([leaf_tree([1, 1])], ["a", "b"])
@@ -468,13 +508,22 @@ class TestBatchedExplainer:
         with pytest.raises(FeatureMismatch):
             explainer.explain_rows(np.zeros((2, 3)))
 
-    @pytest.mark.parametrize("cells", [1, 300])
-    def test_block_caps_give_the_same_phi(self, monkeypatch, cells):
-        model, background, X = random_forest_case(7)
-        default = TreeShapExplainer(model, background).explain_rows(X)
-        monkeypatch.setattr(shapley, "BLOCK_CELLS", cells)
-        _explainer, phi = assert_matches_oracle(model, background, X)
+    @pytest.mark.parametrize("budget", [None, 1, 300], ids=["default", "1", "300"])
+    def test_frontier_budget_gives_the_same_phi(self, monkeypatch, budget):
+        # 150 background rows go in three groups, the last of 22 rows;
+        # each row's phi is its one-row call's, bit for bit
+        rng = np.random.default_rng(17)
+        X, y = random_rows(rng, 200, 4)
+        model = fit_forest(X, y, ["a", "b", "c", "d"], ForestConfig(n_trees=3), seed=17)
+        background, instances = X[:150], X[150:166]
+        default = TreeShapExplainer(model, background).explain_rows(instances)
+        if budget is not None:
+            monkeypatch.setattr(shapley, "FRONTIER_ENTRIES", budget)
+        explainer, phi = assert_matches_oracle(model, background, instances)
         assert phi.view(np.uint64).tolist() == default.view(np.uint64).tolist()
+        for x, row_phi in zip(instances, phi):
+            assert explainer.explain_row(x).view(np.uint64).tolist() == row_phi.view(np.uint64).tolist()
+        assert phi.view(np.uint64).tolist() == oracle_walk_rows(model, background, instances).view(np.uint64).tolist()
 
     def test_large_deep_forest(self):
         # 60 fitted trees on 20 features, deep enough that paths split a
@@ -485,11 +534,20 @@ class TestBatchedExplainer:
         forest = fit_forest(X, y, names, ForestConfig(n_trees=57), seed=31)
         trees = forest.trees[:20] + [leaf_tree([3, 1])] + forest.trees[20:40] + [leaf_tree([0, 2])]
         model = manual_model(trees + forest.trees[40:] + [leaf_tree([1, 1])], names)
-        explainer, _phi = assert_matches_oracle(model, X[:24], X[130:136])
-        assert not {20, 41, 59} & set(explainer._leaves.tree.tolist())
-        # the deepest path has fewer slots than conditions
-        depth = max(_depth(t) for t in forest.trees)
-        assert depth >= 10 and explainer._leaves.widest < depth
+        assert_matches_oracle(model, X[:24], X[130:136])
+        assert max(_depth(t) for t in forest.trees) >= 10
+
+    def test_more_than_64_features_and_full_background_groups(self):
+        # P and N take two 64-bit words per entry; 128 background rows
+        # fill two masks
+        rng = np.random.default_rng(23)
+        names = [f"f{j}" for j in range(70)]
+        X, y = random_rows(rng, 260, 70)
+        model = fit_forest(X, y, names, ForestConfig(n_trees=4), seed=23)
+        background, instances = X[:128], X[250:256]
+        assert {int(f) for t in model.trees for f in t.feature} & set(range(64, 70))
+        _explainer, phi = assert_matches_oracle(model, background, instances)
+        assert phi.view(np.uint64).tolist() == oracle_walk_rows(model, background, instances).view(np.uint64).tolist()
 
     @pytest.mark.parametrize("seed", [9, 10, 11])
     def test_breadth_first_numbering_gives_the_same_phi(self, seed):
