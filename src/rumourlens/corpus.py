@@ -232,8 +232,11 @@ def load_jsonl(path) -> list[EventCorpus]:
         for key in ("id", "text", "event", "role", "label"):
             if key not in obj:
                 raise MissingField(f"line {lineno}: missing field {key!r}")
-        if not isinstance(obj["text"], str):
-            raise ParseError(f"tweet {obj['id']!r}: text is not a string but {obj['text']!r:.40}", line=lineno)
+        if isinstance(obj["id"], bool) or not isinstance(obj["id"], (str, int)):
+            raise ParseError(f"id is neither a string nor an integer but {obj['id']!r:.40}", line=lineno)
+        for key in ("text", "event"):
+            if not isinstance(obj[key], str):
+                raise ParseError(f"tweet {obj['id']!r}: {key} is not a string but {obj[key]!r:.40}", line=lineno)
         try:
             role = Role(obj["role"])
             label = Label(obj["label"])

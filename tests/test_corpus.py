@@ -177,8 +177,18 @@ class TestJsonl:
              "line 2: tweet '2': text is not a string but None"),
             ('{"id": "2", "text": 5, "event": "e", "role": "source", "label": "rumour"}',
              "line 2: tweet '2': text is not a string but 5"),
+            ('{"id": "2", "text": "x", "event": null, "role": "source", "label": "rumour"}',
+             "line 2: tweet '2': event is not a string but None"),
+            ('{"id": "2", "text": "x", "event": 5, "role": "source", "label": "rumour"}',
+             "line 2: tweet '2': event is not a string but 5"),
+            ('{"id": {"x": 1}, "text": "x", "event": "e", "role": "source", "label": "rumour"}',
+             "line 2: id is neither a string nor an integer but {'x': 1}"),
+            ('{"id": true, "text": "x", "event": "e", "role": "source", "label": "rumour"}',
+             "line 2: id is neither a string nor an integer but True"),
+            ('{"id": 2.5, "text": "x", "event": "e", "role": "source", "label": "rumour"}',
+             "line 2: id is neither a string nor an integer but 2.5"),
         ],
-        ids=["list", "number", "null-text", "number-text"],
+        ids=["list", "number", "null-text", "number-text", "null-event", "number-event", "object-id", "bool-id", "float-id"],
     )
     def test_malformed_tweet_line_named(self, tmp_path, line, want):
         path = tmp_path / "bad.jsonl"
@@ -186,6 +196,11 @@ class TestJsonl:
         with pytest.raises(ParseError) as err:
             load_jsonl(path)
         assert str(err.value) == want and err.value.line == 2
+
+    def test_integer_id_is_kept_as_its_digits(self, tmp_path):
+        path = tmp_path / "int.jsonl"
+        path.write_text(json.dumps({**jl("1", "source", "rumour"), "id": 17}) + "\n", encoding="utf-8")
+        assert load_jsonl(path)[0].sources[0].id == "17"
 
     def test_round_trip_matches_tree_loader(self, mini_pheme_dir, mini_pheme_jsonl):
         tree = load_pheme_tree(mini_pheme_dir)
