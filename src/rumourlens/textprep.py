@@ -25,8 +25,8 @@ one word depends only on the word and the family's word lists, so it is
 worked out once per distinct word: ``word_stats`` and ``concept_lemma``
 give a word's readability counts and concept lemma, which the featurizer
 keeps in one record per word surface (see `features`). ``text_stats``
-and ``clean_for_senticnet`` take an optional memo of those values keyed
-by the word as written; a call without one does each word's work afresh.
+and ``clean_for_senticnet`` give the same counts and lemmas for one
+text, working each word out afresh.
 """
 
 from __future__ import annotations
@@ -200,28 +200,13 @@ def concept_lemma(word: str, stopwords: set[str], lemmatizer: RuleLemmatizer) ->
     return lemmatizer.lemmatize(w)
 
 
-def clean_for_senticnet(
-    tokens: list[Token], stopwords: set[str], lemmatizer: RuleLemmatizer, memo: dict | None = None
-) -> list[str]:
+def clean_for_senticnet(tokens: list[Token], stopwords: set[str], lemmatizer: RuleLemmatizer) -> list[str]:
     """Lowercased, lemmatized word tokens with stopwords removed.
 
-    Negation words always survive the stopword filter. `memo` maps each
-    word surface seen to its `concept_lemma` under these stopwords and
-    this lemmatizer; a caller that keeps one memo for them does each
-    distinct word's work once.
+    Negation words always survive the stopword filter.
     """
-    if memo is None:
-        memo = {}
-    out = []
-    for tok in tokens:
-        if tok.kind is TokenKind.WORD:
-            w = tok.surface
-            if w not in memo:
-                memo[w] = concept_lemma(w, stopwords, lemmatizer)
-            lemma = memo[w]
-            if lemma is not None:
-                out.append(lemma)
-    return out
+    lemmas = (concept_lemma(tok.surface, stopwords, lemmatizer) for tok in tokens if tok.kind is TokenKind.WORD)
+    return [lemma for lemma in lemmas if lemma is not None]
 
 
 @dataclass(frozen=True)
@@ -276,25 +261,17 @@ def count_sentences(text: str) -> int:
     return max(len(_SENTENCE_END_RE.findall(text)), 1)
 
 
-def text_stats(text: str, easy_words: set[str], memo: dict | None = None) -> TextStats:
+def text_stats(text: str, easy_words: set[str]) -> TextStats:
     """Counts over readability-cleaned text.
 
     Sentences are counted by ``count_sentences``. Raises
-    EmptyText when no word is present. `memo` maps each word surface
-    seen to its `word_stats` under these easy words; a caller that keeps
-    one memo for them does each distinct word's work once.
+    EmptyText when no word is present.
     """
     words = [t.surface for t in tokenize(text) if t.kind is TokenKind.WORD]
     if not words:
         raise EmptyText("no words in text")
-    if memo is None:
-        memo = {}
-    for w in words:
-        if w not in memo:
-            memo[w] = word_stats(w, easy_words)
-    sentences = count_sentences(text)
-    # integer sums, so the order they run in cannot change them
-    return TextStats(len(words), sentences, *map(sum, zip(*map(memo.__getitem__, words))))
+    stats = [word_stats(w, easy_words) for w in words]
+    return TextStats(len(words), count_sentences(text), *map(sum, zip(*stats)))
 
 
 # ---------------------------------------------------------------------------
