@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time one forest fit on the largest reply population at K-fold scale.
+"""Time one forest fit and explain on the largest reply population at K-fold scale.
 
     python3 scripts/time_fit_scale.py --scale 10 --trees 100
 
@@ -9,11 +9,16 @@ multiplied by K, and ingests and featurizes it once into `--work`
 (default `.fit-scale-work/` at the repository root, emptied first) in a
 child process. It then takes the `citysiege` reactions model as
 `rumourlens train` does (the same split, seed, medians and oversampled
-train side), times one `classify.fit_forest` of `--trees` trees and
-prints one JSON line: rows, trees, `fit_s`, `peak_rss_mib` (this
-process's peak resident memory, which the featurizing child does not
-count) and the sha256 of the model file `model_to_json` gives.
-perfbench's generator is only imported, never changed.
+train side), times one `classify.fit_forest` of `--trees` trees, then
+explains the first `EXPLAIN_ROWS` rows of that model as `rumourlens
+explain` does (`shapley.shap_summary`, the background being the train
+side subsampled to `shap_background` rows with the same seed). It prints
+one JSON line: rows, trees, `fit_s`, `explain_rows`, `explain_s`,
+`us_per_row_bg_tree` (explain time per explained row, background row
+and tree), `peak_rss_mib` (this process's peak resident memory, which
+the featurizing child does not count) and the sha256 of the model file
+`model_to_json` gives. perfbench's generator is only imported, never
+changed.
 """
 
 from __future__ import annotations
@@ -35,10 +40,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import corpusgen  # noqa: E402
 import workloads  # noqa: E402
 
-from rumourlens import classify, pipeline, report  # noqa: E402
+from rumourlens import classify, pipeline, report, shapley  # noqa: E402
 from rumourlens.config import build_config  # noqa: E402
 
 EVENT, SCOPE = "citysiege", "reactions"
+EXPLAIN_ROWS = 300
 
 
 def featurize(work: Path, scale: int, seed: int) -> None:
@@ -91,12 +97,26 @@ def main() -> int:
     start = time.perf_counter()
     model = classify.fit_forest(X[balanced], y[balanced], table.names, config=forest, seed=seed, medians=medians)
     fit_s = time.perf_counter() - start
+    background, explained = X[train], X[:EXPLAIN_ROWS]
+    start = time.perf_counter()
+    shapley.shap_summary(
+        model,
+        explained,
+        background=background,
+        background_limit=cfg.shap_background,
+        seed=classify.derive_seed(cfg.seed, EVENT, SCOPE, "background"),
+    )
+    explain_s = time.perf_counter() - start
+    cells = len(explained) * min(len(background), cfg.shap_background) * args.trees
     print(
         json.dumps(
             {
                 "rows": len(balanced),
                 "trees": args.trees,
                 "fit_s": round(fit_s, 3),
+                "explain_rows": len(explained),
+                "explain_s": round(explain_s, 3),
+                "us_per_row_bg_tree": round(1e6 * explain_s / cells, 3),
                 "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
                 "model_sha256": hashlib.sha256(classify.model_to_json(model).encode("utf-8")).hexdigest(),
             }
