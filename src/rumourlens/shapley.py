@@ -94,7 +94,7 @@ DEFAULT_BACKGROUND_LIMIT = 256
 # entries a chunk of rows walks, over all its levels, about: the first
 # chunk is sized from the forest's leaves, later ones from what the walk
 # measured
-FRONTIER_ENTRIES = 1 << 18
+FRONTIER_ENTRIES = 1 << 17
 
 
 @lru_cache(maxsize=32)
