@@ -159,62 +159,29 @@ class TreeShapExplainer:
         """Add the phi terms of the rows of `X` to `phi`; return the number
         of entries walked.
 
-        An entry's P and N are bit sets, a word per 64 features, and p and
-        q one code, p * (d + 1) + q. Going down, each level keeps its
-        leaves' terms and, per entry of the next level, its parent and its
-        credit: 2 x the phi cell (row x features + f) of the feature f it
-        put in P, or that plus 1 for N, or -1. Going back up, each entry's
-        sums of its leaves' P and N terms reach its credit cell and then
-        its parent."""
-        start, feature, threshold, left, right, value = self._forest
-        d, groups, w = self.d, self._goes_left.shape[0], -(-self.d // 64)
+        Going down, each level keeps its leaves' terms and, per entry of
+        the next level, its parent and its credit: 2 x the phi cell (row x
+        features + f) of the feature f it put in P, or that plus 1 for N,
+        or -1. Going back up, each entry's sums of its leaves' P and N
+        terms reach its credit cell and then its parent."""
+        start, groups = self._forest[0], self._goes_left.shape[0]
         # one entry per (row, tree, background group), with all its rows
         row = np.repeat(np.arange(X.shape[0]), start.size * groups)
-        node = np.tile(np.repeat(start, groups), X.shape[0])
         group = np.tile(np.arange(groups), X.shape[0] * start.size)
         last = self.background.shape[0] - 64 * (groups - 1)
-        mask = np.where(group == groups - 1, np.uint64(2**last - 1), np.uint64(2**64 - 1))
-        sets = np.zeros((row.size, 2 * w), dtype=np.uint64)  # P's words, then N's
-        pq = np.zeros(row.size, dtype=np.intp)
+        frontier = (
+            row,
+            np.tile(np.repeat(start, groups), X.shape[0]),
+            group,
+            np.where(group == groups - 1, np.uint64(2**last - 1), np.uint64(2**64 - 1)),
+            np.zeros((row.size, 2 * -(-self.d // 64)), dtype=np.uint64),
+            np.zeros(row.size, dtype=np.intp),
+        )
         levels, walked = [], 0
-        while row.size:
-            walked += row.size
-            f = feature[node]
-            leaf = np.flatnonzero(f == -1)
-            terms = self._weights[:, pq[leaf]] * (value[node[leaf]] * _popcount(mask[leaf]))
-            cell = row * d + f
-            x_left = X.reshape(-1)[cell] <= threshold[node]
-            go_left = self._goes_left.reshape(-1)[group * feature.size + node]
-            agree = mask & np.where(x_left, go_left, ~go_left)
-            differ = mask ^ agree
-            lo, hi = left[node], right[node]
-            x_child, own_child = np.where(x_left, lo, hi), np.where(x_left, hi, lo)
-            word, bit = f >> 6, np.left_shift(np.uint64(1), (f & 63).astype(np.uint64))
-            at = np.arange(row.size) * (2 * w) + word
-            in_p = sets.reshape(-1)[at] & bit != 0
-            in_n = sets.reshape(-1)[at + w] & bit != 0
-            # the background rows that go the row's way follow it (all of
-            # them where f is in P); the others go their own way with f
-            # in N and, unless f is in N already, the row's way with f in
-            # P; a leaf sends nothing on
-            follow_mask = np.where(in_p, mask, agree)
-            follow_mask[leaf] = differ[leaf] = 0
-            follow = np.flatnonzero(follow_mask)
-            forbid = np.flatnonzero(~in_p & (differ != 0))
-            new = ~in_n[forbid]
-            require = forbid[new]
-            take = np.concatenate([follow, forbid, require])
-            credit = np.concatenate([np.full(follow.size, -1), np.where(new, 2 * cell[forbid] + 1, -1), 2 * cell[require]])
-            levels.append((row.size, leaf, terms, take, credit))
-            row, group, pq, sets = row[take], group[take], pq[take], np.take(sets, take, axis=0)
-            node = np.concatenate([x_child[follow], own_child[forbid], x_child[require]])
-            mask = np.concatenate([follow_mask[follow], differ[forbid], differ[require]])
-            at = follow.size + np.flatnonzero(new)
-            sets[at, w + word[require]] |= bit[require]
-            pq[at] += 1
-            at = follow.size + forbid.size + np.arange(require.size)
-            sets[at, word[require]] |= bit[require]
-            pq[at] += d + 1
+        while frontier[0].size:
+            walked += frontier[0].size
+            level, frontier = self._level(X, *frontier)
+            levels.append(level)
         sums = np.zeros((2, 0))  # per entry of the level below: P, N
         for size, leaf, terms, parent, credit in reversed(levels):
             got = np.flatnonzero(credit >= 0)
@@ -225,6 +192,56 @@ class TreeShapExplainer:
             up[1] += np.bincount(parent, sums[1], minlength=size)
             sums = up
         return walked
+
+    def _level(self, X, row, node, group, mask, sets, pq):
+        """One step down: the level's record for the way back up, and the
+        next level's entries.
+
+        An entry's P and N are bit sets, a word per 64 features (P's
+        words, then N's), and p and q one code, p * (d + 1) + q."""
+        _start, feature, threshold, left, right, value = self._forest
+        d, w = self.d, sets.shape[1] // 2
+        f = feature[node]
+        leaf = np.flatnonzero(f == -1)
+        terms = self._weights[:, pq[leaf]] * (value[node[leaf]] * _popcount(mask[leaf]))
+        cell = row * d + f
+        x_left = X.reshape(-1)[cell] <= threshold[node]
+        go_left = self._goes_left.reshape(-1)[group * feature.size + node]
+        agree = mask & np.where(x_left, go_left, ~go_left)
+        differ = mask ^ agree
+        lo, hi = left[node], right[node]
+        x_child, own_child = np.where(x_left, lo, hi), np.where(x_left, hi, lo)
+        word, bit = f >> 6, np.left_shift(np.uint64(1), (f & 63).astype(np.uint64))
+        at = np.arange(row.size) * (2 * w) + word
+        in_p = sets.reshape(-1)[at] & bit != 0
+        in_n = sets.reshape(-1)[at + w] & bit != 0
+        # the background rows that go the row's way follow it (all of them
+        # where f is in P); the others go their own way with f in N and,
+        # unless f is in N already, the row's way with f in P; a leaf
+        # sends nothing on
+        follow_mask = np.where(in_p, mask, agree)
+        follow_mask[leaf] = differ[leaf] = 0
+        follow = np.flatnonzero(follow_mask)
+        forbid = np.flatnonzero(~in_p & (differ != 0))
+        new = ~in_n[forbid]
+        require = forbid[new]
+        take = np.concatenate([follow, forbid, require])
+        credit = np.concatenate([np.full(follow.size, -1), np.where(new, 2 * cell[forbid] + 1, -1), 2 * cell[require]])
+        sets, pq = np.take(sets, take, axis=0), pq[take]
+        at = follow.size + np.flatnonzero(new)
+        sets[at, w + word[require]] |= bit[require]
+        pq[at] += 1
+        at = follow.size + forbid.size + np.arange(require.size)
+        sets[at, word[require]] |= bit[require]
+        pq[at] += d + 1
+        return (row.size, leaf, terms, take, credit), (
+            row[take],
+            np.concatenate([x_child[follow], own_child[forbid], x_child[require]]),
+            group[take],
+            np.concatenate([follow_mask[follow], differ[forbid], differ[require]]),
+            sets,
+            pq,
+        )
 
 
 def _popcount(x: np.ndarray) -> np.ndarray:
