@@ -204,6 +204,7 @@ class TreeShapExplainer:
         f = feature[node]
         leaf = np.flatnonzero(f == -1)
         terms = self._weights[:, pq[leaf]] * (value[node[leaf]] * _popcount(mask[leaf]))
+        # a leaf's f is -1: what it reads below is never used
         cell = row * d + f
         x_left = X.reshape(-1)[cell] <= threshold[node]
         go_left = self._goes_left.reshape(-1)[group * feature.size + node]
