@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedResponse, ProviderUnavailable
+from .errors import MalformedResponse, ParseError, ProviderUnavailable
 from .textprep import TokenKind, bundled, tokenize
 
 LABELS = ("anger", "disgust", "fear", "joy", "neutral", "sadness", "surprise")
@@ -54,7 +54,10 @@ class EmotionDist:
 
 
 def _to_dist(scores: dict[str, float], low_confidence: bool = False) -> EmotionDist:
-    total = sum(scores.values())
+    # added in LABELS order by hand: sum() compensates floats from 3.12 on
+    total = 0.0
+    for lab in LABELS:
+        total += scores[lab]
     normed = {lab: scores[lab] / total for lab in LABELS}
     label = max(LABELS, key=normed.__getitem__)  # max() keeps first on ties
     return EmotionDist(scores=normed, label=label, low_confidence=low_confidence)
@@ -67,8 +70,19 @@ _UNIFORM = _to_dist(dict.fromkeys(LABELS, 1.0), low_confidence=True)
 
 def load_emotion_lexicon(path=None) -> dict[str, set[str]]:
     """JSON map of label -> word list covering the seven labels."""
-    with open(bundled("emotion_lexicon.json") if path is None else path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    path = bundled("emotion_lexicon.json") if path is None else path
+    with open(path, encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: the top level is not an object but {type(raw).__name__}")
+    for lab in LABELS:
+        words = raw.get(lab, [])
+        # a string would be read as a list of one-letter words
+        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+            raise ParseError(f"{path}: label {lab!r}: the word list is not a list of strings")
     return {lab: {w.lower() for w in raw.get(lab, [])} for lab in LABELS}
 
 
@@ -184,10 +198,15 @@ class CassetteProvider:
         self.batch_size = batch_size
         self._store: dict[str, str] = {}
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                rec = json.loads(line)
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+                if not isinstance(rec, dict) or not isinstance(rec.get("key"), str) or "response" not in rec:
+                    raise ParseError(f"{path}: line {lineno}: not an object holding a string 'key' and a 'response'")
                 self._store[rec["key"]] = json.dumps(rec["response"])
 
     def classify(self, texts: list[str]) -> list[EmotionDist]:

@@ -84,10 +84,6 @@ class FeatureMismatch(RumourLensError):
     pass
 
 
-class TooManyFeatures(RumourLensError):
-    pass
-
-
 # shapley
 class AdditivityError(RumourLensError):
     pass

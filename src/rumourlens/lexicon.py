@@ -207,9 +207,20 @@ def load_lexicon(path) -> Lexicon:
             data = json.load(fh, object_pairs_hook=no_dupes)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid lexicon JSON: {exc}") from exc
-    meta = data.get("metadata", {})
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: the top level is not an object but {type(data).__name__}")
+    meta, categories = data.get("metadata", {}), data.get("categories", {})
+    if not isinstance(meta, dict) or not isinstance(categories, dict):
+        raise ParseError(f"{path}: metadata and categories must be objects")
+    for cname, spec in categories.items():
+        patterns = spec.get("patterns", []) if isinstance(spec, dict) else None
+        # a string would be read as a list of one-letter patterns
+        if not isinstance(patterns, list) or not all(isinstance(p, str) for p in patterns):
+            raise ParseError(f"{path}: category {cname!r}: patterns is not a list of strings")
+        if not isinstance(spec.get("parent"), (str, type(None))):
+            raise ParseError(f"{path}: category {cname!r}: parent is not a string")
     return build_lexicon(
-        data.get("categories", {}),
+        categories,
         name=meta.get("name", ""),
         version=meta.get("version", ""),
     )

@@ -22,8 +22,9 @@ features that put p given ones before j and the q others after it):
 Averaging over background rows and trees gives the forest attribution;
 additivity (base + sum(phi) = output) holds to float accumulation error,
 and ``pipeline.stage_explain`` checks it for every explained row.
-``brute_shapley`` evaluates the defining subset sum directly and is the
-test oracle for the fast path.
+The tests check the walk against ``brute_shapley`` (in
+``tests/shapley_oracle.py``), which evaluates the defining subset sum
+directly.
 
 The explainer walks the forest once per chunk of rows, over the node
 table ``classify.pack_forest`` builds for prediction too: every (row,
@@ -77,17 +78,13 @@ before they are explained, and the explainer refuses a non-finite value
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import factorial
 
 import numpy as np
 
 from .classify import RandomForestModel, leaf_values, pack_forest
-from .errors import EmptySample, FeatureMismatch, NonFiniteValue, TooManyFeatures
-
-BRUTE_FORCE_MAX_FEATURES = 12
+from .errors import EmptySample, FeatureMismatch, NonFiniteValue
 
 DEFAULT_BACKGROUND_LIMIT = 256
 
@@ -259,45 +256,6 @@ def _require_finite(X: np.ndarray, what: str) -> None:
         raise NonFiniteValue(
             f"{what} {int(bad.argmax())} holds a non-finite value; impute with the model's medians first"
         )
-
-
-def brute_shapley(
-    model: RandomForestModel,
-    instance: np.ndarray,
-    background: np.ndarray,
-) -> dict[str, float]:
-    """Exact Shapley values by full subset enumeration (oracle path)."""
-    d = len(model.feature_names)
-    if d > BRUTE_FORCE_MAX_FEATURES:
-        raise TooManyFeatures(f"{d} features exceeds the 2^d enumeration limit")
-    x = model.impute(instance)
-    bg = model.impute(background)
-
-    def payoff(subset: tuple[int, ...]) -> float:
-        Z = bg.copy()
-        if subset:
-            Z[:, list(subset)] = x[list(subset)]
-        return float(model.predict_proba(Z).mean())
-
-    v = {}
-    for size in range(d + 1):
-        for subset in combinations(range(d), size):
-            v[subset] = payoff(subset)
-
-    weights = {
-        s: Fraction(factorial(s) * factorial(d - s - 1), factorial(d)) for s in range(d)
-    }
-    phi = {}
-    for j in range(d):
-        others = [f for f in range(d) if f != j]
-        total = 0.0
-        for size in range(d):
-            w = float(weights[size])
-            for subset in combinations(others, size):
-                with_j = tuple(sorted(subset + (j,)))
-                total += w * (v[with_j] - v[subset])
-        phi[model.feature_names[j]] = total
-    return phi
 
 
 # ---------------------------------------------------------------------------

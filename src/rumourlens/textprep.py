@@ -37,7 +37,7 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import EmptyText
+from .errors import EmptyText, ParseError
 
 VOWELS = set("aeiouy")
 
@@ -303,12 +303,14 @@ def load_easy_words(path=None) -> set[str]:
 
 def load_lemma_exceptions(path=None) -> dict[str, str]:
     """TSV of irregular form -> lemma."""
-    raw = Path(bundled("lemma_exceptions.tsv") if path is None else path).read_text(encoding="utf-8")
+    path = bundled("lemma_exceptions.tsv") if path is None else path
     table = {}
-    for line in raw.splitlines():
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        if line.count("\t") != 1:
+            raise ParseError(f"{path}: line {lineno}: expected form<TAB>lemma, got {line!r:.40}")
         form, lemma = line.split("\t")
         table[form.lower()] = lemma.lower()
     return table

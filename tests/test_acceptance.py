@@ -30,10 +30,10 @@ from rumourlens.classify import (
 )
 from rumourlens.emotions import LABELS, LexiconFallbackProvider
 from rumourlens.lexicon import build_lexicon, score
-from rumourlens.shapley import brute_shapley
 from rumourlens.stats import ks_two_sample
 from rumourlens.textprep import TextStats, tokenize
 from tests.conftest import texts_emotion_table
+from tests.shapley_oracle import brute_shapley
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "goldens" / "fixture_run"

@@ -98,6 +98,15 @@ class TestCliCommands:
         want = f"error: ParseError: {thread / '1.json'}: tweet 1: text is not a string but None\n"
         assert capsys.readouterr().err == want
 
+    def test_featurize_rejects_a_malformed_lexicon(self, tmp_path, mini_pheme_dir, capsys):
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text("[]")
+        conf = write_config(tmp_path, mini_pheme_dir, lexicon=lexicon)
+        assert cli.main(["ingest", "--config", str(conf)]) == 0
+        assert cli.main(["featurize", "--config", str(conf)]) == 1
+        want = f"error: ParseError: {lexicon}: the top level is not an object but list\n"
+        assert capsys.readouterr().err == want
+
     def test_threads_key_still_loads(self, tmp_path, mini_pheme_dir):
         conf = write_config(tmp_path, mini_pheme_dir, threads=2)
         assert cli.main(["ingest", "--config", str(conf)]) == 0

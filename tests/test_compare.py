@@ -8,6 +8,7 @@ for the means, and the argmax shares computed in the stage itself.
 `stage_compare` must write every file byte for byte as it does.
 """
 
+import builtins
 import csv
 import json
 import math
@@ -19,11 +20,12 @@ import numpy as np
 import pytest
 
 from rumourlens import pipeline, report, stats
-from rumourlens.config import RunConfig
+from rumourlens.config import RunConfig, build_config, parse_config_file
 from rumourlens.corpus import AGGREGATED_EVENT
 from rumourlens.emotions import POPULATIONS
 from rumourlens.features import EMOTION_FEATURES, FeatureTable
 from rumourlens.stats import KsResult, ks_two_sample
+from tests.conftest import GOLDENS, ROOT
 
 COMPARE_FILES = (
     report.KS_SOURCES_CSV,
@@ -39,8 +41,13 @@ COMPARE_FILES = (
 
 
 def oracle_mean(values) -> float:
-    values = list(values)
-    return sum(values) / len(values) if values else float("nan")
+    # added left to right by hand, as sum() did before 3.12 compensated
+    # float sums
+    total, n = 0.0, 0
+    for v in values:
+        total += v
+        n += 1
+    return total / n if n else float("nan")
 
 
 @dataclass(frozen=True)
@@ -121,7 +128,7 @@ def oracle_mean_report(samples):
         out[feature] = {}
         for pop, values in populations.items():
             defined = [v for v in values if not math.isnan(v)]
-            mean = (sum(defined) / len(defined)) if defined else None
+            mean = oracle_mean(defined) if defined else None
             out[feature][pop] = (mean, len(defined), len(values) - len(defined))
     return out
 
@@ -335,3 +342,51 @@ def test_compare_calls_the_traced_layers(tmp_path, monkeypatch):
     run_compare(tmp_path, random_table(0), 0.05)
     assert calls["significance_matrix"] >= 2
     assert calls["mean_report"] == 1
+
+
+def compensated_sum(iterable, start=0):
+    """CPython 3.12's sum(): float and int terms are added with Neumaier's
+    compensation (other terms add plainly), so a float sum can differ in
+    its last bits from adding left to right."""
+    items = iter(iterable)
+    total = start
+    if type(total) is not float:
+        for item in items:
+            total = total + item
+            if type(total) is float:
+                break
+        else:
+            return total
+    compensation = 0.0
+    for item in items:
+        if type(item) not in (float, int):
+            total = total + compensation + item
+            for item in items:
+                total = total + item
+            return total
+        x = float(item)
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def test_compare_goldens_hold_under_a_compensated_sum(tmp_path, monkeypatch):
+    # sum() compensates float sums from Python 3.12 on; compare must write
+    # the fixture goldens byte for byte under either sum
+    fixture = parse_config_file(ROOT / "configs" / "fixture.conf")
+    fixture["dataset"] = str(ROOT / fixture["dataset"])
+    cfg = build_config(fixture, env={}, overrides={"out_dir": str(tmp_path)})
+    pipeline.stage_ingest(cfg)
+    pipeline.stage_featurize(cfg)
+    with monkeypatch.context() as patched:
+        patched.setattr(builtins, "sum", compensated_sum)
+        written = pipeline.stage_compare(cfg)
+    assert sorted(p.name for p in written) == sorted(COMPARE_FILES)
+    for path in written:
+        assert path.read_bytes() == (GOLDENS / "fixture_run" / path.name).read_bytes(), path.name

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -13,7 +14,7 @@ from rumourlens.emotions import (
     RemoteProvider,
     load_emotion_lexicon,
 )
-from rumourlens.errors import MalformedResponse, ProviderUnavailable
+from rumourlens.errors import MalformedResponse, ParseError, ProviderUnavailable
 from tests.conftest import texts_emotion_table
 
 
@@ -41,6 +42,13 @@ class TestFallback:
         assert dist.scores["fear"] == pytest.approx(2 / 3)
         assert dist.scores["joy"] == pytest.approx(1 / 3)
         assert dist.label == "fear"
+
+    def test_string_word_list_rejected(self, tmp_path):
+        # a string is not split into one-letter words
+        path = tmp_path / "emotions.json"
+        path.write_text('{"anger": "furious"}')
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: label 'anger': the word list "):
+            load_emotion_lexicon(path)
 
     def test_normalization_property(self):
         lexicon = load_emotion_lexicon()
@@ -142,6 +150,19 @@ class TestCassette:
         cassette.write_text("")
         with pytest.raises(ProviderUnavailable):
             CassetteProvider(cassette).classify(["never recorded"])
+
+    def test_line_that_is_not_json(self, tmp_path):
+        cassette = tmp_path / "tape.jsonl"
+        cassette.write_text('{"key": "k", "response": []}\nnot json\n')
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(cassette))}: line 2: "):
+            CassetteProvider(cassette)
+
+    @pytest.mark.parametrize("record", ['{"key": "k"}', '{"response": []}', '["k", []]'])
+    def test_record_without_key_or_response(self, tmp_path, record):
+        cassette = tmp_path / "tape.jsonl"
+        cassette.write_text(record + "\n")
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(cassette))}: line 1: not an object holding"):
+            CassetteProvider(cassette)
 
 
 class TestEmotionTable:

@@ -77,6 +77,25 @@ class TestLoad:
         with pytest.raises(ParseError):
             load_lexicon(path)
 
+    def test_string_patterns_rejected(self, tmp_path):
+        # a string is not split into one-letter patterns
+        path = tmp_path / "lex.json"
+        path.write_text('{"categories": {"posemo": {"patterns": "happy"}}}')
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: category 'posemo': patterns "):
+            load_lexicon(path)
+
+    def test_list_parent_rejected(self, tmp_path):
+        path = tmp_path / "lex.json"
+        path.write_text('{"categories": {"a": {"patterns": ["x"], "parent": ["b"]}, "b": {"patterns": ["x"]}}}')
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: category 'a': parent is not a string"):
+            load_lexicon(path)
+
+    def test_top_level_list_rejected(self, tmp_path):
+        path = tmp_path / "lex.json"
+        path.write_text("[]")
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: the top level is not an object"):
+            load_lexicon(path)
+
 
 class TestScore:
     def test_all_pronouns(self):

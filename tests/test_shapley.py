@@ -20,8 +20,9 @@ import pytest
 
 from rumourlens import shapley
 from rumourlens.classify import ForestConfig, RandomForestModel, Tree, fit_forest, model_from_json, model_to_json
-from rumourlens.errors import EmptySample, FeatureMismatch, NonFiniteValue, TooManyFeatures
-from rumourlens.shapley import TreeShapExplainer, _weight_table, brute_shapley, shap_summary
+from rumourlens.errors import EmptySample, FeatureMismatch, NonFiniteValue
+from rumourlens.shapley import TreeShapExplainer, _weight_table, shap_summary
+from tests.shapley_oracle import TooManyFeatures, brute_shapley
 
 
 def leaf_tree(prob_counts):

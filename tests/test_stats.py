@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rumourlens.errors import EmptySample, NonFiniteValue
+from rumourlens import stats
 from rumourlens.report import KS_HEADER
 from rumourlens.stats import (
     kolmogorov_p,
@@ -22,6 +23,13 @@ def brute_force_d(a, b):
         fb = sum(1 for v in b if v <= x) / len(b)
         d = max(d, abs(fa - fb))
     return d
+
+
+def left_to_right_mean(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
 
 
 class TestKs:
@@ -77,6 +85,16 @@ class TestKs:
             rng.shuffle(b)
             r = ks_two_sample(a, b)
             assert r.d_stat == base.d_stat and r.p_value == base.p_value
+
+    def test_d_equals_brute_force_exactly(self):
+        # seeded pairs drawn from a few values, so most hold ties within
+        # and across samples
+        rng = random.Random(19)
+        for _ in range(2000):
+            values = [rng.randint(-3, 3) / 2 for _ in range(rng.randint(1, 8))]
+            a = [rng.choice(values) for _ in range(rng.randint(1, 25))]
+            b = [rng.choice(values) + rng.choice((0.0, 0.25)) for _ in range(rng.randint(1, 25))]
+            assert ks_two_sample(a, b).d_stat == brute_force_d(a, b)
 
     def test_p_in_unit_interval(self, ks_reference):
         for case in ks_reference:
@@ -159,6 +177,28 @@ class TestSignificanceMatrix:
         cell = ks_cells(self.samples())[("wc", "e1")]
         assert cell["mean_rumour"] == pytest.approx(5.4)
         assert cell["mean_nonrumour"] == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("grid_cells", [1, 7, 1 << 14])
+    def test_cells_match_brute_force_in_any_block_size(self, monkeypatch, grid_cells):
+        # the grid sorts GRID_CELLS cells at a time; every cell's D is the
+        # brute-force one and every mean adds its side in row order, however
+        # the columns are cut into blocks
+        monkeypatch.setattr(stats, "GRID_CELLS", grid_cells)
+        rng = np.random.default_rng(19)
+        n = 60
+        columns = {f"f{j}": rng.choice([0.0, 0.5, 1.0, 2.5, np.nan], n) for j in range(5)}
+        events = rng.choice(["e1", "e2", "e3"], n)
+        groups = {e: events == e for e in ("e1", "e2", "e3")}
+        rumour = rng.random(n) < 0.4
+        rows = significance_matrix(columns, groups, rumour, alpha=0.05, population_pair="sources")
+        assert [(r[0], r[1]) for r in rows] == [(f, e) for f in columns for e in groups]
+        for feature, event, _pair, n1, n2, d, p, mean_rum, mean_non, significant in rows:
+            col = columns[feature][groups[event]]
+            rum = [v for v in col[rumour[groups[event]]].tolist() if not math.isnan(v)]
+            non = [v for v in col[~rumour[groups[event]]].tolist() if not math.isnan(v)]
+            assert (n1, n2, d) == (len(rum), len(non), brute_force_d(rum, non))
+            assert p == kolmogorov_p(d, n1, n2) and significant == (p < 0.05)
+            assert (mean_rum, mean_non) == (left_to_right_mean(rum), left_to_right_mean(non))
 
 
 def one_mean(values):

@@ -1,8 +1,9 @@
 import random
+import re
 
 import pytest
 
-from rumourlens.errors import EmptyText
+from rumourlens.errors import EmptyText, ParseError
 from rumourlens.textprep import (
     NEGATIONS,
     RuleLemmatizer,
@@ -11,6 +12,7 @@ from rumourlens.textprep import (
     clean_for_senticnet,
     count_syllables,
     is_negation,
+    load_lemma_exceptions,
     load_stopwords,
     text_stats,
     tokenize,
@@ -140,6 +142,13 @@ class TestLemmatizer:
     )
     def test_rule_table(self, form, lemma):
         assert RuleLemmatizer().lemmatize(form) == lemma
+
+    @pytest.mark.parametrize("line", ["ran run", "ran\trun\textra"])
+    def test_exception_line_without_one_tab(self, tmp_path, line):
+        path = tmp_path / "lemmas.tsv"
+        path.write_text("# form\tlemma\nwent\tgo\n" + line + "\n")
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line 3: expected form<TAB>lemma"):
+            load_lemma_exceptions(path)
 
 
 @pytest.fixture(scope="module")
