@@ -7,13 +7,14 @@ Run from the repository root. It builds perfbench's pheme-wide corpus
 (generator seed `--seed`, default 7) with every event's `mean_reactions`
 multiplied by K, and ingests and featurizes it once into `--work`
 (default `.fit-scale-work/` at the repository root, emptied first) in a
-child process. It then takes the `citysiege` reactions model as
-`rumourlens train` does (the same split, seed, medians and oversampled
-train side), times one `classify.fit_forest` of `--trees` trees, then
-explains the first `EXPLAIN_ROWS` rows of that model as `rumourlens
-explain` does (`shapley.shap_summary`, the background being the train
-side subsampled to `shap_background` rows with the same seed). It prints
-one JSON line: rows, trees, `fit_s`, `explain_rows`, `explain_s`,
+child process. It then times one `classify.fit_balanced` of `--trees`
+trees on the `citysiege` reactions model, as `rumourlens train` fits it
+(the same split, seed and train side; the time covers the medians, the
+oversampling and the fit), then explains the first `EXPLAIN_ROWS` rows
+of that model as `rumourlens explain` does (`shapley.shap_summary`, the
+background being the train side subsampled to `shap_background` rows
+with the same seed). It prints one JSON line: rows (of the oversampled
+train side), trees, `fit_s`, `explain_rows`, `explain_s`,
 `us_per_row_bg_tree` (explain time per explained row, background row
 and tree), `peak_rss_mib` (this process's peak resident memory, which
 the featurizing child does not count) and the sha256 of the model file
@@ -33,6 +34,8 @@ import shutil
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -91,11 +94,9 @@ def main() -> int:
     table = report.read_features_csv(pipeline.run_dir(cfg) / report.FEATURES_CSV)
     rows, y, seed, train, _ = pipeline._model_split(cfg, table, EVENT, SCOPE)
     X = table.X[rows]
-    medians = classify.compute_medians(X[train])
-    balanced = train[classify.oversample(y[train], seed=seed)]
     forest = classify.ForestConfig(n_trees=args.trees)
     start = time.perf_counter()
-    model = classify.fit_forest(X[balanced], y[balanced], table.names, config=forest, seed=seed, medians=medians)
+    model = classify.fit_balanced(X, y, train, table.names, forest, seed, seed)
     fit_s = time.perf_counter() - start
     background, explained = X[train], X[:EXPLAIN_ROWS]
     start = time.perf_counter()
@@ -111,7 +112,8 @@ def main() -> int:
     print(
         json.dumps(
             {
-                "rows": len(balanced),
+                # oversampling evens the two classes out
+                "rows": 2 * int(np.bincount(y[train]).max()),
                 "trees": args.trees,
                 "fit_s": round(fit_s, 3),
                 "explain_rows": len(explained),

@@ -1,7 +1,9 @@
 """Rumour/non-rumour classification under the evaluated protocol:
 stratified 80/20 split, stratified k-fold cross-validation on the train
-side, minority oversampling inside training folds only, and a bagged
-forest of Gini decision trees.
+side, and a bagged forest of Gini decision trees. Every model, each
+fold's and each final one, comes from one function, `fit_balanced`: it
+takes the imputation medians from the training rows alone, oversamples
+the minority class among them, and fits, so no test row reaches a fit.
 
 Determinism: everything derives from one integer seed. Each tree draws
 its bootstrap sample and per-node feature subsets from its own RNG
@@ -81,7 +83,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 
 import numpy as np
@@ -604,40 +606,25 @@ class Metrics:
 
 
 def metrics_from_confusion(confusion, averaging: str = "weighted") -> Metrics:
+    """Accuracy, and precision, recall and F1 averaged over the classes as
+    `averaging` says (weighted by support, macro, or class 1's alone), of a
+    confusion matrix whose rows are the true and columns the predicted
+    classes. A class's score is 0.0 where its denominator is 0."""
     cm = np.asarray(confusion, dtype=np.float64)
-    total = cm.sum()
-    accuracy = float(np.trace(cm) / total)
-    precisions, recalls, f1s, supports = [], [], [], []
-    for cls in range(cm.shape[0]):
-        tp = cm[cls, cls]
-        predicted = cm[:, cls].sum()
-        actual = cm[cls, :].sum()
-        p = tp / predicted if predicted else 0.0
-        r = tp / actual if actual else 0.0
-        f = 2 * p * r / (p + r) if (p + r) else 0.0
-        precisions.append(p)
-        recalls.append(r)
-        f1s.append(f)
-        supports.append(actual)
+    tp, predicted, actual = np.diag(cm), cm.sum(axis=0), cm.sum(axis=1)
+    p = np.divide(tp, predicted, out=np.zeros_like(tp), where=predicted != 0)
+    r = np.divide(tp, actual, out=np.zeros_like(tp), where=actual != 0)
+    f = np.divide(2 * p * r, p + r, out=np.zeros_like(tp), where=p + r != 0)
     if averaging == "binary":
-        p, r, f = precisions[1], recalls[1], f1s[1]
+        scores = (p[1], r[1], f[1])
     elif averaging == "macro":
-        p = float(np.mean(precisions))
-        r = float(np.mean(recalls))
-        f = float(np.mean(f1s))
+        scores = (np.mean(p), np.mean(r), np.mean(f))
     elif averaging == "weighted":
-        w = np.array(supports) / sum(supports)
-        p = float(np.dot(precisions, w))
-        r = float(np.dot(recalls, w))
-        f = float(np.dot(f1s, w))
+        w = actual / actual.sum()
+        scores = (np.dot(p, w), np.dot(r, w), np.dot(f, w))
     else:
         raise ValueError(f"unknown averaging {averaging!r}")
-    return Metrics(
-        accuracy=accuracy,
-        precision=float(p),
-        recall=float(r),
-        f1=float(f),
-    )
+    return Metrics(float(np.trace(cm) / cm.sum()), *map(float, scores))
 
 
 def evaluate(
@@ -670,6 +657,18 @@ def stratified_folds(y: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
     ]
 
 
+def fit_balanced(X, y, rows, feature_names, config, seed, oversample_seed) -> RandomForestModel:
+    """The training protocol, the one path to a model that `cross_validate`
+    (per fold) and the train stage (per final model) take: the imputation
+    medians of `X[rows]`, then the minority rows among `rows` oversampled
+    (with `oversample_seed`) and the forest fitted on them (with `seed`).
+    No row outside `rows` reaches the fit, not even as a duplicate."""
+    balanced = rows[oversample(y[rows], seed=oversample_seed)]
+    return fit_forest(
+        X[balanced], y[balanced], feature_names, config=config, seed=seed, medians=compute_medians(X[rows])
+    )
+
+
 def cross_validate(
     X: np.ndarray,
     y: np.ndarray,
@@ -679,21 +678,13 @@ def cross_validate(
     seed: int = 0,
     averaging: str = "weighted",
 ) -> list[Metrics]:
-    """Stratified k-fold CV; oversampling and imputation happen inside
-    each fold's training portion only."""
-    folds = stratified_folds(y, k, seed)
+    """Stratified k-fold CV; each fold's model comes from `fit_balanced`
+    on the fold's training portion."""
     results = []
-    for fold_no, test_idx in enumerate(folds):
+    for fold_no, test_idx in enumerate(stratified_folds(y, k, seed)):
         fold_train = np.setdiff1d(np.arange(len(y)), test_idx)
-        balanced = fold_train[oversample(y[fold_train], seed=derive_seed(seed, "cv-os", fold_no))]
-        model = fit_forest(
-            X[balanced],
-            y[balanced],
-            feature_names,
-            config=config,
-            seed=derive_seed(seed, "cv-fit", fold_no),
-            medians=compute_medians(X[fold_train]),
-        )
+        fit_seed, oversample_seed = derive_seed(seed, "cv-fit", fold_no), derive_seed(seed, "cv-os", fold_no)
+        model = fit_balanced(X, y, fold_train, feature_names, config, fit_seed, oversample_seed)
         results.append(evaluate(model, X[test_idx], y[test_idx], averaging=averaging))
     return results
 
@@ -705,12 +696,7 @@ def cross_validate(
 def model_to_json(model: RandomForestModel) -> str:
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
-        "config": {
-            "n_trees": model.config.n_trees,
-            "max_features": model.config.max_features,
-            "min_samples_split": model.config.min_samples_split,
-            "max_depth": model.config.max_depth,
-        },
+        "config": asdict(model.config),
         "seed": model.seed,
         "classes": list(CLASSES),
         "feature_names": list(model.feature_names),
@@ -738,15 +724,9 @@ def model_from_json(text: str) -> RandomForestModel:
         payload = json.loads(text)
         if payload["format_version"] != MODEL_FORMAT_VERSION:
             raise ParseError(f"unsupported model format {payload['format_version']!r}")
-        cfg = payload["config"]
         return RandomForestModel(
+            config=ForestConfig(**{f.name: payload["config"][f.name] for f in fields(ForestConfig)}),
             trees=_trees_from_lists(payload["trees"], len(payload["feature_names"])),
-            config=ForestConfig(
-                n_trees=cfg["n_trees"],
-                max_features=cfg["max_features"],
-                min_samples_split=cfg["min_samples_split"],
-                max_depth=cfg["max_depth"],
-            ),
             seed=payload["seed"],
             feature_names=tuple(payload["feature_names"]),
             medians=payload["medians"],

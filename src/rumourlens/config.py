@@ -10,7 +10,8 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
+from .textprep import open_utf8
 
 ENV_PREFIX = "RUMOURLENS_"
 
@@ -73,16 +74,19 @@ def _coerce(name: str, kind, raw: str):
 
 def parse_config_file(path) -> dict[str, str]:
     """`key = value` per line; blank lines and '#' comments ignored."""
+    try:
+        lines = open_utf8(path).readlines()
+    except ParseError as exc:
+        raise ConfigError(str(exc)) from exc
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
     return values
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MalformedResponse, ParseError, ProviderUnavailable
-from .textprep import TokenKind, bundled, tokenize
+from .textprep import TokenKind, bundled, open_utf8, tokenize
 
 LABELS = ("anger", "disgust", "fear", "joy", "neutral", "sadness", "surprise")
 
@@ -71,7 +71,7 @@ _UNIFORM = _to_dist(dict.fromkeys(LABELS, 1.0), low_confidence=True)
 def load_emotion_lexicon(path=None) -> dict[str, set[str]]:
     """JSON map of label -> word list covering the seven labels."""
     path = bundled("emotion_lexicon.json") if path is None else path
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -197,7 +197,7 @@ class CassetteProvider:
     def __init__(self, path, batch_size: int = 32):
         self.batch_size = batch_size
         self._store: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
+        with open_utf8(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue

@@ -38,7 +38,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import BadPattern, CycleError, EmptyCategory, ParseError
-from .textprep import Token, TokenKind
+from .textprep import Token, TokenKind, open_utf8
 
 PUNCT_KEYS = (
     "period",
@@ -194,6 +194,9 @@ def build_lexicon(
 
 
 def load_lexicon(path) -> Lexicon:
+    """The lexicon in a JSON file of `metadata` and `categories`, built by
+    `build_lexicon`; every error names the file."""
+
     def no_dupes(pairs):
         d = {}
         for k, v in pairs:
@@ -202,28 +205,26 @@ def load_lexicon(path) -> Lexicon:
             d[k] = v
         return d
 
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         try:
             data = json.load(fh, object_pairs_hook=no_dupes)
+            if not isinstance(data, dict):
+                raise ParseError(f"the top level is not an object but {type(data).__name__}")
+            meta, categories = data.get("metadata", {}), data.get("categories", {})
+            if not isinstance(meta, dict) or not isinstance(categories, dict):
+                raise ParseError("metadata and categories must be objects")
+            for cname, spec in categories.items():
+                patterns = spec.get("patterns", []) if isinstance(spec, dict) else None
+                # a string would be read as a list of one-letter patterns
+                if not isinstance(patterns, list) or not all(isinstance(p, str) for p in patterns):
+                    raise ParseError(f"category {cname!r}: patterns is not a list of strings")
+                if not isinstance(spec.get("parent"), (str, type(None))):
+                    raise ParseError(f"category {cname!r}: parent is not a string")
+            return build_lexicon(categories, name=meta.get("name", ""), version=meta.get("version", ""))
         except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid lexicon JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: the top level is not an object but {type(data).__name__}")
-    meta, categories = data.get("metadata", {}), data.get("categories", {})
-    if not isinstance(meta, dict) or not isinstance(categories, dict):
-        raise ParseError(f"{path}: metadata and categories must be objects")
-    for cname, spec in categories.items():
-        patterns = spec.get("patterns", []) if isinstance(spec, dict) else None
-        # a string would be read as a list of one-letter patterns
-        if not isinstance(patterns, list) or not all(isinstance(p, str) for p in patterns):
-            raise ParseError(f"{path}: category {cname!r}: patterns is not a list of strings")
-        if not isinstance(spec.get("parent"), (str, type(None))):
-            raise ParseError(f"{path}: category {cname!r}: parent is not a string")
-    return build_lexicon(
-        categories,
-        name=meta.get("name", ""),
-        version=meta.get("version", ""),
-    )
+            raise ParseError(f"{path}: invalid lexicon JSON: {exc}") from exc
+        except (ParseError, EmptyCategory, CycleError, BadPattern) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ share table from row masks over the feature matrix's columns.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from itertools import zip_longest
 from pathlib import Path
 
@@ -251,60 +251,32 @@ def _relay_warnings(caught, label: str) -> None:
 def stage_train(cfg: RunConfig) -> Path:
     out, table, usable = _stage_inputs(cfg, "train")
     config = forest_config(cfg)
+    # a model an earlier configuration trained but this one skips must
+    # not reach explain
+    for stale in out.glob("model_*.json"):
+        stale.unlink()
     metrics_rows = []
     for event in usable:
         for scope in _scopes(cfg):
             label = f"{event}/{scope}"
             try:
-                rows, y, seed, train, test = _model_split(cfg, table, event, scope)
-                X = table.X[rows]
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
+                    rows, y, seed, train, test = _model_split(cfg, table, event, scope)
+                    X = table.X[rows]
                     fold_metrics = classify.cross_validate(
-                        X[train],
-                        y[train],
-                        table.names,
-                        k=cfg.k_folds,
-                        config=config,
-                        seed=seed,
-                        averaging=cfg.averaging,
+                        X[train], y[train], table.names, cfg.k_folds, config, seed, cfg.averaging
                     )
+                    model = classify.fit_balanced(X, y, train, table.names, config, seed, seed)
             except TooFewSamples as exc:
                 warnings.warn(f"{label}: {exc}; model skipped", stacklevel=2)
                 continue
             _relay_warnings(caught, label)
-            medians = classify.compute_medians(X[train])
-            balanced = train[classify.oversample(y[train], seed=seed)]
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                model = classify.fit_forest(
-                    X[balanced],
-                    y[balanced],
-                    table.names,
-                    config=config,
-                    seed=seed,
-                    medians=medians,
-                )
-            _relay_warnings(caught, label)
-            fold_scores = [m.accuracy for m in fold_metrics]
-            model.fold_scores = fold_scores
+            model.fold_scores = [m.accuracy for m in fold_metrics]
             final = classify.evaluate(model, X[test], y[test], averaging=cfg.averaging)
             report.write_text(_model_path(out, event, scope), classify.model_to_json(model))
-            metrics_rows.append(
-                {
-                    "event": event,
-                    "scope": scope,
-                    "n_train": len(train),
-                    "n_test": len(test),
-                    "cv_folds": len(fold_scores),
-                    "cv_accuracy_mean": float(np.mean(fold_scores)),
-                    "cv_accuracy_std": float(np.std(fold_scores)),
-                    "accuracy": final.accuracy,
-                    "precision": final.precision,
-                    "recall": final.recall,
-                    "f1": final.f1,
-                }
-            )
+            cv = [len(fold_metrics), float(np.mean(model.fold_scores)), float(np.std(model.fold_scores))]
+            metrics_rows.append([event, scope, len(train), len(test), *cv, *astuple(final)])
     report.write_metrics_csv(out / report.METRICS_CSV, metrics_rows)
     _mark_stage(cfg, "train")
     return out / report.METRICS_CSV

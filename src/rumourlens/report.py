@@ -296,10 +296,10 @@ def read_emotions_csv(path) -> dict[str, dict[str, float]]:
 # metrics
 
 
-def write_metrics_csv(path, rows: list[dict]) -> None:
-    ordered = sorted(rows, key=lambda r: (r["event"], r["scope"]))
-    counts, scores = METRICS_HEADER[:5], METRICS_HEADER[5:]
-    write_csv(path, METRICS_HEADER, ([r[k] for k in counts] + [fnum(r[k]) for k in scores] for r in ordered))
+def write_metrics_csv(path, rows: list[list]) -> None:
+    """One row per model, each a list in `METRICS_HEADER` order, sorted
+    by (event, scope); the five counts as they are, the scores by `fnums`."""
+    write_csv(path, METRICS_HEADER, (row[:5] + fnums(row[5:]) for row in sorted(rows, key=lambda r: r[:2])))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import urllib.request
 from dataclasses import dataclass, field
 
 from .errors import DuplicateConcept, OutOfRange, ParseError
+from .textprep import open_utf8
 
 DIMENSIONS = ("pleasantness", "attention", "sensitivity", "aptitude", "polarity")
 
@@ -45,33 +46,37 @@ class SenticTable:
 
 
 def load_sentic_table(path) -> SenticTable:
+    """The concept table in a CSV file with the `_HEADER` columns; every
+    error names the file."""
     entries: dict[str, tuple[float, ...]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty sentic table") from None
-        if tuple(header) != _HEADER:
-            raise ParseError(f"expected header {','.join(_HEADER)}, got {','.join(header)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise ParseError(f"expected 6 columns, got {len(row)}", line=lineno)
-            concept = row[0].strip().lower()
-            if not concept:
-                raise ParseError("empty concept", line=lineno)
-            if concept in entries:
-                raise DuplicateConcept(f"line {lineno}: concept {concept!r} repeated")
-            try:
-                values = tuple(float(v) for v in row[1:])
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from exc
-            for dim, v in zip(DIMENSIONS, values):
-                if not -1.0 <= v <= 1.0:
-                    raise OutOfRange(f"line {lineno}: {dim}={v} outside [-1, 1]")
-            entries[concept] = values
+            header = next(reader, None)
+            if header is None:
+                raise ParseError("empty sentic table")
+            if tuple(header) != _HEADER:
+                raise ParseError(f"expected header {','.join(_HEADER)}, got {','.join(header)}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 6:
+                    raise ParseError(f"expected 6 columns, got {len(row)}", line=lineno)
+                concept = row[0].strip().lower()
+                if not concept:
+                    raise ParseError("empty concept", line=lineno)
+                if concept in entries:
+                    raise DuplicateConcept(f"line {lineno}: concept {concept!r} repeated")
+                try:
+                    values = tuple(float(v) for v in row[1:])
+                except ValueError as exc:
+                    raise ParseError(str(exc), line=lineno) from exc
+                for dim, v in zip(DIMENSIONS, values):
+                    if not -1.0 <= v <= 1.0:
+                        raise OutOfRange(f"line {lineno}: {dim}={v} outside [-1, 1]")
+                entries[concept] = values
+        except (ParseError, DuplicateConcept, OutOfRange) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
     return SenticTable(entries=entries)
 
 

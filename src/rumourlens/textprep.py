@@ -31,6 +31,7 @@ text, working each word out afresh.
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -283,10 +284,23 @@ def bundled(name: str) -> Path:
     return Path(__file__).parent / "data" / name
 
 
+def open_utf8(path, newline=None) -> io.StringIO:
+    """A UTF-8 text file read whole, to be read as `open(path,
+    encoding="utf-8", newline=newline)` would read it; ParseError naming
+    the file and the first line that is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        # the line of the first bad byte; bytes break lines where text mode does
+        line = len((data[: exc.start] + b"?").splitlines())
+        raise ParseError(f"{path}: line {line}: not UTF-8: {exc.reason}") from exc
+
+
 def load_wordlist(path) -> set[str]:
     """One word per line; '#'-prefixed lines are comments."""
     words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in open_utf8(path).read().splitlines():
         line = line.strip().lower()
         if line and not line.startswith("#"):
             words.add(line)
@@ -305,7 +319,7 @@ def load_lemma_exceptions(path=None) -> dict[str, str]:
     """TSV of irregular form -> lemma."""
     path = bundled("lemma_exceptions.tsv") if path is None else path
     table = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(open_utf8(path).read().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import math
 import warnings
@@ -6,7 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rumourlens import classify
+from rumourlens import classify, pipeline, report
+from rumourlens.config import RunConfig
 from rumourlens.classify import (
     CLASSES,
     ForestConfig,
@@ -927,15 +930,56 @@ class TestCrossValidate:
             folds = stratified_folds(y, k=10, seed=0)
         assert len(folds) == 3
 
-    def test_no_leakage_even_as_duplicate(self):
-        # oversampling happens inside the fold's training side only, so
-        # no test-fold row may appear in it, not even as a copy
-        _, y, _ = blob_data(15, seed=4)
+    def test_no_leakage_even_as_duplicate(self, monkeypatch, tmp_path, mini_pheme_dir):
+        # every fit that cross_validate and the train stage make, seen by a
+        # spy on fit_forest through a last column of row ids: no test row
+        # reaches it, not even as an oversampled copy
+        fits = []
+        fit_forest = classify.fit_forest
+
+        def spy(X, y, feature_names, config=None, seed=0, medians=None):
+            fits.append((set(X[:, -1].tolist()), medians))
+            return fit_forest(X, y, feature_names, config=config, seed=seed, medians=medians)
+
+        monkeypatch.setattr(classify, "fit_forest", spy)
+        X, y, names = blob_data(15, seed=4)
+        X = np.column_stack([X, np.arange(len(y))])
+        cross_validate(X, y, [*names, "id"], k=5, config=ForestConfig(n_trees=3), seed=2)
         folds = stratified_folds(y, k=5, seed=2)
-        for fold_idx, test_idx in enumerate(folds):
+        assert len(fits) == len(folds)
+        for (ids, medians), test_idx in zip(fits, folds):
             fold_train = np.setdiff1d(np.arange(len(y)), test_idx)
-            balanced = fold_train[oversample(y[fold_train], seed=fold_idx)]
-            assert not set(test_idx.tolist()) & set(balanced.tolist())
+            # every training row, and no other, at least once
+            assert ids == set(fold_train.tolist())
+            assert medians.tobytes() == compute_medians(X[fold_train]).tobytes()
+
+        # the train stage on the fixture corpus, its feature table given a
+        # last column of row ids
+        read_features_csv = report.read_features_csv
+
+        def with_ids(path):
+            table = read_features_csv(path)
+            return dataclasses.replace(
+                table, names=[*table.names, "id"], X=np.column_stack([table.X, np.arange(len(table))])
+            )
+
+        monkeypatch.setattr(report, "read_features_csv", with_ids)
+        cfg = RunConfig(dataset=str(mini_pheme_dir), n_trees=2, k_folds=3, out_dir=str(tmp_path), run_id="t")
+        pipeline.stage_ingest(cfg)
+        pipeline.stage_featurize(cfg)
+        fits.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # fewer folds, unsplittable nodes
+            pipeline.stage_train(cfg)
+        table = with_ids(cfg.run_dir() / report.FEATURES_CSV)
+        metrics = report.read_csv_rows(cfg.run_dir() / report.METRICS_CSV)
+        test_ids = set()
+        for row in metrics:
+            rows, _, _, _, test = pipeline._model_split(cfg, table, row["event"], row["scope"])
+            test_ids |= set(np.flatnonzero(rows)[test].tolist())
+        # each model's folds and its final fit
+        assert len(fits) == sum(int(row["cv_folds"]) + 1 for row in metrics) > len(metrics)
+        assert all(ids and not ids & test_ids for ids, _ in fits)
 
     def test_cv_runs_and_reports(self):
         X, y, names = blob_data(20, seed=5)
@@ -944,7 +988,43 @@ class TestCrossValidate:
         assert all(0.0 <= m.accuracy <= 1.0 for m in results)
 
 
+def loop_metrics(confusion, averaging):
+    """The per-class loop `metrics_from_confusion` once ran, kept as its
+    oracle."""
+    cm = np.asarray(confusion, dtype=np.float64)
+    accuracy = float(np.trace(cm) / cm.sum())
+    precisions, recalls, f1s, supports = [], [], [], []
+    for cls in range(cm.shape[0]):
+        tp = cm[cls, cls]
+        predicted = cm[:, cls].sum()
+        actual = cm[cls, :].sum()
+        p = tp / predicted if predicted else 0.0
+        r = tp / actual if actual else 0.0
+        f = 2 * p * r / (p + r) if (p + r) else 0.0
+        precisions.append(p)
+        recalls.append(r)
+        f1s.append(f)
+        supports.append(actual)
+    if averaging == "binary":
+        p, r, f = precisions[1], recalls[1], f1s[1]
+    elif averaging == "macro":
+        p, r, f = float(np.mean(precisions)), float(np.mean(recalls)), float(np.mean(f1s))
+    else:
+        w = np.array(supports) / sum(supports)
+        p, r, f = float(np.dot(precisions, w)), float(np.dot(recalls, w)), float(np.dot(f1s, w))
+    return accuracy, float(p), float(r), float(f)
+
+
 class TestMetrics:
+    @pytest.mark.parametrize("averaging", ["weighted", "macro", "binary"])
+    def test_bitwise_equal_to_per_class_loop(self, averaging):
+        # every 2x2 confusion matrix with entries 0..8 but the all-zero one
+        matrices = [np.reshape(cells, (2, 2)) for cells in itertools.product(range(9), repeat=4) if any(cells)]
+        assert len(matrices) == 6560
+        for cm in matrices:
+            got = dataclasses.astuple(metrics_from_confusion(cm, averaging=averaging))
+            assert [float.hex(v) for v in got] == [float.hex(v) for v in loop_metrics(cm, averaging)], cm
+
     def test_perfect(self):
         m = metrics_from_confusion([[10, 0], [0, 10]])
         assert (m.accuracy, m.precision, m.recall, m.f1) == (1.0, 1.0, 1.0, 1.0)

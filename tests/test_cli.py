@@ -334,6 +334,52 @@ class TestCliCommands:
         assert "MissingArtifact" in capsys.readouterr().err
 
 
+class TestDataFileErrors:
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "lexicon", "sentic_table", "emotion_lexicon_path", "stopwords_path", "easy_words_path",
+            "lemma_exceptions_path", "emotion_cassette", "config",
+        ],
+    )
+    def test_file_not_utf8_named(self, tmp_path, mini_pheme_dir, capsys, key):
+        # a Latin-1 byte on line 2: an error line naming the file and the
+        # line, not a traceback; exit 2 for the config file, 1 for data
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"# first line\ncaf\xe9\n")
+        want = f"{bad}: line 2: not UTF-8: invalid continuation byte\n"
+        if key == "config":
+            assert cli.main(["ingest", "--config", str(bad)]) == 2
+            assert capsys.readouterr().err == f"error: config: {want}"
+            return
+        provider = "cassette" if key == "emotion_cassette" else "fallback"
+        conf = write_config(tmp_path, mini_pheme_dir, emotion_provider=provider, **{key: bad})
+        assert cli.main(["ingest", "--config", str(conf)]) == 0
+        capsys.readouterr()
+        assert cli.main(["featurize", "--config", str(conf)]) == 1
+        assert capsys.readouterr().err == f"error: ParseError: {want}"
+
+    @pytest.mark.parametrize(
+        "key, name, text, want",
+        [
+            ("lexicon", "lex.json", '{"categories": {"a": {"patterns": []}}}',
+             "EmptyCategory: {path}: category 'a' has no patterns"),
+            ("lexicon", "lex.json", '{"categories": {', "ParseError: {path}: invalid lexicon JSON: Expecting "),
+            ("sentic_table", "table.csv", "concept,pleasantness,attention,sensitivity,aptitude,polarity\ngood,0,0\n",
+             "ParseError: {path}: line 2: expected 6 columns, got 3"),
+        ],
+        ids=["empty category", "truncated lexicon", "short table row"],
+    )
+    def test_lexicon_and_table_errors_name_the_file(self, tmp_path, mini_pheme_dir, capsys, key, name, text, want):
+        path = tmp_path / name
+        path.write_text(text)
+        conf = write_config(tmp_path, mini_pheme_dir, **{key: path})
+        assert cli.main(["ingest", "--config", str(conf)]) == 0
+        capsys.readouterr()
+        assert cli.main(["featurize", "--config", str(conf)]) == 1
+        assert capsys.readouterr().err.startswith("error: " + want.format(path=path))
+
+
 class TestFullRunVariants:
     def test_no_emotion_provider_marks_section_skipped(self, tmp_path, mini_pheme_dir):
         conf = write_config(

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -94,6 +95,37 @@ class TestLoad:
         path = tmp_path / "lex.json"
         path.write_text("[]")
         with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: the top level is not an object"):
+            load_lexicon(path)
+
+    @pytest.mark.parametrize(
+        "categories, error, message",
+        [
+            ({"a": {"patterns": []}}, EmptyCategory, "category 'a' has no patterns"),
+            ({"a": {"patterns": ["he*llo"]}}, BadPattern, "category 'a': '*' must be terminal in 'he*llo'"),
+            ({"a": {"patterns": ["x"], "parent": "b"}, "b": {"patterns": ["x"], "parent": "a"}},
+             CycleError, "parent cycle through 'a'"),
+            ({"a": {"patterns": ["x"], "parent": "z"}}, ParseError, "category 'a': unknown parent 'z'"),
+            ({"a": {"patterns": ["x"]}, "b": {"patterns": ["q"], "parent": "a"}},
+             ParseError, "category 'b': parent 'a' does not cover q"),
+        ],
+    )
+    def test_build_errors_name_the_file(self, tmp_path, categories, error, message):
+        path = tmp_path / "lex.json"
+        path.write_text(json.dumps({"categories": categories}))
+        with pytest.raises(error, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_lexicon(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"categories": {', "invalid lexicon JSON: Expecting property name enclosed in double quotes"),
+            ('{"categories": {}, "categories": {}}', "duplicate key 'categories' in lexicon file"),
+        ],
+    )
+    def test_json_errors_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "lex.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}"):
             load_lexicon(path)
 
 

@@ -275,3 +275,25 @@ def test_feature_check_names_a_missing_column(tmp_path):
     message = r"feature column 1 is 'b' in m\.json but absent in features\.csv$"
     with pytest.raises(FeatureMismatch, match=message):
         pipeline._check_model_features(model, ["a"], tmp_path / "m.json", "e", "sources")
+
+
+def test_train_leaves_no_stale_model(tmp_path):
+    # a train at a split ratio that leaves too few sources to split skips
+    # the sources models: the ones an earlier run wrote are removed, so the
+    # run directory holds a model file for exactly the models in
+    # metrics.csv and explain ranks only those
+    cfg = fixture_config(tmp_path, n_trees=5, k_folds=2, run_id="stale")
+    narrow = fixture_config(tmp_path, n_trees=5, k_folds=2, run_id="stale", split_ratio=0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # skipped models, fewer folds, unsplittable nodes
+        pipeline.stage_all(cfg)
+        assert len(list(cfg.run_dir().glob("model_*.json"))) == 6
+        pipeline.stage_train(narrow)
+        pipeline.stage_explain(narrow)
+    metrics = report.read_csv_rows(cfg.run_dir() / report.METRICS_CSV)
+    trained = {(row["event"], row["scope"]) for row in metrics}
+    assert trained == {(event, "reactions") for event in ("ferrydelay", "parkfire", "statuegift")}
+    models = {p.name for p in cfg.run_dir().glob("model_*.json")}
+    assert models == {f"model_{event}_{scope}.json" for event, scope in trained}
+    rankings = report.read_json(cfg.run_dir() / report.SHAP_RANKINGS_JSON)
+    assert {(event, scope) for event in rankings for scope in rankings[event]} == trained

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -45,6 +46,27 @@ class TestLoad:
     def test_bad_header(self, tmp_path):
         path = write_table(tmp_path, ["good,0,0,0,0,0\n"], header="a,b,c,d,e,f\n")
         with pytest.raises(ParseError):
+            load_sentic_table(path)
+
+    @pytest.mark.parametrize(
+        "body, error, message",
+        [
+            ("good,0,0\n", ParseError, "line 2: expected 6 columns, got 3"),
+            ("good,0,0,0,0,0\ngood,0,0,0,0,0\n", DuplicateConcept, "line 3: concept 'good' repeated"),
+            ("good,0.5,0.1,0,0.2,1.5\n", OutOfRange, "line 2: polarity=1.5 outside [-1, 1]"),
+            ("good,zero,0,0,0,0\n", ParseError, "line 2: could not convert string to float: 'zero'"),
+            (",0,0,0,0,0\n", ParseError, "line 2: empty concept"),
+        ],
+    )
+    def test_errors_name_the_file(self, tmp_path, body, error, message):
+        path = write_table(tmp_path, [body])
+        with pytest.raises(error, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_sentic_table(path)
+
+    @pytest.mark.parametrize("header, message", [("", "empty sentic table"), ("a,b\n", "expected header ")])
+    def test_header_errors_name_the_file(self, tmp_path, header, message):
+        path = write_table(tmp_path, [], header=header)
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}"):
             load_sentic_table(path)
 
     def test_bad_float(self, tmp_path):
