@@ -2,8 +2,8 @@
 
     rumourlens <command> --config <file> [--seed N] [--alpha F] [--out DIR]
 
-Commands: ingest, featurize, compare, train, explain, report, all,
-convert-dic, fetch-sentic. Config keys can also be set through
+Commands: one per stage of `pipeline.STAGES`, all, convert-dic and
+fetch-sentic. Config keys can also be set through
 RUMOURLENS_<KEY> environment variables; command-line flags win over
 both. Exit status is 0 on success, 2 for configuration problems and 1
 for any other failure.
@@ -17,16 +17,7 @@ import sys
 from . import lexicon, pipeline, senticnet
 from .config import build_config, parse_config_file
 from .errors import ConfigError, RumourLensError
-
-_STAGE_COMMANDS = {
-    "ingest": pipeline.stage_ingest,
-    "featurize": pipeline.stage_featurize,
-    "compare": pipeline.stage_compare,
-    "train": pipeline.stage_train,
-    "explain": pipeline.stage_explain,
-    "report": pipeline.stage_report,
-    "all": pipeline.stage_all,
-}
+from .textprep import open_utf8
 
 
 def _add_stage_parser(sub, name: str, help_text: str):
@@ -41,12 +32,8 @@ def _add_stage_parser(sub, name: str, help_text: str):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rumourlens", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_stage_parser(sub, "ingest", "load and validate the corpus; write partition counts")
-    _add_stage_parser(sub, "featurize", "extract the per-tweet feature matrix")
-    _add_stage_parser(sub, "compare", "KS significance matrices, means and emotion table")
-    _add_stage_parser(sub, "train", "train per-event source/reply models; write metrics")
-    _add_stage_parser(sub, "explain", "Shapley summaries for every trained model")
-    _add_stage_parser(sub, "report", "assemble the human-readable report")
+    for name, stage in pipeline.STAGES.items():
+        _add_stage_parser(sub, name, stage.help)
     _add_stage_parser(sub, "all", "run the whole pipeline in order")
 
     conv = sub.add_parser("convert-dic", help="convert a .dic dictionary to the JSON lexicon format")
@@ -68,15 +55,14 @@ def main(argv=None) -> int:
             print(f"wrote {args.json_path} ({len(lex.categories)} categories)")
             return 0
         if args.command == "fetch-sentic":
-            with open(args.concepts, encoding="utf-8") as fh:
-                concepts = [ln.strip() for ln in fh if ln.strip()]
+            concepts = [ln.strip() for ln in open_utf8(args.concepts) if ln.strip()]
             table = senticnet.fetch_concepts(args.url, concepts, cache_path=args.out)
             print(f"wrote {args.out} ({len(table)} concepts)")
             return 0
 
         overrides = {"seed": args.seed, "alpha": args.alpha, "out_dir": args.out}
         cfg = build_config(parse_config_file(args.config), overrides=overrides)
-        result = _STAGE_COMMANDS[args.command](cfg)
+        result = getattr(pipeline, f"stage_{args.command}")(cfg)
         if isinstance(result, list):
             for path in result:
                 print(f"wrote {path}")

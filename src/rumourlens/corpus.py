@@ -22,6 +22,7 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import DuplicateId, MissingField, OrphanReaction, ParseError
+from .textprep import open_utf8
 
 AGGREGATED_EVENT = "aggregated"
 
@@ -218,35 +219,38 @@ def _load_event_dir(event_dir: Path) -> EventCorpus:
 
 def load_jsonl(path) -> list[EventCorpus]:
     """Load a line-delimited export; yields the same populations as the
-    tree loader does for equivalent content (events sorted by name)."""
+    tree loader does for equivalent content (events sorted by name).
+    Each error names the file and the line."""
     by_event: dict[str, dict[str, list[Tweet]]] = {}
-    for lineno, line in _numbered_lines(path):
+    for lineno, line in enumerate(open_utf8(path), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
+            raise ParseError(str(exc), line=lineno, path=path) from exc
         if not isinstance(obj, dict):
-            raise ParseError(f"a tweet must be a JSON object, got {type(obj).__name__}", line=lineno)
+            raise ParseError(f"a tweet must be a JSON object, got {type(obj).__name__}", line=lineno, path=path)
         for key in ("id", "text", "event", "role", "label"):
             if key not in obj:
-                raise MissingField(f"line {lineno}: missing field {key!r}")
+                raise MissingField(f"{path}: line {lineno}: missing field {key!r}")
         if isinstance(obj["id"], bool) or not isinstance(obj["id"], (str, int)):
-            raise ParseError(f"id is neither a string nor an integer but {obj['id']!r:.40}", line=lineno)
+            raise ParseError(f"id is neither a string nor an integer but {obj['id']!r:.40}", line=lineno, path=path)
         for key in ("text", "event"):
             if not isinstance(obj[key], str):
-                raise ParseError(f"tweet {obj['id']!r}: {key} is not a string but {obj[key]!r:.40}", line=lineno)
+                raise ParseError(
+                    f"tweet {obj['id']!r}: {key} is not a string but {obj[key]!r:.40}", line=lineno, path=path
+                )
         try:
             role = Role(obj["role"])
             label = Label(obj["label"])
         except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
+            raise ParseError(str(exc), line=lineno, path=path) from exc
         parent_id = obj.get("parent_id")
         if role is Role.REACTION and not parent_id:
-            raise OrphanReaction(f"line {lineno}: reaction {obj['id']!r} has no parent_id")
+            raise OrphanReaction(f"{path}: line {lineno}: reaction {obj['id']!r} has no parent_id")
         if role is Role.SOURCE and parent_id:
-            raise ParseError(f"source {obj['id']!r} must not have parent_id", line=lineno)
+            raise ParseError(f"source {obj['id']!r} must not have parent_id", line=lineno, path=path)
         tweet = Tweet(
             id=str(obj["id"]),
             text=obj["text"],
@@ -270,28 +274,6 @@ def load_jsonl(path) -> list[EventCorpus]:
         validate_corpus(corpus)
         corpora.append(corpus)
     return corpora
-
-
-def _numbered_lines(path):
-    """(line number, line) for each line of a UTF-8 text file; ParseError
-    naming the first line that is not UTF-8."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            yield from enumerate(fh, start=1)
-        except UnicodeDecodeError as exc:
-            # the decoder reads ahead, so find the line in the raw bytes
-            with open(path, "rb") as raw:
-                lines = enumerate(raw.read().splitlines(), start=1)
-                lineno = next((n for n, line in lines if not _is_utf8(line)), None)
-            raise ParseError(f"not UTF-8: {exc.reason}", line=lineno) from exc
-
-
-def _is_utf8(data: bytes) -> bool:
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError:
-        return False
-    return True
 
 
 def partition(corpus: EventCorpus) -> Partition:

@@ -19,9 +19,12 @@ class DuplicateId(RumourLensError):
 
 
 class ParseError(RumourLensError):
-    def __init__(self, message, line=None):
+    # reads `<path>: line N: <message>`, each part where given
+    def __init__(self, message, line=None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
 

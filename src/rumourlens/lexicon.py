@@ -291,10 +291,9 @@ def convert_dic(dic_path, json_path=None) -> Lexicon:
     then ``<word>\\t<id> [<id>...]`` rows. The format carries no hierarchy,
     so all categories come out top-level.
     """
-    with open(dic_path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    lines = [ln.rstrip("\n") for ln in open_utf8(dic_path)]
     if not lines or lines[0].strip() != "%":
-        raise ParseError("missing '%' header block", line=1)
+        raise ParseError("missing '%' header block", line=1, path=dic_path)
     names: dict[str, str] = {}
     body_start = None
     for i, ln in enumerate(lines[1:], start=2):
@@ -303,10 +302,10 @@ def convert_dic(dic_path, json_path=None) -> Lexicon:
             break
         parts = ln.strip().split("\t")
         if len(parts) != 2:
-            raise ParseError(f"bad category row {ln!r}", line=i)
+            raise ParseError(f"bad category row {ln!r}", line=i, path=dic_path)
         names[parts[0]] = parts[1]
     if body_start is None:
-        raise ParseError("unterminated '%' header block")
+        raise ParseError("unterminated '%' header block", path=dic_path)
     patterns: dict[str, list[str]] = {name: [] for name in names.values()}
     for i, ln in enumerate(lines[body_start:], start=body_start + 1):
         if not ln.strip():
@@ -314,10 +313,10 @@ def convert_dic(dic_path, json_path=None) -> Lexicon:
         parts = ln.strip().split("\t")
         word, ids = parts[0], parts[1:]
         if not ids:
-            raise ParseError(f"word {word!r} has no category ids", line=i)
+            raise ParseError(f"word {word!r} has no category ids", line=i, path=dic_path)
         for cid in ids:
             if cid not in names:
-                raise ParseError(f"unknown category id {cid!r}", line=i)
+                raise ParseError(f"unknown category id {cid!r}", line=i, path=dic_path)
             patterns[names[cid]].append(word)
     categories = {
         name: {"patterns": pats} for name, pats in patterns.items() if pats

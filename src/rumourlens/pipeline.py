@@ -1,9 +1,14 @@
 """Stage implementations behind the CLI.
 
 Stages communicate through files in the run directory, each written
-whole through `report`, and a manifest recording which stages completed,
-so each command is idempotent and later stages can refuse to run out of
-order. Events lacking one of the two source populations are loaded and
+whole through `report`, and a manifest marking the stages that completed.
+`STAGES` declares what each stage needs and writes. A stage refuses to
+run before the stages it needs; otherwise it drops its mark and deletes
+its declared files before it writes, and marks itself only once it has
+written them all, so no file of an earlier run of it survives, and a
+stage that raises leaves neither its mark nor part of its files behind.
+
+Events lacking one of the two source populations are loaded and
 counted but excluded from the compare, train and explain stages, each of
 which names them in a warning prefixed with the stage's name.
 
@@ -14,7 +19,8 @@ share table from row masks over the feature matrix's columns.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, astuple
+from contextlib import contextmanager
+from dataclasses import asdict, astuple, dataclass
 from itertools import zip_longest
 from pathlib import Path
 
@@ -28,14 +34,29 @@ from .errors import AdditivityError, FeatureMismatch, MissingArtifact, ParseErro
 from .features import EMOTION_FEATURES, FeatureTable, Featurizer
 
 MANIFEST = "manifest.json"
+RUN_CONFIG_JSON = "run_config.json"
 
-STAGE_DEPS = {
-    "ingest": (),
-    "featurize": ("ingest",),
-    "compare": ("featurize",),
-    "train": ("featurize",),
-    "explain": ("train",),
-    "report": ("featurize", "compare"),
+
+@dataclass(frozen=True)
+class Stage:
+    needs: tuple[str, ...]  # stages marked done before this one may run
+    writes: tuple[str, ...]  # run file names or glob patterns
+    help: str
+
+
+# the stages in run order; `stage_<name>` runs each
+STAGES = {
+    "ingest": Stage((), (RUN_CONFIG_JSON, report.PARTITIONS_CSV),
+                    "load and validate the corpus; write partition counts"),
+    "featurize": Stage(("ingest",), (report.FEATURES_CSV,), "extract the per-tweet feature matrix"),
+    "compare": Stage(("featurize",), (report.KS_SOURCES_CSV, report.KS_REACTIONS_CSV, report.KS_AGGREGATED_CSV,
+                                      report.MEANS_CSV, report.EMOTIONS_CSV),
+                     "KS significance matrices, means and emotion table"),
+    "train": Stage(("featurize",), ("model_*.json", report.METRICS_CSV),
+                   "train per-event source/reply models; write metrics"),
+    "explain": Stage(("train",), ("shap_*.csv", report.SHAP_RANKINGS_JSON),
+                     "Shapley summaries for every trained model"),
+    "report": Stage(("featurize", "compare"), (report.REPORT_MD,), "assemble the human-readable report"),
 }
 
 SCOPES = ("sources", "reactions")
@@ -49,8 +70,8 @@ def run_dir(cfg: RunConfig) -> Path:
     return d
 
 
-def _read_manifest(cfg: RunConfig) -> dict:
-    path = run_dir(cfg) / MANIFEST
+def _read_manifest(out: Path) -> dict:
+    path = out / MANIFEST
     if not path.exists():
         return {"stages": {}}
     manifest = report.read_json(path)
@@ -59,19 +80,37 @@ def _read_manifest(cfg: RunConfig) -> dict:
     return manifest
 
 
-def _mark_stage(cfg: RunConfig, stage: str) -> None:
-    manifest = _read_manifest(cfg)
-    manifest["stages"][stage] = True
-    report.write_json(run_dir(cfg) / MANIFEST, manifest)
+def _delete_outputs(out: Path, stage: str) -> None:
+    for pattern in STAGES[stage].writes:
+        for path in out.glob(pattern):
+            path.unlink()
 
 
-def require_stages(cfg: RunConfig, stage: str) -> None:
-    done = _read_manifest(cfg)["stages"]
-    missing = [dep for dep in STAGE_DEPS[stage] if not done.get(dep)]
+@contextmanager
+def _stage(cfg: RunConfig, stage: str):
+    """Run the body of `stage` in the run directory this yields: refuse,
+    deleting nothing, unless the stages it needs are marked done; drop its
+    own mark and delete its declared outputs; mark it once the body
+    completes, or delete its outputs again if the body raises."""
+    out = run_dir(cfg)
+    manifest = _read_manifest(out)
+    done = manifest["stages"]
+    missing = [dep for dep in STAGES[stage].needs if not done.get(dep)]
     if missing:
         raise MissingArtifact(
-            f"stage {stage!r} needs {', '.join(missing)} to run first (run directory: {run_dir(cfg)})"
+            f"stage {stage!r} needs {', '.join(missing)} to run first (run directory: {out})"
         )
+    if stage in done:
+        del done[stage]
+        report.write_json(out / MANIFEST, manifest)
+    _delete_outputs(out, stage)
+    try:
+        yield out
+    except BaseException:
+        _delete_outputs(out, stage)
+        raise
+    done[stage] = True
+    report.write_json(out / MANIFEST, manifest)
 
 
 def load_corpora(cfg: RunConfig):
@@ -129,33 +168,27 @@ def forest_config(cfg: RunConfig) -> ForestConfig:
 
 
 def stage_ingest(cfg: RunConfig) -> Path:
-    out = run_dir(cfg)
-    report.write_json(out / "run_config.json", asdict(cfg))
-    corpora = load_corpora(cfg)
-    counts = [partition(c).counts() for c in corpora]
-    report.write_partitions_csv(out / report.PARTITIONS_CSV, counts)
-    _mark_stage(cfg, "ingest")
+    with _stage(cfg, "ingest") as out:
+        report.write_json(out / RUN_CONFIG_JSON, asdict(cfg))
+        corpora = load_corpora(cfg)
+        counts = [partition(c).counts() for c in corpora]
+        report.write_partitions_csv(out / report.PARTITIONS_CSV, counts)
     return out / report.PARTITIONS_CSV
 
 
 def stage_featurize(cfg: RunConfig) -> Path:
-    require_stages(cfg, "featurize")
-    out = run_dir(cfg)
-    corpora = load_corpora(cfg)
-    featurizer = make_featurizer(cfg)
-    table = FeatureTable.concat(featurizer.names, [featurizer.featurize_corpus(c) for c in corpora])
-    report.write_features_csv(out / report.FEATURES_CSV, table)
-    _mark_stage(cfg, "featurize")
+    with _stage(cfg, "featurize") as out:
+        corpora = load_corpora(cfg)
+        featurizer = make_featurizer(cfg)
+        table = FeatureTable.concat(featurizer.names, [featurizer.featurize_corpus(c) for c in corpora])
+        report.write_features_csv(out / report.FEATURES_CSV, table)
     return out / report.FEATURES_CSV
 
 
-def _stage_inputs(cfg: RunConfig, stage: str) -> tuple[Path, FeatureTable, list[str]]:
-    """(run directory, feature table, usable events) of a stage that
-    reads `features.csv`, once the stages it needs have run."""
-    require_stages(cfg, stage)
-    out = run_dir(cfg)
+def _stage_inputs(out: Path, stage: str) -> tuple[FeatureTable, list[str]]:
+    """(feature table, usable events) of a stage that reads `features.csv`."""
     table = report.read_features_csv(out / report.FEATURES_CSV)
-    return out, table, _usable_events(table, stage)
+    return table, _usable_events(table, stage)
 
 
 def _usable_events(table: FeatureTable, stage: str) -> list[str]:
@@ -177,45 +210,44 @@ def _usable_events(table: FeatureTable, stage: str) -> list[str]:
 
 
 def stage_compare(cfg: RunConfig) -> list[Path]:
-    out, table, usable = _stage_inputs(cfg, "compare")
-    table = table.take(np.isin(table.event, usable))
+    with _stage(cfg, "compare") as out:
+        table, usable = _stage_inputs(out, "compare")
+        table = table.take(np.isin(table.event, usable))
 
-    # row masks keep the original row order, so sample order (and float
-    # sums) do not depend on how the rows are grouped
-    columns = {name: table.X[:, j] for j, name in enumerate(table.names)}
-    rumour = table.label == "rumour"
-    source = table.role == "source"
-    populations = {
-        "r_src": rumour & source,
-        "nr_src": ~rumour & source,
-        "r_re": rumour & ~source,
-        "nr_re": ~rumour & ~source,
-    }
+        # row masks keep the original row order, so sample order (and float
+        # sums) do not depend on how the rows are grouped
+        columns = {name: table.X[:, j] for j, name in enumerate(table.names)}
+        rumour = table.label == "rumour"
+        source = table.role == "source"
+        populations = {
+            "r_src": rumour & source,
+            "nr_src": ~rumour & source,
+            "r_re": rumour & ~source,
+            "nr_re": ~rumour & ~source,
+        }
 
-    # emotion scores feed the emotion table, not the KS grids
-    ks_columns = {f: col for f, col in columns.items() if f not in EMOTION_FEATURES}
-    written, aggregated = [], []
-    for pair, in_role, name in (
-        ("sources", source, report.KS_SOURCES_CSV),
-        ("reactions", ~source, report.KS_REACTIONS_CSV),
-    ):
-        per_event = {event: in_role & (table.event == event) for event in usable}
-        rows = stats.significance_matrix(ks_columns, per_event, rumour, cfg.alpha, pair)
-        report.write_ks_csv(out / name, rows)
-        written.append(out / name)
-        pooled = {AGGREGATED_EVENT: in_role}
-        aggregated += stats.significance_matrix(ks_columns, pooled, rumour, cfg.alpha, pair)
-    report.write_ks_csv(out / report.KS_AGGREGATED_CSV, aggregated)
-    report.write_means_csv(out / report.MEANS_CSV, stats.mean_report(columns, populations))
-    written += [out / report.KS_AGGREGATED_CSV, out / report.MEANS_CSV]
+        # emotion scores feed the emotion table, not the KS grids
+        ks_columns = {f: col for f, col in columns.items() if f not in EMOTION_FEATURES}
+        written, aggregated = [], []
+        for pair, in_role, name in (
+            ("sources", source, report.KS_SOURCES_CSV),
+            ("reactions", ~source, report.KS_REACTIONS_CSV),
+        ):
+            per_event = {event: in_role & (table.event == event) for event in usable}
+            rows = stats.significance_matrix(ks_columns, per_event, rumour, cfg.alpha, pair)
+            report.write_ks_csv(out / name, rows)
+            written.append(out / name)
+            pooled = {AGGREGATED_EVENT: in_role}
+            aggregated += stats.significance_matrix(ks_columns, pooled, rumour, cfg.alpha, pair)
+        report.write_ks_csv(out / report.KS_AGGREGATED_CSV, aggregated)
+        report.write_means_csv(out / report.MEANS_CSV, stats.mean_report(columns, populations))
+        written += [out / report.KS_AGGREGATED_CSV, out / report.MEANS_CSV]
 
-    if any(f in columns for f in EMOTION_FEATURES):
-        scores = np.column_stack([columns[lab] for lab in EMOTION_FEATURES])
-        shares = emotions.emotion_table(scores, populations)
-        report.write_emotions_csv(out / report.EMOTIONS_CSV, shares)
-        written.append(out / report.EMOTIONS_CSV)
-
-    _mark_stage(cfg, "compare")
+        if any(f in columns for f in EMOTION_FEATURES):
+            scores = np.column_stack([columns[lab] for lab in EMOTION_FEATURES])
+            shares = emotions.emotion_table(scores, populations)
+            report.write_emotions_csv(out / report.EMOTIONS_CSV, shares)
+            written.append(out / report.EMOTIONS_CSV)
     return written
 
 
@@ -249,36 +281,32 @@ def _relay_warnings(caught, label: str) -> None:
 
 
 def stage_train(cfg: RunConfig) -> Path:
-    out, table, usable = _stage_inputs(cfg, "train")
-    config = forest_config(cfg)
-    # a model an earlier configuration trained but this one skips must
-    # not reach explain
-    for stale in out.glob("model_*.json"):
-        stale.unlink()
-    metrics_rows = []
-    for event in usable:
-        for scope in _scopes(cfg):
-            label = f"{event}/{scope}"
-            try:
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    rows, y, seed, train, test = _model_split(cfg, table, event, scope)
-                    X = table.X[rows]
-                    fold_metrics = classify.cross_validate(
-                        X[train], y[train], table.names, cfg.k_folds, config, seed, cfg.averaging
-                    )
-                    model = classify.fit_balanced(X, y, train, table.names, config, seed, seed)
-            except TooFewSamples as exc:
-                warnings.warn(f"{label}: {exc}; model skipped", stacklevel=2)
-                continue
-            _relay_warnings(caught, label)
-            model.fold_scores = [m.accuracy for m in fold_metrics]
-            final = classify.evaluate(model, X[test], y[test], averaging=cfg.averaging)
-            report.write_text(_model_path(out, event, scope), classify.model_to_json(model))
-            cv = [len(fold_metrics), float(np.mean(model.fold_scores)), float(np.std(model.fold_scores))]
-            metrics_rows.append([event, scope, len(train), len(test), *cv, *astuple(final)])
-    report.write_metrics_csv(out / report.METRICS_CSV, metrics_rows)
-    _mark_stage(cfg, "train")
+    with _stage(cfg, "train") as out:
+        table, usable = _stage_inputs(out, "train")
+        config = forest_config(cfg)
+        metrics_rows = []
+        for event in usable:
+            for scope in _scopes(cfg):
+                label = f"{event}/{scope}"
+                try:
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        rows, y, seed, train, test = _model_split(cfg, table, event, scope)
+                        X = table.X[rows]
+                        fold_metrics = classify.cross_validate(
+                            X[train], y[train], table.names, cfg.k_folds, config, seed, cfg.averaging
+                        )
+                        model = classify.fit_balanced(X, y, train, table.names, config, seed, seed)
+                except TooFewSamples as exc:
+                    warnings.warn(f"{label}: {exc}; model skipped", stacklevel=2)
+                    continue
+                _relay_warnings(caught, label)
+                model.fold_scores = [m.accuracy for m in fold_metrics]
+                final = classify.evaluate(model, X[test], y[test], averaging=cfg.averaging)
+                report.write_text(_model_path(out, event, scope), classify.model_to_json(model))
+                cv = [len(fold_metrics), float(np.mean(model.fold_scores)), float(np.std(model.fold_scores))]
+                metrics_rows.append([event, scope, len(train), len(test), *cv, *astuple(final)])
+        report.write_metrics_csv(out / report.METRICS_CSV, metrics_rows)
     return out / report.METRICS_CSV
 
 
@@ -295,84 +323,81 @@ def _check_model_features(model, names, model_path: Path, event: str, scope: str
 
 
 def stage_explain(cfg: RunConfig) -> list[Path]:
-    out, table, usable = _stage_inputs(cfg, "explain")
-    rankings: dict = {}
-    written = []
-    for event in usable:
-        blocks = []
-        for scope in _scopes(cfg):
-            model_path = _model_path(out, event, scope)
-            if not model_path.exists():
-                continue
-            try:
-                model = classify.model_from_json(model_path.read_text(encoding="utf-8"))
-            except (ParseError, UnicodeDecodeError) as exc:
-                raise ParseError(
-                    f"stage 'explain', event {event!r}, scope {scope!r}: {model_path.name}: {exc}"
-                ) from exc
-            _check_model_features(model, table.names, model_path, event, scope)
-            rows, _y, _seed, train, _test = _model_split(cfg, table, event, scope)
-            X, ids = table.X[rows], table.tweet_id[rows].tolist()
-            summary = shapley.shap_summary(
-                model,
-                X,
-                background=X[train],
-                background_limit=cfg.shap_background,
-                seed=derive_seed(cfg.seed, event, scope, "background"),
-            )
-            gaps = np.abs(
-                summary.base_value + summary.phi.sum(axis=1) - model.predict_proba(summary.values)
-            )
-            worst = int(np.argmax(gaps))
-            if not gaps[worst] <= ADDITIVITY_TOLERANCE:
-                raise AdditivityError(
-                    f"stage 'explain', event {event!r}, scope {scope!r}: tweet {ids[worst]!r} "
-                    f"has base + sum(phi) - output = {gaps[worst]:.3g}, "
-                    f"beyond {ADDITIVITY_TOLERANCE:g}"
+    with _stage(cfg, "explain") as out:
+        table, usable = _stage_inputs(out, "explain")
+        rankings: dict = {}
+        written = []
+        for event in usable:
+            blocks = []
+            for scope in _scopes(cfg):
+                model_path = _model_path(out, event, scope)
+                if not model_path.exists():
+                    continue
+                try:
+                    model = classify.model_from_json(model_path.read_text(encoding="utf-8"))
+                except (ParseError, UnicodeDecodeError) as exc:
+                    raise ParseError(
+                        f"stage 'explain', event {event!r}, scope {scope!r}: {model_path.name}: {exc}"
+                    ) from exc
+                _check_model_features(model, table.names, model_path, event, scope)
+                rows, _y, _seed, train, _test = _model_split(cfg, table, event, scope)
+                X, ids = table.X[rows], table.tweet_id[rows].tolist()
+                summary = shapley.shap_summary(
+                    model,
+                    X,
+                    background=X[train],
+                    background_limit=cfg.shap_background,
+                    seed=derive_seed(cfg.seed, event, scope, "background"),
                 )
-            rankings.setdefault(event, {})[scope] = report.ranking_entries(summary.ranking)
-            above_median = summary.values > np.median(summary.values, axis=0)
-            blocks.append((scope, ids, summary.values, summary.phi, above_median))
-        if blocks:
-            path = out / f"shap_{event}.csv"
-            report.write_shap_points_csv(path, table.names, blocks)
-            written.append(path)
-    report.write_json(out / report.SHAP_RANKINGS_JSON, rankings)
-    written.append(out / report.SHAP_RANKINGS_JSON)
-    _mark_stage(cfg, "explain")
+                gaps = np.abs(
+                    summary.base_value + summary.phi.sum(axis=1) - model.predict_proba(summary.values)
+                )
+                worst = int(np.argmax(gaps))
+                if not gaps[worst] <= ADDITIVITY_TOLERANCE:
+                    raise AdditivityError(
+                        f"stage 'explain', event {event!r}, scope {scope!r}: tweet {ids[worst]!r} "
+                        f"has base + sum(phi) - output = {gaps[worst]:.3g}, "
+                        f"beyond {ADDITIVITY_TOLERANCE:g}"
+                    )
+                rankings.setdefault(event, {})[scope] = report.ranking_entries(summary.ranking)
+                above_median = summary.values > np.median(summary.values, axis=0)
+                blocks.append((scope, ids, summary.values, summary.phi, above_median))
+            if blocks:
+                path = out / f"shap_{event}.csv"
+                report.write_shap_points_csv(path, table.names, blocks)
+                written.append(path)
+        report.write_json(out / report.SHAP_RANKINGS_JSON, rankings)
+        written.append(out / report.SHAP_RANKINGS_JSON)
     return written
 
 
 def stage_report(cfg: RunConfig) -> Path:
-    require_stages(cfg, "report")
-    out = run_dir(cfg)
-    done = _read_manifest(cfg)["stages"]
-    analysis = report.AnalysisReport(alpha=cfg.alpha)
-    analysis.partitions = report.read_partitions_csv(out / report.PARTITIONS_CSV)
-    for fname in (report.KS_SOURCES_CSV, report.KS_REACTIONS_CSV, report.KS_AGGREGATED_CSV):
-        analysis.ks_rows.extend(report.read_csv_rows(out / fname))
-    analysis.means = report.read_csv_rows(out / report.MEANS_CSV)
-    if (out / report.EMOTIONS_CSV).exists():
-        analysis.emotion_table = report.read_emotions_csv(out / report.EMOTIONS_CSV)
-    else:
-        analysis.skipped["emotions"] = "no emotion provider"
-    if done.get("train") and (out / report.METRICS_CSV).exists():
-        analysis.metrics = report.read_csv_rows(out / report.METRICS_CSV)
-    else:
-        analysis.skipped["train"] = "training stage not run"
-    if done.get("explain") and (out / report.SHAP_RANKINGS_JSON).exists():
-        analysis.shap_rankings = report.read_json(out / report.SHAP_RANKINGS_JSON)
-    else:
-        analysis.skipped["explain"] = "explain stage not run"
-    report.write_text(out / report.REPORT_MD, report.render_markdown(analysis))
-    _mark_stage(cfg, "report")
+    with _stage(cfg, "report") as out:
+        # a stage's mark stands for all of its files, as the latest run of
+        # it wrote them; compare writes emotions.csv only with emotion scores
+        done = _read_manifest(out)["stages"]
+        analysis = report.AnalysisReport(alpha=cfg.alpha)
+        analysis.partitions = report.read_partitions_csv(out / report.PARTITIONS_CSV)
+        for fname in (report.KS_SOURCES_CSV, report.KS_REACTIONS_CSV, report.KS_AGGREGATED_CSV):
+            analysis.ks_rows.extend(report.read_csv_rows(out / fname))
+        analysis.means = report.read_csv_rows(out / report.MEANS_CSV)
+        if (out / report.EMOTIONS_CSV).exists():
+            analysis.emotion_table = report.read_emotions_csv(out / report.EMOTIONS_CSV)
+        else:
+            analysis.skipped["emotions"] = "no emotion provider"
+        if done.get("train"):
+            analysis.metrics = report.read_csv_rows(out / report.METRICS_CSV)
+        else:
+            analysis.skipped["train"] = "training stage not run"
+        if done.get("explain"):
+            analysis.shap_rankings = report.read_json(out / report.SHAP_RANKINGS_JSON)
+        else:
+            analysis.skipped["explain"] = "explain stage not run"
+        report.write_text(out / report.REPORT_MD, report.render_markdown(analysis))
     return out / report.REPORT_MD
 
 
 def stage_all(cfg: RunConfig) -> Path:
-    stage_ingest(cfg)
-    stage_featurize(cfg)
-    stage_compare(cfg)
-    stage_train(cfg)
-    stage_explain(cfg)
-    return stage_report(cfg)
+    for stage in STAGES:
+        written = globals()[f"stage_{stage}"](cfg)
+    return written

@@ -294,7 +294,7 @@ def open_utf8(path, newline=None) -> io.StringIO:
     except UnicodeDecodeError as exc:
         # the line of the first bad byte; bytes break lines where text mode does
         line = len((data[: exc.start] + b"?").splitlines())
-        raise ParseError(f"{path}: line {line}: not UTF-8: {exc.reason}") from exc
+        raise ParseError(f"not UTF-8: {exc.reason}", line=line, path=path) from exc
 
 
 def load_wordlist(path) -> set[str]:

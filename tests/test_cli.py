@@ -170,6 +170,24 @@ class TestCliCommands:
         assert cli.main(["convert-dic", str(dic), str(out)]) == 0
         assert json.loads(out.read_text())["categories"]["pronoun"]["patterns"] == ["i", "we"]
 
+    def test_convert_dic_not_utf8_named(self, tmp_path, capsys):
+        dic = tmp_path / "latin1.dic"
+        dic.write_bytes(b"%\n1\taffect\n%\ncaf\xe9\t1\n")
+        assert cli.main(["convert-dic", str(dic), str(tmp_path / "out.json")]) == 1
+        want = f"error: ParseError: {dic}: line 4: not UTF-8: invalid continuation byte\n"
+        assert capsys.readouterr().err == want
+        assert not (tmp_path / "out.json").exists()
+
+    def test_fetch_sentic_concepts_not_utf8_named(self, tmp_path, capsys):
+        # the concepts file is read before any request, so the URL is never contacted
+        concepts = tmp_path / "concepts.txt"
+        concepts.write_bytes(b"good_news\ncaf\xe9\n")
+        argv = ["fetch-sentic", "--url", "http://127.0.0.1:9", "--concepts", str(concepts)]
+        assert cli.main(argv + ["--out", str(tmp_path / "table.csv")]) == 1
+        want = f"error: ParseError: {concepts}: line 2: not UTF-8: invalid continuation byte\n"
+        assert capsys.readouterr().err == want
+        assert not (tmp_path / "table.csv").exists()
+
     @pytest.mark.parametrize(
         "provider, category, family",
         [
@@ -391,6 +409,21 @@ class TestFullRunVariants:
         assert "skipped: no emotion provider" in (out / "report.md").read_text()
         header = (out / "features.csv").read_text().splitlines()[0]
         assert "anger" not in header
+
+    def test_emotion_table_goes_with_its_provider(self, tmp_path, mini_pheme_dir):
+        # a fallback run, then featurize, compare and report with no
+        # provider: compare removes the emotion table of the earlier run
+        conf = write_config(tmp_path, mini_pheme_dir, n_trees=3, k_folds=2)
+        assert cli.main(["all", "--config", str(conf)]) == 0
+        out = tmp_path / "out" / "t"
+        assert (out / "emotions.csv").exists()
+        conf = write_config(tmp_path, mini_pheme_dir, emotion_provider="none", n_trees=3, k_folds=2)
+        for command in ("featurize", "compare", "report"):
+            assert cli.main([command, "--config", str(conf)]) == 0
+        assert not (out / "emotions.csv").exists()
+        text = (out / "report.md").read_text()
+        assert "_skipped: no emotion provider_" in text
+        assert "| emotion |" not in text
 
     def test_scope_sources_only(self, tmp_path, mini_pheme_dir):
         conf = write_config(tmp_path, mini_pheme_dir, scope="sources", n_trees=10, k_folds=3)

@@ -8,7 +8,7 @@ import pytest
 from rumourlens import classify, pipeline, report, shapley
 from rumourlens.config import RunConfig, build_config, parse_config_file
 from rumourlens.emotions import CassetteProvider, LexiconFallbackProvider, RemoteProvider
-from rumourlens.errors import AdditivityError, FeatureMismatch, ParseError
+from rumourlens.errors import AdditivityError, FeatureMismatch, MissingArtifact, ParseError
 from rumourlens.pipeline import make_emotion_provider
 from rumourlens.senticnet import fetch_concepts, load_sentic_table
 from tests.conftest import ROOT
@@ -281,9 +281,13 @@ def test_train_leaves_no_stale_model(tmp_path):
     # a train at a split ratio that leaves too few sources to split skips
     # the sources models: the ones an earlier run wrote are removed, so the
     # run directory holds a model file for exactly the models in
-    # metrics.csv and explain ranks only those
+    # metrics.csv and explain ranks only those; with the reactions models
+    # left out too, no event keeps the points file of an earlier explain
     cfg = fixture_config(tmp_path, n_trees=5, k_folds=2, run_id="stale")
     narrow = fixture_config(tmp_path, n_trees=5, k_folds=2, run_id="stale", split_ratio=0.3)
+    sources = fixture_config(
+        tmp_path, n_trees=5, k_folds=2, run_id="stale", split_ratio=0.3, scope="sources"
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # skipped models, fewer folds, unsplittable nodes
         pipeline.stage_all(cfg)
@@ -297,3 +301,52 @@ def test_train_leaves_no_stale_model(tmp_path):
     assert models == {f"model_{event}_{scope}.json" for event, scope in trained}
     rankings = report.read_json(cfg.run_dir() / report.SHAP_RANKINGS_JSON)
     assert {(event, scope) for event in rankings for scope in rankings[event]} == trained
+    assert {p.name for p in cfg.run_dir().glob("shap_*.csv")} == {
+        f"shap_{event}.csv" for event, _scope in trained
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # skipped models
+        pipeline.stage_train(sources)
+        pipeline.stage_explain(sources)
+    assert not list(cfg.run_dir().glob("model_*.json"))
+    assert not list(cfg.run_dir().glob("shap_*.csv"))
+    assert report.read_json(cfg.run_dir() / report.SHAP_RANKINGS_JSON) == {}
+
+
+def test_failed_explain_leaves_nothing_to_report(tmp_path):
+    # a complete explain, then one that writes the points files of the
+    # first two events and stops at the third with FeatureMismatch: none of
+    # explain's files is left, and report lists explain as skipped
+    cfg = fixture_config(tmp_path, n_trees=2, k_folds=3, run_id="failed")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # fewer folds, unsplittable nodes
+        pipeline.stage_all(cfg)
+    out = cfg.run_dir()
+    assert len(list(out.glob("shap_*.csv"))) == 3
+    path = out / "model_statuegift_reactions.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["feature_names"][0] = "renamed"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(FeatureMismatch, match=r"^stage 'explain', event 'statuegift', scope 'reactions'"):
+        pipeline.stage_explain(cfg)
+    assert not list(out.glob("shap_*"))
+    assert "explain" not in json.loads((out / pipeline.MANIFEST).read_text(encoding="utf-8"))["stages"]
+    pipeline.stage_report(cfg)
+    text = (out / report.REPORT_MD).read_text(encoding="utf-8")
+    assert "_skipped: explain stage not run_" in text
+    assert "### ferrydelay" not in text
+
+
+def test_refused_stage_deletes_nothing(tmp_path):
+    # explain before train is refused before it clears anything, even
+    # files that match its declared outputs
+    cfg = fixture_config(tmp_path, run_id="refused")
+    pipeline.stage_ingest(cfg)
+    pipeline.stage_featurize(cfg)
+    out = cfg.run_dir()
+    (out / "shap_ferrydelay.csv").write_text("earlier points\n", encoding="utf-8")
+    (out / report.SHAP_RANKINGS_JSON).write_text("{}\n", encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    with pytest.raises(MissingArtifact, match="^stage 'explain' needs train to run first"):
+        pipeline.stage_explain(cfg)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
