@@ -5,8 +5,9 @@ whole through `report`, and a manifest marking the stages that completed.
 `STAGES` declares what each stage needs and writes. A stage refuses to
 run before the stages it needs; otherwise it drops its mark and deletes
 its declared files before it writes, and marks itself only once it has
-written them all, so no file of an earlier run of it survives, and a
-stage that raises leaves neither its mark nor part of its files behind.
+written them all, so no file of an earlier run of it survives. A stage
+that raises leaves neither its mark nor part of its files behind, nor
+the marks and files of the stages that need it.
 
 Events lacking one of the two source populations are loaded and
 counted but excluded from the compare, train and explain stages, each of
@@ -86,12 +87,22 @@ def _delete_outputs(out: Path, stage: str) -> None:
             path.unlink()
 
 
+def _downstream(stage: str) -> list[str]:
+    """`stage` and every stage that needs it, directly or through others."""
+    found = [stage]
+    for name, spec in STAGES.items():  # in run order, so needs come first
+        if set(spec.needs) & set(found):
+            found.append(name)
+    return found
+
+
 @contextmanager
 def _stage(cfg: RunConfig, stage: str):
     """Run the body of `stage` in the run directory this yields: refuse,
     deleting nothing, unless the stages it needs are marked done; drop its
     own mark and delete its declared outputs; mark it once the body
-    completes, or delete its outputs again if the body raises."""
+    completes. If the body raises, drop the marks of the stages that need
+    it, directly or through others, and delete its outputs and theirs."""
     out = run_dir(cfg)
     manifest = _read_manifest(out)
     done = manifest["stages"]
@@ -107,7 +118,11 @@ def _stage(cfg: RunConfig, stage: str):
     try:
         yield out
     except BaseException:
-        _delete_outputs(out, stage)
+        stale = _downstream(stage)
+        manifest["stages"] = {name: mark for name, mark in done.items() if name not in stale}
+        report.write_json(out / MANIFEST, manifest)
+        for name in stale:
+            _delete_outputs(out, name)
         raise
     done[stage] = True
     report.write_json(out / MANIFEST, manifest)
@@ -373,27 +388,8 @@ def stage_explain(cfg: RunConfig) -> list[Path]:
 
 def stage_report(cfg: RunConfig) -> Path:
     with _stage(cfg, "report") as out:
-        # a stage's mark stands for all of its files, as the latest run of
-        # it wrote them; compare writes emotions.csv only with emotion scores
         done = _read_manifest(out)["stages"]
-        analysis = report.AnalysisReport(alpha=cfg.alpha)
-        analysis.partitions = report.read_partitions_csv(out / report.PARTITIONS_CSV)
-        for fname in (report.KS_SOURCES_CSV, report.KS_REACTIONS_CSV, report.KS_AGGREGATED_CSV):
-            analysis.ks_rows.extend(report.read_csv_rows(out / fname))
-        analysis.means = report.read_csv_rows(out / report.MEANS_CSV)
-        if (out / report.EMOTIONS_CSV).exists():
-            analysis.emotion_table = report.read_emotions_csv(out / report.EMOTIONS_CSV)
-        else:
-            analysis.skipped["emotions"] = "no emotion provider"
-        if done.get("train"):
-            analysis.metrics = report.read_csv_rows(out / report.METRICS_CSV)
-        else:
-            analysis.skipped["train"] = "training stage not run"
-        if done.get("explain"):
-            analysis.shap_rankings = report.read_json(out / report.SHAP_RANKINGS_JSON)
-        else:
-            analysis.skipped["explain"] = "explain stage not run"
-        report.write_text(out / report.REPORT_MD, report.render_markdown(analysis))
+        report.write_text(out / report.REPORT_MD, report.render_markdown(out, cfg.alpha, done))
     return out / report.REPORT_MD
 
 

@@ -5,7 +5,8 @@ target only once complete, so a file is there whole or not at all.
 `write_csv`, `write_json` and `write_text` sit on it; each table's writer
 keeps only its header, row order and cell formatting. Read errors name
 the file. Output is deterministic: fixed column orders, fixed float
-formatting, no timestamps.
+formatting, no timestamps. The report is rendered from the run files'
+rows as `read_csv_rows` and `read_json` give them, one file per section.
 """
 
 from __future__ import annotations
@@ -16,16 +17,17 @@ import math
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import repeat
+from pathlib import Path
 
 import numpy as np
 
-from .corpus import PartitionCounts
+from .corpus import AGGREGATED_EVENT, PartitionCounts
 from .emotions import LABELS as EMOTION_LABELS
 from .emotions import POPULATIONS
 from .errors import ParseError
 from .features import FeatureTable
+from .textprep import open_utf8_stream
 
 PARTITIONS_CSV = "partitions.csv"
 FEATURES_CSV = "features.csv"
@@ -128,7 +130,7 @@ def read_json(path):
 
 def read_csv_rows(path) -> list[dict]:
     """A table's rows as header -> cell string, in file order."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_utf8_stream(path, newline="") as fh:
         return [dict(row) for row in csv.DictReader(fh)]
 
 
@@ -139,19 +141,6 @@ def read_csv_rows(path) -> list[dict]:
 def write_partitions_csv(path, counts: list[PartitionCounts]) -> None:
     rows = ([c.event, c.nr_src, c.r_src, c.nr_re, c.r_re, c.total] for c in counts)
     write_csv(path, ["event", "nr_src", "r_src", "nr_re", "r_re", "total"], rows)
-
-
-def read_partitions_csv(path) -> list[PartitionCounts]:
-    return [
-        PartitionCounts(
-            event=row["event"],
-            nr_src=int(row["nr_src"]),
-            r_src=int(row["r_src"]),
-            nr_re=int(row["nr_re"]),
-            r_re=int(row["r_re"]),
-        )
-        for row in read_csv_rows(path)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +191,7 @@ def read_features_csv(path) -> FeatureTable:
     meta: list[list[str]] = [[], [], [], [], []]  # tweet_id, event, role, label, empty_text
     X = []
     absent = []  # count of absent flags per record
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_utf8_stream(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -283,15 +272,6 @@ def write_emotions_csv(path, table: dict[str, dict[str, float]]) -> None:
     write_csv(path, ["label"] + list(POPULATIONS), rows)
 
 
-def read_emotions_csv(path) -> dict[str, dict[str, float]]:
-    table: dict[str, dict[str, float]] = {}
-    for row in read_csv_rows(path):
-        for pop in POPULATIONS:
-            if row[pop] != "":
-                table.setdefault(pop, {})[row["label"]] = float(row[pop])
-    return table
-
-
 # ---------------------------------------------------------------------------
 # metrics
 
@@ -337,19 +317,7 @@ def ranking_entries(ranking) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# assembled report
-
-
-@dataclass
-class AnalysisReport:
-    partitions: list[PartitionCounts] = field(default_factory=list)
-    ks_rows: list[dict] = field(default_factory=list)  # merged rows of the three ks CSVs
-    means: list[dict] = field(default_factory=list)
-    emotion_table: dict[str, dict[str, float]] | None = None
-    metrics: list[dict] = field(default_factory=list)
-    shap_rankings: dict = field(default_factory=dict)
-    alpha: float = 0.05
-    skipped: dict[str, str] = field(default_factory=dict)  # section -> reason
+# the report
 
 
 def _md_table(header: list[str], rows: list[list[str]]) -> list[str]:
@@ -360,14 +328,14 @@ def _md_table(header: list[str], rows: list[list[str]]) -> list[str]:
     return lines
 
 
+def _section(title: str, body: list[str]) -> list[str]:
+    return [f"## {title}", "", *body, ""]
+
+
 def _ks_grid(ks_rows: list[dict], pair: str) -> list[str]:
     rows = [r for r in ks_rows if r["population_pair"] == pair]
-    if not rows:
-        return ["(no comparable cells)"]
     features = sorted({r["feature"] for r in rows})
-    events = sorted({r["event"] for r in rows if r["event"] != "aggregated"})
-    if any(r["event"] == "aggregated" for r in rows):
-        events.append("aggregated")
+    events = sorted({r["event"] for r in rows}, key=lambda event: (event == AGGREGATED_EVENT, event))
     by_key = {(r["feature"], r["event"]): r for r in rows}
     body = []
     for feature in features:
@@ -380,108 +348,83 @@ def _ks_grid(ks_rows: list[dict], pair: str) -> list[str]:
                 mark = "✓" if cell["significant"] == "true" else "✗"
                 line.append(f"{float(cell['p_value']):.3g} {mark}")
         body.append(line)
-    return _md_table(["feature"] + events, body)
+    return _md_table(["feature"] + events, body) if body else ["(no comparable cells)"]
 
 
-def render_markdown(report: AnalysisReport) -> str:
+def _means(out: Path) -> list[str]:
+    by_feature: dict[str, dict[str, str]] = {}
+    for row in read_csv_rows(out / MEANS_CSV):
+        by_feature.setdefault(row["feature"], {})[row["population"]] = row["mean"]
+    body = []
+    for feature in sorted(by_feature):
+        line = [feature]
+        for pop in POPULATIONS:
+            raw = by_feature[feature].get(pop, "")
+            line.append(f"{float(raw):.4g}" if raw else "—")
+        body.append(line)
+    header = ["feature"] + [POPULATION_TITLES[p] for p in POPULATIONS]
+    return _md_table(header, body) if body else ["(no means computed)"]
+
+
+def _emotions(out: Path) -> list[str]:
+    if not (out / EMOTIONS_CSV).exists():
+        return ["_skipped: no emotion provider_"]
+    body = [
+        [row["label"]] + [f"{float(row[pop]):.2f}%" if row[pop] else "—" for pop in POPULATIONS]
+        for row in read_csv_rows(out / EMOTIONS_CSV)
+    ]
+    return _md_table(["emotion"] + [POPULATION_TITLES[p] for p in POPULATIONS], body)
+
+
+def _metrics(out: Path, done: dict) -> list[str]:
+    if not done.get("train"):
+        return ["_skipped: training stage not run_"]
+    body = []
+    for r in read_csv_rows(out / METRICS_CSV):
+        scores = [f"{float(r[name]):.2f}" for name in ("accuracy", "precision", "recall", "f1")]
+        cv = f"{float(r['cv_accuracy_mean']):.2f}±{float(r['cv_accuracy_std']):.2f}"
+        body.append([r["event"], r["scope"], *scores, cv])
+    header = ["event", "scope", "Acc", "Pr", "Rec", "F1", "CV acc"]
+    return _md_table(header, body) if body else ["(no trainable events)"]
+
+
+def _rankings(out: Path, done: dict) -> list[str]:
+    if not done.get("explain"):
+        return ["_skipped: explain stage not run_"]
+    rankings = read_json(out / SHAP_RANKINGS_JSON)
+    lines = []
+    for event in sorted(rankings):
+        for scope in sorted(rankings[event]):
+            body = [
+                [str(item["rank"]), item["feature"], f"{item['mean_abs_phi']:.4g}"]
+                for item in rankings[event][scope][:10]
+            ]
+            lines += [f"### {event} ({scope})", ""]
+            lines += _md_table(["rank", "feature", "mean |phi|"], body)
+            lines.append("")
+    return lines or ["(no explanations computed)"]
+
+
+def render_markdown(out: Path, alpha: float, done: dict) -> str:
+    """The report of the run directory `out`, each section rendered from
+    the rows of the run file it shows. `done` holds the manifest's stage
+    marks; a mark stands for all of a stage's files as its latest run
+    wrote them, so metrics and rankings are shown only when train and
+    explain are marked. Compare writes `emotions.csv` only when the
+    features hold emotion scores."""
     lines = ["# Rumour analysis report", ""]
-    lines.append(f"Significance threshold: p < {fnum(report.alpha)} (✓ significant, ✗ not).")
+    lines.append(f"Significance threshold: p < {fnum(alpha)} (✓ significant, ✗ not).")
     lines.append("")
-
-    lines.append("## Data distribution")
-    lines.append("")
-    if report.partitions:
-        body = [
-            [c.event, str(c.nr_src), str(c.r_src), str(c.nr_re), str(c.r_re), str(c.total)]
-            for c in report.partitions
-        ]
-        lines += _md_table(["event", "NR src", "R src", "NR re", "R re", "total"], body)
-    else:
-        lines.append(f"_skipped: {report.skipped.get('partitions', 'not computed')}_")
-    lines.append("")
-
+    partitions = [list(row.values()) for row in read_csv_rows(out / PARTITIONS_CSV)]
+    header = ["event", "NR src", "R src", "NR re", "R re", "total"]
+    lines += _section("Data distribution", _md_table(header, partitions) if partitions else ["(no events)"])
+    ks_rows = []
+    for name in (KS_SOURCES_CSV, KS_REACTIONS_CSV, KS_AGGREGATED_CSV):
+        ks_rows += read_csv_rows(out / name)
     for pair, title in (("sources", "source tweets"), ("reactions", "reaction tweets")):
-        lines.append(f"## Significance of features: rumour vs non-rumour {title}")
-        lines.append("")
-        lines += _ks_grid(report.ks_rows, pair)
-        lines.append("")
-
-    lines.append("## Population means")
-    lines.append("")
-    if report.means:
-        by_feature: dict[str, dict[str, str]] = {}
-        for row in report.means:
-            by_feature.setdefault(row["feature"], {})[row["population"]] = row["mean"]
-        body = []
-        for feature in sorted(by_feature):
-            line = [feature]
-            for pop in POPULATIONS:
-                raw = by_feature[feature].get(pop, "")
-                line.append(f"{float(raw):.4g}" if raw else "—")
-            body.append(line)
-        lines += _md_table(["feature"] + [POPULATION_TITLES[p] for p in POPULATIONS], body)
-    else:
-        lines.append("(no means computed)")
-    lines.append("")
-
-    lines.append("## Emotion distribution (% of tweets by argmax label)")
-    lines.append("")
-    if report.emotion_table is None:
-        lines.append(f"_skipped: {report.skipped.get('emotions', 'no emotion provider')}_")
-    else:
-        body = []
-        for label in EMOTION_LABELS:
-            line = [label]
-            for pop in POPULATIONS:
-                if pop in report.emotion_table:
-                    line.append(f"{report.emotion_table[pop][label]:.2f}%")
-                else:
-                    line.append("—")
-            body.append(line)
-        lines += _md_table(["emotion"] + [POPULATION_TITLES[p] for p in POPULATIONS], body)
-    lines.append("")
-
-    lines.append("## Classification (held-out test metrics)")
-    lines.append("")
-    if "train" in report.skipped:
-        lines.append(f"_skipped: {report.skipped['train']}_")
-    elif report.metrics:
-        body = []
-        for r in sorted(report.metrics, key=lambda r: (r["event"], r["scope"])):
-            body.append(
-                [
-                    r["event"],
-                    r["scope"],
-                    f"{float(r['accuracy']):.2f}",
-                    f"{float(r['precision']):.2f}",
-                    f"{float(r['recall']):.2f}",
-                    f"{float(r['f1']):.2f}",
-                    f"{float(r['cv_accuracy_mean']):.2f}±{float(r['cv_accuracy_std']):.2f}",
-                ]
-            )
-        lines += _md_table(["event", "scope", "Acc", "Pr", "Rec", "F1", "CV acc"], body)
-    else:
-        lines.append("(no trainable events)")
-    lines.append("")
-
-    lines.append("## Feature attribution (top 10 by mean |phi|)")
-    lines.append("")
-    if "explain" in report.skipped:
-        lines.append(f"_skipped: {report.skipped['explain']}_")
-    elif report.shap_rankings:
-        for event in sorted(report.shap_rankings):
-            for scope in sorted(report.shap_rankings[event]):
-                ranking = report.shap_rankings[event][scope]
-                lines.append(f"### {event} ({scope})")
-                lines.append("")
-                body = [
-                    [str(item["rank"]), item["feature"], f"{item['mean_abs_phi']:.4g}"]
-                    for item in ranking[:10]
-                ]
-                lines += _md_table(["rank", "feature", "mean |phi|"], body)
-                lines.append("")
-    else:
-        lines.append("(no explanations computed)")
-    lines.append("")
-
+        lines += _section(f"Significance of features: rumour vs non-rumour {title}", _ks_grid(ks_rows, pair))
+    lines += _section("Population means", _means(out))
+    lines += _section("Emotion distribution (% of tweets by argmax label)", _emotions(out))
+    lines += _section("Classification (held-out test metrics)", _metrics(out, done))
+    lines += _section("Feature attribution (top 10 by mean |phi|)", _rankings(out, done))
     return "\n".join(lines)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import io
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -295,6 +296,19 @@ def open_utf8(path, newline=None) -> io.StringIO:
         # the line of the first bad byte; bytes break lines where text mode does
         line = len((data[: exc.start] + b"?").splitlines())
         raise ParseError(f"not UTF-8: {exc.reason}", line=line, path=path) from exc
+
+
+@contextmanager
+def open_utf8_stream(path, newline=None):
+    """`open(path, encoding="utf-8", newline=newline)`, read as it streams;
+    a byte that is not UTF-8 raises the ParseError of `open_utf8`, which
+    reads the file's bytes again to find its line."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            open_utf8(path)  # raises ParseError at the first bad byte
+            raise  # the file decodes now: it changed while read
 
 
 def load_wordlist(path) -> set[str]:

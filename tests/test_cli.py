@@ -285,6 +285,33 @@ class TestCliCommands:
         assert cli.main([command, "--config", str(conf)]) == 1
         assert f"error: ParseError: {path}: {want}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["compare", "train", "explain"])
+    def test_features_csv_not_utf8_named(self, tmp_path, mini_pheme_dir, capsys, command):
+        # the bad byte sits past the text layer's first 8 KiB read-ahead
+        # chunk, so its line must be counted in the file, not the chunk
+        conf = write_config(tmp_path, mini_pheme_dir, n_trees=3, k_folds=2)
+        for stage in ("ingest", "featurize", "train"):
+            assert cli.main([stage, "--config", str(conf)]) == 0
+        path = tmp_path / "out" / "t" / report.FEATURES_CSV
+        lines = path.read_bytes().count(b"\n")
+        assert path.stat().st_size > 8192
+        path.write_bytes(path.read_bytes() + b"\xff")
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(conf)]) == 1
+        want = f"error: ParseError: {path}: line {lines + 1}: not UTF-8: invalid start byte\n"
+        assert capsys.readouterr().err == want
+
+    def test_run_table_not_utf8_named(self, tmp_path, mini_pheme_dir, capsys):
+        conf = write_config(tmp_path, mini_pheme_dir)
+        for stage in ("ingest", "featurize", "compare"):
+            assert cli.main([stage, "--config", str(conf)]) == 0
+        path = tmp_path / "out" / "t" / report.KS_SOURCES_CSV
+        path.write_bytes(path.read_bytes().replace(b"WC,parkfire", b"WC,park\xe9", 1))
+        capsys.readouterr()
+        assert cli.main(["report", "--config", str(conf)]) == 1
+        want = f"error: ParseError: {path}: line 3: not UTF-8: invalid continuation byte\n"
+        assert capsys.readouterr().err == want
+
     @pytest.mark.parametrize(
         "damage, want",
         [

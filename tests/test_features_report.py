@@ -12,7 +12,7 @@ import pytest
 
 from rumourlens import readability, report, textprep
 from rumourlens.corpus import EventCorpus, Label, PartitionCounts, Role, Tweet, load_pheme_tree
-from rumourlens.emotions import LexiconFallbackProvider, emotion_table
+from rumourlens.emotions import POPULATIONS, LexiconFallbackProvider, emotion_table
 from rumourlens.errors import EmptyText, ParseError
 from rumourlens.features import (
     ALLPUNCT_FEATURE,
@@ -410,10 +410,14 @@ class TestFeaturesCsv:
 
 class TestTableSchemas:
     def test_partitions_round_trip(self, tmp_path):
+        # the counts and their total come back as the text the report shows
         counts = [PartitionCounts("e1", 5, 4, 10, 20), PartitionCounts("e2", 0, 0, 0, 0)]
         path = tmp_path / "partitions.csv"
         report.write_partitions_csv(path, counts)
-        assert report.read_partitions_csv(path) == counts
+        assert [list(row.values()) for row in report.read_csv_rows(path)] == [
+            ["e1", "5", "4", "10", "20", "39"],
+            ["e2", "0", "0", "0", "0", "0"],
+        ]
         assert path.read_text().splitlines()[0] == "event,nr_src,r_src,nr_re,r_re,total"
 
     def test_ks_csv_schema(self, tmp_path):
@@ -437,10 +441,12 @@ class TestTableSchemas:
         }
         path = tmp_path / "emotions.csv"
         report.write_emotions_csv(path, table)
-        loaded = report.read_emotions_csv(path)
-        assert loaded["r_src"]["fear"] == 100.0
-        assert loaded["nr_re"]["joy"] == pytest.approx(100.0 / 7)
-        assert "r_re" not in loaded
+        rows = {row["label"]: row for row in report.read_csv_rows(path)}
+        assert list(rows) == list(EMOTION_FEATURES)
+        assert rows["fear"]["r_src"] == "100"
+        assert float(rows["joy"]["nr_re"]) == pytest.approx(100.0 / 7)
+        # a population without tweets is written as empty cells
+        assert {row["r_re"] for row in rows.values()} == {""}
         assert path.read_text().splitlines()[0] == "label,r_src,nr_src,r_re,nr_re"
 
     def test_means_and_metrics_headers_stable(self, tmp_path):
@@ -550,31 +556,77 @@ class TestRunFiles:
             report.read_json(path)
 
 
+def ks_row(feature, event, pair, p_value, significant):
+    """One KS row as `stats.significance_matrix` gives it."""
+    return [feature, event, pair, 5, 5, 0.5, p_value, 1.0, 2.0, significant]
+
+
+def write_run(out, ks=(), emotions=True, metrics=(), rankings=None):
+    """A run directory holding compare's files (`ks` rows in
+    ks_sources.csv, emotions.csv unless `emotions` is false) and, where
+    given, train's `metrics` rows and explain's `rankings`."""
+    report.write_partitions_csv(out / report.PARTITIONS_CSV, [PartitionCounts("e1", 1, 2, 3, 4)])
+    report.write_ks_csv(out / report.KS_SOURCES_CSV, list(ks))
+    report.write_ks_csv(out / report.KS_REACTIONS_CSV, [])
+    report.write_ks_csv(out / report.KS_AGGREGATED_CSV, [])
+    report.write_means_csv(out / report.MEANS_CSV, [["wc", pop, 1.5, 3, 0] for pop in POPULATIONS])
+    if emotions:
+        shares = {"r_src": {lab: (100.0 if lab == "fear" else 0.0) for lab in EMOTION_FEATURES}}
+        report.write_emotions_csv(out / report.EMOTIONS_CSV, shares)
+    if metrics:
+        report.write_metrics_csv(out / report.METRICS_CSV, list(metrics))
+    if rankings is not None:
+        report.write_json(out / report.SHAP_RANKINGS_JSON, rankings)
+
+
+COMPARED = {stage: True for stage in ("ingest", "featurize", "compare")}
+ALL_DONE = {**COMPARED, "train": True, "explain": True}
+
+
 class TestMarkdown:
-    def test_skipped_sections_named(self):
-        analysis = report.AnalysisReport(
-            partitions=[PartitionCounts("e1", 1, 1, 1, 1)],
-            skipped={"emotions": "no emotion provider", "train": "training stage not run",
-                     "explain": "explain stage not run"},
+    def test_skipped_sections_named(self, tmp_path):
+        # no emotion table, train and explain not marked: their files, if
+        # any, are not read
+        write_run(tmp_path, emotions=False, metrics=[["e1", "sources", 8, 2, 4, 0.5, 0.1, 1, 1, 1, 1]])
+        text = report.render_markdown(tmp_path, 0.05, COMPARED)
+        assert "_skipped: no emotion provider_" in text
+        assert "_skipped: training stage not run_" in text
+        assert "_skipped: explain stage not run_" in text
+        assert "| e1 | sources |" not in text
+
+    def test_empty_sections_named(self, tmp_path):
+        write_run(tmp_path, rankings={})
+        report.write_metrics_csv(tmp_path / report.METRICS_CSV, [])
+        text = report.render_markdown(tmp_path, 0.05, ALL_DONE)
+        assert "(no trainable events)" in text
+        assert "(no explanations computed)" in text
+        assert "(no comparable cells)" in text
+        report.write_partitions_csv(tmp_path / report.PARTITIONS_CSV, [])
+        report.write_means_csv(tmp_path / report.MEANS_CSV, [])
+        text = report.render_markdown(tmp_path, 0.05, ALL_DONE)
+        assert "## Data distribution\n\n(no events)\n" in text
+        assert "(no means computed)" in text
+
+    def test_significance_marks(self, tmp_path):
+        ks = [ks_row("wc", "e1", "sources", 0.001, True), ks_row("wc", "e2", "sources", 0.9, False)]
+        write_run(tmp_path, ks=ks)
+        report.write_ks_csv(
+            tmp_path / report.KS_AGGREGATED_CSV, [ks_row("wc", "aggregated", "sources", 0.04, True)]
         )
-        text = report.render_markdown(analysis)
-        assert "skipped: no emotion provider" in text
-        assert "skipped: training stage not run" in text
+        text = report.render_markdown(tmp_path, 0.05, COMPARED)
+        # the pooled column comes last, whatever the event names
+        assert "| feature | e1 | e2 | aggregated |" in text
+        assert "| wc | 0.001 ✓ | 0.9 ✗ | 0.04 ✓ |" in text
 
-    def test_significance_marks(self):
-        rows = [
-            {"feature": "wc", "event": "e1", "population_pair": "sources", "n1": "5",
-             "n2": "5", "d_stat": "1", "p_value": "0.001", "mean_rumour": "1",
-             "mean_nonrumour": "2", "significant": "true"},
-            {"feature": "wc", "event": "e2", "population_pair": "sources", "n1": "5",
-             "n2": "5", "d_stat": "0.2", "p_value": "0.9", "mean_rumour": "1",
-             "mean_nonrumour": "1", "significant": "false"},
-        ]
-        analysis = report.AnalysisReport(ks_rows=rows)
-        text = report.render_markdown(analysis)
-        assert "0.001 ✓" in text
-        assert "0.9 ✗" in text
-
-    def test_render_is_deterministic(self):
-        analysis = report.AnalysisReport(partitions=[PartitionCounts("e1", 1, 2, 3, 4)])
-        assert report.render_markdown(analysis) == report.render_markdown(analysis)
+    def test_render_is_deterministic(self, tmp_path):
+        metrics = [["e1", "sources", 8, 2, 4, 0.75, 0.25, 0.5, 0.25, 0.5, 1 / 3]]
+        rankings = {"e1": {"sources": report.ranking_entries([("wc", 0.3), ("affect", 1 / 7)])}}
+        ks = [ks_row("wc", "e1", "sources", 0.5, False)]
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            write_run(tmp_path / name, ks=ks, metrics=metrics, rankings=rankings)
+        text = report.render_markdown(tmp_path / "a", 0.05, ALL_DONE)
+        assert text == report.render_markdown(tmp_path / "b", 0.05, ALL_DONE)
+        assert "| e1 | sources | 0.50 | 0.25 | 0.50 | 0.33 | 0.75±0.25 |" in text
+        assert "### e1 (sources)\n\n| rank | feature | mean |phi| |\n| --- | --- | --- |\n| 1 | wc | 0.3 |\n" in text
+        assert "| fear | 100.00% | — | — | — |" in text

@@ -350,3 +350,42 @@ def test_refused_stage_deletes_nothing(tmp_path):
     with pytest.raises(MissingArtifact, match="^stage 'explain' needs train to run first"):
         pipeline.stage_explain(cfg)
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_failed_stage_drops_the_marks_of_the_stages_that_need_it(tmp_path, monkeypatch):
+    # a complete run, a featurize rerun that succeeds and keeps every mark
+    # downstream, then a train stopped midway: explain, which needs train,
+    # loses its mark and its files with train's, so report lists both as
+    # skipped; compare and report, which do not need train, keep theirs
+    cfg = fixture_config(tmp_path, n_trees=2, k_folds=3, run_id="interrupted")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # fewer folds, unsplittable nodes
+        pipeline.stage_all(cfg)
+    out = cfg.run_dir()
+    every = {stage: True for stage in pipeline.STAGES}
+    pipeline.stage_featurize(cfg)
+    assert json.loads((out / pipeline.MANIFEST).read_text(encoding="utf-8"))["stages"] == every
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(classify, "fit_balanced", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        pipeline.stage_train(cfg)
+    stages = json.loads((out / pipeline.MANIFEST).read_text(encoding="utf-8"))["stages"]
+    assert stages == {stage: True for stage in ("ingest", "featurize", "compare", "report")}
+    assert not list(out.glob("model_*.json")) and not list(out.glob("shap_*"))
+    assert not (out / report.METRICS_CSV).exists()
+    pipeline.stage_report(cfg)
+    text = (out / report.REPORT_MD).read_text(encoding="utf-8")
+    assert "_skipped: training stage not run_" in text
+    assert "_skipped: explain stage not run_" in text
+    assert "### " not in text
+
+
+def test_downstream_stages_follow_the_table():
+    assert pipeline._downstream("ingest") == list(pipeline.STAGES)
+    assert pipeline._downstream("featurize") == ["featurize", "compare", "train", "explain", "report"]
+    assert pipeline._downstream("compare") == ["compare", "report"]
+    assert pipeline._downstream("train") == ["train", "explain"]
+    assert pipeline._downstream("report") == ["report"]
