@@ -55,7 +55,8 @@ def main(argv=None) -> int:
             print(f"wrote {args.json_path} ({len(lex.categories)} categories)")
             return 0
         if args.command == "fetch-sentic":
-            concepts = [ln.strip() for ln in open_utf8(args.concepts) if ln.strip()]
+            with open_utf8(args.concepts) as fh:
+                concepts = [ln.strip() for ln in fh if ln.strip()]
             table = senticnet.fetch_concepts(args.url, concepts, cache_path=args.out)
             print(f"wrote {args.out} ({len(table)} concepts)")
             return 0

@@ -75,7 +75,8 @@ def _coerce(name: str, kind, raw: str):
 def parse_config_file(path) -> dict[str, str]:
     """`key = value` per line; blank lines and '#' comments ignored."""
     try:
-        lines = open_utf8(path).readlines()
+        with open_utf8(path) as fh:
+            lines = fh.readlines()
     except ParseError as exc:
         raise ConfigError(str(exc)) from exc
     values: dict[str, str] = {}

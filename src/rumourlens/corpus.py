@@ -6,8 +6,10 @@ Two ingestion paths produce the same structures:
   ``<event>/rumours|non-rumours/<thread-id>/source-tweets/*.json`` plus
   ``.../reactions/*.json``, labelling each thread by its folder.
 * ``load_jsonl`` reads one JSON object per line with fields
-  ``id, text, event, role, label, parent_id`` (and optional
-  ``created_at``).
+  ``id, text, event, role, label, parent_id``.
+
+Other fields, ``created_at`` among them, are ignored. A corpus with no
+event is refused.
 
 Reactions carry no ground truth of their own; their label is always the
 label of their thread's source tweet. Each event partitions into the four
@@ -16,13 +18,12 @@ populations compared downstream: rumour/non-rumour x source/reaction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
 from .errors import DuplicateId, MissingField, OrphanReaction, ParseError
-from .textprep import open_utf8
+from .textprep import read_json, read_json_lines
 
 AGGREGATED_EVENT = "aggregated"
 
@@ -45,7 +46,6 @@ class Tweet:
     role: Role
     label: Label
     parent_id: str | None = None
-    created_at: str | None = None
 
     def is_empty_text(self) -> bool:
         return not self.text.strip()
@@ -139,34 +139,25 @@ def propagate_labels(corpus: EventCorpus) -> EventCorpus:
     )
 
 
-def _read_tweet_json(path: Path) -> dict:
-    """The JSON object in one tweet file; ParseError naming the file if it
-    is not UTF-8, not JSON or not an object."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}: a tweet must be a JSON object, got {type(obj).__name__}")
-    return obj
-
-
 _LABEL_DIRS = {"rumours": Label.RUMOUR, "non-rumours": Label.NONRUMOUR}
 
 
 def load_pheme_tree(root_dir) -> list[EventCorpus]:
-    """Load every event directory under `root_dir` (sorted by name)."""
+    """Load every event directory under `root_dir` (sorted by name);
+    ParseError naming `root_dir` if it holds none."""
     root = Path(root_dir)
     corpora = []
     for event_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         corpora.append(_load_event_dir(event_dir))
+    if not corpora:
+        raise ParseError("no events", path=root_dir)
     return corpora
 
 
-def _tweet_from_json(obj: dict, path: Path, event: str, role: Role, label: Label, parent_id):
+def _read_tweet(path: Path, event: str, role: Role, label: Label, parent_id) -> Tweet:
+    obj = read_json(path)
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: a tweet must be a JSON object, got {type(obj).__name__}")
     tweet_id = obj.get("id_str") or (str(obj["id"]) if "id" in obj else None)
     if not tweet_id:
         raise MissingField(f"{path}: tweet has no id_str/id")
@@ -181,7 +172,6 @@ def _tweet_from_json(obj: dict, path: Path, event: str, role: Role, label: Label
         role=role,
         label=label,
         parent_id=parent_id,
-        created_at=obj.get("created_at"),
     )
 
 
@@ -199,17 +189,12 @@ def _load_event_dir(event_dir: Path) -> EventCorpus:
                 if any((thread_dir / "reactions").glob("*.json")):
                     raise OrphanReaction(f"{thread_dir}: thread has reactions but no source tweet")
                 continue
-            thread_sources = [
-                _tweet_from_json(_read_tweet_json(p), p, event, Role.SOURCE, label, None)
-                for p in src_files
-            ]
+            thread_sources = [_read_tweet(p, event, Role.SOURCE, label, None) for p in src_files]
             sources.extend(thread_sources)
             anchor = thread_sources[0].id
             re_dir = thread_dir / "reactions"
             for p in sorted(re_dir.glob("*.json")) if re_dir.is_dir() else []:
-                reactions.append(
-                    _tweet_from_json(_read_tweet_json(p), p, event, Role.REACTION, label, anchor)
-                )
+                reactions.append(_read_tweet(p, event, Role.REACTION, label, anchor))
     corpus = EventCorpus(
         event=event, sources=sources, reactions=reactions, provenance=f"pheme:{event_dir}"
     )
@@ -222,18 +207,12 @@ def load_jsonl(path) -> list[EventCorpus]:
     tree loader does for equivalent content (events sorted by name).
     Each error names the file and the line."""
     by_event: dict[str, dict[str, list[Tweet]]] = {}
-    for lineno, line in enumerate(open_utf8(path), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(str(exc), line=lineno, path=path) from exc
+    for lineno, obj in read_json_lines(path):
         if not isinstance(obj, dict):
             raise ParseError(f"a tweet must be a JSON object, got {type(obj).__name__}", line=lineno, path=path)
         for key in ("id", "text", "event", "role", "label"):
             if key not in obj:
-                raise MissingField(f"{path}: line {lineno}: missing field {key!r}")
+                raise MissingField(f"missing field {key!r}", line=lineno, path=path)
         if isinstance(obj["id"], bool) or not isinstance(obj["id"], (str, int)):
             raise ParseError(f"id is neither a string nor an integer but {obj['id']!r:.40}", line=lineno, path=path)
         for key in ("text", "event"):
@@ -248,7 +227,7 @@ def load_jsonl(path) -> list[EventCorpus]:
             raise ParseError(str(exc), line=lineno, path=path) from exc
         parent_id = obj.get("parent_id")
         if role is Role.REACTION and not parent_id:
-            raise OrphanReaction(f"{path}: line {lineno}: reaction {obj['id']!r} has no parent_id")
+            raise OrphanReaction(f"reaction {obj['id']!r} has no parent_id", line=lineno, path=path)
         if role is Role.SOURCE and parent_id:
             raise ParseError(f"source {obj['id']!r} must not have parent_id", line=lineno, path=path)
         tweet = Tweet(
@@ -258,7 +237,6 @@ def load_jsonl(path) -> list[EventCorpus]:
             role=role,
             label=label,
             parent_id=str(parent_id) if parent_id else None,
-            created_at=obj.get("created_at"),
         )
         bucket = by_event.setdefault(tweet.event, {"sources": [], "reactions": []})
         bucket["sources" if role is Role.SOURCE else "reactions"].append(tweet)
@@ -273,6 +251,8 @@ def load_jsonl(path) -> list[EventCorpus]:
         corpus = propagate_labels(corpus)
         validate_corpus(corpus)
         corpora.append(corpus)
+    if not corpora:
+        raise ParseError("no events", path=path)
     return corpora
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MalformedResponse, ParseError, ProviderUnavailable
-from .textprep import TokenKind, bundled, open_utf8, tokenize
+from .textprep import TokenKind, bundled, read_json, read_json_lines, tokenize
 
 LABELS = ("anger", "disgust", "fear", "joy", "neutral", "sadness", "surprise")
 
@@ -71,13 +71,7 @@ _UNIFORM = _to_dist(dict.fromkeys(LABELS, 1.0), low_confidence=True)
 def load_emotion_lexicon(path=None) -> dict[str, set[str]]:
     """JSON map of label -> word list covering the seven labels."""
     path = bundled("emotion_lexicon.json") if path is None else path
-    with open_utf8(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ParseError(f"{path}: the top level is not an object but {type(raw).__name__}")
+    raw = read_json(path, top_object=True)
     for lab in LABELS:
         words = raw.get(lab, [])
         # a string would be read as a list of one-letter words
@@ -197,17 +191,10 @@ class CassetteProvider:
     def __init__(self, path, batch_size: int = 32):
         self.batch_size = batch_size
         self._store: dict[str, str] = {}
-        with open_utf8(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-                if not isinstance(rec, dict) or not isinstance(rec.get("key"), str) or "response" not in rec:
-                    raise ParseError(f"{path}: line {lineno}: not an object holding a string 'key' and a 'response'")
-                self._store[rec["key"]] = json.dumps(rec["response"])
+        for lineno, rec in read_json_lines(path):
+            if not isinstance(rec, dict) or not isinstance(rec.get("key"), str) or "response" not in rec:
+                raise ParseError("not an object holding a string 'key' and a 'response'", line=lineno, path=path)
+            self._store[rec["key"]] = json.dumps(rec["response"])
 
     def classify(self, texts: list[str]) -> list[EmotionDist]:
         out = []

@@ -2,7 +2,16 @@
 
 
 class RumourLensError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; reads `<path>: line N: <message>`,
+    each part where given."""
+
+    def __init__(self, message, line=None, path=None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
+        super().__init__(message)
+        self.line = line
 
 
 # corpus
@@ -19,14 +28,7 @@ class DuplicateId(RumourLensError):
 
 
 class ParseError(RumourLensError):
-    # reads `<path>: line N: <message>`, each part where given
-    def __init__(self, message, line=None, path=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        if path is not None:
-            message = f"{path}: {message}"
-        super().__init__(message)
-        self.line = line
+    pass
 
 
 # text statistics / readability

@@ -38,7 +38,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import BadPattern, CycleError, EmptyCategory, ParseError
-from .textprep import Token, TokenKind, open_utf8
+from .textprep import Token, TokenKind, open_utf8, read_json
 
 PUNCT_KEYS = (
     "period",
@@ -136,15 +136,15 @@ class Lexicon:
         return index
 
 
-def _compile_category(name: str, patterns: list[str], parent: str | None) -> Category:
+def _compile_category(name: str, patterns: list[str], parent: str | None, path) -> Category:
     if not patterns:
-        raise EmptyCategory(f"category {name!r} has no patterns")
+        raise EmptyCategory(f"category {name!r} has no patterns", path=path)
     literals, stems, punct = set(), [], set()
     for p in patterns:
         p = p.lower()
         star = p.find("*")
         if star != -1 and star != len(p) - 1:
-            raise BadPattern(f"category {name!r}: '*' must be terminal in {p!r}")
+            raise BadPattern(f"category {name!r}: '*' must be terminal in {p!r}", path=path)
         if p.endswith("*"):
             stems.append(p[:-1])
         elif p and not any(ch.isalpha() for ch in p):
@@ -162,22 +162,23 @@ def _compile_category(name: str, patterns: list[str], parent: str | None) -> Cat
 
 
 def build_lexicon(
-    categories: dict[str, dict], name: str = "", version: str = ""
+    categories: dict[str, dict], name: str = "", version: str = "", path=None
 ) -> Lexicon:
-    """Validate and compile a category map (see module docstring for shape)."""
+    """Validate and compile a category map (see module docstring for
+    shape); errors name `path`, the file it came from, where given."""
     compiled: dict[str, Category] = {}
     for cname, spec in categories.items():
         compiled[cname] = _compile_category(
-            cname, list(spec.get("patterns", [])), spec.get("parent")
+            cname, list(spec.get("patterns", [])), spec.get("parent"), path
         )
     for cname, cat in compiled.items():
         seen = {cname}
         cur = cat.parent
         while cur is not None:
             if cur not in compiled:
-                raise ParseError(f"category {cname!r}: unknown parent {cur!r}")
+                raise ParseError(f"category {cname!r}: unknown parent {cur!r}", path=path)
             if cur in seen:
-                raise CycleError(f"parent cycle through {cur!r}")
+                raise CycleError(f"parent cycle through {cur!r}", path=path)
             seen.add(cur)
             cur = compiled[cur].parent
         if cat.parent is None:
@@ -188,7 +189,8 @@ def build_lexicon(
         uncovered += [p for p in cat.punct_literals if p not in parent.punct_literals]
         if uncovered:
             raise ParseError(
-                f"category {cname!r}: parent {cat.parent!r} does not cover {', '.join(sorted(uncovered))}"
+                f"category {cname!r}: parent {cat.parent!r} does not cover {', '.join(sorted(uncovered))}",
+                path=path,
             )
     return Lexicon(categories=compiled, name=name, version=version)
 
@@ -201,30 +203,22 @@ def load_lexicon(path) -> Lexicon:
         d = {}
         for k, v in pairs:
             if k in d:
-                raise ParseError(f"duplicate key {k!r} in lexicon file")
+                raise ParseError(f"duplicate key {k!r} in lexicon file", path=path)
             d[k] = v
         return d
 
-    with open_utf8(path) as fh:
-        try:
-            data = json.load(fh, object_pairs_hook=no_dupes)
-            if not isinstance(data, dict):
-                raise ParseError(f"the top level is not an object but {type(data).__name__}")
-            meta, categories = data.get("metadata", {}), data.get("categories", {})
-            if not isinstance(meta, dict) or not isinstance(categories, dict):
-                raise ParseError("metadata and categories must be objects")
-            for cname, spec in categories.items():
-                patterns = spec.get("patterns", []) if isinstance(spec, dict) else None
-                # a string would be read as a list of one-letter patterns
-                if not isinstance(patterns, list) or not all(isinstance(p, str) for p in patterns):
-                    raise ParseError(f"category {cname!r}: patterns is not a list of strings")
-                if not isinstance(spec.get("parent"), (str, type(None))):
-                    raise ParseError(f"category {cname!r}: parent is not a string")
-            return build_lexicon(categories, name=meta.get("name", ""), version=meta.get("version", ""))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid lexicon JSON: {exc}") from exc
-        except (ParseError, EmptyCategory, CycleError, BadPattern) as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
+    data = read_json(path, "lexicon JSON", no_dupes, top_object=True)
+    meta, categories = data.get("metadata", {}), data.get("categories", {})
+    if not isinstance(meta, dict) or not isinstance(categories, dict):
+        raise ParseError("metadata and categories must be objects", path=path)
+    for cname, spec in categories.items():
+        patterns = spec.get("patterns", []) if isinstance(spec, dict) else None
+        # a string would be read as a list of one-letter patterns
+        if not isinstance(patterns, list) or not all(isinstance(p, str) for p in patterns):
+            raise ParseError(f"category {cname!r}: patterns is not a list of strings", path=path)
+        if not isinstance(spec.get("parent"), (str, type(None))):
+            raise ParseError(f"category {cname!r}: parent is not a string", path=path)
+    return build_lexicon(categories, name=meta.get("name", ""), version=meta.get("version", ""), path=path)
 
 
 @dataclass(frozen=True)
@@ -291,7 +285,8 @@ def convert_dic(dic_path, json_path=None) -> Lexicon:
     then ``<word>\\t<id> [<id>...]`` rows. The format carries no hierarchy,
     so all categories come out top-level.
     """
-    lines = [ln.rstrip("\n") for ln in open_utf8(dic_path)]
+    with open_utf8(dic_path) as fh:
+        lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0].strip() != "%":
         raise ParseError("missing '%' header block", line=1, path=dic_path)
     names: dict[str, str] = {}
@@ -321,7 +316,7 @@ def convert_dic(dic_path, json_path=None) -> Lexicon:
     categories = {
         name: {"patterns": pats} for name, pats in patterns.items() if pats
     }
-    lex = build_lexicon(categories, name=str(dic_path))
+    lex = build_lexicon(categories, name=str(dic_path), path=dic_path)
     if json_path is not None:
         payload = {
             "metadata": {"name": lex.name, "version": ""},

@@ -7,7 +7,8 @@ run before the stages it needs; otherwise it drops its mark and deletes
 its declared files before it writes, and marks itself only once it has
 written them all, so no file of an earlier run of it survives. A stage
 that raises leaves neither its mark nor part of its files behind, nor
-the marks and files of the stages that need it.
+the marks and files of the stages that need it. Each stage, starting or
+failing, drops report's mark and `report.md`, which shows its files.
 
 Events lacking one of the two source populations are loaded and
 counted but excluded from the compare, train and explain stages, each of
@@ -81,10 +82,17 @@ def _read_manifest(out: Path) -> dict:
     return manifest
 
 
-def _delete_outputs(out: Path, stage: str) -> None:
-    for pattern in STAGES[stage].writes:
-        for path in out.glob(pattern):
-            path.unlink()
+def _drop(out: Path, manifest: dict, stages: set[str]) -> None:
+    """Drop the marks of `stages`, in one manifest write if one is there,
+    and delete the files they declare."""
+    done = manifest["stages"]
+    if stages & done.keys():
+        manifest["stages"] = {name: mark for name, mark in done.items() if name not in stages}
+        report.write_json(out / MANIFEST, manifest)
+    for name in stages:
+        for pattern in STAGES[name].writes:
+            for path in out.glob(pattern):
+                path.unlink()
 
 
 def _downstream(stage: str) -> list[str]:
@@ -100,31 +108,24 @@ def _downstream(stage: str) -> list[str]:
 def _stage(cfg: RunConfig, stage: str):
     """Run the body of `stage` in the run directory this yields: refuse,
     deleting nothing, unless the stages it needs are marked done; drop its
-    own mark and delete its declared outputs; mark it once the body
-    completes. If the body raises, drop the marks of the stages that need
-    it, directly or through others, and delete its outputs and theirs."""
+    own and report's marks and files; mark it once the body completes. If
+    the body raises, also drop the marks and files of the stages that need
+    it, directly or through others."""
     out = run_dir(cfg)
     manifest = _read_manifest(out)
-    done = manifest["stages"]
-    missing = [dep for dep in STAGES[stage].needs if not done.get(dep)]
+    missing = [dep for dep in STAGES[stage].needs if not manifest["stages"].get(dep)]
     if missing:
         raise MissingArtifact(
             f"stage {stage!r} needs {', '.join(missing)} to run first (run directory: {out})"
         )
-    if stage in done:
-        del done[stage]
-        report.write_json(out / MANIFEST, manifest)
-    _delete_outputs(out, stage)
+    # report.md renders every other stage's files, so each stage drops it
+    _drop(out, manifest, {stage, "report"})
     try:
         yield out
     except BaseException:
-        stale = _downstream(stage)
-        manifest["stages"] = {name: mark for name, mark in done.items() if name not in stale}
-        report.write_json(out / MANIFEST, manifest)
-        for name in stale:
-            _delete_outputs(out, name)
+        _drop(out, manifest, {*_downstream(stage), "report"})
         raise
-    done[stage] = True
+    manifest["stages"][stage] = True
     report.write_json(out / MANIFEST, manifest)
 
 
@@ -348,9 +349,11 @@ def stage_explain(cfg: RunConfig) -> list[Path]:
                 model_path = _model_path(out, event, scope)
                 if not model_path.exists():
                     continue
+                with textprep.open_utf8(model_path) as fh:
+                    text = fh.read()
                 try:
-                    model = classify.model_from_json(model_path.read_text(encoding="utf-8"))
-                except (ParseError, UnicodeDecodeError) as exc:
+                    model = classify.model_from_json(text)
+                except ParseError as exc:
                     raise ParseError(
                         f"stage 'explain', event {event!r}, scope {scope!r}: {model_path.name}: {exc}"
                     ) from exc

@@ -27,7 +27,7 @@ from .emotions import LABELS as EMOTION_LABELS
 from .emotions import POPULATIONS
 from .errors import ParseError
 from .features import FeatureTable
-from .textprep import open_utf8_stream
+from .textprep import open_utf8, read_json
 
 PARTITIONS_CSV = "partitions.csv"
 FEATURES_CSV = "features.csv"
@@ -119,18 +119,9 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def read_json(path):
-    """The JSON value in `path`; ParseError naming the file if it is not JSON."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-
-
 def read_csv_rows(path) -> list[dict]:
     """A table's rows as header -> cell string, in file order."""
-    with open_utf8_stream(path, newline="") as fh:
+    with open_utf8(path, newline="") as fh:
         return [dict(row) for row in csv.DictReader(fh)]
 
 
@@ -191,7 +182,7 @@ def read_features_csv(path) -> FeatureTable:
     meta: list[list[str]] = [[], [], [], [], []]  # tweet_id, event, role, label, empty_text
     X = []
     absent = []  # count of absent flags per record
-    with open_utf8_stream(path, newline="") as fh:
+    with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -227,7 +218,7 @@ def read_features_csv(path) -> FeatureTable:
 def _non_finite_cell(path, index: int) -> str:
     """'<path>: line N: <cause>' for the first value of the index-th
     record of a features CSV that is nan or inf but not flagged absent."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         for _ in range(index + 1):

@@ -51,32 +51,29 @@ def load_sentic_table(path) -> SenticTable:
     entries: dict[str, tuple[float, ...]] = {}
     with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ParseError("empty sentic table")
-            if tuple(header) != _HEADER:
-                raise ParseError(f"expected header {','.join(_HEADER)}, got {','.join(header)}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 6:
-                    raise ParseError(f"expected 6 columns, got {len(row)}", line=lineno)
-                concept = row[0].strip().lower()
-                if not concept:
-                    raise ParseError("empty concept", line=lineno)
-                if concept in entries:
-                    raise DuplicateConcept(f"line {lineno}: concept {concept!r} repeated")
-                try:
-                    values = tuple(float(v) for v in row[1:])
-                except ValueError as exc:
-                    raise ParseError(str(exc), line=lineno) from exc
-                for dim, v in zip(DIMENSIONS, values):
-                    if not -1.0 <= v <= 1.0:
-                        raise OutOfRange(f"line {lineno}: {dim}={v} outside [-1, 1]")
-                entries[concept] = values
-        except (ParseError, DuplicateConcept, OutOfRange) as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty sentic table", path=path)
+        if tuple(header) != _HEADER:
+            raise ParseError(f"expected header {','.join(_HEADER)}, got {','.join(header)}", path=path)
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 6:
+                raise ParseError(f"expected 6 columns, got {len(row)}", line=lineno, path=path)
+            concept = row[0].strip().lower()
+            if not concept:
+                raise ParseError("empty concept", line=lineno, path=path)
+            if concept in entries:
+                raise DuplicateConcept(f"concept {concept!r} repeated", line=lineno, path=path)
+            try:
+                values = tuple(float(v) for v in row[1:])
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno, path=path) from exc
+            for dim, v in zip(DIMENSIONS, values):
+                if not -1.0 <= v <= 1.0:
+                    raise OutOfRange(f"{dim}={v} outside [-1, 1]", line=lineno, path=path)
+            entries[concept] = values
     return SenticTable(entries=entries)
 
 

@@ -27,11 +27,15 @@ give a word's readability counts and concept lemma, which the featurizer
 keeps in one record per word surface (see `features`). ``text_stats``
 and ``clean_for_senticnet`` give the same counts and lemmas for one
 text, working each word out afresh.
+
+Every file the package reads is read here, through ``open_utf8`` (a
+text handle that streams) or ``read_json`` (one JSON value); a byte that
+is not UTF-8 raises ParseError as ``<path>: line N: not UTF-8: <reason>``.
 """
 
 from __future__ import annotations
 
-import io
+import json
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -285,13 +289,13 @@ def bundled(name: str) -> Path:
     return Path(__file__).parent / "data" / name
 
 
-def open_utf8(path, newline=None) -> io.StringIO:
-    """A UTF-8 text file read whole, to be read as `open(path,
-    encoding="utf-8", newline=newline)` would read it; ParseError naming
-    the file and the first line that is not UTF-8."""
+def _raise_not_utf8(path) -> None:
+    """Raise ParseError naming `path` and the line of its first byte that
+    is not UTF-8, found in the bytes read again (a streaming decoder counts
+    from its chunk); return if the file decodes now, as it changed while read."""
     data = Path(path).read_bytes()
     try:
-        return io.StringIO(data.decode("utf-8"), newline=newline)
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the line of the first bad byte; bytes break lines where text mode does
         line = len((data[: exc.start] + b"?").splitlines())
@@ -299,25 +303,55 @@ def open_utf8(path, newline=None) -> io.StringIO:
 
 
 @contextmanager
-def open_utf8_stream(path, newline=None):
+def open_utf8(path, newline=None):
     """`open(path, encoding="utf-8", newline=newline)`, read as it streams;
-    a byte that is not UTF-8 raises the ParseError of `open_utf8`, which
-    reads the file's bytes again to find its line."""
+    a byte that is not UTF-8 raises ParseError naming the file and line."""
     with open(path, encoding="utf-8", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError:
-            open_utf8(path)  # raises ParseError at the first bad byte
-            raise  # the file decodes now: it changed while read
+            _raise_not_utf8(path)
+            raise
+
+
+def read_json(path, what="JSON", object_pairs_hook=None, top_object=False):
+    """The one JSON value in `path`, an object if `top_object`; `what` names
+    the kind of file in errors. A plain `open`: a corpus holds a file per
+    tweet, and `open_utf8`'s context manager costs more than the parse."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            value = json.load(fh, object_pairs_hook=object_pairs_hook)
+    except UnicodeDecodeError:
+        _raise_not_utf8(path)
+        raise
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid {what}: {exc}", path=path) from exc
+    if top_object and not isinstance(value, dict):
+        raise ParseError(f"the top level is not an object but {type(value).__name__}", path=path)
+    return value
+
+
+def read_json_lines(path):
+    """(line number, value) of each line of `path` that is not blank, read
+    as it streams; errors name the file and the line."""
+    with open_utf8(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    value = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(str(exc), line=lineno, path=path) from exc
+                yield lineno, value
 
 
 def load_wordlist(path) -> set[str]:
     """One word per line; '#'-prefixed lines are comments."""
     words = set()
-    for line in open_utf8(path).read().splitlines():
-        line = line.strip().lower()
-        if line and not line.startswith("#"):
-            words.add(line)
+    with open_utf8(path) as fh:
+        for line in fh:
+            line = line.strip().lower()
+            if line and not line.startswith("#"):
+                words.add(line)
     return words
 
 
@@ -333,12 +367,13 @@ def load_lemma_exceptions(path=None) -> dict[str, str]:
     """TSV of irregular form -> lemma."""
     path = bundled("lemma_exceptions.tsv") if path is None else path
     table = {}
-    for lineno, line in enumerate(open_utf8(path).read().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.count("\t") != 1:
-            raise ParseError(f"{path}: line {lineno}: expected form<TAB>lemma, got {line!r:.40}")
-        form, lemma = line.split("\t")
-        table[form.lower()] = lemma.lower()
+    with open_utf8(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line.count("\t") != 1:
+                raise ParseError(f"expected form<TAB>lemma, got {line!r:.40}", line=lineno, path=path)
+            form, lemma = line.split("\t")
+            table[form.lower()] = lemma.lower()
     return table

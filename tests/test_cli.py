@@ -4,8 +4,12 @@ import pytest
 
 from rumourlens import cli, pipeline, report
 from rumourlens.config import RunConfig, build_config, parse_config_file, validate_config
-from rumourlens.emotions import LexiconFallbackProvider
-from rumourlens.errors import ConfigError
+from rumourlens.corpus import load_jsonl, load_pheme_tree
+from rumourlens.emotions import CassetteProvider, LexiconFallbackProvider, load_emotion_lexicon
+from rumourlens.errors import ConfigError, ParseError
+from rumourlens.lexicon import load_lexicon
+from rumourlens.senticnet import load_sentic_table
+from rumourlens.textprep import load_lemma_exceptions, load_wordlist
 from tests.conftest import RESOURCES
 
 
@@ -318,7 +322,6 @@ class TestCliCommands:
             ("not json", "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
             ("format 2", "unsupported model format 2"),
             ("no trees", "missing key 'trees'"),
-            ("not utf-8", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
         ],
     )
     def test_damaged_model_file_rejected(self, tmp_path, mini_pheme_dir, capsys, damage, want):
@@ -332,8 +335,6 @@ class TestCliCommands:
         elif damage == "no trees":
             del payload["trees"]
         path.write_text("{broken" if damage == "not json" else json.dumps(payload))
-        if damage == "not utf-8":
-            path.write_bytes(b"\xff" + path.read_bytes())
         capsys.readouterr()
         assert cli.main(["explain", "--config", str(conf)]) == 1
         want = f"error: ParseError: stage 'explain', event 'parkfire', scope 'reactions': {path.name}: {want}\n"
@@ -371,6 +372,19 @@ class TestCliCommands:
         assert persisted["seed"] == 99
         assert persisted["dataset"] == str(mini_pheme_dir)
 
+    @pytest.mark.parametrize("layout", ["jsonl", "pheme"])
+    def test_corpus_without_events_rejected(self, tmp_path, capsys, layout):
+        # an empty JSONL or tree directory stops the run at ingest
+        dataset = tmp_path / "corpus"
+        if layout == "jsonl":
+            dataset.write_text("")
+        else:
+            dataset.mkdir()
+        conf = write_config(tmp_path, dataset, dataset_format=layout, emotion_provider="none")
+        assert cli.main(["all", "--config", str(conf)]) == 1
+        assert capsys.readouterr().err == f"error: ParseError: {dataset}: no events\n"
+        assert not (tmp_path / "out" / "t" / report.PARTITIONS_CSV).exists()
+
     def test_explain_requires_train(self, tmp_path, mini_pheme_dir, capsys):
         conf = write_config(tmp_path, mini_pheme_dir)
         cli.main(["ingest", "--config", str(conf)])
@@ -379,7 +393,71 @@ class TestCliCommands:
         assert "MissingArtifact" in capsys.readouterr().err
 
 
+def _past_read_ahead(head: str, row) -> bytes:
+    """`head`, then rows `row(i)` until past the text layer's first 8 KiB
+    read-ahead chunk, so a bad byte after them is decoded chunks ahead of
+    the line the reader is on."""
+    text, i = head, 0
+    while len(text) <= 8192:
+        text, i = text + row(i), i + 1
+    return text.encode()
+
+
+def _jsonl_row(i):
+    reply = {"id": f"r{i}", "text": "a reply", "event": "e", "role": "reaction", "label": "rumour", "parent_id": "s"}
+    return json.dumps(reply) + "\n"
+
+
+_SOURCE_LINE = json.dumps({"id": "s", "text": "a source", "event": "e", "role": "source", "label": "rumour"}) + "\n"
+
+# input kind -> (file name, its bytes, the call that reads it); the bad
+# byte is the first 0xe9, and the byte after it is not a continuation byte
+BAD_BYTE_INPUTS = {
+    "tweet file": ("tree/e/rumours/1/source-tweets/1.json", b'{"id_str": "1",\n "text": "caf\xe9"}\n',
+                   lambda path, cfg: load_pheme_tree(path.parents[4])),
+    "JSONL": ("corpus.jsonl", _past_read_ahead(_SOURCE_LINE, _jsonl_row) + b'{"id": "x", "text": "caf\xe9"}\n',
+              lambda path, cfg: load_jsonl(path)),
+    "lexicon JSON": ("lex.json", b'{"categories": {\n  "a": {"patterns": ["caf\xe9"]}}}\n',
+                     lambda path, cfg: load_lexicon(path)),
+    "emotion lexicon": ("emotions.json", b'{"joy":\n  ["caf\xe9"]}\n', lambda path, cfg: load_emotion_lexicon(path)),
+    "sentic table": ("table.csv", _past_read_ahead("concept,pleasantness,attention,sensitivity,aptitude,polarity\n",
+                                                   lambda i: f"c{i},0,0,0,0,0\n") + b"caf\xe9,0,0,0,0,0\n",
+                     lambda path, cfg: load_sentic_table(path)),
+    "word list": ("words.txt", _past_read_ahead("# words\n", lambda i: f"w{i}\n") + b"caf\xe9\n",
+                  lambda path, cfg: load_wordlist(path)),
+    "lemma exceptions": ("lemmas.tsv", _past_read_ahead("", lambda i: f"f{i}\tl{i}\n") + b"caf\xe9\tcafe\n",
+                         lambda path, cfg: load_lemma_exceptions(path)),
+    "config": ("run.conf", _past_read_ahead("# config\n", lambda i: f"# {i}\n") + b"dataset = caf\xe9\n",
+               lambda path, cfg: parse_config_file(path)),
+    "cassette": ("tape.jsonl", _past_read_ahead("", lambda i: json.dumps({"key": f"k{i}", "response": []}) + "\n")
+                 + b'{"key": "caf\xe9", "response": []}\n', lambda path, cfg: CassetteProvider(path)),
+    "model file": ("out/t/model_parkfire_reactions.json", None, lambda path, cfg: pipeline.stage_explain(cfg)),
+    "manifest": ("out/t/manifest.json", b'{"stages":\n  {"caf\xe9": true}}\n', lambda path, cfg: pipeline.stage_ingest(cfg)),
+}
+
+
 class TestDataFileErrors:
+    @pytest.mark.parametrize("kind", list(BAD_BYTE_INPUTS))
+    def test_byte_not_utf8_named(self, tmp_path, mini_pheme_dir, kind):
+        # every input is read through one reader: a byte that is not UTF-8
+        # fails naming the file and the line it is on
+        name, data, read = BAD_BYTE_INPUTS[kind]
+        conf = write_config(tmp_path, mini_pheme_dir, n_trees=2, k_folds=2)
+        path = tmp_path / name
+        if data is None:  # a model file, damaged after a train wrote it
+            for stage in ("ingest", "featurize", "train"):
+                assert cli.main([stage, "--config", str(conf)]) == 0
+            model = path.read_bytes()
+            data = model[: len(model) // 2] + b"\xe9" + model[len(model) // 2 :]
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+        line = data[: data.index(b"\xe9")].count(b"\n") + 1
+        with pytest.raises((ParseError, ConfigError)) as err:
+            read(path, build_config(parse_config_file(conf)))
+        assert str(err.value) == f"{path}: line {line}: not UTF-8: invalid continuation byte"
+        if isinstance(err.value, ParseError):
+            assert err.value.line == line
+
     @pytest.mark.parametrize(
         "key",
         [

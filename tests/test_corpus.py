@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -62,6 +63,12 @@ class TestPhemeTree:
         counts = partition(corpora[0]).counts()
         assert counts.total == 0
 
+    def test_tree_without_events_rejected(self, tmp_path):
+        # a directory holding no event: nothing would be compared or trained
+        with pytest.raises(ParseError) as err:
+            load_pheme_tree(tmp_path)
+        assert str(err.value) == f"{tmp_path}: no events"
+
     def test_missing_text_field(self, tmp_path):
         thread = tmp_path / "e" / "rumours" / "1" / "source-tweets"
         thread.mkdir(parents=True)
@@ -94,7 +101,7 @@ class TestPhemeTree:
     @pytest.mark.parametrize(
         "content, want",
         [
-            (b'{"id_str": "1", "text": "caf\xe9"}', "not UTF-8: 'utf-8' codec can't decode byte 0xe9"),
+            (b'{"id_str": "1", "text": "caf\xe9"}', "line 1: not UTF-8: invalid continuation byte"),
             (b'[{"id_str": "1", "text": "hi"}]', "a tweet must be a JSON object, got list"),
             (b'"hi"', "a tweet must be a JSON object, got str"),
             (b'{"id_str": "1", "text": null}', "tweet 1: text is not a string but None"),
@@ -118,6 +125,43 @@ class TestPhemeTree:
 
 
 class TestJsonl:
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank lines"])
+    def test_file_without_events_rejected(self, tmp_path, text):
+        path = tmp_path / "empty.jsonl"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_jsonl(path)
+        assert str(err.value) == f"{path}: no events"
+
+    def test_memory_is_bounded_by_the_corpus(self, tmp_path):
+        # the file streams through the loader, so the traced peak is the
+        # corpus built plus a line, not the file's text on top of it
+        # (reading the file whole put the peak at 6.1x its size)
+        path = tmp_path / "big.jsonl"
+        words = "police said a man was seen near the station after reports of shots fired".split()
+        records, i = [], 0
+        while sum(map(len, records)) < 2_200_000:
+            text = " ".join(words[(i + k) % len(words)] for k in range(18))
+            source = jl(str(580000000000 + i), "source", "rumour", event=f"event{i % 5}", text=text)
+            records.append(json.dumps(source) + "\n")
+            for k in range(4):
+                reply = jl(str(590000000000 + 10 * i + k), "reaction", "rumour", parent_id=source["id"],
+                           event=source["event"], text=text[k:])
+                records.append(json.dumps(reply) + "\n")
+            i += 1
+        path.write_text("".join(records))
+        del records
+        size = path.stat().st_size
+        assert size >= 2 * 2**20
+        tracemalloc.start()
+        try:
+            corpora = load_jsonl(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, corpora)) == 5 * i
+        assert peak <= 2.5 * size, f"peak {peak / size:.2f}x the file's {size} bytes"
+
     def test_two_line_thread(self, tmp_path):
         path = tmp_path / "two.jsonl"
         write_jsonl(path, [

@@ -354,17 +354,18 @@ def test_refused_stage_deletes_nothing(tmp_path):
 
 def test_failed_stage_drops_the_marks_of_the_stages_that_need_it(tmp_path, monkeypatch):
     # a complete run, a featurize rerun that succeeds and keeps every mark
-    # downstream, then a train stopped midway: explain, which needs train,
-    # loses its mark and its files with train's, so report lists both as
-    # skipped; compare and report, which do not need train, keep theirs
+    # downstream but report's, then a train stopped midway: explain, which
+    # needs train, loses its mark and its files with train's, so report
+    # lists both as skipped; compare, which does not need train, keeps its
     cfg = fixture_config(tmp_path, n_trees=2, k_folds=3, run_id="interrupted")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # fewer folds, unsplittable nodes
         pipeline.stage_all(cfg)
     out = cfg.run_dir()
-    every = {stage: True for stage in pipeline.STAGES}
+    every = {stage: True for stage in pipeline.STAGES if stage != "report"}
     pipeline.stage_featurize(cfg)
     assert json.loads((out / pipeline.MANIFEST).read_text(encoding="utf-8"))["stages"] == every
+    pipeline.stage_report(cfg)
 
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
@@ -373,14 +374,29 @@ def test_failed_stage_drops_the_marks_of_the_stages_that_need_it(tmp_path, monke
     with pytest.raises(KeyboardInterrupt):
         pipeline.stage_train(cfg)
     stages = json.loads((out / pipeline.MANIFEST).read_text(encoding="utf-8"))["stages"]
-    assert stages == {stage: True for stage in ("ingest", "featurize", "compare", "report")}
+    assert stages == {stage: True for stage in ("ingest", "featurize", "compare")}
     assert not list(out.glob("model_*.json")) and not list(out.glob("shap_*"))
-    assert not (out / report.METRICS_CSV).exists()
+    assert not (out / report.METRICS_CSV).exists() and not (out / report.REPORT_MD).exists()
     pipeline.stage_report(cfg)
     text = (out / report.REPORT_MD).read_text(encoding="utf-8")
     assert "_skipped: training stage not run_" in text
     assert "_skipped: explain stage not run_" in text
     assert "### " not in text
+
+
+def test_stage_rerun_drops_the_report(tmp_path):
+    # report.md renders every other stage's files, so a compare that
+    # succeeds after a full run leaves no report behind, nor report's mark
+    cfg = fixture_config(tmp_path, n_trees=2, k_folds=3, run_id="rerun")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # fewer folds, unsplittable nodes
+        pipeline.stage_all(cfg)
+    out = cfg.run_dir()
+    assert (out / report.REPORT_MD).exists()
+    pipeline.stage_compare(cfg)
+    stages = json.loads((out / pipeline.MANIFEST).read_text(encoding="utf-8"))["stages"]
+    assert stages == {stage: True for stage in pipeline.STAGES if stage != "report"}
+    assert not (out / report.REPORT_MD).exists()
 
 
 def test_downstream_stages_follow_the_table():

@@ -63,6 +63,23 @@ class TestLoad:
         with pytest.raises(error, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_sentic_table(path)
 
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("good,0,0\n", 2),
+            ("good,0,0,0,0,0\ngood,0,0,0,0,0\n", 3),
+            ("good,0.5,0.1,0,0.2,1.5\n", 2),
+            ("good,zero,0,0,0,0\n", 2),
+            ("good,0,0,0,0,0\n,0,0,0,0,0\n", 3),
+        ],
+        ids=["short row", "repeated", "out of range", "not a number", "empty concept"],
+    )
+    def test_errors_carry_the_line(self, tmp_path, body, line):
+        # raised naming the file at the source, so no re-wrap loses `.line`
+        with pytest.raises((ParseError, DuplicateConcept, OutOfRange)) as err:
+            load_sentic_table(write_table(tmp_path, [body]))
+        assert err.value.line == line
+
     @pytest.mark.parametrize("header, message", [("", "empty sentic table"), ("a,b\n", "expected header ")])
     def test_header_errors_name_the_file(self, tmp_path, header, message):
         path = write_table(tmp_path, [], header=header)
