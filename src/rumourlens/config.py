@@ -78,14 +78,16 @@ def parse_config_file(path) -> dict[str, str]:
         with open_utf8(path) as fh:
             lines = fh.readlines()
     except ParseError as exc:
-        raise ConfigError(str(exc)) from exc
+        error = ConfigError(str(exc))
+        error.line = exc.line
+        raise error from exc
     values: dict[str, str] = {}
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            raise ConfigError(f"expected 'key = value', got {line!r}", line=lineno, path=path)
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
     return values

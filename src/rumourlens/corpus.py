@@ -1,4 +1,4 @@
-"""Loading, validation and partitioning of threaded rumour corpora.
+"""Loading, checking and partitioning of threaded rumour corpora.
 
 Two ingestion paths produce the same structures:
 
@@ -11,6 +11,12 @@ Two ingestion paths produce the same structures:
 Other fields, ``created_at`` among them, are ignored. A corpus with no
 event is refused.
 
+Each tweet is checked as it is read, and each event once it is whole, by
+the one function both loaders call: an event may not take the pooled
+event's name, its tweet ids must be distinct, and every reply must answer
+a source of its event. An event's errors name the file it was read from
+(for a tree, the event directory), the event and the tweet id.
+
 Reactions carry no ground truth of their own; their label is always the
 label of their thread's source tweet. Each event partitions into the four
 populations compared downstream: rumour/non-rumour x source/reaction.
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 from .errors import DuplicateId, MissingField, OrphanReaction, ParseError
@@ -56,7 +63,6 @@ class EventCorpus:
     event: str
     sources: list[Tweet]
     reactions: list[Tweet]
-    provenance: str = ""
 
     def __len__(self) -> int:
         return len(self.sources) + len(self.reactions)
@@ -93,50 +99,30 @@ class Partition:
         )
 
 
-def validate_corpus(corpus: EventCorpus) -> None:
-    """Check the structural invariants of one event."""
-    if corpus.event == AGGREGATED_EVENT:
+def _event(event: str, sources: list[Tweet], reactions: list[Tweet], where) -> EventCorpus:
+    """One event as both loaders return it: its name is not the pooled
+    event's, its tweet ids are distinct, and each reply answers a source of
+    the event and takes that source's label, in place. Errors name
+    `where`, the file or event directory the event was read from."""
+    if event == AGGREGATED_EVENT:
         raise ParseError(
-            f"{corpus.provenance}: event {corpus.event!r} takes the reserved name "
-            f"{AGGREGATED_EVENT!r} of the pooled pseudo-event"
+            f"event {event!r} takes the reserved name {AGGREGATED_EVENT!r} of the pooled pseudo-event", path=where
         )
     seen = set()
-    for t in corpus.sources + corpus.reactions:
+    for t in chain(sources, reactions):
         if t.id in seen:
-            raise DuplicateId(f"{corpus.event}: duplicate tweet id {t.id!r}")
+            raise DuplicateId(f"event {event!r}: duplicate tweet id {t.id!r}", path=where)
         seen.add(t.id)
-    source_labels = {t.id: t.label for t in corpus.sources}
-    for t in corpus.sources:
-        if t.role is not Role.SOURCE or t.parent_id is not None:
-            raise OrphanReaction(f"{corpus.event}: source {t.id!r} has a parent")
-    for t in corpus.reactions:
-        if t.parent_id is None:
-            raise OrphanReaction(f"{corpus.event}: reaction {t.id!r} has no parent_id")
-        if t.parent_id not in source_labels:
+    labels = {t.id: t.label for t in sources}
+    for i, t in enumerate(reactions):
+        label = labels.get(t.parent_id)
+        if label is None:
             raise OrphanReaction(
-                f"{corpus.event}: reaction {t.id!r} refers to unknown source {t.parent_id!r}"
+                f"event {event!r}: reaction {t.id!r} refers to unknown source {t.parent_id!r}", path=where
             )
-        if t.label is not source_labels[t.parent_id]:
-            raise OrphanReaction(
-                f"{corpus.event}: reaction {t.id!r} label differs from its source"
-            )
-
-
-def propagate_labels(corpus: EventCorpus) -> EventCorpus:
-    """Force every reaction's label to its source's label. Idempotent. A
-    reaction without a known source keeps its label; `validate_corpus`
-    rejects it."""
-    source_labels = {t.id: t.label for t in corpus.sources}
-    reactions = []
-    for t in corpus.reactions:
-        want = source_labels.get(t.parent_id, t.label)
-        reactions.append(t if t.label is want else replace(t, label=want))
-    return EventCorpus(
-        event=corpus.event,
-        sources=list(corpus.sources),
-        reactions=reactions,
-        provenance=corpus.provenance,
-    )
+        if t.label is not label:
+            reactions[i] = replace(t, label=label)
+    return EventCorpus(event=event, sources=sources, reactions=reactions)
 
 
 _LABEL_DIRS = {"rumours": Label.RUMOUR, "non-rumours": Label.NONRUMOUR}
@@ -195,17 +181,13 @@ def _load_event_dir(event_dir: Path) -> EventCorpus:
             re_dir = thread_dir / "reactions"
             for p in sorted(re_dir.glob("*.json")) if re_dir.is_dir() else []:
                 reactions.append(_read_tweet(p, event, Role.REACTION, label, anchor))
-    corpus = EventCorpus(
-        event=event, sources=sources, reactions=reactions, provenance=f"pheme:{event_dir}"
-    )
-    validate_corpus(corpus)
-    return corpus
+    return _event(event, sources, reactions, event_dir)
 
 
 def load_jsonl(path) -> list[EventCorpus]:
     """Load a line-delimited export; yields the same populations as the
     tree loader does for equivalent content (events sorted by name).
-    Each error names the file and the line."""
+    Each error names the file; a tweet's errors name its line too."""
     by_event: dict[str, dict[str, list[Tweet]]] = {}
     for lineno, obj in read_json_lines(path):
         if not isinstance(obj, dict):
@@ -240,17 +222,7 @@ def load_jsonl(path) -> list[EventCorpus]:
         )
         bucket = by_event.setdefault(tweet.event, {"sources": [], "reactions": []})
         bucket["sources" if role is Role.SOURCE else "reactions"].append(tweet)
-    corpora = []
-    for event in sorted(by_event):
-        corpus = EventCorpus(
-            event=event,
-            sources=by_event[event]["sources"],
-            reactions=by_event[event]["reactions"],
-            provenance=f"jsonl:{path}",
-        )
-        corpus = propagate_labels(corpus)
-        validate_corpus(corpus)
-        corpora.append(corpus)
+    corpora = [_event(event, b["sources"], b["reactions"], path) for event, b in sorted(by_event.items())]
     if not corpora:
         raise ParseError("no events", path=path)
     return corpora

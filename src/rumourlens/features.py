@@ -102,8 +102,6 @@ class FeatureTable:
 
     @classmethod
     def concat(cls, names, tables: list[FeatureTable]) -> FeatureTable:
-        if not tables:
-            return cls.from_columns(names, [], [], [], [], [], [])
         columns = (np.concatenate([getattr(t, c) for t in tables]) for c in _ROW_COLUMNS)
         return cls(list(names), *columns)
 

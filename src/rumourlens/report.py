@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import AGGREGATED_EVENT, PartitionCounts
+from .corpus import AGGREGATED_EVENT, Label, PartitionCounts, Role
 from .emotions import LABELS as EMOTION_LABELS
 from .emotions import POPULATIONS
 from .errors import ParseError
@@ -174,10 +174,16 @@ def _feature_record(meta: list[str], empty_text: str, values: list[float]) -> li
     return record
 
 
+#: the words a features.csv `role` and `label` cell may hold
+_ROLES = tuple(r.value for r in Role)
+_LABELS = tuple(lab.value for lab in Label)
+
+
 def read_features_csv(path) -> FeatureTable:
     """Absent values come back as NaN; a record of the wrong length, a
-    value that is not a number and a non-finite value (nan, inf) not
-    flagged absent raise ParseError."""
+    `role`, `label` or `empty_text` cell outside its two words, a value
+    that is not a number and a non-finite value (nan, inf) not flagged
+    absent raise ParseError."""
     nan = math.nan
     meta: list[list[str]] = [[], [], [], [], []]  # tweet_id, event, role, label, empty_text
     X = []
@@ -203,10 +209,15 @@ def read_features_csv(path) -> FeatureTable:
             except ValueError as exc:
                 raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
     tweet_id, event, role, label, empty_text = meta
-    table = FeatureTable.from_columns(
-        feature_names, tweet_id, event, role, label, [e == "true" for e in empty_text], X
-    )
-    del X  # the matrix holds the rows now; free them before the check
+    empty_text = np.array(empty_text, dtype=str)
+    table = FeatureTable.from_columns(feature_names, tweet_id, event, role, label, empty_text == "true", X)
+    del X  # the matrix holds the rows now; free them before the checks
+    for name, cells, words in (("role", table.role, _ROLES), ("label", table.label, _LABELS),
+                               ("empty_text", empty_text, ("true", "false"))):
+        bad = np.flatnonzero(~np.isin(cells, words))
+        if bad.size:
+            cell, line = str(cells[bad[0]]), _record(path, int(bad[0]))[2]
+            raise ParseError(f"{name} {cell!r} is neither {words[0]!r} nor {words[1]!r}", line=line, path=path)
     # an absent cell reads as NaN, so a record holds more non-finite values
     # than absent flags only where a value flagged present is nan or inf
     bad = np.count_nonzero(~np.isfinite(table.X), axis=1) != np.array(absent, dtype=np.int64)
@@ -215,20 +226,27 @@ def read_features_csv(path) -> FeatureTable:
     return table
 
 
-def _non_finite_cell(path, index: int) -> str:
-    """'<path>: line N: <cause>' for the first value of the index-th
-    record of a features CSV that is nan or inf but not flagged absent."""
+def _record(path, index: int) -> tuple[list[str], list[str], int]:
+    """The header and the index-th record of a features CSV, and the line
+    the record ends on; read again only to name a bad cell."""
     with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         for _ in range(index + 1):
             record = next(reader)
+    return header, record, reader.line_num
+
+
+def _non_finite_cell(path, index: int) -> str:
+    """'<path>: line N: <cause>' for the first value of the index-th
+    record of a features CSV that is nan or inf but not flagged absent."""
+    header, record, line = _record(path, index)
     name, raw = next(
         (name, raw)
         for name, raw, flag in zip(header[5::2], record[5::2], record[6::2])
         if flag != "true" and not math.isfinite(float(raw))
     )
-    return f"{path}: line {reader.line_num}: feature {name!r} holds {raw!r}, which is not finite, but is not flagged absent"
+    return f"{path}: line {line}: feature {name!r} holds {raw!r}, which is not finite, but is not flagged absent"
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +372,7 @@ def _means(out: Path) -> list[str]:
             line.append(f"{float(raw):.4g}" if raw else "—")
         body.append(line)
     header = ["feature"] + [POPULATION_TITLES[p] for p in POPULATIONS]
-    return _md_table(header, body) if body else ["(no means computed)"]
+    return _md_table(header, body)
 
 
 def _emotions(out: Path) -> list[str]:
@@ -408,7 +426,7 @@ def render_markdown(out: Path, alpha: float, done: dict) -> str:
     lines.append("")
     partitions = [list(row.values()) for row in read_csv_rows(out / PARTITIONS_CSV)]
     header = ["event", "NR src", "R src", "NR re", "R re", "total"]
-    lines += _section("Data distribution", _md_table(header, partitions) if partitions else ["(no events)"])
+    lines += _section("Data distribution", _md_table(header, partitions))
     ks_rows = []
     for name in (KS_SOURCES_CSV, KS_REACTIONS_CSV, KS_AGGREGATED_CSV):
         ks_rows += read_csv_rows(out / name)

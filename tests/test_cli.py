@@ -37,9 +37,11 @@ class TestConfig:
 
     def test_bad_line(self, tmp_path):
         path = tmp_path / "c.conf"
-        path.write_text("seed 7\n")
-        with pytest.raises(ConfigError):
+        path.write_text("# seed\nseed 7\n")
+        with pytest.raises(ConfigError) as err:
             parse_config_file(path)
+        assert str(err.value) == f"{path}: line 2: expected 'key = value', got 'seed 7'"
+        assert err.value.line == 2
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
@@ -257,7 +259,9 @@ class TestCliCommands:
         assert cli.main(["featurize", "--config", str(conf)]) == 2
         assert f"error: config: {key} must be {rule}, got" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["truncated", "not a number", "empty", "nan", "inf", "-inf", "Infinity"])
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "not a number", "empty", "capitalised role", "nan", "inf", "-inf", "Infinity"]
+    )
     @pytest.mark.parametrize("command", ["compare", "train", "explain"])
     def test_damaged_features_csv_rejected(self, tmp_path, mini_pheme_dir, capsys, damage, command):
         conf = write_config(tmp_path, mini_pheme_dir, n_trees=3, k_folds=2)
@@ -279,6 +283,10 @@ class TestCliCommands:
             # cut short before the header was written
             lines = []
             want = "line 1: no header"
+        elif damage == "capitalised role":
+            # matched neither population, so the stage wrote header-only tables
+            lines[-1] = ",".join(last[:2] + [last[2].capitalize()] + last[3:])
+            want = f"line {len(lines)}: role {last[2].capitalize()!r} is neither 'source' nor 'reaction'"
         else:
             # a non-finite value in a cell not flagged absent
             j = next(j for j in range(6, len(last), 2) if last[j].strip() == "false")
@@ -455,8 +463,7 @@ class TestDataFileErrors:
         with pytest.raises((ParseError, ConfigError)) as err:
             read(path, build_config(parse_config_file(conf)))
         assert str(err.value) == f"{path}: line {line}: not UTF-8: invalid continuation byte"
-        if isinstance(err.value, ParseError):
-            assert err.value.line == line
+        assert err.value.line == line
 
     @pytest.mark.parametrize(
         "key",

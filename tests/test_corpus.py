@@ -12,8 +12,6 @@ from rumourlens.corpus import (
     load_jsonl,
     load_pheme_tree,
     partition,
-    propagate_labels,
-    validate_corpus,
 )
 from rumourlens.errors import DuplicateId, MissingField, OrphanReaction, ParseError
 from rumourlens.features import FeatureTable
@@ -88,15 +86,20 @@ class TestPhemeTree:
             d = tmp_path / "e" / "rumours" / thread_id / "source-tweets"
             d.mkdir(parents=True)
             (d / "x.json").write_text('{"id_str": "77", "text": "hi"}')
-        with pytest.raises(DuplicateId):
+        with pytest.raises(DuplicateId) as err:
             load_pheme_tree(tmp_path)
+        assert str(err.value) == f"{tmp_path / 'e'}: event 'e': duplicate tweet id '77'"
 
     def test_event_named_like_the_pooled_event_rejected(self, tmp_path):
         thread = tmp_path / AGGREGATED_EVENT / "rumours" / "1" / "source-tweets"
         thread.mkdir(parents=True)
         (thread / "1.json").write_text('{"id_str": "1", "text": "hi"}')
-        with pytest.raises(ParseError, match=r"event 'aggregated' takes the reserved name 'aggregated'"):
+        with pytest.raises(ParseError) as err:
             load_pheme_tree(tmp_path)
+        assert str(err.value) == (
+            f"{tmp_path / AGGREGATED_EVENT}: event 'aggregated' takes the reserved name 'aggregated' "
+            "of the pooled pseudo-event"
+        )
 
     @pytest.mark.parametrize(
         "content, want",
@@ -117,10 +120,17 @@ class TestPhemeTree:
             load_pheme_tree(tmp_path)
         assert str(err.value).startswith(f"{thread / '1.json'}: {want}")
 
-    def test_reaction_labels_propagated(self, mini_pheme_dir):
-        for corpus in load_pheme_tree(mini_pheme_dir):
+    @pytest.mark.parametrize("fmt", ["tree", "jsonl"])
+    def test_replies_answer_a_source_of_their_event(self, mini_pheme_dir, mini_pheme_jsonl, fmt):
+        # what either loader returns: sources have no parent, and every
+        # reply answers a source of its own event and carries its label
+        corpora = load_pheme_tree(mini_pheme_dir) if fmt == "tree" else load_jsonl(mini_pheme_jsonl)
+        for corpus in corpora:
+            assert all(t.role is Role.SOURCE and t.parent_id is None for t in corpus.sources)
             labels = {t.id: t.label for t in corpus.sources}
+            assert corpus.reactions
             for r in corpus.reactions:
+                assert r.role is Role.REACTION and r.event == corpus.event
                 assert r.label is labels[r.parent_id]
 
 
@@ -133,10 +143,13 @@ class TestJsonl:
             load_jsonl(path)
         assert str(err.value) == f"{path}: no events"
 
-    def test_memory_is_bounded_by_the_corpus(self, tmp_path):
+    @pytest.mark.parametrize("other_label", [False, True], ids=["same-labels", "relabelled-replies"])
+    def test_memory_is_bounded_by_the_corpus(self, tmp_path, other_label):
         # the file streams through the loader, so the traced peak is the
         # corpus built plus a line, not the file's text on top of it
-        # (reading the file whole put the peak at 6.1x its size)
+        # (reading the file whole put the peak at 6.1x its size); replies
+        # labelled unlike their source are relabelled without a copy of
+        # the event
         path = tmp_path / "big.jsonl"
         words = "police said a man was seen near the station after reports of shots fired".split()
         records, i = [], 0
@@ -145,7 +158,8 @@ class TestJsonl:
             source = jl(str(580000000000 + i), "source", "rumour", event=f"event{i % 5}", text=text)
             records.append(json.dumps(source) + "\n")
             for k in range(4):
-                reply = jl(str(590000000000 + 10 * i + k), "reaction", "rumour", parent_id=source["id"],
+                label = "non-rumour" if other_label and k % 2 else "rumour"
+                reply = jl(str(590000000000 + 10 * i + k), "reaction", label, parent_id=source["id"],
                            event=source["event"], text=text[k:])
                 records.append(json.dumps(reply) + "\n")
             i += 1
@@ -160,6 +174,7 @@ class TestJsonl:
         finally:
             tracemalloc.stop()
         assert sum(map(len, corpora)) == 5 * i
+        assert all(t.label is Label.RUMOUR for c in corpora for t in c.reactions)
         assert peak <= 2.5 * size, f"peak {peak / size:.2f}x the file's {size} bytes"
 
     def test_two_line_thread(self, tmp_path):
@@ -181,17 +196,45 @@ class TestJsonl:
         with pytest.raises(OrphanReaction):
             load_jsonl(path)
 
+    def test_replies_take_their_sources_label(self, tmp_path):
+        path = tmp_path / "relabel.jsonl"
+        write_jsonl(path, [
+            jl("1", "source", "rumour"),
+            jl("2", "source", "non-rumour"),
+            jl("3", "reaction", "non-rumour", parent_id="1"),
+            jl("4", "reaction", "rumour", parent_id="2"),
+            jl("5", "reaction", "rumour", parent_id="1"),
+        ])
+        [corpus] = load_jsonl(path)
+        assert [(t.id, t.label) for t in corpus.reactions] == [
+            ("3", Label.RUMOUR), ("4", Label.NONRUMOUR), ("5", Label.RUMOUR)
+        ]
+
+    # an event is checked once it is whole, so its errors name the file,
+    # the event and the tweet id, but no line
+
     def test_reaction_with_unknown_parent(self, tmp_path):
         path = tmp_path / "orphan.jsonl"
         write_jsonl(path, [jl("1", "source", "rumour"), jl("2", "reaction", "rumour", parent_id="9")])
-        with pytest.raises(OrphanReaction, match="refers to unknown source '9'"):
+        with pytest.raises(OrphanReaction) as err:
             load_jsonl(path)
+        assert str(err.value) == f"{path}: event 'e': reaction '2' refers to unknown source '9'"
+
+    def test_duplicate_id(self, tmp_path):
+        path = tmp_path / "twice.jsonl"
+        write_jsonl(path, [jl("1", "source", "rumour"), jl("1", "reaction", "rumour", parent_id="1")])
+        with pytest.raises(DuplicateId) as err:
+            load_jsonl(path)
+        assert str(err.value) == f"{path}: event 'e': duplicate tweet id '1'"
 
     def test_event_named_like_the_pooled_event_rejected(self, tmp_path):
         path = tmp_path / "pooled.jsonl"
         write_jsonl(path, [jl("1", "source", "rumour"), jl("2", "source", "rumour", event=AGGREGATED_EVENT)])
-        with pytest.raises(ParseError, match=r"event 'aggregated' takes the reserved name 'aggregated'"):
+        with pytest.raises(ParseError) as err:
             load_jsonl(path)
+        assert str(err.value) == (
+            f"{path}: event 'aggregated' takes the reserved name 'aggregated' of the pooled pseudo-event"
+        )
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -277,28 +320,6 @@ class TestPartition:
         part = partition(corpus)
         assert part.r_re == [] and part.nr_re == []
         assert part.counts().r_src == 1
-
-
-class TestPropagation:
-    def corpus(self):
-        return EventCorpus(
-            event="e",
-            sources=[Tweet("1", "x", "e", Role.SOURCE, Label.RUMOUR)],
-            reactions=[Tweet("2", "y", "e", Role.REACTION, Label.NONRUMOUR, parent_id="1")],
-        )
-
-    def test_propagation_fixes_label(self):
-        fixed = propagate_labels(self.corpus())
-        assert fixed.reactions[0].label is Label.RUMOUR
-
-    def test_idempotent(self):
-        once = propagate_labels(self.corpus())
-        twice = propagate_labels(once)
-        assert once == twice
-
-    def test_validate_rejects_mismatched_label(self):
-        with pytest.raises(OrphanReaction):
-            validate_corpus(self.corpus())
 
 
 class TestAggregateAndUsability:

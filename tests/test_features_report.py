@@ -324,7 +324,7 @@ class TestFeaturesCsv:
 
     def test_header_carries_absence_sentinels(self, featurizer, tmp_path):
         path = tmp_path / "features.csv"
-        report.write_features_csv(path, FeatureTable.concat(featurizer.names, []))
+        report.write_features_csv(path, FeatureTable.from_columns(featurizer.names, [], [], [], [], [], []))
         header = path.read_text().splitlines()[0].split(",")
         assert "flesch_score" in header and "flesch_score__absent" in header
 
@@ -344,6 +344,34 @@ class TestFeaturesCsv:
         loaded = report.read_features_csv(path)
         assert len(loaded) == 0 and loaded.X.shape == (0, 2)
         assert same_table(loaded, small_table([]))
+
+    @pytest.mark.parametrize(
+        "column, cell, want",
+        [
+            (2, "Source", "role 'Source' is neither 'source' nor 'reaction'"),
+            (3, "Rumour", "label 'Rumour' is neither 'rumour' nor 'non-rumour'"),
+            (4, "", "empty_text '' is neither 'true' nor 'false'"),
+        ],
+        ids=["role", "label", "empty_text"],
+    )
+    def test_meta_cell_outside_its_words_rejected(self, tmp_path, column, cell, want):
+        # the first record's id holds a line break, so the bad record, the
+        # third, ends on line 5
+        table = FeatureTable.from_columns(
+            ["a", "b"], ["line\nbreak", "t1", "t2"], ["e"] * 3, ["source", "reaction", "reaction"],
+            ["rumour"] * 3, [False] * 3, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
+        )
+        path = tmp_path / "features.csv"
+        report.write_features_csv(path, table)
+        with open(path, newline="", encoding="utf-8") as fh:
+            records = list(csv.reader(fh))
+        records[3][column] = cell
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(records)
+        with pytest.raises(ParseError) as err:
+            report.read_features_csv(path)
+        assert str(err.value) == f"{path}: line 5: {want}"
+        assert err.value.line == 5
 
     def test_round_trip_equals_quantized_table(self, tmp_path):
         # on-disk values keep 10 significant digits: reading a written
@@ -601,11 +629,6 @@ class TestMarkdown:
         assert "(no trainable events)" in text
         assert "(no explanations computed)" in text
         assert "(no comparable cells)" in text
-        report.write_partitions_csv(tmp_path / report.PARTITIONS_CSV, [])
-        report.write_means_csv(tmp_path / report.MEANS_CSV, [])
-        text = report.render_markdown(tmp_path, 0.05, ALL_DONE)
-        assert "## Data distribution\n\n(no events)\n" in text
-        assert "(no means computed)" in text
 
     def test_significance_marks(self, tmp_path):
         ks = [ks_row("wc", "e1", "sources", 0.001, True), ks_row("wc", "e2", "sources", 0.9, False)]
