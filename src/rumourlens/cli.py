@@ -63,12 +63,8 @@ def main(argv=None) -> int:
 
         overrides = {"seed": args.seed, "alpha": args.alpha, "out_dir": args.out}
         cfg = build_config(parse_config_file(args.config), overrides=overrides)
-        result = getattr(pipeline, f"stage_{args.command}")(cfg)
-        if isinstance(result, list):
-            for path in result:
-                print(f"wrote {path}")
-        else:
-            print(f"wrote {result}")
+        for path in getattr(pipeline, f"stage_{args.command}")(cfg):
+            print(f"wrote {path}")
         return 0
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)

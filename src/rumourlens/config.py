@@ -61,19 +61,25 @@ class RunConfig:
         return Path(self.out_dir) / self.resolved_run_id()
 
 
-def _coerce(name: str, kind, raw: str):
+# each key's type, that of its default
+_KINDS = {f.name: type(f.default) for f in fields(RunConfig)}
+
+
+def _coerce(name: str, raw: str, **where):
+    """`raw` as key `name`'s type; a ConfigError names `where` it came
+    from (`line`, `path`) otherwise."""
+    kind = _KINDS[name]
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        return raw
+        return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"{name}: cannot parse {raw!r} as {kind.__name__}") from exc
+        raise ConfigError(f"{name}: cannot parse {raw!r} as {kind.__name__}", **where) from exc
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """`key = value` per line; blank lines and '#' comments ignored."""
+    """`key = value` per line; blank lines and '#' comments ignored. The
+    values stay strings, each checked against its key's type; an unknown
+    key, a value of the wrong type and a key set twice are refused,
+    naming the file and the line."""
     try:
         with open_utf8(path) as fh:
             lines = fh.readlines()
@@ -82,14 +88,20 @@ def parse_config_file(path) -> dict[str, str]:
         error.line = exc.line
         raise error from exc
     values: dict[str, str] = {}
+    set_on: dict[str, int] = {}  # key -> the line that set it
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"expected 'key = value', got {line!r}", line=lineno, path=path)
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in _KINDS:
+            raise ConfigError(f"unknown config key {key!r}", line=lineno, path=path)
+        if key in set_on:
+            raise ConfigError(f"key {key!r} set again, first on line {set_on[key]}", line=lineno, path=path)
+        _coerce(key, value, line=lineno, path=path)
+        values[key], set_on[key] = value, lineno
     return values
 
 
@@ -99,23 +111,16 @@ def build_config(
     overrides: dict | None = None,
 ) -> RunConfig:
     env = os.environ if env is None else env
-    field_types = {f.name: f.type for f in fields(RunConfig)}
-    known = set(field_types)
-
-    merged: dict = {}
+    merged: dict = {}  # key -> (raw value, where it came from)
     for key, raw in (file_values or {}).items():
-        if key not in known:
+        if key not in _KINDS:
             raise ConfigError(f"unknown config key {key!r}")
-        merged[key] = raw
-    for key in known:
+        merged[key] = raw, {}
+    for key in _KINDS:
         env_key = ENV_PREFIX + key.upper()
         if env_key in env:
-            merged[key] = env[env_key]
-
-    cfg = RunConfig()
-    for key, raw in merged.items():
-        kind = type(getattr(cfg, key))
-        setattr(cfg, key, _coerce(key, kind, raw))
+            merged[key] = env[env_key], {"path": env_key}  # the message starts with the variable
+    cfg = RunConfig(**{key: _coerce(key, raw, **where) for key, (raw, where) in merged.items()})
     for key, value in (overrides or {}).items():
         if value is not None:
             setattr(cfg, key, value)

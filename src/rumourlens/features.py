@@ -220,7 +220,7 @@ class Featurizer:
             row += _ABSENT_READABILITY  # nothing to score
 
         concepts = senticnet.sentic_features([w for w in lemmas if w is not None], self.sentic_table)
-        row += concepts.values() if concepts.matched_concept_count else _ABSENT_CONCEPTS
+        row += concepts or _ABSENT_CONCEPTS
         if self._fallback is not None:
             row += self._fallback.from_hits(emotions).scores.values()  # in LABELS order
         return row

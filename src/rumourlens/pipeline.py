@@ -129,6 +129,12 @@ def _stage(cfg: RunConfig, stage: str):
     report.write_json(out / MANIFEST, manifest)
 
 
+def _written(cfg: RunConfig, stage: str) -> list[Path]:
+    """The run files there that `stage` declares, sorted: what it wrote."""
+    out = cfg.run_dir()
+    return sorted(path for pattern in STAGES[stage].writes for path in out.glob(pattern))
+
+
 def load_corpora(cfg: RunConfig):
     if cfg.dataset_format == "pheme":
         return load_pheme_tree(cfg.dataset)
@@ -183,22 +189,22 @@ def forest_config(cfg: RunConfig) -> ForestConfig:
 # stages
 
 
-def stage_ingest(cfg: RunConfig) -> Path:
+def stage_ingest(cfg: RunConfig) -> list[Path]:
     with _stage(cfg, "ingest") as out:
         report.write_json(out / RUN_CONFIG_JSON, asdict(cfg))
         corpora = load_corpora(cfg)
         counts = [partition(c).counts() for c in corpora]
         report.write_partitions_csv(out / report.PARTITIONS_CSV, counts)
-    return out / report.PARTITIONS_CSV
+    return _written(cfg, "ingest")
 
 
-def stage_featurize(cfg: RunConfig) -> Path:
+def stage_featurize(cfg: RunConfig) -> list[Path]:
     with _stage(cfg, "featurize") as out:
         corpora = load_corpora(cfg)
         featurizer = make_featurizer(cfg)
         table = FeatureTable.concat(featurizer.names, [featurizer.featurize_corpus(c) for c in corpora])
         report.write_features_csv(out / report.FEATURES_CSV, table)
-    return out / report.FEATURES_CSV
+    return _written(cfg, "featurize")
 
 
 def _stage_inputs(out: Path, stage: str) -> tuple[FeatureTable, list[str]]:
@@ -244,7 +250,7 @@ def stage_compare(cfg: RunConfig) -> list[Path]:
 
         # emotion scores feed the emotion table, not the KS grids
         ks_columns = {f: col for f, col in columns.items() if f not in EMOTION_FEATURES}
-        written, aggregated = [], []
+        aggregated = []
         for pair, in_role, name in (
             ("sources", source, report.KS_SOURCES_CSV),
             ("reactions", ~source, report.KS_REACTIONS_CSV),
@@ -252,19 +258,16 @@ def stage_compare(cfg: RunConfig) -> list[Path]:
             per_event = {event: in_role & (table.event == event) for event in usable}
             rows = stats.significance_matrix(ks_columns, per_event, rumour, cfg.alpha, pair)
             report.write_ks_csv(out / name, rows)
-            written.append(out / name)
             pooled = {AGGREGATED_EVENT: in_role}
             aggregated += stats.significance_matrix(ks_columns, pooled, rumour, cfg.alpha, pair)
         report.write_ks_csv(out / report.KS_AGGREGATED_CSV, aggregated)
         report.write_means_csv(out / report.MEANS_CSV, stats.mean_report(columns, populations))
-        written += [out / report.KS_AGGREGATED_CSV, out / report.MEANS_CSV]
 
         if any(f in columns for f in EMOTION_FEATURES):
             scores = np.column_stack([columns[lab] for lab in EMOTION_FEATURES])
             shares = emotions.emotion_table(scores, populations)
             report.write_emotions_csv(out / report.EMOTIONS_CSV, shares)
-            written.append(out / report.EMOTIONS_CSV)
-    return written
+    return _written(cfg, "compare")
 
 
 def _model_split(cfg: RunConfig, table: FeatureTable, event: str, scope: str):
@@ -296,7 +299,7 @@ def _relay_warnings(caught, label: str) -> None:
         warnings.warn(f"{label}: {w.message}", w.category, stacklevel=3)
 
 
-def stage_train(cfg: RunConfig) -> Path:
+def stage_train(cfg: RunConfig) -> list[Path]:
     with _stage(cfg, "train") as out:
         table, usable = _stage_inputs(out, "train")
         config = forest_config(cfg)
@@ -323,7 +326,7 @@ def stage_train(cfg: RunConfig) -> Path:
                 cv = [len(fold_metrics), float(np.mean(model.fold_scores)), float(np.std(model.fold_scores))]
                 metrics_rows.append([event, scope, len(train), len(test), *cv, *astuple(final)])
         report.write_metrics_csv(out / report.METRICS_CSV, metrics_rows)
-    return out / report.METRICS_CSV
+    return _written(cfg, "train")
 
 
 def _check_model_features(model, names, model_path: Path, event: str, scope: str) -> None:
@@ -342,7 +345,6 @@ def stage_explain(cfg: RunConfig) -> list[Path]:
     with _stage(cfg, "explain") as out:
         table, usable = _stage_inputs(out, "explain")
         rankings: dict = {}
-        written = []
         for event in usable:
             blocks = []
             for scope in _scopes(cfg):
@@ -377,26 +379,24 @@ def stage_explain(cfg: RunConfig) -> list[Path]:
                         f"has base + sum(phi) - output = {gaps[worst]:.3g}, "
                         f"beyond {ADDITIVITY_TOLERANCE:g}"
                     )
-                rankings.setdefault(event, {})[scope] = report.ranking_entries(summary.ranking)
+                rankings.setdefault(event, {})[scope] = report.ranking_entries(
+                    zip(model.feature_names, summary.mean_abs)
+                )
                 above_median = summary.values > np.median(summary.values, axis=0)
                 blocks.append((scope, ids, summary.values, summary.phi, above_median))
             if blocks:
-                path = out / f"shap_{event}.csv"
-                report.write_shap_points_csv(path, table.names, blocks)
-                written.append(path)
+                report.write_shap_points_csv(out / f"shap_{event}.csv", table.names, blocks)
         report.write_json(out / report.SHAP_RANKINGS_JSON, rankings)
-        written.append(out / report.SHAP_RANKINGS_JSON)
-    return written
+    return _written(cfg, "explain")
 
 
-def stage_report(cfg: RunConfig) -> Path:
+def stage_report(cfg: RunConfig) -> list[Path]:
     with _stage(cfg, "report") as out:
         done = _read_manifest(out)["stages"]
         report.write_text(out / report.REPORT_MD, report.render_markdown(out, cfg.alpha, done))
-    return out / report.REPORT_MD
+    return _written(cfg, "report")
 
 
-def stage_all(cfg: RunConfig) -> Path:
-    for stage in STAGES:
-        written = globals()[f"stage_{stage}"](cfg)
-    return written
+def stage_all(cfg: RunConfig) -> list[Path]:
+    """Every stage in run order; every file each wrote, in stage order."""
+    return [path for stage in STAGES for path in globals()[f"stage_{stage}"](cfg)]

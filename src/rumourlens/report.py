@@ -341,7 +341,7 @@ def _section(title: str, body: list[str]) -> list[str]:
     return [f"## {title}", "", *body, ""]
 
 
-def _ks_grid(ks_rows: list[dict], pair: str) -> list[str]:
+def _ks_grid(ks_rows: list[dict], pair: str, alpha: float) -> list[str]:
     rows = [r for r in ks_rows if r["population_pair"] == pair]
     features = sorted({r["feature"] for r in rows})
     events = sorted({r["event"] for r in rows}, key=lambda event: (event == AGGREGATED_EVENT, event))
@@ -354,8 +354,8 @@ def _ks_grid(ks_rows: list[dict], pair: str) -> list[str]:
             if cell is None:
                 line.append("—")
             else:
-                mark = "✓" if cell["significant"] == "true" else "✗"
-                line.append(f"{float(cell['p_value']):.3g} {mark}")
+                p = float(cell["p_value"])
+                line.append(f"{p:.3g} {'✓' if p < alpha else '✗'}")
         body.append(line)
     return _md_table(["feature"] + events, body) if body else ["(no comparable cells)"]
 
@@ -431,7 +431,7 @@ def render_markdown(out: Path, alpha: float, done: dict) -> str:
     for name in (KS_SOURCES_CSV, KS_REACTIONS_CSV, KS_AGGREGATED_CSV):
         ks_rows += read_csv_rows(out / name)
     for pair, title in (("sources", "source tweets"), ("reactions", "reaction tweets")):
-        lines += _section(f"Significance of features: rumour vs non-rumour {title}", _ks_grid(ks_rows, pair))
+        lines += _section(f"Significance of features: rumour vs non-rumour {title}", _ks_grid(ks_rows, pair, alpha))
     lines += _section("Population means", _means(out))
     lines += _section("Emotion distribution (% of tweets by argmax label)", _emotions(out))
     lines += _section("Classification (held-out test metrics)", _metrics(out, done))

@@ -5,7 +5,7 @@ The table maps a concept (lowercase words joined by '_') to five values in
 Multi-word concepts are matched greedily left to right, longest phrase
 first (up to 4-grams); matched words are consumed, unmatched words are
 skipped. Per-tweet features are the unweighted means over the matched
-concepts' values.
+concepts' values (`sentic_features`), or None where no concept matched.
 """
 
 from __future__ import annotations
@@ -110,31 +110,17 @@ def match_concepts(lemmas: list[str], table: SenticTable) -> list[str]:
     return matched
 
 
-@dataclass(frozen=True)
-class SenticFeatures:
-    pleasantness: float | None
-    attention: float | None
-    sensitivity: float | None
-    aptitude: float | None
-    polarity: float | None
-    matched_concept_count: int
-
-    def values(self) -> tuple[float | None, ...]:
-        """The means in DIMENSIONS order."""
-        return (self.pleasantness, self.attention, self.sensitivity, self.aptitude, self.polarity)
-
-
-def sentic_features(lemmas: list[str], table: SenticTable) -> SenticFeatures:
-    """Per-dimension mean over all matched concepts; absent with no match."""
+def sentic_features(lemmas: list[str], table: SenticTable) -> tuple[float, ...] | None:
+    """The mean of each dimension over all matched concepts, in
+    DIMENSIONS order; None when no concept matched."""
     concepts = match_concepts(lemmas, table)
     if not concepts:
-        return SenticFeatures(None, None, None, None, None, 0)
+        return None
     sums = [0.0] * 5
     for c in concepts:
         for k, v in enumerate(table.entries[c]):
             sums[k] += v
-    means = [s / len(concepts) for s in sums]
-    return SenticFeatures(*means, matched_concept_count=len(concepts))
+    return tuple(s / len(concepts) for s in sums)
 
 
 def fetch_concepts(

@@ -63,10 +63,10 @@ parent adds its children in level order) and the adds into phi
 order set by that row alone, and the sum is divided by the background
 size times the trees: each phi is the same float, bit for bit, whatever
 the other rows and the chunk sizes. It differs from adding the formula
-above leaf by leaf only in the last bits. The ranking's mean |phi| is
-a plain column sum: ``shap_rankings.json`` keeps 10 significant digits
-of it, and ``shap_<event>.csv`` writes |phi| below
-``report.PHI_FLOOR`` as 0.
+above leaf by leaf only in the last bits. ``shap_summary``'s mean |phi|
+is a plain column sum, in column order and unsorted:
+``shap_rankings.json`` keeps 10 significant digits of it, and
+``shap_<event>.csv`` writes |phi| below ``report.PHI_FLOOR`` as 0.
 
 Instances and background sets are raw feature rows in the model's column
 order, NaN marking an absent value (the `<name>__absent` flag in
@@ -264,7 +264,7 @@ def _require_finite(X: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class ShapSummary:
-    ranking: list[tuple[str, float]]  # (feature, mean |phi|), descending
+    mean_abs: np.ndarray  # each feature's mean |phi|, in the model's column order
     values: np.ndarray  # imputed rows explained (rows x model features)
     phi: np.ndarray  # their attributions, same shape
     base_value: float
@@ -277,7 +277,8 @@ def shap_summary(
     background_limit: int = DEFAULT_BACKGROUND_LIMIT,
     seed: int = 0,
 ) -> ShapSummary:
-    """Explain every row of `X`; rank features by mean |phi|.
+    """Explain every row of `X`, and average each feature's |phi| over
+    them. Nothing is sorted here: `report.ranking_entries` ranks.
 
     The background is subsampled (seeded) beyond `background_limit` rows
     for tractability.
@@ -293,12 +294,8 @@ def shap_summary(
 
     X = model.impute(X)
     phi = explainer.explain_rows(X)
-    mean_abs = np.abs(phi).sum(axis=0) / len(X)
-    ranking = sorted(
-        zip(model.feature_names, mean_abs), key=lambda item: (-item[1], item[0])
-    )
     return ShapSummary(
-        ranking=[(name, float(v)) for name, v in ranking],
+        mean_abs=np.abs(phi).sum(axis=0) / len(X),
         values=X,
         phi=phi,
         base_value=explainer.base_value,

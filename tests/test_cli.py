@@ -43,6 +43,28 @@ class TestConfig:
         assert str(err.value) == f"{path}: line 2: expected 'key = value', got 'seed 7'"
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("dataset = x\nthread = 1\n", 2, "unknown config key 'thread'"),
+            ("# trees\nn_trees = ten\n", 2, "n_trees: cannot parse 'ten' as int"),
+            ("seed = 1\ndataset = x\nseed = 2\n", 3, "key 'seed' set again, first on line 1"),
+        ],
+        ids=["unknown-key", "bad-value", "key-twice"],
+    )
+    def test_file_errors_name_the_line(self, tmp_path, text, line, message):
+        path = tmp_path / "c.conf"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            parse_config_file(path)
+        assert str(err.value) == f"{path}: line {line}: {message}"
+        assert err.value.line == line
+
+    def test_env_error_names_the_variable(self):
+        with pytest.raises(ConfigError) as err:
+            build_config({"dataset": "x"}, env={"RUMOURLENS_SEED": "x"})
+        assert str(err.value) == "RUMOURLENS_SEED: seed: cannot parse 'x' as int"
+
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
             build_config({"dataset": "x", "no_such_key": "1"}, env={})
@@ -372,6 +394,18 @@ class TestCliCommands:
         assert cli.main(["report", "--config", str(conf)]) == 1
         want = f"error: ParseError: {path}: not an object holding a 'stages' object\n"
         assert capsys.readouterr().err == want
+
+    def test_each_command_prints_every_file_its_stage_wrote(self, tmp_path, mini_pheme_dir, capsys):
+        conf = write_config(tmp_path, mini_pheme_dir, n_trees=2, k_folds=3, emotion_provider="none")
+        run = tmp_path / "out" / "t"
+        printed = {}
+        for command in ("ingest", "featurize", "train"):
+            assert cli.main([command, "--config", str(conf)]) == 0
+            printed[command] = capsys.readouterr().out.splitlines()
+        assert printed["ingest"] == [f"wrote {run / 'partitions.csv'}", f"wrote {run / 'run_config.json'}"]
+        models = [f"model_{event}_{scope}.json" for event in ("ferrydelay", "parkfire", "statuegift")
+                  for scope in ("reactions", "sources")]
+        assert printed["train"] == [f"wrote {run / name}" for name in ["metrics.csv", *models]]
 
     def test_run_config_persisted(self, tmp_path, mini_pheme_dir):
         conf = write_config(tmp_path, mini_pheme_dir)

@@ -125,8 +125,7 @@ def oracle_text_features(featurizer, text):
         if w in featurizer.stopwords:
             continue
         lemmas.append(featurizer.lemmatizer.lemmatize(w))
-    f = sentic_features(lemmas, featurizer.sentic_table)
-    values.update(zip(DIMENSIONS, (f.pleasantness, f.attention, f.sensitivity, f.aptitude, f.polarity)))
+    values.update(zip(DIMENSIONS, sentic_features(lemmas, featurizer.sentic_table) or ()))
     return values
 
 
@@ -640,6 +639,21 @@ class TestMarkdown:
         # the pooled column comes last, whatever the event names
         assert "| feature | e1 | e2 | aggregated |" in text
         assert "| wc | 0.001 ✓ | 0.9 ✗ | 0.04 ✓ |" in text
+
+    def test_marks_follow_the_printed_alpha(self, tmp_path):
+        # compare flagged the cells at its own alpha; the report marks them
+        # at the alpha it prints
+        ks = [
+            ks_row("wc", "e1", "sources", 0.00005, True),
+            ks_row("wc", "e2", "sources", 0.001, True),
+            ks_row("wc", "e3", "sources", 0.08, False),
+        ]
+        write_run(tmp_path, ks=ks)
+        text = report.render_markdown(tmp_path, 0.0001, COMPARED)
+        assert "Significance threshold: p < 0.0001 " in text
+        assert "| wc | 5e-05 ✓ | 0.001 ✗ | 0.08 ✗ |" in text
+        text = report.render_markdown(tmp_path, 0.1, COMPARED)
+        assert "| wc | 5e-05 ✓ | 0.001 ✓ | 0.08 ✓ |" in text
 
     def test_render_is_deterministic(self, tmp_path):
         metrics = [["e1", "sources", 8, 2, 4, 0.75, 0.25, 0.5, 0.25, 0.5, 1 / 3]]

@@ -97,7 +97,7 @@ class TestAdditivityCheck:
     def test_fixture_run_passes(self, trained):
         written = pipeline.stage_explain(trained)
         assert [p.name for p in written] == [
-            "shap_ferrydelay.csv", "shap_parkfire.csv", "shap_statuegift.csv", "shap_rankings.json",
+            "shap_ferrydelay.csv", "shap_parkfire.csv", "shap_rankings.json", "shap_statuegift.csv",
         ]
 
     def test_perturbed_phi_raises(self, trained, monkeypatch):
@@ -139,6 +139,23 @@ def test_every_run_file_is_written_through_the_opener(tmp_path, monkeypatch):
     files = sorted(p.name for p in cfg.run_dir().iterdir())
     assert files == sorted(set(opened))
     assert {"run_config.json", "manifest.json", "model_parkfire_sources.json", "report.md"} <= set(files)
+
+
+def test_stage_all_returns_every_declared_file_in_stage_order(tmp_path):
+    cfg = fixture_config(tmp_path, n_trees=2, k_folds=3, run_id="all")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # fewer folds, unsplittable nodes
+        written = pipeline.stage_all(cfg)
+    events = ("ferrydelay", "parkfire", "statuegift")
+    assert [p.name for p in written] == [
+        "partitions.csv", "run_config.json",
+        "features.csv",
+        "emotions.csv", "ks_aggregated.csv", "ks_reactions.csv", "ks_sources.csv", "means.csv",
+        "metrics.csv", *(f"model_{event}_{scope}.json" for event in events for scope in ("reactions", "sources")),
+        "shap_ferrydelay.csv", "shap_parkfire.csv", "shap_rankings.json", "shap_statuegift.csv",
+        "report.md",
+    ]
+    assert {p.name for p in cfg.run_dir().iterdir()} == {p.name for p in written} | {pipeline.MANIFEST}
 
 
 def test_threads_setting_does_not_change_models(tmp_path):

@@ -179,27 +179,52 @@ class TestMatching:
 class TestFeatures:
     def test_single_match_identity(self):
         table = make_table({"good": [0.4, 0.1, -0.1, 0.2, 0.3]})
-        f = sentic_features(["good"], table)
-        assert f.pleasantness == pytest.approx(0.4)
-        assert f.matched_concept_count == 1
+        assert sentic_features(["good"], table) == (0.4, 0.1, -0.1, 0.2, 0.3)
 
     def test_mean_of_two(self):
         table = make_table({"a": [0, 0.2, 0, 0, 0], "b": [0, -0.4, 0, 0, 0]})
-        f = sentic_features(["a", "b"], table)
-        assert f.attention == pytest.approx(-0.1)
+        assert sentic_features(["a", "b"], table) == pytest.approx((0, -0.1, 0, 0, 0))
 
     def test_zero_matches_absent(self):
         table = make_table({"good": [0.4, 0, 0, 0, 0]})
-        f = sentic_features(["unknown"], table)
-        assert f.matched_concept_count == 0
-        assert f.pleasantness is None
+        assert sentic_features(["unknown"], table) is None
+        assert sentic_features([], table) is None
+
+    # lemma lists drawn once from the demo table's words with a seeded rng,
+    # with the means they gave when drawn: the sums' order must not change
+    @pytest.mark.parametrize(
+        "lemmas, means",
+        [
+            (
+                ["fear", "celebrate", "special", "occasion", "panic"],
+                (-0.31096666666666667, -0.0010000000000000102, -0.15966666666666665, 0.247, -0.03343333333333334),
+            ),
+            (
+                ["sky", "website", "tears", "tears", "agreement"],
+                (-0.320275, 0.20675000000000002, -0.054400000000000004, -0.116225, -0.41877499999999995),
+            ),
+            (
+                ["week", "toxic", "fire"],
+                (-0.29183333333333333, -0.39143333333333336, 0.4875, -0.041266666666666674, -0.3588),
+            ),
+            (
+                ["witness", "plane", "follow", "sunshine", "watch", "count", "month", "good"],
+                (0.046987499999999995, -0.10044999999999998, 0.2064, 0.21103750000000002, 0.197575),
+            ),
+            (
+                ["bring", "party", "office", "goal", "honor", "glass", "create"],
+                (0.18002857142857143, 0.050542857142857146, -0.17594285714285718, 0.0505, 0.20318571428571428),
+            ),
+            (["the", "agreement", "bright"], None),
+        ],
+    )
+    def test_means_bit_for_bit(self, demo_sentic_table, lemmas, means):
+        assert sentic_features(lemmas, demo_sentic_table) == means
 
     def test_output_bounds(self, demo_sentic_table):
         words = sorted({w for c in demo_sentic_table.entries for w in c.split("_")})
         rng = random.Random(11)
         for _ in range(200):
             lemmas = [rng.choice(words) for _ in range(rng.randrange(1, 10))]
-            f = sentic_features(lemmas, demo_sentic_table)
-            for v in f.values():
-                if v is not None:
-                    assert -1.0 <= v <= 1.0
+            for v in sentic_features(lemmas, demo_sentic_table) or ():
+                assert -1.0 <= v <= 1.0

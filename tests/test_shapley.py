@@ -18,7 +18,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from rumourlens import shapley
+from rumourlens import report, shapley
 from rumourlens.classify import ForestConfig, RandomForestModel, Tree, fit_forest, model_from_json, model_to_json
 from rumourlens.errors import EmptySample, FeatureMismatch, NonFiniteValue
 from rumourlens.shapley import TreeShapExplainer, _weight_table, shap_summary
@@ -207,22 +207,20 @@ class TestSummary:
         return model, X
 
     def test_single_instance_ranking_is_abs_phi(self):
-        model, X = self.build()
+        model, X = self.build(seed=3)
         summary = shap_summary(model, X[:1], background=X[:10])
         phi, _base, _output = explain(model, X[0], X[:10])
-        expect = sorted(
-            ((n, abs(v)) for n, v in zip(model.feature_names, phi.tolist())),
-            key=lambda item: (-item[1], item[0]),
-        )
-        assert [n for n, _ in summary.ranking] == [n for n, _ in expect]
-        for (n1, v1), (n2, v2) in zip(summary.ranking, expect):
-            assert v1 == pytest.approx(v2, abs=1e-12)
+        ranked = report.ranking_entries(zip(model.feature_names, summary.mean_abs))
+        expect = report.ranking_entries(zip(model.feature_names, np.abs(phi)))
+        assert [e["feature"] for e in ranked] == [e["feature"] for e in expect] == ["b", "c", "a"]
+        for got, want in zip(ranked, expect):
+            assert got["mean_abs_phi"] == pytest.approx(want["mean_abs_phi"], abs=1e-12)
 
     def test_ranking_is_the_mean_abs_phi(self):
         model, X = self.build()
         summary = shap_summary(model, X[:9], background=X)
         mean_abs = np.abs(summary.phi).sum(axis=0) / 9
-        assert dict(summary.ranking) == dict(zip(model.feature_names, mean_abs.tolist()))
+        assert summary.mean_abs.tolist() == mean_abs.tolist()
 
     def test_every_instance_appears_once_per_feature(self):
         model, X = self.build()
@@ -245,7 +243,7 @@ class TestSummary:
         model, X = self.build()
         a = shap_summary(model, X[:3], background=X, background_limit=5, seed=11)
         b = shap_summary(model, X[:3], background=X, background_limit=5, seed=11)
-        assert a.ranking == b.ranking
+        assert a.mean_abs.tolist() == b.mean_abs.tolist()
         assert a.phi.tolist() == b.phi.tolist()
 
 
