@@ -5,13 +5,15 @@ fold's and each final one, comes from one function, `fit_balanced`: it
 takes the imputation medians from the training rows alone, oversamples
 the minority class among them, and fits, so no test row reaches a fit.
 
-Determinism: everything derives from one integer seed. Each tree draws
-its bootstrap sample and per-node feature subsets from its own RNG
-stream derived from (seed, tree index), so no tree depends on the order
-in which the trees are built. Missing feature values (NaN in the
-feature matrix; the `<name>__absent` flag in features.csv) are imputed
-with the training-set median per feature, computed on training data
-only. The protocol steps take the feature matrix `X` and the class
+Determinism: everything derives from one integer seed. Tree t draws its
+bootstrap and per-node feature subsets from its own stream,
+`default_rng(SeedSequence(entropy=seed, spawn_key=(t,)))`, so no tree
+depends on the order the trees are built in; they are read from raw PCG64
+words in batches, bit for bit what `Generator.integers` and `choice` give
+within Floyd's domain (ValueError outside). Missing feature values (NaN
+in the feature matrix; the `<name>__absent` flag in features.csv) are
+imputed with the training-set median per feature, computed on training
+data only. The protocol steps take the feature matrix `X` and the class
 vector `y`, and select rows by index arrays.
 
 At each node a random subset of ceil(sqrt(d)) features is considered; if
@@ -23,7 +25,7 @@ Trees grow in lockstep. Each tree keeps a depth-first stack of the nodes
 it has yet to create. At each step every tree that still has work pops
 nodes from its own stack, closing as leaves those that stop (too few
 rows, the depth limit, one class), up to its next node to split, and
-draws that node's feature subset from its own RNG. So each tree makes
+takes that node's feature subset, its stream's next. So each tree makes
 its draws, and numbers its nodes, in the pre-order of a recursive build:
 the models do not depend on how many trees share a step. One search
 then scores the candidate cuts of all the popped nodes; the nodes
@@ -32,7 +34,7 @@ remaining features. One stable two-way pass then splits the
 rows of every node that found a cut: each node's rows are one segment of
 a concatenated array, running counts of the rows that go left give each
 row its place (O(rows), no sort), and every child gets its rows in parent
-order and its class-1 count. What stays per node is the RNG draw, a
+order and its class-1 count. What stays per node is taking its subset, a
 cached parent impurity and pushing the two children on the tree's stack;
 the trees of a forest are cut out of one node array at the end.
 
@@ -438,24 +440,132 @@ def _search_nodes(codes, rows, n, feature_ids, parent_impurity):
     return feature, threshold
 
 
+_M32, _PCG_MULT = 0xFFFFFFFF, 0x2360ED051FC65DA44385DF649FCCF645
+# feature subsets each tree draws with its bootstrap; a tree that splits
+# more nodes then draws twice its last batch at a time, up to MAX_SUBSETS,
+# as every growing tree holds its batch (uncapped, a 100-tree fit of 13k
+# rows peaked 7% higher under tracemalloc)
+FIRST_SUBSETS = 8
+MAX_SUBSETS = 256
+# 32-bit words of the first batch drawn at once: the trees are taken in
+# groups of at most this many (one tree with a larger bootstrap alone), as
+# whole-forest temporaries raised the peak RSS of a 100-tree fit of 13k rows
+# by 5% (x86-64, numpy 2.4)
+DRAW_BLOCK_WORDS = 1 << 16
+
+
+def _pcg64_seeds(seed: int, n_trees: int) -> list[dict]:
+    """`PCG64(SeedSequence(entropy=seed, spawn_key=(t,))).state["state"]`
+    for every tree t, the spawn word hashed over a vector of every t."""
+    # SeedSequence hashes entropy shorter than its 4-word pool as zero
+    # words, with a spawn key or without, so up to the spawn word, hashed
+    # last, the pool is SeedSequence(seed)'s; by then the hash constant
+    # has moved on 4 times per entropy word, and at least 16 times
+    const = 0x43B0D7E5 * pow(0x931E8875, 4 * max(4, -(-seed.bit_length() // 32)), 2**32) % 2**32
+
+    def hashmix(v, mult=0x931E8875):
+        nonlocal const
+        v = (v ^ const) * (const := const * mult & _M32) & _M32
+        return v ^ v >> 16
+
+    t = np.arange(n_trees, dtype=np.uint64)
+    pool = [(0xCA01F9DD * p - 0x4973F715 * hashmix(t)) & _M32 for p in np.random.SeedSequence(seed).pool.tolist()]
+    # generate_state(4, np.uint64), then PCG64's set-seq seeding
+    const = 0x8B51F9DD
+    half = np.array([hashmix(pool[i % 4] ^ pool[i % 4] >> 16, 0x58F38DED) for i in range(8)])
+    s = (half[0::2] | half[1::2] << 32).tolist()
+    incs = [((c << 64 | d) << 1 | 1) % 2**128 for c, d in zip(s[2], s[3])]
+    return [{"state": (((a << 64 | b) + i) * _PCG_MULT + i) % 2**128, "inc": i} for a, b, i in zip(s[0], s[1], incs)]
+
+
+def _lemire(u: np.ndarray, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """(values, words used, -1 where a row ran out) of draws in [0, b] per
+    bound b from each row of 32-bit words `u`, as `Generator` draws them."""
+    # word w gives (w * (b + 1)) >> 32, unless the low 32 bits of that lie
+    # below (2**32 - b - 1) % (b + 1): then the next word is tried. A bound
+    # of 0 gives 0 and reads no word
+    bounds = np.asarray(bounds, np.uint64)
+    live = np.flatnonzero(bounds)
+    values = np.zeros((len(u), len(bounds)), np.int64)
+    if u.shape[1] < len(live):
+        return values, np.full(len(u), -1)
+    excl = bounds[live] + 1
+    prod = u[:, : len(live)] * excl
+    values[:, live] = prod >> 32
+    used = np.full(len(u), len(live))
+    reject = (prod & _M32) < (2**32 - excl) % excl
+    for r in np.flatnonzero(reject.any(axis=1)).tolist():
+        i = int(reject[r].argmax())
+        (values[r, live[i:]],), (rest,) = _lemire(u[r : r + 1, i + 1 :], excl[i:] - 1)
+        used[r] = i + 1 + rest if rest >= 0 else -1
+    return values, used
+
+
+def _tree_draws(seed: int, n_trees: int, n: int, d: int, m: int):
+    """Each tree's bootstrap (n_trees x n) and an iterator over its sorted
+    feature subsets, bit for bit `integers(0, n, size=n)`, then one
+    `choice(d, m, replace=False)` per split node, of
+    `default_rng(SeedSequence(entropy=seed, spawn_key=(t,)))`."""
+    # Lemire draws on the 32-bit halves of PCG64's raw words, low half
+    # first; a choice is Floyd's m draws, then the shuffle's m - 1, whose
+    # values go unused as every subset is sorted. Where `choice` would not
+    # take Floyd's path, or a bound needs more than 32 bits, ValueError
+    if max(n, d) > 2**32 or (d > 10_000 and m > d // 50):
+        raise ValueError(f"draws of {n} rows and {m} of {d} features leave Floyd's 32-bit path")
+    bitgen, seeds = np.random.PCG64(), _pcg64_seeds(seed, n_trees)
+    per_subset = [*range(d - m, d), *range(m - 1, 0, -1)]
+
+    def take(trees, pos, bounds, slack=8):
+        # (values, halves used) of the draws from halves pos on of each tree
+        words = []
+        for t in trees:
+            bitgen.state = {"bit_generator": "PCG64", "state": seeds[t], "has_uint32": 0, "uinteger": 0}
+            bitgen.advance(pos // 2)
+            words.append(bitgen.random_raw((pos % 2 + len(bounds) + slack + 1) // 2))
+        w = np.array(words)
+        values, used = _lemire(np.stack([w & _M32, w >> 32], axis=-1).reshape(len(w), -1)[:, pos % 2 :], bounds)
+        for r in np.flatnonzero(used < 0).tolist():  # more rejections than slack
+            (values[r],), (used[r],) = take([trees[r]], pos, bounds, 2 * slack + len(bounds))
+        return values, used
+
+    def floyd(v):  # the sorted subsets of Floyd's draws v[:, i] in [0, d - m + i]
+        for i in range(1, m):
+            v[:, i] = np.where((v[:, :i] == v[:, i, None]).any(axis=1), d - m + i, v[:, i])
+        return np.sort(v, axis=1)
+
+    def subsets(t, batch, pos):
+        while True:
+            yield from batch
+            k = min(2 * len(batch), MAX_SUBSETS)
+            (values,), (used,) = take([t], pos, per_subset * k)
+            batch, pos = floyd(values.reshape(k, len(per_subset))[:, :m]), pos + int(used)
+
+    bounds = [n - 1] * n + per_subset * FIRST_SUBSETS
+    step = max(1, DRAW_BLOCK_WORDS // len(bounds))
+    parts = [take(range(n_trees)[lo : lo + step], 0, bounds) for lo in range(0, n_trees, step)]
+    values, used = (np.concatenate(part) for part in zip(*parts))
+    first = floyd(values[:, n:].reshape(n_trees * FIRST_SUBSETS, len(per_subset))[:, :m])
+    return values[:, :n], list(map(subsets, range(n_trees), first.reshape(n_trees, FIRST_SUBSETS, m), used.tolist()))
+
+
 class _TreeGrowth:
-    """One tree of a forest grown in lockstep: its RNG stream, its nodes
-    in pre-order and a depth-first stack of the nodes still to create,
+    """One tree of a forest grown in lockstep: its feature subsets, its
+    nodes in pre-order and a depth-first stack of the nodes still to create,
     each as (rows, class-1 count, depth, parent, parent's child slot)."""
 
-    def __init__(self, rng, rows: np.ndarray, ones: int):
-        self.rng = rng
+    def __init__(self, subsets, rows: np.ndarray, ones: int):
+        self.subsets = subsets
         # six fields per node: feature, threshold, left, right, class counts
         self.nodes: list = []
         self.stack = [(rows, ones, 0, -1, 0)]
         self.warned_degenerate = False
 
-    def next_split(self, config: ForestConfig, d: int, m: int):
+    def next_split(self, config: ForestConfig):
         """Create the stacked nodes in pre-order, closing each that stops
         as a leaf, up to the first one to split: (node, rows, class-1
         count, depth, drawn features), or None when the tree is done. The
-        drawn features, unsorted, are this node's draw from the tree's
-        RNG, as in a recursive depth-first build."""
+        drawn features, sorted, are the tree's next subset, as in a
+        recursive depth-first build."""
         while self.stack:
             rows, ones, depth, parent, slot = self.stack.pop()
             node = len(self.nodes) // 6
@@ -469,7 +579,7 @@ class _TreeGrowth:
                 or ones in (0, n)
             ):
                 continue
-            return node, rows, ones, depth, self.rng.choice(d, size=m, replace=False)
+            return node, rows, ones, depth, next(self.subsets)
         return None
 
 
@@ -499,18 +609,16 @@ def _grow_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) 
     m = config.features_per_split(d)
     codes = _rank_codes(X, y)
     impurity: dict[tuple[int, int], float] = {}  # `_gini` per class-count pair
-    growths = []
-    for tree_idx in range(config.n_trees):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tree_idx,)))
-        boot = rng.integers(0, n, size=n)
-        growths.append(_TreeGrowth(rng, boot, int(y[boot].sum())))
+    boots, subsets = _tree_draws(seed, config.n_trees, n, d, m)
+    growths = list(map(_TreeGrowth, subsets, boots, y[boots].sum(axis=1).tolist()))
+    del boots  # each root's rows go with its first split
     while True:
-        jobs = [(g, *job) for g in growths if (job := g.next_split(config, d, m)) is not None]
+        jobs = [(g, *job) for g in growths if (job := g.next_split(config)) is not None]
         if not jobs:
             break
         _, _, rows, class_ones, _, sampled = zip(*jobs)
         sizes = np.array([len(idx) for idx in rows])
-        sampled = np.sort(sampled, axis=1)
+        sampled = np.array(sampled)
         parent = np.empty(len(jobs))
         for k, (size, ones) in enumerate(zip(sizes.tolist(), class_ones)):
             if (size, ones) not in impurity:

@@ -75,7 +75,11 @@ def _coerce(name: str, raw: str, **where):
         raise ConfigError(f"{name}: cannot parse {raw!r} as {kind.__name__}", **where) from exc
 
 
-def parse_config_file(path) -> dict[str, str]:
+class FileValues(dict):
+    """A config file's values by key; `.where[key]` names its file and line."""
+
+
+def parse_config_file(path) -> FileValues:
     """`key = value` per line; blank lines and '#' comments ignored. The
     values stay strings, each checked against its key's type; an unknown
     key, a value of the wrong type and a key set twice are refused,
@@ -87,7 +91,7 @@ def parse_config_file(path) -> dict[str, str]:
         error = ConfigError(str(exc))
         error.line = exc.line
         raise error from exc
-    values: dict[str, str] = {}
+    values = FileValues()
     set_on: dict[str, int] = {}  # key -> the line that set it
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -102,6 +106,7 @@ def parse_config_file(path) -> dict[str, str]:
             raise ConfigError(f"key {key!r} set again, first on line {set_on[key]}", line=lineno, path=path)
         _coerce(key, value, line=lineno, path=path)
         values[key], set_on[key] = value, lineno
+    values.where = {key: {"line": lineno, "path": path} for key, lineno in set_on.items()}
     return values
 
 
@@ -115,7 +120,7 @@ def build_config(
     for key, raw in (file_values or {}).items():
         if key not in _KINDS:
             raise ConfigError(f"unknown config key {key!r}")
-        merged[key] = raw, {}
+        merged[key] = raw, getattr(file_values, "where", {}).get(key, {})
     for key in _KINDS:
         env_key = ENV_PREFIX + key.upper()
         if env_key in env:
@@ -124,36 +129,41 @@ def build_config(
     for key, value in (overrides or {}).items():
         if value is not None:
             setattr(cfg, key, value)
-    validate_config(cfg)
+            merged.pop(key, None)  # a flag's value keeps the plain message
+    validate_config(cfg, {key: where for key, (_, where) in merged.items()})
     return cfg
 
 
-def validate_config(cfg: RunConfig) -> None:
-    def expect(cond: bool, message: str) -> None:
-        if not cond:
-            raise ConfigError(message)
+def validate_config(cfg: RunConfig, where: dict[str, dict] | None = None) -> None:
+    """ConfigError for a bad value, naming `where[key]`: its file and line, or variable."""
 
-    expect(cfg.dataset != "", "dataset path is required")
-    expect(cfg.dataset_format in ("pheme", "jsonl"), f"dataset_format must be pheme|jsonl, got {cfg.dataset_format!r}")
-    expect(cfg.emotion_provider in ("remote", "fallback", "cassette", "none"),
+    def expect(key: str, cond: bool, message: str) -> None:
+        if not cond:
+            raise ConfigError(message, **(where or {}).get(key, {}))
+
+    expect("dataset", cfg.dataset != "", "dataset path is required")
+    expect("dataset_format", cfg.dataset_format in ("pheme", "jsonl"),
+           f"dataset_format must be pheme|jsonl, got {cfg.dataset_format!r}")
+    expect("emotion_provider", cfg.emotion_provider in ("remote", "fallback", "cassette", "none"),
            f"emotion_provider must be remote|fallback|cassette|none, got {cfg.emotion_provider!r}")
     if cfg.emotion_provider == "remote":
-        expect(cfg.emotion_url != "", "emotion_provider=remote requires emotion_url")
+        expect("emotion_provider", cfg.emotion_url != "", "emotion_provider=remote requires emotion_url")
     if cfg.emotion_provider == "cassette":
-        expect(cfg.emotion_cassette != "", "emotion_provider=cassette requires emotion_cassette")
-    expect(cfg.emotion_timeout > 0.0, f"emotion_timeout must be > 0, got {cfg.emotion_timeout}")
-    expect(cfg.emotion_retries >= 0, f"emotion_retries must be >= 0, got {cfg.emotion_retries}")
-    expect(cfg.emotion_batch_size >= 1, f"emotion_batch_size must be >= 1, got {cfg.emotion_batch_size}")
-    expect(cfg.emotion_parallel >= 1, f"emotion_parallel must be >= 1, got {cfg.emotion_parallel}")
-    expect(0.0 < cfg.alpha < 1.0, f"alpha must be in (0, 1), got {cfg.alpha}")
-    expect(0.0 < cfg.split_ratio < 1.0, f"split_ratio must be in (0, 1), got {cfg.split_ratio}")
-    expect(cfg.k_folds >= 2, f"k_folds must be >= 2, got {cfg.k_folds}")
-    expect(cfg.averaging in ("weighted", "macro", "binary"), f"bad averaging {cfg.averaging!r}")
-    expect(cfg.n_trees >= 1, f"n_trees must be >= 1, got {cfg.n_trees}")
-    expect(cfg.max_features in ("sqrt", "all"), f"bad max_features {cfg.max_features!r}")
-    expect(cfg.min_samples_split >= 2, f"min_samples_split must be >= 2, got {cfg.min_samples_split}")
-    expect(cfg.max_depth >= 0, f"max_depth must be >= 0, got {cfg.max_depth}")
-    expect(cfg.shap_background >= 1, f"shap_background must be >= 1, got {cfg.shap_background}")
-    expect(cfg.scope in ("sources", "reactions", "both"), f"bad scope {cfg.scope!r}")
-    expect(cfg.threads >= 0, f"threads must be >= 0, got {cfg.threads}")
+        expect("emotion_provider", cfg.emotion_cassette != "", "emotion_provider=cassette requires emotion_cassette")
+    expect("emotion_timeout", cfg.emotion_timeout > 0.0, f"emotion_timeout must be > 0, got {cfg.emotion_timeout}")
+    expect("emotion_retries", cfg.emotion_retries >= 0, f"emotion_retries must be >= 0, got {cfg.emotion_retries}")
+    expect("emotion_batch_size", cfg.emotion_batch_size >= 1,
+           f"emotion_batch_size must be >= 1, got {cfg.emotion_batch_size}")
+    expect("emotion_parallel", cfg.emotion_parallel >= 1, f"emotion_parallel must be >= 1, got {cfg.emotion_parallel}")
+    expect("alpha", 0.0 < cfg.alpha < 1.0, f"alpha must be in (0, 1), got {cfg.alpha}")
+    expect("split_ratio", 0.0 < cfg.split_ratio < 1.0, f"split_ratio must be in (0, 1), got {cfg.split_ratio}")
+    expect("k_folds", cfg.k_folds >= 2, f"k_folds must be >= 2, got {cfg.k_folds}")
+    expect("averaging", cfg.averaging in ("weighted", "macro", "binary"), f"bad averaging {cfg.averaging!r}")
+    expect("n_trees", cfg.n_trees >= 1, f"n_trees must be >= 1, got {cfg.n_trees}")
+    expect("max_features", cfg.max_features in ("sqrt", "all"), f"bad max_features {cfg.max_features!r}")
+    expect("min_samples_split", cfg.min_samples_split >= 2, f"min_samples_split must be >= 2, got {cfg.min_samples_split}")
+    expect("max_depth", cfg.max_depth >= 0, f"max_depth must be >= 0, got {cfg.max_depth}")
+    expect("shap_background", cfg.shap_background >= 1, f"shap_background must be >= 1, got {cfg.shap_background}")
+    expect("scope", cfg.scope in ("sources", "reactions", "both"), f"bad scope {cfg.scope!r}")
+    expect("threads", cfg.threads >= 0, f"threads must be >= 0, got {cfg.threads}")
 

@@ -646,6 +646,112 @@ class TestLockstepGrowth:
         assert model_to_json(fit_forest(X, y, names, ForestConfig(n_trees=20), seed=2)) == want
 
 
+WIDE_SEEDS = [classify.derive_seed("wide", 1), 2**128 + 5]  # two and five entropy words
+
+
+class TestLockstepGrowthWideSeeds:
+    @pytest.mark.parametrize("seed", WIDE_SEEDS)
+    @pytest.mark.parametrize("config", ORACLE_CONFIGS[:1] + ORACLE_CONFIGS[5:6], ids=str)
+    def test_models_match_recursive_builder(self, seed, config):
+        # the oracle draws through np.random.Generator; seeds of more than
+        # one 32-bit word hash more entropy words before the spawn word
+        assert seed >= 2**32
+        for k, (name, X, y) in enumerate(oracle_datasets()):
+            want = fit_recording_warnings(oracle_fit_forest, X, y, config, seed + k)
+            got = fit_recording_warnings(lambda *a: fit_forest(*a[:3], config=a[3], seed=a[4]), X, y, config, seed + k)
+            assert got == want, name
+
+    def test_trees_do_not_depend_on_the_forest_size(self):
+        # tree t of a forest is tree t of any larger forest of the same seed
+        X, y, names = blob_data(40, distance=1.0, seed=4, d=9)
+        small, large = (
+            json.loads(model_to_json(fit_forest(X, y, names, ForestConfig(n_trees=k), seed=2**40 + 3)))["trees"]
+            for k in (5, 37)
+        )
+        assert [json.dumps(t) for t in small] == [json.dumps(t) for t in large[:5]]
+
+    @pytest.mark.parametrize("first, most, block", [(1, 1, 1 << 16), (1, 2, 1), (3, 5, 300)])
+    def test_batch_sizes_do_not_change_models(self, monkeypatch, first, most, block):
+        # a block of one word draws every tree's first batch alone; 300
+        # words take a few trees at a time
+        X, y, names = blob_data(40, distance=1.0, seed=4, d=9)
+        want = model_to_json(fit_forest(X, y, names, ForestConfig(n_trees=20), seed=2))
+        monkeypatch.setattr(classify, "FIRST_SUBSETS", first)
+        monkeypatch.setattr(classify, "MAX_SUBSETS", most)
+        monkeypatch.setattr(classify, "DRAW_BLOCK_WORDS", block)
+        assert model_to_json(fit_forest(X, y, names, ForestConfig(n_trees=20), seed=2)) == want
+
+    def test_fit_makes_no_generator(self, monkeypatch):
+        X, y, names = blob_data(40, distance=1.0, seed=4, d=9)
+        want = model_to_json(fit_forest(X, y, names, ForestConfig(n_trees=20), seed=2))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(np.random, "Generator", refuse)
+        assert model_to_json(fit_forest(X, y, names, ForestConfig(n_trees=20), seed=2)) == want
+
+
+def generator(seed, t):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
+
+
+def halves(words):
+    """32-bit halves of 64-bit words, each word's low half first."""
+    return np.stack([words & 0xFFFFFFFF, words >> 32], axis=-1).reshape(-1)
+
+
+class TestRawDraws:
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**96, 2**128, 2**130 + 7])
+    def test_seeding(self, seed):
+        got = classify._pcg64_seeds(seed, 100)
+        assert got == [np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(t,))).state["state"] for t in range(100)]
+
+    @pytest.mark.parametrize(
+        "d, m", [(37, 7), (5, 5), (2, 2), (1, 1), (0, 0), (3 * 10**9, 5), (10_001, 200), (60, 60)]
+    )
+    @pytest.mark.parametrize("seed", [0, 2**40 + 3, 2**130 + 7])
+    def test_draws_match_generator(self, monkeypatch, seed, d, m):
+        # a bootstrap, then 12 subsets across refills of 2 and 3 subsets
+        monkeypatch.setattr(classify, "FIRST_SUBSETS", 2)
+        monkeypatch.setattr(classify, "MAX_SUBSETS", 3)
+        n = 23
+        boots, subsets = classify._tree_draws(seed, 4, n, d, m)
+        for t in range(4):
+            rng = generator(seed, t)
+            assert boots[t].tolist() == rng.integers(0, n, size=n).tolist()
+            for _ in range(12):
+                assert next(subsets[t]).tolist() == sorted(rng.choice(d, m, replace=False).tolist())
+
+    def test_first_batch_is_each_trees_own(self):
+        # the default batch sizes, and more rejections than the first
+        # batch's spare words (a bound of 3e9 rejects about 30% of words)
+        boots, subsets = classify._tree_draws(11, 3, 50, 3 * 10**9, 9)
+        for t in range(3):
+            rng = generator(11, t)
+            assert boots[t].tolist() == rng.integers(0, 50, size=50).tolist()
+            for _ in range(40):
+                assert next(subsets[t]).tolist() == sorted(rng.choice(3 * 10**9, 9, replace=False).tolist())
+
+    @pytest.mark.parametrize("bound", [3 * 10**9, 4 * 10**9, 2**31 + 1, 2**32 - 1, 1])
+    def test_rejections(self, bound):
+        # bootstrap draws at a bound far from a power of two reject words;
+        # a rejected word is skipped and the same bound drawn again
+        bitgen = np.random.PCG64(np.random.SeedSequence(entropy=5, spawn_key=(0,)))
+        u = halves(bitgen.random_raw(200))
+        values, used = classify._lemire(u[None], [bound] * 150)
+        assert values[0].tolist() == generator(5, 0).integers(0, bound + 1, size=150).tolist()
+        assert (used[0] > 150) == (bound not in (2**32 - 1, 1))
+        # a row that runs out of words says so
+        assert classify._lemire(u[None, :151], [3 * 10**9] * 150)[1].tolist() == [-1]
+
+    @pytest.mark.parametrize("d, m", [(10_001, 201), (20_000, 401), (2**32 + 1, 1)])
+    def test_outside_floyds_path_raises(self, d, m):
+        with pytest.raises(ValueError):
+            classify._tree_draws(0, 2, 5, d, m)
+
+
 class TestTreeValue:
     def test_internal_nodes_without_counts(self):
         # hand-built trees record counts at leaves only

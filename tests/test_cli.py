@@ -82,6 +82,40 @@ class TestConfig:
         assert cfg.seed == 3  # flag beats env beats file
         assert cfg.alpha == 0.01
 
+    def test_range_error_names_the_file_line(self, tmp_path):
+        path = tmp_path / "c.conf"
+        path.write_text("dataset = x\nalpha = 1.5\n")
+        with pytest.raises(ConfigError) as err:
+            build_config(parse_config_file(path), env={})
+        assert str(err.value) == f"{path}: line 2: alpha must be in (0, 1), got 1.5"
+        assert err.value.line == 2
+
+    def test_range_error_names_the_variable(self, tmp_path):
+        path = tmp_path / "c.conf"
+        path.write_text("dataset = x\nk_folds = 5\n")
+        with pytest.raises(ConfigError) as err:
+            build_config(parse_config_file(path), env={"RUMOURLENS_K_FOLDS": "1"})
+        assert str(err.value) == "RUMOURLENS_K_FOLDS: k_folds must be >= 2, got 1"
+
+    def test_range_error_of_a_flag_or_default_names_nothing(self, tmp_path):
+        path = tmp_path / "c.conf"
+        path.write_text("dataset = x\nalpha = 0.1\n")
+        with pytest.raises(ConfigError) as err:
+            build_config(parse_config_file(path), env={"RUMOURLENS_ALPHA": "0.2"}, overrides={"alpha": 1.5})
+        assert str(err.value) == "alpha must be in (0, 1), got 1.5"
+        with pytest.raises(ConfigError) as err:
+            build_config({"dataset": "x", "alpha": "1.5"}, env={})  # a plain dict names no file
+        assert str(err.value) == "alpha must be in (0, 1), got 1.5"
+        with pytest.raises(ConfigError) as err:
+            build_config(parse_config_file(path), env={"RUMOURLENS_SCOPE": "all"})
+        assert str(err.value) == "RUMOURLENS_SCOPE: bad scope 'all'"
+
+    def test_cli_range_error_names_the_file_line(self, tmp_path, capsys):
+        path = tmp_path / "c.conf"
+        path.write_text("dataset = x\nalpha = 1.5\n")
+        assert cli.main(["ingest", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: config: {path}: line 2: alpha must be in (0, 1), got 1.5\n"
+
     def test_validation_rules(self):
         bad = RunConfig(dataset="x", alpha=1.5)
         with pytest.raises(ConfigError):
@@ -279,7 +313,9 @@ class TestCliCommands:
             **{key: value},
         )
         assert cli.main(["featurize", "--config", str(conf)]) == 2
-        assert f"error: config: {key} must be {rule}, got" in capsys.readouterr().err
+        # the message names the file and the line that set the key
+        line = next(n for n, text in enumerate(conf.read_text().splitlines(), 1) if text.startswith(f"{key} ="))
+        assert f"error: config: {conf}: line {line}: {key} must be {rule}, got" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "damage", ["truncated", "not a number", "empty", "capitalised role", "nan", "inf", "-inf", "Infinity"]
