@@ -34,8 +34,8 @@ remaining features. One stable two-way pass then splits the
 rows of every node that found a cut: each node's rows are one segment of
 a concatenated array, running counts of the rows that go left give each
 row its place (O(rows), no sort), and every child gets its rows in parent
-order and its class-1 count. What stays per node is taking its subset, a
-cached parent impurity and pushing the two children on the tree's stack;
+order and its class-1 count. What stays per node is taking its subset
+and pushing the two children on the tree's stack;
 the trees of a forest are cut out of one node array at the end.
 
 The search counts cuts on rank-encoded columns, after SLIQ (Mehta,
@@ -45,7 +45,8 @@ kept in one flat table. Every (node, candidate feature, row) cell
 becomes one int64 key of (segment = node and feature, rank, class), and
 one sort orders the keys. The cuts are the places where the rank
 changes within a segment; cumulative class counts give each cut its
-sides' elementwise Gini impurity `1 - (p0*p0 + p1*p1)`, and its
+sides' elementwise Gini impurity `1 - (p0*p0 + p1*p1)`, and the node's
+own in the same form from the class-1 count of its segments; a cut's
 threshold is the midpoint of the node's two distinct values around it.
 A search holds at most `SPLIT_BLOCK_CELLS` cells, unpadded (a larger
 node is searched alone); a step's nodes are taken in order.
@@ -55,16 +56,10 @@ scanning features in order and each feature's cuts ascending; unlike an
 argmax, this keeps an earlier cut over a later one that is better only
 by rounding. The search replays that record chain for all nodes at
 once, over each node's running maxima only: a record beats every
-earlier cut of its node. The decreases are not bit-identical to
-`1 - np.dot(p, p)`, the form `_gini` keeps for the parent impurity:
-`np.dot` may round `p0*p0 + p1*p1` once, as a fused multiply-add, where
-the array form rounds twice, and on x86-64 with numpy 2.4 that moves the
-last bit for about one class-count pair in six. The 1e-15 margin is about nine units
-in the last place of that sum (which lies in [0.5, 1]), so the two forms
-pick different cuts only when two decreases differ by the margin to
-within a few units; the oracle tests in tests/test_classify.py compare
-them on random nodes and forests, and compare whole models with a
-recursive one-tree-at-a-time builder kept there as the reference.
+earlier cut of its node. The oracle tests in tests/test_classify.py
+compare the search with a scalar one on random nodes and forests, and
+whole models with a recursive one-tree-at-a-time builder kept there as
+the reference.
 
 Prediction routes a whole forest at once (`leaf_values`): the trees are
 packed into one flat node table (`pack_forest`, which the explainer
@@ -118,21 +113,15 @@ class ForestConfig:
 
 @dataclass
 class Tree:
-    """Flattened binary tree. feature[i] == -1 marks a leaf; counts[i]
-    holds per-class training counts at node i (populated at leaves);
-    value[i] is P(class 1) at node i, derived from counts once (0.0
-    where a node holds no counts) unless given."""
+    """Flattened binary tree, the five fields of its model file.
+    feature[i] == -1 marks a leaf; counts[i] holds per-class training
+    counts at node i (populated at leaves)."""
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
     counts: np.ndarray
-    value: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.value is None:
-            self.value = _rumour_share(self.counts)
 
     def predict_prob(self, X: np.ndarray) -> np.ndarray:
         """P(class 1) per row: the one-tree case of `leaf_values`, the
@@ -149,11 +138,9 @@ def _rumour_share(counts: np.ndarray) -> np.ndarray:
 
 def _cut_trees(stop: list[int], feature, threshold, left, right, counts) -> list[Tree]:
     """The trees of a forest whose node arrays hold tree t's nodes at
-    [stop[t - 1], stop[t]), each array a view; leaf values derived once."""
-    value = _rumour_share(counts)
+    [stop[t - 1], stop[t]), each array a view."""
     return [
-        Tree(feature[a:b], threshold[a:b], left[a:b], right[a:b], counts[a:b], value[a:b])
-        for a, b in zip([0, *stop[:-1]], stop)
+        Tree(feature[a:b], threshold[a:b], left[a:b], right[a:b], counts[a:b]) for a, b in zip([0, *stop[:-1]], stop)
     ]
 
 
@@ -165,7 +152,8 @@ ROUTE_BLOCK_PAIRS = 1 << 13
 def pack_forest(trees: list[Tree]):
     """The trees as one flat node table: (each tree's root, then feature,
     threshold, left, right and value per node), tree t's nodes after tree
-    t - 1's and child indices offset by each tree's first node."""
+    t - 1's and child indices offset by each tree's first node. A node's
+    value is its class-1 share of its counts, 0.0 where it holds none."""
     sizes = [len(t.feature) for t in trees]
     start = np.cumsum(sizes) - sizes
     offset = np.repeat(start, sizes)
@@ -175,7 +163,7 @@ def pack_forest(trees: list[Tree]):
         np.concatenate([t.threshold for t in trees]),
         np.concatenate([t.left for t in trees]) + offset,
         np.concatenate([t.right for t in trees]) + offset,
-        np.concatenate([t.value for t in trees]),
+        _rumour_share(np.concatenate([t.counts for t in trees])),
     )
 
 
@@ -305,14 +293,6 @@ def oversample(y: np.ndarray, seed: int = 0) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - np.dot(p, p))
-
-
 def _rank_codes(X: np.ndarray, y: np.ndarray):
     """The imputed matrix rank-encoded once per fit for the cut search:
     (codes, values, offset, width). `codes[i, j]` is `2 * rank + y[i]`,
@@ -337,16 +317,17 @@ def _rank_codes(X: np.ndarray, y: np.ndarray):
 SPLIT_BLOCK_CELLS = 1 << 16
 
 
-def _best_splits(codes, rows, n, feature_ids, parent_impurity):
+def _best_splits(codes, rows, n, feature_ids):
     """Best cut of each of K nodes: (impurity decrease, feature, threshold)
     arrays, from the first record above `best + 1e-15` over the cuts of
     the node's `feature_ids` row in order, each feature's cuts ascending;
     (0.0, -1, 0.0) where no cut decreases the impurity.
 
     `codes` is `_rank_codes` of the imputed matrix; `rows` holds node k's
-    `n[k]` row indices as its k-th segment; `parent_impurity[k]` is
-    `_gini` of node k's class counts. All cuts of all nodes are counted
-    in one sort of one integer key per (node, feature, row) cell."""
+    `n[k]` row indices as its k-th segment. All cuts of all nodes are
+    counted in one sort of one integer key per (node, feature, row) cell,
+    and every Gini impurity, a node's and its sides', is the elementwise
+    `1 - (p0*p0 + p1*p1)`."""
     codes, values, offset, width = codes
     k_nodes, m = feature_ids.shape
     # key (segment, rank, class) of each cell; segment k * m + i holds the
@@ -368,14 +349,17 @@ def _best_splits(codes, rows, n, feature_ids, parent_impurity):
     segment = keys[cut] // width
     k = segment // m
     first = start[segment]
+    # each segment holds all its node's rows, so its class-1 count is the
+    # node's, and gives the node's impurity
+    total = ones[end] - ones[start]
+    impurity = 1.0 - (((cells - total) / cells) ** 2 + (total / cells) ** 2)
     left = (ones[cut + 1] - ones[first]).astype(np.float64)
-    right = (ones[end] - ones[start])[segment] - left
+    right = total[segment] - left
     n_left = (cut + 1 - first).astype(np.float64)
     size = n[k].astype(np.float64)
     n_right = size - n_left
-    # each side's elementwise Gini, 1 - (p0*p0 + p1*p1), weighted by its
-    # row count
-    decrease = parent_impurity[k] - (
+    # each side's Gini weighted by its row count
+    decrease = impurity[segment] - (
         n_left * (1.0 - (((n_left - left) / n_left) ** 2 + (left / n_left) ** 2))
         + n_right * (1.0 - (((n_right - right) / n_right) ** 2 + (right / n_right) ** 2))
     ) / size
@@ -415,7 +399,7 @@ def _best_splits(codes, rows, n, feature_ids, parent_impurity):
     return best, feature, threshold
 
 
-def _search_nodes(codes, rows, n, feature_ids, parent_impurity):
+def _search_nodes(codes, rows, n, feature_ids):
     """(feature, threshold) of `_best_splits` over any number of nodes,
     taken in order into searches of at most `SPLIT_BLOCK_CELLS` cells (a
     larger node alone). `rows` holds node k's `n[k]` rows as its k-th
@@ -430,11 +414,7 @@ def _search_nodes(codes, rows, n, feature_ids, parent_impurity):
         stop = max(start + 1, int(np.searchsorted(cell_end, done + SPLIT_BLOCK_CELLS, side="right")))
         chunk = slice(start, stop)
         _, feature[chunk], threshold[chunk] = _best_splits(
-            codes,
-            rows[row_end[start] - n[start] : row_end[stop - 1]],
-            n[chunk],
-            feature_ids[chunk],
-            parent_impurity[chunk],
+            codes, rows[row_end[start] - n[start] : row_end[stop - 1]], n[chunk], feature_ids[chunk]
         )
         start = stop
     return feature, threshold
@@ -608,7 +588,6 @@ def _grow_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) 
     n, d = X.shape
     m = config.features_per_split(d)
     codes = _rank_codes(X, y)
-    impurity: dict[tuple[int, int], float] = {}  # `_gini` per class-count pair
     boots, subsets = _tree_draws(seed, config.n_trees, n, d, m)
     growths = list(map(_TreeGrowth, subsets, boots, y[boots].sum(axis=1).tolist()))
     del boots  # each root's rows go with its first split
@@ -616,16 +595,11 @@ def _grow_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) 
         jobs = [(g, *job) for g in growths if (job := g.next_split(config)) is not None]
         if not jobs:
             break
-        _, _, rows, class_ones, _, sampled = zip(*jobs)
+        _, _, rows, _, _, sampled = zip(*jobs)
         sizes = np.array([len(idx) for idx in rows])
         sampled = np.array(sampled)
-        parent = np.empty(len(jobs))
-        for k, (size, ones) in enumerate(zip(sizes.tolist(), class_ones)):
-            if (size, ones) not in impurity:
-                impurity[size, ones] = _gini(np.array([size - ones, ones]))
-            parent[k] = impurity[size, ones]
         step_rows = np.concatenate(rows)
-        feature, threshold = _search_nodes(codes, step_rows, sizes, sampled, parent)
+        feature, threshold = _search_nodes(codes, step_rows, sizes, sampled)
         retry = np.flatnonzero(feature == -1)
         if retry.size and m < d:
             # the complement of each node's draw, ascending
@@ -633,7 +607,7 @@ def _grow_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) 
             rest[np.arange(retry.size)[:, None], sampled[retry]] = False
             rest = np.nonzero(rest)[1].reshape(retry.size, d - m)
             feature[retry], threshold[retry] = _search_nodes(
-                codes, step_rows[np.repeat(feature == -1, sizes)], sizes[retry], rest, parent[retry]
+                codes, step_rows[np.repeat(feature == -1, sizes)], sizes[retry], rest
             )
         split = np.flatnonzero(feature != -1)
         if split.size < len(jobs):
@@ -642,7 +616,7 @@ def _grow_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) 
                 if not g.warned_degenerate:
                     warnings.warn(
                         "unsplittable node with mixed labels (identical rows); majority leaf used",
-                        stacklevel=3,
+                        stacklevel=4,
                     )
                     g.warned_degenerate = True
             jobs = [jobs[k] for k in split.tolist()]

@@ -108,6 +108,8 @@ def _event(event: str, sources: list[Tweet], reactions: list[Tweet], where) -> E
         raise ParseError(
             f"event {event!r} takes the reserved name {AGGREGATED_EVENT!r} of the pooled pseudo-event", path=where
         )
+    if "/" in event or "\0" in event:
+        raise ParseError(f"event {event!r}: a name holding '/' or NUL cannot name run files", path=where)
     seen = set()
     for t in chain(sources, reactions):
         if t.id in seen:
@@ -143,14 +145,14 @@ def load_pheme_tree(root_dir) -> list[EventCorpus]:
 def _read_tweet(path: Path, event: str, role: Role, label: Label, parent_id) -> Tweet:
     obj = read_json(path)
     if not isinstance(obj, dict):
-        raise ParseError(f"{path}: a tweet must be a JSON object, got {type(obj).__name__}")
+        raise ParseError(f"a tweet must be a JSON object, got {type(obj).__name__}", path=path)
     tweet_id = obj.get("id_str") or (str(obj["id"]) if "id" in obj else None)
     if not tweet_id:
-        raise MissingField(f"{path}: tweet has no id_str/id")
+        raise MissingField("tweet has no id_str/id", path=path)
     if "text" not in obj:
-        raise MissingField(f"{path}: tweet {tweet_id} has no text")
+        raise MissingField(f"tweet {tweet_id} has no text", path=path)
     if not isinstance(obj["text"], str):
-        raise ParseError(f"{path}: tweet {tweet_id}: text is not a string but {obj['text']!r:.40}")
+        raise ParseError(f"tweet {tweet_id}: text is not a string but {obj['text']!r:.40}", path=path)
     return Tweet(
         id=tweet_id,
         text=obj["text"],
@@ -173,7 +175,7 @@ def _load_event_dir(event_dir: Path) -> EventCorpus:
             src_files = sorted(src_dir.glob("*.json")) if src_dir.is_dir() else []
             if not src_files:
                 if any((thread_dir / "reactions").glob("*.json")):
-                    raise OrphanReaction(f"{thread_dir}: thread has reactions but no source tweet")
+                    raise OrphanReaction("thread has reactions but no source tweet", path=thread_dir)
                 continue
             thread_sources = [_read_tweet(p, event, Role.SOURCE, label, None) for p in src_files]
             sources.extend(thread_sources)

@@ -76,7 +76,7 @@ def load_emotion_lexicon(path=None) -> dict[str, set[str]]:
         words = raw.get(lab, [])
         # a string would be read as a list of one-letter words
         if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
-            raise ParseError(f"{path}: label {lab!r}: the word list is not a list of strings")
+            raise ParseError(f"label {lab!r}: the word list is not a list of strings", path=path)
     return {lab: {w.lower() for w in raw.get(lab, [])} for lab in LABELS}
 
 

@@ -78,7 +78,7 @@ def _read_manifest(out: Path) -> dict:
         return {"stages": {}}
     manifest = report.read_json(path)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
-        raise ParseError(f"{path}: not an object holding a 'stages' object")
+        raise ParseError("not an object holding a 'stages' object", path=path)
     return manifest
 
 

@@ -192,11 +192,11 @@ def read_features_csv(path) -> FeatureTable:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise ParseError(f"{path}: line 1: no header")
-        feature_names = [h for h in header[5:] if not h.endswith("__absent")]
+            raise ParseError("no header", line=1, path=path)
+        feature_names = header[5::2]
         for record in reader:
             if len(record) != len(header):
-                raise ParseError(f"{path}: line {reader.line_num}: {len(record)} cells, expected {len(header)}")
+                raise ParseError(f"{len(record)} cells, expected {len(header)}", line=reader.line_num, path=path)
             for column, cell in zip(meta, record):
                 column.append(cell)
             flags = record[6::2]
@@ -207,7 +207,7 @@ def read_features_csv(path) -> FeatureTable:
                 else:
                     X.append(list(map(float, record[5::2])))
             except ValueError as exc:
-                raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
+                raise ParseError(str(exc), line=reader.line_num, path=path) from exc
     tweet_id, event, role, label, empty_text = meta
     empty_text = np.array(empty_text, dtype=str)
     table = FeatureTable.from_columns(feature_names, tweet_id, event, role, label, empty_text == "true", X)
@@ -222,7 +222,7 @@ def read_features_csv(path) -> FeatureTable:
     # than absent flags only where a value flagged present is nan or inf
     bad = np.count_nonzero(~np.isfinite(table.X), axis=1) != np.array(absent, dtype=np.int64)
     if bad.any():
-        raise ParseError(_non_finite_cell(path, int(bad.argmax())))
+        raise _non_finite_cell(path, int(bad.argmax()))
     return table
 
 
@@ -237,16 +237,17 @@ def _record(path, index: int) -> tuple[list[str], list[str], int]:
     return header, record, reader.line_num
 
 
-def _non_finite_cell(path, index: int) -> str:
-    """'<path>: line N: <cause>' for the first value of the index-th
-    record of a features CSV that is nan or inf but not flagged absent."""
+def _non_finite_cell(path, index: int) -> ParseError:
+    """The ParseError naming the first value of the index-th record of a
+    features CSV that is nan or inf but not flagged absent."""
     header, record, line = _record(path, index)
     name, raw = next(
         (name, raw)
         for name, raw, flag in zip(header[5::2], record[5::2], record[6::2])
         if flag != "true" and not math.isfinite(float(raw))
     )
-    return f"{path}: line {line}: feature {name!r} holds {raw!r}, which is not finite, but is not flagged absent"
+    cause = f"feature {name!r} holds {raw!r}, which is not finite, but is not flagged absent"
+    return ParseError(cause, line=line, path=path)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from rumourlens.classify import (
     RandomForestModel,
     Tree,
     _best_splits,
-    _gini,
     _partition,
     _rank_codes,
     build_matrix,
@@ -28,6 +27,7 @@ from rumourlens.classify import (
     model_from_json,
     model_to_json,
     oversample,
+    pack_forest,
     split_train_test,
     stratified_folds,
 )
@@ -147,6 +147,15 @@ class TestForest:
             model = fit_forest(X, y, ["x"], ForestConfig(n_trees=3), seed=0)
         assert set(model.predict(X).tolist()) <= {0, 1}
 
+    def test_unsplittable_warning_names_the_caller_of_fit_balanced(self):
+        X = column([1.0] * 8)
+        y = np.arange(8) % 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            classify.fit_balanced(X, y, np.arange(8), ["x"], ForestConfig(n_trees=3), 0, 1)
+        assert len(caught) == 3  # one per tree
+        assert all(w.filename == __file__ for w in caught)
+
     def test_feature_mismatch(self):
         X, y, names = blob_data(10, seed=3)
         model = fit_forest(X, y, names, ForestConfig(n_trees=2), seed=0)
@@ -200,11 +209,26 @@ class TestForest:
 # versions in `classify` replaced
 
 
-def scalar_cuts(X, y, idx, feature_ids):
+def _gini(counts: np.ndarray) -> float:
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts / total
+    return float(1.0 - np.dot(p, p))
+
+
+def elementwise_gini(counts: np.ndarray) -> float:
+    """The Gini impurity in the form the array search computes it."""
+    p0, p1 = counts / counts.sum()
+    return float(1.0 - (p0 * p0 + p1 * p1))
+
+
+def scalar_cuts(X, y, idx, feature_ids, gini=_gini):
     """(decrease, feature, threshold) of every cut, features in the given
-    order and each feature's cuts ascending, one cut at a time."""
+    order and each feature's cuts ascending, one cut at a time, with
+    every impurity in the form of `gini`."""
     y_node = y[idx]
-    parent_impurity = _gini(np.bincount(y_node, minlength=2))
+    parent_impurity = gini(np.bincount(y_node, minlength=2))
     n = len(idx)
     for f in feature_ids:
         col = X[idx, f]
@@ -226,15 +250,15 @@ def scalar_cuts(X, y, idx, feature_ids):
                 dtype=np.float64,
             )
             decrease = parent_impurity - (
-                n_left * _gini(left_counts) + n_right * _gini(right_counts)
+                n_left * gini(left_counts) + n_right * gini(right_counts)
             ) / n
             thr = (sorted_col[cut] + sorted_col[cut + 1]) / 2.0
             yield decrease, int(f), float(thr)
 
 
-def scalar_best_split(X, y, idx, feature_ids):
+def scalar_best_split(X, y, idx, feature_ids, gini=_gini):
     best = (0.0, -1, 0.0)
-    for cut in scalar_cuts(X, y, idx, feature_ids):
+    for cut in scalar_cuts(X, y, idx, feature_ids, gini):
         if cut[0] > best[0] + 1e-15:
             best = cut
     return best
@@ -288,14 +312,13 @@ def random_node(seed):
 
 def array_best_split(X, y, idx, feature_ids):
     """The count search on a batch of one node."""
-    parent = [_gini(np.bincount(y[idx], minlength=2))]
     decrease, feature, threshold = _best_splits(
-        _rank_codes(X, y), idx, np.array([len(idx)]), np.asarray(feature_ids)[None, :], np.array(parent)
+        _rank_codes(X, y), idx, np.array([len(idx)]), np.asarray(feature_ids)[None, :]
     )
     return float(decrease[0]), int(feature[0]), float(threshold[0])
 
 
-def scalar_best_splits(codes, rows, n, feature_ids, parent_impurity):
+def scalar_best_splits(codes, rows, n, feature_ids):
     """`_best_splits` one node at a time through the scalar oracle, on
     the matrix and classes that the rank codes hold."""
     codes, values, offset, _ = codes
@@ -366,10 +389,9 @@ class TestSplitSearchOracle:
             offset += len(X)
         X, y = np.vstack(blocks), np.concatenate(labels)
         n = np.array([len(idx) for idx in rows])
-        parent = np.array([_gini(np.bincount(y[idx], minlength=2)) for idx in rows])
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no cell raises a floating-point warning
-            got = _best_splits(_rank_codes(X, y), np.concatenate(rows), n, np.array(feature_ids), parent)
+            got = _best_splits(_rank_codes(X, y), np.concatenate(rows), n, np.array(feature_ids))
         assert (n < n.max()).sum() > 190  # most nodes are shorter than the longest
         outcomes = set()
         for k, idx in enumerate(rows):
@@ -382,6 +404,29 @@ class TestSplitSearchOracle:
                 assert X[idx, want[1]].min() <= got[2][k] <= X[idx, want[1]].max(), k
             outcomes.add(want[1] != -1)
         assert outcomes == {True, False}
+
+    def test_decreases_are_the_elementwise_form_bit_for_bit(self):
+        # the node's own impurity and its sides' are all elementwise, so
+        # every decrease is parent - (n_l * g_l + n_r * g_r) / n to the bit.
+        # `fused_gini` rounds p1*p1 + p0*p0 as one fused multiply-add, as
+        # `np.dot` does where BLAS uses one (x86-64 OpenBLAS); for (2, 1)
+        # and many other class-count pairs that moves the last bit
+        def fused_gini(counts):
+            p0, p1 = counts / counts.sum()
+            return float(1.0 - float(Fraction(float(p1)) ** 2 + Fraction(float(p0 * p0))))
+
+        nodes = [random_node(seed) for seed in range(300)]
+        nodes.append((np.array([[0.0], [1.0], [2.0]]), np.array([0, 1, 0]), np.arange(3), np.array([0])))
+        differ = 0
+        for X, y, idx, feature_ids in nodes:
+            counts = np.bincount(y[idx], minlength=2).astype(np.float64)
+            differ += elementwise_gini(counts) != fused_gini(counts)
+            want = scalar_best_split(X, y, idx, feature_ids, elementwise_gini)
+            got = array_best_split(X, y, idx, feature_ids)
+            assert got[1:] == want[1:]
+            assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert elementwise_gini(np.array([2.0, 1.0])) != fused_gini(np.array([2.0, 1.0]))
+        assert differ > 10
 
     def test_record_chain_is_not_argmax(self):
         # found by a seeded search over random_node: a later cut (feature 5)
@@ -420,9 +465,9 @@ class TestSplitSearchOracle:
         # sampled features often admit no cut and the full-scan fallback runs
         fallbacks = []
 
-        def oracle_splits(codes, rows, n, feature_ids, parent_impurity):
+        def oracle_splits(codes, rows, n, feature_ids):
             fallbacks.append(feature_ids.shape[1] == 6)
-            return scalar_best_splits(codes, rows, n, feature_ids, parent_impurity)
+            return scalar_best_splits(codes, rows, n, feature_ids)
 
         datasets = [random_node(seed)[:2] for seed in range(100, 104)]
         rng = np.random.default_rng(7)
@@ -764,9 +809,16 @@ class TestTreeValue:
                 right=np.array([2, -1, -1]),
                 counts=np.array([[0, 0], [3, 1], [0, 2]], dtype=np.float64),
             )
-            assert tree.value.tolist() == [0.0, 0.25, 1.0]
+            assert pack_forest([tree])[5].tolist() == [0.0, 0.25, 1.0]
             assert tree.predict_prob(column([0.5, 0.6, np.nan])).tolist() == [0.25, 1.0, 1.0]
             assert tree.predict_prob(np.zeros((0, 1))).shape == (0,)
+
+    def test_packed_values_are_each_nodes_class_1_share(self):
+        model = fit_forest(*blob_data(30, distance=1.0, seed=5, d=3)[:2], list("abc"), ForestConfig(n_trees=7), seed=3)
+        counts = np.concatenate([t.counts for t in model.trees])
+        want = [c[1] / (c[0] + c[1]) for c in counts.tolist()]
+        assert pack_forest(model.trees)[5].tolist() == want
+        assert 0.0 in want and 1.0 in want and len(set(want)) > 2
 
 
 # ---------------------------------------------------------------------------

@@ -463,6 +463,17 @@ class TestCliCommands:
         assert capsys.readouterr().err == f"error: ParseError: {dataset}: no events\n"
         assert not (tmp_path / "out" / "t" / report.PARTITIONS_CSV).exists()
 
+    @pytest.mark.parametrize("event", ["a/b", "a\0b"], ids=["slash", "nul"])
+    def test_ingest_rejects_an_event_that_cannot_name_run_files(self, tmp_path, capsys, event):
+        dataset = tmp_path / "corpus.jsonl"
+        tweet = {"id": "1", "text": "a", "event": event, "role": "source", "label": "rumour"}
+        dataset.write_text(json.dumps(tweet) + "\n", encoding="utf-8")
+        conf = write_config(tmp_path, dataset, dataset_format="jsonl", emotion_provider="none")
+        assert cli.main(["ingest", "--config", str(conf)]) == 1
+        want = f"error: ParseError: {dataset}: event {event!r}: a name holding '/' or NUL cannot name run files\n"
+        assert capsys.readouterr().err == want
+        assert not (tmp_path / "out" / "t" / report.PARTITIONS_CSV).exists()
+
     def test_explain_requires_train(self, tmp_path, mini_pheme_dir, capsys):
         conf = write_config(tmp_path, mini_pheme_dir)
         cli.main(["ingest", "--config", str(conf)])

@@ -236,6 +236,14 @@ class TestJsonl:
             f"{path}: event 'aggregated' takes the reserved name 'aggregated' of the pooled pseudo-event"
         )
 
+    @pytest.mark.parametrize("event", ["a/b", "a\0b"], ids=["slash", "nul"])
+    def test_event_name_that_cannot_name_run_files_rejected(self, tmp_path, event):
+        path = tmp_path / "names.jsonl"
+        write_jsonl(path, [jl("1", "source", "rumour"), jl("2", "source", "rumour", event=event)])
+        with pytest.raises(ParseError) as err:
+            load_jsonl(path)
+        assert str(err.value) == f"{path}: event {event!r}: a name holding '/' or NUL cannot name run files"
+
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "1", "text": "x", "event": "e", "role": "source", "label": "rumour", "parent_id": null}\nnot json\n')

@@ -372,6 +372,38 @@ class TestFeaturesCsv:
         assert str(err.value) == f"{path}: line 5: {want}"
         assert err.value.line == 5
 
+    @pytest.mark.parametrize(
+        "damage, line, want",
+        [
+            (lambda text: "", 1, "no header"),
+            (lambda text: text.replace("\nt1,e,", "\nt1,e,x,"), 3, "10 cells, expected 9"),
+            (lambda text: text.replace("3.5,false", "n/a,false"), 3, "could not convert string to float: 'n/a'"),
+            (
+                lambda text: text.replace("3.5,false", "inf,false"),
+                3,
+                "feature 'a' holds 'inf', which is not finite, but is not flagged absent",
+            ),
+        ],
+        ids=["no header", "cell count", "not a number", "not finite"],
+    )
+    def test_record_errors_carry_their_line(self, tmp_path, damage, line, want):
+        path = tmp_path / "features.csv"
+        report.write_features_csv(path, small_table([[1.5, 2.0], [3.5, np.nan]]))
+        path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            report.read_features_csv(path)
+        assert str(err.value) == f"{path}: line {line}: {want}"
+        assert err.value.line == line
+
+    def test_feature_named_like_an_absence_flag_round_trips(self, tmp_path):
+        # names are read by position, so a feature may end in `__absent`
+        table = small_table([[1.5, np.nan], [np.nan, 4.0]], names=("x__absent", "b"))
+        path = tmp_path / "features.csv"
+        report.write_features_csv(path, table)
+        loaded = report.read_features_csv(path)
+        assert loaded.names == ["x__absent", "b"]
+        assert same_table(loaded, table)
+
     def test_round_trip_equals_quantized_table(self, tmp_path):
         # on-disk values keep 10 significant digits: reading a written
         # table back gives the table with every value so rounded

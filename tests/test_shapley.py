@@ -19,7 +19,15 @@ import numpy as np
 import pytest
 
 from rumourlens import report, shapley
-from rumourlens.classify import ForestConfig, RandomForestModel, Tree, fit_forest, model_from_json, model_to_json
+from rumourlens.classify import (
+    ForestConfig,
+    RandomForestModel,
+    Tree,
+    fit_forest,
+    model_from_json,
+    model_to_json,
+    pack_forest,
+)
 from rumourlens.errors import EmptySample, FeatureMismatch, NonFiniteValue
 from rumourlens.shapley import TreeShapExplainer, _weight_table, shap_summary
 from tests.shapley_oracle import TooManyFeatures, brute_shapley
@@ -267,13 +275,14 @@ def oracle_prepare_tree(tree, background):
     """Per leaf: (value, features, thresholds, directions, background
     satisfaction (rows x conditions), distinct features, inverse)."""
     leaves = []
+    value = pack_forest([tree])[5]
     for node, conds in oracle_enumerate_leaves(tree):
         feats = np.array([c[0] for c in conds], dtype=np.int64)
         thrs = np.array([c[1] for c in conds])
         dirs = np.array([c[2] for c in conds])
         sat = (background[:, feats] <= thrs) == dirs if conds else np.ones((background.shape[0], 0), bool)
         uniq, inverse = np.unique(feats, return_inverse=True)
-        leaves.append((float(tree.value[node]), feats, thrs, dirs, sat, uniq, inverse))
+        leaves.append((float(value[node]), feats, thrs, dirs, sat, uniq, inverse))
     return leaves
 
 
@@ -337,6 +346,7 @@ def oracle_walk_rows(model, background, X):
     d, b = len(model.feature_names), len(background)
     A = _weight_table(d)
     groups = [range(lo, min(lo + 64, b)) for lo in range(0, b, 64)]
+    value = {id(tree): pack_forest([tree])[5] for tree in model.trees}
     out = np.empty(X.shape)
     for i, x in enumerate(X):
         empty = frozenset()
@@ -365,7 +375,7 @@ def oracle_walk_rows(model, background, X):
             sums = []
             for tree, node, P, N, rows, _parent, _credit in level:
                 if tree.feature[node] == -1:
-                    reach = float(tree.value[node]) * len(rows)
+                    reach = float(value[id(tree)][node]) * len(rows)
                     p, q = len(P), len(N)
                     sums.append([reach * A[max(p - 1, 0), q], reach * -A[p, max(q - 1, 0)]])
                 else:
