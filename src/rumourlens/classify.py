@@ -79,13 +79,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import warnings
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 
 import numpy as np
 
-from .errors import FeatureMismatch, NonFiniteValue, ParseError, SingleClass, TooFewSamples
+from .errors import FeatureMismatch, NonFiniteValue, ParseError, SingleClass, TooFewSamples, warn
 
 CLASSES = ("non-rumour", "rumour")
 
@@ -614,10 +613,7 @@ def _grow_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) 
             for k in np.flatnonzero(feature == -1).tolist():
                 g = jobs[k][0]
                 if not g.warned_degenerate:
-                    warnings.warn(
-                        "unsplittable node with mixed labels (identical rows); majority leaf used",
-                        stacklevel=4,
-                    )
+                    warn("unsplittable node with mixed labels (identical rows); majority leaf used")
                     g.warned_degenerate = True
             jobs = [jobs[k] for k in split.tolist()]
             step_rows = step_rows[np.repeat(feature != -1, sizes)]
@@ -727,7 +723,7 @@ def stratified_folds(y: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
     if min_class < 2:
         raise TooFewSamples("cross-validation needs at least 2 samples per class")
     if k > min_class:
-        warnings.warn(f"reducing folds from {k} to {min_class}", stacklevel=2)
+        warn(f"reducing folds from {k} to {min_class}")
         k = min_class
     rng = np.random.default_rng(derive_seed(seed, "folds"))
     for cls in sorted(by_class):

@@ -1,4 +1,17 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and `warn`, the one way
+out for every warning the package issues, as `textprep` is for files."""
+
+import sys
+import warnings
+
+
+def warn(message, category=UserWarning) -> None:
+    """`warnings.warn` filed at the first frame outside the package, as by
+    Python 3.12's `skip_file_prefixes`; a module run as `__main__` is outside."""
+    frame, level = sys._getframe(1), 2
+    while frame and frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, level)
 
 
 class RumourLensError(Exception):

@@ -34,11 +34,10 @@ the distinct vocabulary scored against it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .errors import BadPattern, CycleError, EmptyCategory, ParseError
-from .textprep import Token, TokenKind, open_utf8, read_json
+from .textprep import Token, TokenKind, open_utf8, read_json, write_json
 
 PUNCT_KEYS = (
     "period",
@@ -325,7 +324,5 @@ def convert_dic(dic_path, json_path=None) -> Lexicon:
                 for n, c in lex.categories.items()
             },
         }
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(json_path, payload)
     return lex

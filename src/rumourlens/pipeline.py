@@ -32,7 +32,7 @@ from . import classify, emotions, lexicon, report, senticnet, shapley, stats, te
 from .classify import ForestConfig, derive_seed
 from .config import RunConfig
 from .corpus import AGGREGATED_EVENT, load_jsonl, load_pheme_tree, partition
-from .errors import AdditivityError, FeatureMismatch, MissingArtifact, ParseError, TooFewSamples
+from .errors import AdditivityError, FeatureMismatch, MissingArtifact, ParseError, TooFewSamples, warn
 from .features import EMOTION_FEATURES, FeatureTable, Featurizer
 
 MANIFEST = "manifest.json"
@@ -215,8 +215,7 @@ def _stage_inputs(out: Path, stage: str) -> tuple[FeatureTable, list[str]]:
 
 def _usable_events(table: FeatureTable, stage: str) -> list[str]:
     """The events with both a rumour and a non-rumour source, sorted. Each
-    other event is named in a warning prefixed with `stage` and filed at
-    the caller of the stage function that asked (through `_stage_inputs`)."""
+    other event is named in a warning prefixed with `stage`."""
     sources = table.role == "source"
     usable = []
     for event in sorted(set(table.event[sources].tolist())):
@@ -224,10 +223,7 @@ def _usable_events(table: FeatureTable, stage: str) -> list[str]:
         if labels >= {"rumour", "non-rumour"}:
             usable.append(event)
         else:
-            warnings.warn(
-                f"{stage}: event {event!r} lacks a rumour or non-rumour source population; excluded",
-                stacklevel=4,
-            )
+            warn(f"{stage}: event {event!r} lacks a rumour or non-rumour source population; excluded")
     return usable
 
 
@@ -291,14 +287,6 @@ def _model_path(out: Path, event: str, scope: str) -> Path:
     return out / f"model_{event}_{scope}.json"
 
 
-def _relay_warnings(caught, label: str) -> None:
-    """Re-issue warnings recorded inside a stage (fewer folds, an
-    unsplittable node) prefixed with the model they concern, filed at the
-    caller of the stage function."""
-    for w in caught:
-        warnings.warn(f"{label}: {w.message}", w.category, stacklevel=3)
-
-
 def stage_train(cfg: RunConfig) -> list[Path]:
     with _stage(cfg, "train") as out:
         table, usable = _stage_inputs(out, "train")
@@ -317,9 +305,10 @@ def stage_train(cfg: RunConfig) -> list[Path]:
                         )
                         model = classify.fit_balanced(X, y, train, table.names, config, seed, seed)
                 except TooFewSamples as exc:
-                    warnings.warn(f"{label}: {exc}; model skipped", stacklevel=2)
+                    warn(f"{label}: {exc}; model skipped")
                     continue
-                _relay_warnings(caught, label)
+                for w in caught:  # fewer folds, an unsplittable node: named by the model
+                    warn(f"{label}: {w.message}", w.category)
                 model.fold_scores = [m.accuracy for m in fold_metrics]
                 final = classify.evaluate(model, X[test], y[test], averaging=cfg.averaging)
                 report.write_text(_model_path(out, event, scope), classify.model_to_json(model))

@@ -1,33 +1,28 @@
-"""Run files: how they reach the disk, how they are read back, and the
-markdown report. Every run file is written through `open_run_file`
-(UTF-8, no newline translation) into `<name>.tmp`, which replaces the
-target only once complete, so a file is there whole or not at all.
-`write_csv`, `write_json` and `write_text` sit on it; each table's writer
-keeps only its header, row order and cell formatting. Read errors name
-the file. Output is deterministic: fixed column orders, fixed float
-formatting, no timestamps. The report is rendered from the run files'
-rows as `read_csv_rows` and `read_json` give them, one file per section.
+"""Run files: each table's writer and reader, and the markdown report.
+Files go through `textprep`, the one way in and out, whose writers this
+module re-exports. Each table's writer keeps only its header, row order
+and cell formatting. Output is deterministic: fixed column orders, fixed
+float formatting, no timestamps. The report is rendered from the run
+files' rows as `read_csv_rows` and `read_json` give them, one per section.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
-import os
 import re
-from contextlib import contextmanager
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
+from . import textprep
 from .corpus import AGGREGATED_EVENT, Label, PartitionCounts, Role
 from .emotions import LABELS as EMOTION_LABELS
 from .emotions import POPULATIONS
 from .errors import ParseError
 from .features import FeatureTable
-from .textprep import open_utf8, read_json
+from .textprep import open_run_file, open_utf8, read_json, write_csv, write_json, write_text
 
 PARTITIONS_CSV = "partitions.csv"
 FEATURES_CSV = "features.csv"
@@ -86,39 +81,6 @@ def fnums(row: list[float]) -> list[str]:
     return list(map(format, row, repeat(".10g")))
 
 
-@contextmanager
-def open_run_file(path):
-    """A text handle whose contents replace `path` only if the block
-    completes; on an exception `path` is left as it was."""
-    tmp = os.fspath(path) + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
-def write_csv(path, header: list[str], rows) -> None:
-    """`header`, then each row of the iterable `rows`, consumed as written."""
-    with open_run_file(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def write_json(path, obj) -> None:
-    with open_run_file(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_text(path, text: str) -> None:
-    with open_run_file(path) as fh:
-        fh.write(text)
-
-
 def read_csv_rows(path) -> list[dict]:
     """A table's rows as header -> cell string, in file order."""
     with open_utf8(path, newline="") as fh:
@@ -141,19 +103,22 @@ def write_partitions_csv(path, counts: list[PartitionCounts]) -> None:
 #: characters that make the csv writer quote a cell, or may (a lone "\r")
 _CSV_SPECIAL = re.compile('[,"\r\n]')
 
+#: the five cells that open a features.csv record, before the features
+_META = ["tweet_id", "event", "role", "label", "empty_text"]
+
 
 def write_features_csv(path, table: FeatureTable) -> None:
     """One record per row: the five meta cells, then each feature's value
     and absence flag. A row with no absent value and no meta cell to quote
     is formatted by one template, whose "%.10g" cells equal `fnum`; any
     other row goes through the csv writer."""
-    header = ["tweet_id", "event", "role", "label", "empty_text"]
+    header = list(_META)
     for name in table.names:
         header += [name, f"{name}__absent"]
     plain = "%s,%s,%s,%s,%s" + ",%.10g,false" * len(table.names) + "\n"
     columns = (table.tweet_id, table.event, table.role, table.label, table.empty_text)
     absent = np.isnan(table.X).any(axis=1).tolist()
-    with open_run_file(path) as fh:
+    with textprep.open_run_file(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for *meta, empty_text, has_absent, values in zip(*(c.tolist() for c in columns), absent, table.X):
@@ -180,10 +145,11 @@ _LABELS = tuple(lab.value for lab in Label)
 
 
 def read_features_csv(path) -> FeatureTable:
-    """Absent values come back as NaN; a record of the wrong length, a
-    `role`, `label` or `empty_text` cell outside its two words, a value
-    that is not a number and a non-finite value (nan, inf) not flagged
-    absent raise ParseError."""
+    """Absent values come back as NaN. ParseError is raised for a header
+    not `_META` then a value and a flag per feature, each named once; a
+    record of the wrong length; a `role`, `label` or `empty_text` cell
+    outside its two words; a value that is not a number; and a non-finite
+    value (nan, inf) not flagged absent."""
     nan = math.nan
     meta: list[list[str]] = [[], [], [], [], []]  # tweet_id, event, role, label, empty_text
     X = []
@@ -194,6 +160,9 @@ def read_features_csv(path) -> FeatureTable:
         if header is None:
             raise ParseError("no header", line=1, path=path)
         feature_names = header[5::2]
+        if header[:5] != _META or len(header[6::2]) != len(feature_names) or len(set(feature_names)) < len(feature_names):
+            expected = f"{','.join(_META)}, then a value and a flag per feature, each feature named once"
+            raise ParseError(f"header is not {expected}", line=1, path=path)
         for record in reader:
             if len(record) != len(header):
                 raise ParseError(f"{len(record)} cells, expected {len(header)}", line=reader.line_num, path=path)

@@ -17,7 +17,7 @@ import urllib.request
 from dataclasses import dataclass, field
 
 from .errors import DuplicateConcept, OutOfRange, ParseError
-from .textprep import open_utf8
+from .textprep import open_utf8, write_csv
 
 DIMENSIONS = ("pleasantness", "attention", "sensitivity", "aptitude", "polarity")
 
@@ -78,11 +78,8 @@ def load_sentic_table(path) -> SenticTable:
 
 
 def save_sentic_table(table: SenticTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_HEADER)
-        for concept in table.entries:
-            writer.writerow([concept] + [format(v, "g") for v in table.entries[concept]])
+    rows = ([concept] + [format(v, "g") for v in values] for concept, values in table.entries.items())
+    write_csv(path, _HEADER, rows)
 
 
 def match_concepts(lemmas: list[str], table: SenticTable) -> list[str]:

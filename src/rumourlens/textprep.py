@@ -31,11 +31,16 @@ text, working each word out afresh.
 Every file the package reads is read here, through ``open_utf8`` (a
 text handle that streams) or ``read_json`` (one JSON value); a byte that
 is not UTF-8 raises ParseError as ``<path>: line N: not UTF-8: <reason>``.
+Every file it writes is written here too, through ``open_run_file``, whole
+or not at all (``write_csv``, ``write_json`` and ``write_text`` sit on it),
+apart from the emotion cassette that a recording provider appends to.
 """
 
 from __future__ import annotations
 
+import csv
 import json
+import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -342,6 +347,39 @@ def read_json_lines(path):
                 except json.JSONDecodeError as exc:
                     raise ParseError(str(exc), line=lineno, path=path) from exc
                 yield lineno, value
+
+
+@contextmanager
+def open_run_file(path):
+    """A text handle whose contents replace `path` only if the block
+    completes; on an exception `path` is left as it was."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_csv(path, header, rows) -> None:
+    """`header`, then each row of the iterable `rows`, consumed as written."""
+    with open_run_file(path) as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_json(path, obj) -> None:
+    with open_run_file(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_text(path, text: str) -> None:
+    with open_run_file(path) as fh:
+        fh.write(text)
 
 
 def load_wordlist(path) -> set[str]:

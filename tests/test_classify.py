@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import linecache
 import math
 import warnings
 from fractions import Fraction
@@ -155,6 +156,16 @@ class TestForest:
             classify.fit_balanced(X, y, np.arange(8), ["x"], ForestConfig(n_trees=3), 0, 1)
         assert len(caught) == 3  # one per tree
         assert all(w.filename == __file__ for w in caught)
+
+    def test_unsplittable_warning_names_the_caller_of_fit_forest(self):
+        X = column([1.0] * 8)
+        y = np.arange(8) % 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit_forest(X, y, ["x"], ForestConfig(n_trees=1), seed=0)
+        assert len(caught) == 1
+        assert caught[0].filename == __file__
+        assert "fit_forest(X, y" in linecache.getline(__file__, caught[0].lineno)
 
     def test_feature_mismatch(self):
         X, y, names = blob_data(10, seed=3)
@@ -1087,6 +1098,16 @@ class TestCrossValidate:
         with pytest.warns(UserWarning, match="reducing folds"):
             folds = stratified_folds(y, k=10, seed=0)
         assert len(folds) == 3
+
+    def test_fold_reduction_warning_names_the_caller_of_cross_validate(self):
+        X, _, names = blob_data(5, seed=3)
+        y = labelled((RUMOUR, 2), (NON_RUMOUR, 8))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cross_validate(X, y, names, k=5, config=ForestConfig(n_trees=2), seed=0)
+        assert [str(w.message) for w in caught] == ["reducing folds from 5 to 2"]
+        assert caught[0].filename == __file__
+        assert "cross_validate(X, y" in linecache.getline(__file__, caught[0].lineno)
 
     def test_no_leakage_even_as_duplicate(self, monkeypatch, tmp_path, mini_pheme_dir):
         # every fit that cross_validate and the train stage make, seen by a

@@ -395,6 +395,26 @@ class TestFeaturesCsv:
         assert str(err.value) == f"{path}: line {line}: {want}"
         assert err.value.line == line
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda lines: ["a,b"] + lines[1:],
+            lambda lines: [line.rsplit(",", 1)[0] for line in lines],  # the last flag column dropped
+            lambda lines: [lines[0].replace(",b,b__absent", ",a,a__absent")] + lines[1:],
+        ],
+        ids=["foreign header", "flag column dropped", "feature named twice"],
+    )
+    def test_malformed_header_rejected_on_line_1(self, tmp_path, damage):
+        path = tmp_path / "features.csv"
+        report.write_features_csv(path, small_table([[1.5, 2.0], [3.5, np.nan]]))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(damage(lines)) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            report.read_features_csv(path)
+        want = "header is not tweet_id,event,role,label,empty_text, then a value and a flag per feature"
+        assert str(err.value) == f"{path}: line 1: {want}, each feature named once"
+        assert err.value.line == 1
+
     def test_feature_named_like_an_absence_flag_round_trips(self, tmp_path):
         # names are read by position, so a feature may end in `__absent`
         table = small_table([[1.5, np.nan], [np.nan, 4.0]], names=("x__absent", "b"))

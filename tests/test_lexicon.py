@@ -5,10 +5,11 @@ import re
 
 import pytest
 
+from rumourlens import lexicon
 from rumourlens.corpus import EventCorpus, Label, Role, Tweet
 from rumourlens.errors import BadPattern, CycleError, EmptyCategory, ParseError
 from rumourlens.features import WC_FEATURE, Featurizer, lexicon_feature_names
-from rumourlens.lexicon import build_lexicon, convert_dic, load_lexicon, score
+from rumourlens.lexicon import Lexicon, build_lexicon, convert_dic, load_lexicon, score
 from rumourlens.textprep import TokenKind, tokenize
 
 PAPER_SHAPE_TOP_LEVEL = {
@@ -391,6 +392,20 @@ class TestDicConverter:
         profile = score(tokenize("I am happy"), reloaded)
         assert profile.percentages["pronoun"] == pytest.approx(100.0 / 3)
         assert profile.percentages["affect"] == pytest.approx(100.0 / 3)
+
+    def test_failed_write_leaves_the_previous_file(self, tmp_path, monkeypatch):
+        # a lexicon whose name cannot be written as JSON: the write fails
+        # after the categories, and the file holds what it held before
+        dic = tmp_path / "toy.dic"
+        dic.write_text("%\n1\tpronoun\n%\ni\t1\nwe\t1\n")
+        out = tmp_path / "toy.json"
+        out.write_bytes(b"previous\n")
+        build = lexicon.build_lexicon
+        monkeypatch.setattr(lexicon, "build_lexicon", lambda *a, **k: Lexicon(build(*a, **k).categories, object()))
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            convert_dic(dic, out)
+        assert out.read_bytes() == b"previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.dic", "toy.json"]
 
     def test_bad_header(self, tmp_path):
         dic = tmp_path / "bad.dic"

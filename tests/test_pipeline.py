@@ -5,7 +5,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from rumourlens import classify, pipeline, report, shapley
+from rumourlens import classify, pipeline, report, shapley, textprep
 from rumourlens.config import RunConfig, build_config, parse_config_file
 from rumourlens.emotions import CassetteProvider, LexiconFallbackProvider, RemoteProvider
 from rumourlens.errors import AdditivityError, FeatureMismatch, MissingArtifact, ParseError
@@ -122,16 +122,16 @@ def fixture_config(tmp_path, **overrides):
 
 
 def test_every_run_file_is_written_through_the_opener(tmp_path, monkeypatch):
-    # a whole run with report's one opener recorded: every file in the run
+    # a whole run with textprep's one opener recorded: every file in the run
     # directory went through it, and no temp file is left behind
     opened = []
-    open_run_file = report.open_run_file
+    open_run_file = textprep.open_run_file
 
     def recorded(path):
         opened.append(path.name)
         return open_run_file(path)
 
-    monkeypatch.setattr(report, "open_run_file", recorded)
+    monkeypatch.setattr(textprep, "open_run_file", recorded)
     cfg = fixture_config(tmp_path, n_trees=2, k_folds=3, run_id="opener")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # fewer folds, unsplittable nodes

@@ -99,6 +99,17 @@ class TestLoad:
 
         assert out.read_bytes() == (DATA / "sentic_demo.csv").read_bytes()
 
+    def test_failed_save_leaves_the_previous_file(self, tmp_path):
+        # the second concept's values cannot be formatted: the write fails
+        # after the first row, and the file holds what it held before
+        out = tmp_path / "cache.csv"
+        out.write_bytes(b"previous\n")
+        table = SenticTable(entries={"calm": (0.5, 0.0, 0.0, 0.0, 0.5), "odd": ("x",) * 5})
+        with pytest.raises(ValueError, match="Unknown format code 'g'"):
+            save_sentic_table(table, out)
+        assert out.read_bytes() == b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.csv"]
+
 
 class TestMatching:
     def test_trigram_preferred(self):
