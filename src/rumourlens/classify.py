@@ -72,6 +72,10 @@ probabilities do not depend on the chunk size, bit for bit.
 `Tree.predict_prob` is the one-tree case of the same route.
 `model_from_json` checks a model file's trees once, on the packed
 arrays, so that every route ends on a leaf.
+
+Fits can run in worker processes (`parallel`): `cross_validate` plans
+its folds and hands one job per fold to the `map` it is given, and a
+model pickles as one node array per tree field, not as Tree objects.
 """
 
 from __future__ import annotations
@@ -80,6 +84,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -223,6 +228,17 @@ class RandomForestModel:
                 f"model expects {len(self.feature_names)} features, got {X.shape[-1]}"
             )
         return build_matrix(X, [self.medians[name] for name in self.feature_names])
+
+    def __reduce__(self):
+        # pickled as one node array per tree field, as `_grow_forest` builds
+        # them: thousands of Tree objects cost a worker more than the fit
+        stop = np.cumsum([len(t.feature) for t in self.trees]).tolist()
+        nodes = [np.concatenate([getattr(t, f.name) for t in self.trees]) for f in fields(Tree)]
+        return _unpickle_model, (stop, nodes, self.config, self.seed, self.feature_names, self.medians, self.fold_scores)
+
+
+def _unpickle_model(stop, nodes, *rest) -> RandomForestModel:
+    return RandomForestModel(_cut_trees(stop, *nodes), *rest)
 
 
 # ---------------------------------------------------------------------------
@@ -747,6 +763,15 @@ def fit_balanced(X, y, rows, feature_names, config, seed, oversample_seed) -> Ra
     )
 
 
+def _fold_metrics(X, y, feature_names, config, seed, averaging, fold_no, test_idx) -> Metrics:
+    """Fit fold `fold_no` of `cross_validate` through `fit_balanced` and
+    score it on the fold's held-out rows `test_idx`: one job."""
+    fold_train = np.setdiff1d(np.arange(len(y)), test_idx)
+    fit_seed, oversample_seed = derive_seed(seed, "cv-fit", fold_no), derive_seed(seed, "cv-os", fold_no)
+    model = fit_balanced(X, y, fold_train, feature_names, config, fit_seed, oversample_seed)
+    return evaluate(model, X[test_idx], y[test_idx], averaging=averaging)
+
+
 def cross_validate(
     X: np.ndarray,
     y: np.ndarray,
@@ -755,16 +780,18 @@ def cross_validate(
     config: ForestConfig | None = None,
     seed: int = 0,
     averaging: str = "weighted",
-) -> list[Metrics]:
+    map=map,
+):
     """Stratified k-fold CV; each fold's model comes from `fit_balanced`
-    on the fold's training portion."""
-    results = []
-    for fold_no, test_idx in enumerate(stratified_folds(y, k, seed)):
-        fold_train = np.setdiff1d(np.arange(len(y)), test_idx)
-        fit_seed, oversample_seed = derive_seed(seed, "cv-fit", fold_no), derive_seed(seed, "cv-os", fold_no)
-        model = fit_balanced(X, y, fold_train, feature_names, config, fit_seed, oversample_seed)
-        results.append(evaluate(model, X[test_idx], y[test_idx], averaging=averaging))
-    return results
+    on the fold's training portion and is scored on its held-out rows,
+    one job per fold. The folds are planned here, and their jobs go
+    through `map`, whose result is returned: each fold's Metrics, in fold
+    order. With the builtin `map` the folds are fitted as they are read;
+    a worker pool's takes them all at once. Each fold draws from its own
+    seeds, so the metrics do not depend on which."""
+    folds = stratified_folds(y, k, seed)
+    job = partial(_fold_metrics, X, y, feature_names, config, seed, averaging)
+    return map(job, range(len(folds)), folds)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ class RunConfig:
     shap_background: int = 256
     # run
     seed: int = 42
-    threads: int = 0  # accepted and validated; trees are built serially
+    threads: int = 1  # worker processes for train and explain: 1 in process, 0 every core
     out_dir: str = "out"
     run_id: str = ""  # empty: run-<seed>
     scope: str = "both"  # sources | reactions | both

@@ -114,3 +114,8 @@ class ConfigError(RumourLensError):
 
 class MissingArtifact(RumourLensError):
     pass
+
+
+# parallel
+class WorkerDied(RumourLensError):
+    pass

@@ -16,6 +16,12 @@ which names them in a warning prefixed with the stage's name.
 
 Compare computes the KS grids, the population means and the emotion
 share table from row masks over the feature matrix's columns.
+
+Train and explain run their work through `parallel.jobs`, in process at
+`threads = 1` and in worker processes above. Train plans every model's
+fits before it reads any, then writes the models in order; explain
+splits a large model's rows across the workers. Either way every file
+and every warning is that of the in-process run.
 """
 
 from __future__ import annotations
@@ -23,12 +29,13 @@ from __future__ import annotations
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass
+from functools import partial
 from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from . import classify, emotions, lexicon, report, senticnet, shapley, stats, textprep
+from . import classify, emotions, lexicon, parallel, report, senticnet, shapley, stats, textprep
 from .classify import ForestConfig, derive_seed
 from .config import RunConfig
 from .corpus import AGGREGATED_EVENT, load_jsonl, load_pheme_tree, partition
@@ -288,32 +295,44 @@ def _model_path(out: Path, event: str, scope: str) -> Path:
 
 
 def stage_train(cfg: RunConfig) -> list[Path]:
-    with _stage(cfg, "train") as out:
+    with _stage(cfg, "train") as out, parallel.jobs(cfg.threads, "train") as run:
         table, usable = _stage_inputs(out, "train")
         config = forest_config(cfg)
-        metrics_rows = []
+        # every model's fits are planned before any is read, so that a pool
+        # fits them all while the models are written in order
+        plans = []
         for event in usable:
             for scope in _scopes(cfg):
-                label = f"{event}/{scope}"
-                try:
-                    with warnings.catch_warnings(record=True) as caught:
-                        warnings.simplefilter("always")
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
                         rows, y, seed, train, test = _model_split(cfg, table, event, scope)
                         X = table.X[rows]
-                        fold_metrics = classify.cross_validate(
-                            X[train], y[train], table.names, cfg.k_folds, config, seed, cfg.averaging
+                        folds = classify.cross_validate(
+                            X[train], y[train], table.names, cfg.k_folds, config, seed, cfg.averaging, map=run
                         )
-                        model = classify.fit_balanced(X, y, train, table.names, config, seed, seed)
-                except TooFewSamples as exc:
-                    warn(f"{label}: {exc}; model skipped")
-                    continue
-                for w in caught:  # fewer folds, an unsplittable node: named by the model
-                    warn(f"{label}: {w.message}", w.category)
-                model.fold_scores = [m.accuracy for m in fold_metrics]
-                final = classify.evaluate(model, X[test], y[test], averaging=cfg.averaging)
-                report.write_text(_model_path(out, event, scope), classify.model_to_json(model))
-                cv = [len(fold_metrics), float(np.mean(model.fold_scores)), float(np.std(model.fold_scores))]
-                metrics_rows.append([event, scope, len(train), len(test), *cv, *astuple(final)])
+                        final = run(partial(classify.fit_balanced, X, y, train, table.names, config, seed), [seed])
+                        plans.append((event, scope, caught, (X[test], y[test], len(train), folds, final)))
+                    except TooFewSamples as exc:
+                        plans.append((event, scope, caught, exc))
+        metrics_rows = []
+        for event, scope, caught, fits in plans:
+            label = f"{event}/{scope}"
+            if isinstance(fits, TooFewSamples):
+                warn(f"{label}: {fits}; model skipped")
+                continue
+            X_test, y_test, n_train, folds, final = fits
+            with warnings.catch_warnings(record=True) as fitted:
+                warnings.simplefilter("always")
+                fold_metrics = list(folds)
+                (model,) = final
+            for w in caught + fitted:  # fewer folds, an unsplittable node: named by the model
+                warn(f"{label}: {w.message}", w.category)
+            model.fold_scores = [m.accuracy for m in fold_metrics]
+            scores = classify.evaluate(model, X_test, y_test, averaging=cfg.averaging)
+            report.write_text(_model_path(out, event, scope), classify.model_to_json(model))
+            cv = [len(fold_metrics), float(np.mean(model.fold_scores)), float(np.std(model.fold_scores))]
+            metrics_rows.append([event, scope, n_train, len(y_test), *cv, *astuple(scores)])
         report.write_metrics_csv(out / report.METRICS_CSV, metrics_rows)
     return _written(cfg, "train")
 
@@ -331,7 +350,7 @@ def _check_model_features(model, names, model_path: Path, event: str, scope: str
 
 
 def stage_explain(cfg: RunConfig) -> list[Path]:
-    with _stage(cfg, "explain") as out:
+    with _stage(cfg, "explain") as out, parallel.jobs(cfg.threads, "explain") as run:
         table, usable = _stage_inputs(out, "explain")
         rankings: dict = {}
         for event in usable:
@@ -357,6 +376,8 @@ def stage_explain(cfg: RunConfig) -> list[Path]:
                     background=X[train],
                     background_limit=cfg.shap_background,
                     seed=derive_seed(cfg.seed, event, scope, "background"),
+                    map=run,
+                    blocks=parallel.workers(cfg.threads),
                 )
                 gaps = np.abs(
                     summary.base_value + summary.phi.sum(axis=1) - model.predict_proba(summary.values)

@@ -1123,7 +1123,7 @@ class TestCrossValidate:
         monkeypatch.setattr(classify, "fit_forest", spy)
         X, y, names = blob_data(15, seed=4)
         X = np.column_stack([X, np.arange(len(y))])
-        cross_validate(X, y, [*names, "id"], k=5, config=ForestConfig(n_trees=3), seed=2)
+        list(cross_validate(X, y, [*names, "id"], k=5, config=ForestConfig(n_trees=3), seed=2))
         folds = stratified_folds(y, k=5, seed=2)
         assert len(fits) == len(folds)
         for (ids, medians), test_idx in zip(fits, folds):
@@ -1162,7 +1162,7 @@ class TestCrossValidate:
 
     def test_cv_runs_and_reports(self):
         X, y, names = blob_data(20, seed=5)
-        results = cross_validate(X, y, names, k=4, config=ForestConfig(n_trees=10), seed=1)
+        results = list(cross_validate(X, y, names, k=4, config=ForestConfig(n_trees=10), seed=1))
         assert len(results) == 4
         assert all(0.0 <= m.accuracy <= 1.0 for m in results)
 

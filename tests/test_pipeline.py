@@ -158,20 +158,41 @@ def test_stage_all_returns_every_declared_file_in_stage_order(tmp_path):
     assert {p.name for p in cfg.run_dir().iterdir()} == {p.name for p in written} | {pipeline.MANIFEST}
 
 
-def test_threads_setting_does_not_change_models(tmp_path):
-    # the fixture config at each threads setting; a 10-tree, 3-fold forest
-    # keeps the two training runs short
-    models = {}
+def test_threads_setting_does_not_change_models(tmp_path, monkeypatch):
+    # a whole fixture run in process and with two workers: every run file
+    # but the config is byte-identical, and the same warnings come in the
+    # same order, each train warning named by its model. Every model is
+    # explained in the pool too. Two reply texts, each under a rumour and a
+    # non-rumour source, make identical rows of both classes, which the
+    # fits warn of in the workers; 10 folds are more than the smaller
+    # populations hold, which the stage warns of; 10 trees keep it short
+    dataset = tmp_path / "twins.jsonl"
+    lines = (ROOT / "fixtures" / "mini-pheme.jsonl").read_text(encoding="utf-8").splitlines()
+    for i, (parent, label) in enumerate([("580000007", "rumour"), ("580000096", "non-rumour")] * 2):
+        tweet = {"id": f"9{i}", "text": "same words again", "event": "parkfire", "role": "reaction"}
+        lines.append(json.dumps({**tweet, "label": label, "parent_id": parent}))
+    dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    monkeypatch.setattr(shapley, "POOL_WORK", 0)
+    runs, warned = {}, {}
     for threads in (1, 2):
         cfg = fixture_config(
-            tmp_path, threads=threads, n_trees=10, k_folds=3, run_id=f"threads-{threads}"
+            tmp_path, dataset=str(dataset), dataset_format="jsonl", threads=threads, n_trees=10, k_folds=10,
+            run_id=f"threads-{threads}",
         )
-        pipeline.stage_ingest(cfg)
-        pipeline.stage_featurize(cfg)
-        pipeline.stage_train(cfg)
-        models[threads] = {p.name: p.read_bytes() for p in cfg.run_dir().glob("model_*.json")}
-    assert len(models[1]) == 6  # 3 events x 2 scopes
-    assert models[1] == models[2]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pipeline.stage_all(cfg)
+        runs[threads] = {
+            p.name: p.read_bytes() for p in cfg.run_dir().iterdir() if p.name != pipeline.RUN_CONFIG_JSON
+        }
+        warned[threads] = [(w.category, str(w.message), w.filename) for w in caught]
+    assert len([name for name in runs[1] if name.startswith("model_")]) == 6  # 3 events x 2 scopes
+    assert len([name for name in runs[1] if name.startswith("shap_")]) == 4
+    assert runs[1] == runs[2]
+    assert warned[1] == warned[2]
+    messages = [message for _, message, _ in warned[1]]
+    assert "parkfire/sources: reducing folds from 10 to 4" in messages
+    assert "parkfire/reactions: unsplittable node with mixed labels (identical rows); majority leaf used" in messages
 
 
 def test_exclusion_warning_names_the_stage(tmp_path):
