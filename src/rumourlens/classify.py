@@ -36,7 +36,7 @@ a concatenated array, running counts of the rows that go left give each
 row its place (O(rows), no sort), and every child gets its rows in parent
 order and its class-1 count. What stays per node is taking its subset
 and pushing the two children on the tree's stack;
-the trees of a forest are cut out of one node array at the end.
+the forest's node table is built from all the trees' nodes at the end.
 
 The search counts cuts on rank-encoded columns, after SLIQ (Mehta,
 Agrawal & Rissanen, EDBT 1996). Each fit encodes its imputed matrix
@@ -61,21 +61,22 @@ compare the search with a scalar one on random nodes and forests, and
 whole models with a recursive one-tree-at-a-time builder kept there as
 the reference.
 
-Prediction routes a whole forest at once (`leaf_values`): the trees are
-packed into one flat node table (`pack_forest`, which the explainer
-shares), each tree's child indices offset by its first node, and every
-(tree, row) pair descends one level per step until all stand on leaves.
-Rows go in chunks of at most `ROUTE_BLOCK_PAIRS` pairs. `predict_proba`
-adds the per-tree leaf values with a running sum down the tree axis,
-which adds them in tree order, as a loop over the trees would, so the
+A fitted forest is one `Forest`: each tree's first node and its model
+file's five fields, concatenated over the trees, from the fit through the
+worker pool (pickled as plain arrays) and the model file to every route;
+its imputation medians are one vector in column order. Prediction routes
+the whole forest at once (`leaf_values`) over the table `pack_forest`
+derives, which the explainer shares: child indices offset by their
+tree's first node. Every (tree, row) pair descends one level per step
+until all stand on leaves, in chunks of at most `ROUTE_BLOCK_PAIRS`
+pairs. `predict_proba` adds the per-tree leaf values with a running sum
+down the tree axis, in tree order as a loop over the trees would, so the
 probabilities do not depend on the chunk size, bit for bit.
 `Tree.predict_prob` is the one-tree case of the same route.
-`model_from_json` checks a model file's trees once, on the packed
-arrays, so that every route ends on a leaf.
-
-Fits can run in worker processes (`parallel`): `cross_validate` plans
-its folds and hands one job per fold to the `map` it is given, and a
-model pickles as one node array per tree field, not as Tree objects.
+`model_from_json` checks a model file's trees once, on the whole
+forest's columns, so that every route ends on a leaf, and its medians.
+Fits can run in worker processes (`parallel`): `cross_validate` hands
+one job per fold to the `map` it is given.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from itertools import chain
@@ -116,10 +118,26 @@ class ForestConfig:
 
 
 @dataclass
+class Forest:
+    """A fitted forest as one node table: each tree's first node, and the
+    model file's five fields concatenated over the trees, child indices
+    counted from their tree's first node. feature[i] == -1 marks a leaf;
+    counts[i] holds node i's per-class training counts (set at leaves)."""
+
+    start: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+
+@dataclass
 class Tree:
-    """Flattened binary tree, the five fields of its model file.
-    feature[i] == -1 marks a leaf; counts[i] holds per-class training
-    counts at node i (populated at leaves)."""
+    """One tree's five model-file fields: a one-tree `Forest`."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -130,22 +148,7 @@ class Tree:
     def predict_prob(self, X: np.ndarray) -> np.ndarray:
         """P(class 1) per row: the one-tree case of `leaf_values`, the
         route `RandomForestModel.predict_proba` takes for all trees."""
-        return leaf_values([self], X)[0]
-
-
-def _rumour_share(counts: np.ndarray) -> np.ndarray:
-    """P(class 1) per node from its (non-rumour, rumour) counts; 0.0 where
-    a node holds none."""
-    total = counts[:, 0] + counts[:, 1]
-    return np.divide(counts[:, 1], total, out=np.zeros(len(total)), where=total > 0)
-
-
-def _cut_trees(stop: list[int], feature, threshold, left, right, counts) -> list[Tree]:
-    """The trees of a forest whose node arrays hold tree t's nodes at
-    [stop[t - 1], stop[t]), each array a view."""
-    return [
-        Tree(feature[a:b], threshold[a:b], left[a:b], right[a:b], counts[a:b]) for a, b in zip([0, *stop[:-1]], stop)
-    ]
+        return leaf_values(Forest(np.zeros(1, np.int64), **vars(self)), X)[0]
 
 
 # (tree, row) pairs routed at once by `leaf_values`; larger inputs are
@@ -153,61 +156,52 @@ def _cut_trees(stop: list[int], feature, threshold, left, right, counts) -> list
 ROUTE_BLOCK_PAIRS = 1 << 13
 
 
-def pack_forest(trees: list[Tree]):
-    """The trees as one flat node table: (each tree's root, then feature,
-    threshold, left, right and value per node), tree t's nodes after tree
-    t - 1's and child indices offset by each tree's first node. A node's
-    value is its class-1 share of its counts, 0.0 where it holds none."""
-    sizes = [len(t.feature) for t in trees]
-    start = np.cumsum(sizes) - sizes
-    offset = np.repeat(start, sizes)
-    return (
-        start,
-        np.concatenate([t.feature for t in trees]),
-        np.concatenate([t.threshold for t in trees]),
-        np.concatenate([t.left for t in trees]) + offset,
-        np.concatenate([t.right for t in trees]) + offset,
-        _rumour_share(np.concatenate([t.counts for t in trees])),
-    )
+def pack_forest(forest: Forest):
+    """The node table the routes read: (each tree's root, then feature,
+    threshold, left, right and value per node), child indices offset by
+    their tree's first node. A node's value is its class-1 share of its
+    counts, 0.0 where it holds none."""
+    offset = np.repeat(forest.start, np.diff(forest.start, append=len(forest.feature)))
+    total = forest.counts[:, 0] + forest.counts[:, 1]
+    value = np.divide(forest.counts[:, 1], total, out=np.zeros(len(total)), where=total > 0)
+    return forest.start, forest.feature, forest.threshold, forest.left + offset, forest.right + offset, value
 
 
-def leaf_values(trees: list[Tree], X: np.ndarray) -> np.ndarray:
+def leaf_values(forest: Forest, X: np.ndarray) -> np.ndarray:
     """(trees x rows) array: the value of the leaf each row of `X` reaches
-    in each tree. The trees are packed into one node table
-    (`pack_forest`) and every (tree, row) pair descends together, one
-    tree level per step."""
-    start, feature, threshold, left, right, value = pack_forest(trees)
-    out = np.empty((len(trees), X.shape[0]))
-    step = max(1, ROUTE_BLOCK_PAIRS // len(trees))
+    in each tree. Every (tree, row) pair descends the node table
+    (`pack_forest`) together, one tree level per step."""
+    start, feature, threshold, left, right, value = pack_forest(forest)
+    out = np.empty((len(forest), X.shape[0]))
+    step = max(1, ROUTE_BLOCK_PAIRS // len(forest))
     for lo in range(0, X.shape[0], step):
         rows = X[lo : lo + step]
         # pair p is (tree p // r, row p % r) of the chunk's r rows
         r = rows.shape[0]
         node = np.repeat(start, r)
-        row = np.tile(np.arange(r), len(trees))
+        row = np.tile(np.arange(r), len(forest))
         active = np.flatnonzero(feature[node] != -1)
         while active.size:
             at = node[active]
             go_left = rows[row[active], feature[at]] <= threshold[at]
             node[active] = np.where(go_left, left[at], right[at])
             active = active[feature[node[active]] != -1]
-        out[:, lo : lo + r] = value[node].reshape(len(trees), r)
+        out[:, lo : lo + r] = value[node].reshape(len(forest), r)
     return out
 
 
 @dataclass
 class RandomForestModel:
-    trees: list[Tree]
+    trees: Forest
     config: ForestConfig
     seed: int
     feature_names: tuple[str, ...]
-    medians: dict[str, float]
+    medians: np.ndarray  # float64, in feature_names order
     fold_scores: list[float] = field(default_factory=list)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """P(class 1) per imputed row: the mean of the trees' leaf values,
-        routed in one pass over the packed forest and added in tree
-        order."""
+        routed in one pass over the node table and added in tree order."""
         if X.shape[1] != len(self.feature_names):
             raise FeatureMismatch(
                 f"model expects {len(self.feature_names)} features, got {X.shape[1]}"
@@ -227,18 +221,7 @@ class RandomForestModel:
             raise FeatureMismatch(
                 f"model expects {len(self.feature_names)} features, got {X.shape[-1]}"
             )
-        return build_matrix(X, [self.medians[name] for name in self.feature_names])
-
-    def __reduce__(self):
-        # pickled as one node array per tree field, as `_grow_forest` builds
-        # them: thousands of Tree objects cost a worker more than the fit
-        stop = np.cumsum([len(t.feature) for t in self.trees]).tolist()
-        nodes = [np.concatenate([getattr(t, f.name) for t in self.trees]) for f in fields(Tree)]
-        return _unpickle_model, (stop, nodes, self.config, self.seed, self.feature_names, self.medians, self.fold_scores)
-
-
-def _unpickle_model(stop, nodes, *rest) -> RandomForestModel:
-    return RandomForestModel(_cut_trees(stop, *nodes), *rest)
+        return build_matrix(X, self.medians)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +576,7 @@ def _partition(X, y, rows, n, feature, threshold):
     return rows.compress(go_left), rows.compress(~go_left), n_left, left_ones
 
 
-def _grow_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) -> list[Tree]:
+def _grow_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) -> Forest:
     """Grow all trees in lockstep on the rank codes of `X`. Each step,
     every tree that still has work creates its next node to split
     (closing leaves on the way), one cut search scores all those nodes
@@ -649,11 +632,11 @@ def _grow_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) 
             g.stack.append((right_rows[ra:rb].copy(), ones - ol, depth + 1, node, 3))
             g.stack.append((left_rows[la:lb], ol, depth + 1, node, 2))
             la, ra = lb, rb
-    # every tree's nodes in one array, cut back into trees
-    stop = np.cumsum([len(g.nodes) // 6 for g in growths]).tolist()
-    nodes = np.fromiter(chain.from_iterable(g.nodes for g in growths), np.float64, 6 * stop[-1]).reshape(-1, 6)
-    feature, left, right = nodes[:, [0, 2, 3]].T.astype(np.int64)
-    return _cut_trees(stop, feature, nodes[:, 1].copy(), left, right, nodes[:, 4:].copy())
+    # every tree's nodes in one table
+    sizes = [len(g.nodes) // 6 for g in growths]
+    nodes = np.fromiter(chain.from_iterable(g.nodes for g in growths), np.float64, 6 * sum(sizes)).reshape(-1, 6)
+    feature, left, right = nodes[:, [0, 2, 3]].T.astype(np.int64, order="C")
+    return Forest(np.cumsum(sizes) - sizes, feature, nodes[:, 1].copy(), left, right, nodes[:, 4:].copy())
 
 
 def fit_forest(
@@ -670,8 +653,7 @@ def fit_forest(
     model; they default to the medians of `X` itself.
     """
     config = config or ForestConfig()
-    if medians is None:
-        medians = compute_medians(X)
+    medians = compute_medians(X) if medians is None else np.array(medians, dtype=np.float64)
     X = build_matrix(X, medians)
     if not np.isfinite(X).all():
         row, col = np.argwhere(~np.isfinite(X))[0]
@@ -683,7 +665,7 @@ def fit_forest(
         config=config,
         seed=seed,
         feature_names=tuple(feature_names),
-        medians={name: float(m) for name, m in zip(feature_names, medians)},
+        medians=medians,
     )
 
 
@@ -799,42 +781,39 @@ def cross_validate(
 
 
 def model_to_json(model: RandomForestModel) -> str:
+    columns = [(f.name, getattr(model.trees, f.name).tolist()) for f in fields(Forest)[1:]]
+    bounds = [*model.trees.start.tolist(), len(model.trees.feature)]
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "config": asdict(model.config),
         "seed": model.seed,
         "classes": list(CLASSES),
         "feature_names": list(model.feature_names),
-        "medians": {k: model.medians[k] for k in sorted(model.medians)},
+        "medians": dict(zip(model.feature_names, model.medians.tolist())),
         "fold_scores": model.fold_scores,
-        "trees": [
-            {
-                "feature": t.feature.tolist(),
-                "threshold": t.threshold.tolist(),
-                "left": t.left.tolist(),
-                "right": t.right.tolist(),
-                "counts": t.counts.tolist(),
-            }
-            for t in model.trees
-        ],
+        "trees": [{name: values[a:b] for name, values in columns} for a, b in zip(bounds, bounds[1:])],
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def model_from_json(text: str) -> RandomForestModel:
     """The model `model_to_json` wrote. ParseError for text that is not
-    JSON, another format version or a missing key, and, naming the tree,
-    for trees that would not route every row to a leaf."""
+    a JSON object, another format version, a missing key, medians that
+    are not an object with a finite number for every feature, and, naming
+    the tree, for trees that would not route every row to a leaf."""
     try:
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ParseError(f"the top level is not an object but {type(payload).__name__}")
         if payload["format_version"] != MODEL_FORMAT_VERSION:
             raise ParseError(f"unsupported model format {payload['format_version']!r}")
+        names = tuple(payload["feature_names"])
         return RandomForestModel(
             config=ForestConfig(**{f.name: payload["config"][f.name] for f in fields(ForestConfig)}),
-            trees=_trees_from_lists(payload["trees"], len(payload["feature_names"])),
+            trees=_trees_from_lists(payload["trees"], len(names)),
             seed=payload["seed"],
-            feature_names=tuple(payload["feature_names"]),
-            medians=payload["medians"],
+            feature_names=names,
+            medians=_median_vector(payload["medians"], names),
             fold_scores=payload.get("fold_scores", []),
         )
     except json.JSONDecodeError as exc:
@@ -843,13 +822,29 @@ def model_from_json(text: str) -> RandomForestModel:
         raise ParseError(f"missing key {exc}") from exc
 
 
-def _trees_from_lists(raw: list[dict], d: int) -> list[Tree]:
-    """The trees of a model file, parsed into one array per field for the
-    whole forest and checked there once, so that every row descends to a
-    leaf: each tree has nodes, and as many entries in every field; counts
-    are one pair per node; a split node's feature lies in [0, d) and its
-    children after it in its own tree; a leaf has no children. Raises
-    ParseError naming the tree and the cause."""
+def _median_vector(raw, names) -> np.ndarray:
+    """The medians object of a model file as a vector in the order of
+    `names`; ParseError unless it holds a finite number for every name."""
+    if not isinstance(raw, dict):
+        raise ParseError(f"medians is not an object but {type(raw).__name__}")
+    for name in names:
+        value = raw.get(name)
+        # compared, not converted: an integer past the float range fails here
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+            got = f"{value!r:.40}, not a finite number" if name in raw else "missing"
+            raise ParseError(f"medians: the median of feature {name!r} is {got}")
+    return np.array([raw[name] for name in names], dtype=np.float64)
+
+
+def _trees_from_lists(raw: list[dict], d: int) -> Forest:
+    """The trees of a model file as the forest's node table, checked there
+    once, so that every row descends to a leaf: the trees are a list of
+    objects; each tree has nodes, and as many entries in every field;
+    counts are one pair per node; a split node's feature lies in [0, d)
+    and its children after it in its own tree; a leaf has no children.
+    Raises ParseError naming the tree and the cause."""
+    if not isinstance(raw, list) or not all(isinstance(t, dict) for t in raw):
+        raise ParseError("trees is not a list of objects")
     if not raw:
         raise ParseError("the model holds no trees")
     sizes = [len(t["feature"]) for t in raw]
@@ -892,4 +887,4 @@ def _trees_from_lists(raw: list[dict], d: int) -> list[Tree]:
         if bad.any():
             k = int(bad.argmax())
             raise ParseError(f"tree {int(np.searchsorted(stop, k, side='right'))}: node {node[k]}: {cause(k)}")
-    return _cut_trees(stop.tolist(), feature, threshold, left, right, counts)
+    return Forest(stop - sizes, feature, threshold, left, right, counts)

@@ -26,12 +26,12 @@ The tests check the walk against ``brute_shapley`` (in
 ``tests/shapley_oracle.py``), which evaluates the defining subset sum
 directly.
 
-The explainer walks the forest once per chunk of rows, over the node
-table ``classify.pack_forest`` builds for prediction too: every (row,
-tree) pair of the chunk descends together, one level per step. A
-frontier entry is a row, a node, the required set P and the forbidden
-set N (bit sets, with their sizes p and q kept as counters) and a mask
-of up to 64 background rows (one group; a larger background has
+The explainer walks the forest once per chunk of rows, over the model's
+node table as ``classify.pack_forest`` offsets it for prediction too:
+every (row, tree) pair of the chunk descends together, one level per
+step. A frontier entry is a row, a node, the required set P and the
+forbidden set N (bit sets, with their sizes p and q kept as counters)
+and a mask of up to 64 background rows (one group; a larger background has
 several). At a split on feature f the background rows that go the
 row's way follow it; those that go the other way branch into two
 entries, the row's child with f added to P and their own child with f

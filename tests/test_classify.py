@@ -3,6 +3,8 @@ import itertools
 import json
 import linecache
 import math
+import pickle
+import re
 import warnings
 from fractions import Fraction
 
@@ -34,6 +36,7 @@ from rumourlens.classify import (
 )
 from rumourlens.errors import FeatureMismatch, NonFiniteValue, ParseError, SingleClass, TooFewSamples
 from rumourlens.shapley import TreeShapExplainer
+from tests.forests import forest_of, trees_of
 
 RUMOUR, NON_RUMOUR = CLASSES.index("rumour"), CLASSES.index("non-rumour")
 
@@ -139,7 +142,7 @@ class TestForest:
     def test_single_tree_forest_matches_tree(self):
         X, y, names = blob_data(30, seed=2)
         model = fit_forest(X, y, names, ForestConfig(n_trees=1), seed=1)
-        assert np.array_equal(model.predict_proba(X), model.trees[0].predict_prob(X))
+        assert np.array_equal(model.predict_proba(X), trees_of(model.trees)[0].predict_prob(X))
 
     def test_degenerate_identical_rows_mixed_labels(self):
         X = column([1.0] * 8)
@@ -192,14 +195,31 @@ class TestForest:
         reloaded = model_from_json(model_to_json(model))
         assert np.array_equal(model.predict_proba(X), reloaded.predict_proba(X))
         assert model_to_json(reloaded) == model_to_json(model)
-        assert json.loads(model_to_json(model))["medians"] == model.medians
+        assert json.loads(model_to_json(model))["medians"] == dict(zip(names, model.medians.tolist()))
+
+    def test_pickle_and_model_file_give_back_the_fitted_table(self):
+        # a worker process hands a model back pickled, and explain reads it
+        # from its model file: both give back the fit's arrays, bit for bit
+        X, y, names = blob_data(20, seed=6, d=3)
+        X[3, 1] = np.nan
+        model = fit_forest(X, y, names, ForestConfig(n_trees=7), seed=8)
+        rows = model.impute(X)
+
+        def form(array):
+            return array.dtype, array.shape, array.tobytes()
+
+        for copy in (pickle.loads(pickle.dumps(model)), model_from_json(model_to_json(model))):
+            for f in dataclasses.fields(classify.Forest):
+                assert form(getattr(copy.trees, f.name)) == form(getattr(model.trees, f.name)), f.name
+            assert form(copy.medians) == form(model.medians)
+            assert copy.predict_proba(rows).tobytes() == model.predict_proba(rows).tobytes()
 
     def test_tree_structural_invariants(self):
         # every node reachable exactly once, finite thresholds at splits,
         # positive class counts at leaves
         X, y, names = blob_data(40, seed=14, d=3)
         model = fit_forest(X, y, names, ForestConfig(n_trees=10), seed=2)
-        for tree in model.trees:
+        for tree in trees_of(model.trees):
             n = len(tree.feature)
             seen = set()
             stack = [0]
@@ -500,7 +520,7 @@ class TestSplitSearchOracle:
         assert any(fallbacks)
         for (got, X), (want, _) in zip(fitted["array"], fitted["scalar"]):
             assert model_to_json(got) == model_to_json(want)
-            for tree in got.trees:
+            for tree in trees_of(got.trees):
                 # rows on both sides of every threshold, and on it
                 rows = np.vstack([X, np.repeat(tree.threshold[:, None], X.shape[1], axis=1)])
                 assert tree.predict_prob(rows).tobytes() == scalar_predict_prob(tree, rows).tobytes()
@@ -613,11 +633,11 @@ def oracle_fit_forest(X, y, feature_names, config, seed):
         boot = rng.integers(0, X.shape[0], size=X.shape[0])
         trees.append(OracleTreeBuilder(X[boot], y[boot], config, rng).build())
     return RandomForestModel(
-        trees=trees,
+        trees=forest_of(trees),
         config=config,
         seed=seed,
         feature_names=tuple(feature_names),
-        medians={name: float(m) for name, m in zip(feature_names, medians)},
+        medians=medians,
     )
 
 
@@ -685,7 +705,7 @@ class TestLockstepGrowth:
         X, y = next((X, y) for name, X, y in oracle_datasets() if name == "mislabelled")
         model = fit_forest(X, y, list("abcd"), ForestConfig(n_trees=37), seed=5)
         depths = []
-        for tree in model.trees:
+        for tree in trees_of(model.trees):
             depth = np.zeros(len(tree.feature), dtype=np.int64)
             for node in np.flatnonzero(tree.feature != -1):  # parents precede children
                 depth[[tree.left[node], tree.right[node]]] = depth[node] + 1
@@ -820,14 +840,13 @@ class TestTreeValue:
                 right=np.array([2, -1, -1]),
                 counts=np.array([[0, 0], [3, 1], [0, 2]], dtype=np.float64),
             )
-            assert pack_forest([tree])[5].tolist() == [0.0, 0.25, 1.0]
+            assert pack_forest(forest_of([tree]))[5].tolist() == [0.0, 0.25, 1.0]
             assert tree.predict_prob(column([0.5, 0.6, np.nan])).tolist() == [0.25, 1.0, 1.0]
             assert tree.predict_prob(np.zeros((0, 1))).shape == (0,)
 
     def test_packed_values_are_each_nodes_class_1_share(self):
         model = fit_forest(*blob_data(30, distance=1.0, seed=5, d=3)[:2], list("abc"), ForestConfig(n_trees=7), seed=3)
-        counts = np.concatenate([t.counts for t in model.trees])
-        want = [c[1] / (c[0] + c[1]) for c in counts.tolist()]
+        want = [c[1] / (c[0] + c[1]) for c in model.trees.counts.tolist()]
         assert pack_forest(model.trees)[5].tolist() == want
         assert 0.0 in want and 1.0 in want and len(set(want)) > 2
 
@@ -861,12 +880,12 @@ class TestStepPartition:
         assert right.tolist() == np.concatenate(want_right).tolist()
 
 
-def in_order_sum(trees, X):
+def in_order_sum(forest, X):
     """The forest output as the per-tree loop added it, tree by tree."""
     probs = np.zeros(X.shape[0])
-    for tree in trees:
+    for tree in trees_of(forest):
         probs += scalar_predict_prob(tree, X)
-    return probs / len(trees)
+    return probs / len(forest)
 
 
 def leaf_tree(counts):
@@ -888,8 +907,9 @@ def route_cases():
             warnings.simplefilter("ignore", UserWarning)  # identical rows, mixed labels
             model = fit_forest(X, y, [f"f{j}" for j in range(X.shape[1])], config, seed=seed)
         if seed == 300:
-            model.trees[1:1] = [leaf_tree([2, 1]), leaf_tree([0, 5])]
-        thresholds = np.concatenate([t.threshold[t.feature != -1] for t in model.trees])
+            trees = trees_of(model.trees)
+            model.trees = forest_of(trees[:1] + [leaf_tree([2, 1]), leaf_tree([0, 5])] + trees[1:])
+        thresholds = model.trees.threshold[model.trees.feature != -1]
         on = np.repeat(thresholds[:, None], X.shape[1], axis=1)
         yield model, np.vstack([X, on])
 
@@ -902,8 +922,8 @@ class TestPackedRoute:
 
     def test_single_leaf_forest(self):
         model = RandomForestModel(
-            trees=[leaf_tree([1, 3]), leaf_tree([3, 0])], config=ForestConfig(n_trees=2),
-            seed=0, feature_names=("x",), medians={"x": 0.0},
+            trees=forest_of([leaf_tree([1, 3]), leaf_tree([3, 0])]), config=ForestConfig(n_trees=2),
+            seed=0, feature_names=("x",), medians=np.zeros(1),
         )
         assert model.predict_proba(column([0.0, 7.0])).tolist() == [0.375, 0.375]
 
@@ -922,7 +942,7 @@ class TestPackedRoute:
         # each tree's mean output over the background, then their mean
         for model, X in route_cases():
             explainer = TreeShapExplainer(model, X)
-            want = float(np.mean([scalar_predict_prob(t, X).mean() for t in model.trees]))
+            want = float(np.mean([scalar_predict_prob(t, X).mean() for t in trees_of(model.trees)]))
             assert explainer.base_value == want
 
 
@@ -934,7 +954,7 @@ def two_tree_payload():
     """A saved two-tree model on features (a, b) as a dict; tree 1 has 5
     nodes: a split on b, a leaf, a split on a and its two leaves."""
     model = RandomForestModel(
-        trees=[
+        trees=forest_of([
             leaf_tree([1, 1]),
             Tree(
                 feature=np.array([1, -1, 0, -1, -1]),
@@ -943,8 +963,8 @@ def two_tree_payload():
                 right=np.array([2, -1, 4, -1, -1]),
                 counts=np.array([[0, 0], [2, 1], [0, 0], [1, 0], [0, 3]], dtype=np.float64),
             ),
-        ],
-        config=ForestConfig(n_trees=2), seed=0, feature_names=("a", "b"), medians={"a": 0.0, "b": 0.0},
+        ]),
+        config=ForestConfig(n_trees=2), seed=0, feature_names=("a", "b"), medians=np.zeros(2),
     )
     return json.loads(model_to_json(model))
 
@@ -985,6 +1005,30 @@ class TestModelFileChecks:
     def test_counts_not_pairs(self):
         with pytest.raises(ParseError, match=r"^tree 1: counts entries are not \(non-rumour, rumour\) count pairs$"):
             load_edited(lambda tree: tree["counts"][4].append(1.0))
+
+    @pytest.mark.parametrize(
+        "edit, want",
+        [
+            (lambda p: [p], "the top level is not an object but list"),
+            (lambda p: {**p, "trees": [p["trees"][0], 7]}, "trees is not a list of objects"),
+            (lambda p: {**p, "medians": [0.0, 0.0]}, "medians is not an object but list"),
+            (lambda p: {**p, "medians": {"a": 0.0}}, "medians: the median of feature 'b' is missing"),
+        ],
+        ids=["top level", "trees", "medians", "missing median"],
+    )
+    def test_malformed_model_file(self, edit, want):
+        with pytest.raises(ParseError, match=f"^{re.escape(want)}$"):
+            model_from_json(json.dumps(edit(two_tree_payload())))
+
+    @pytest.mark.parametrize(
+        "value", ["0.5", None, True, math.nan, math.inf, 10**400], ids=["string", "null", "bool", "nan", "inf", "huge"]
+    )
+    def test_median_not_a_finite_number(self, value):
+        payload = two_tree_payload()
+        payload["medians"]["b"] = value
+        want = f"medians: the median of feature 'b' is {value!r:.40}, not a finite number"
+        with pytest.raises(ParseError, match=f"^{re.escape(want)}$"):
+            model_from_json(json.dumps(payload))
 
     def test_tree_without_nodes(self):
         with pytest.raises(ParseError, match=r"^tree 1: no nodes$"):

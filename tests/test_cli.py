@@ -406,6 +406,25 @@ class TestCliCommands:
         want = f"error: ParseError: stage 'explain', event 'parkfire', scope 'reactions': {path.name}: {want}\n"
         assert capsys.readouterr().err == want
 
+    def test_model_file_missing_a_median_rejected(self, tmp_path, mini_pheme_dir, capsys):
+        # explain stops at the model file with one line naming it, and takes
+        # its mark and its files with it
+        conf = write_config(tmp_path, mini_pheme_dir, n_trees=3, k_folds=2)
+        assert cli.main(["all", "--config", str(conf)]) == 0
+        run = tmp_path / "out" / "t"
+        path = run / "model_parkfire_reactions.json"
+        payload = json.loads(path.read_text())
+        del payload["medians"]["WC"]
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli.main(["explain", "--config", str(conf)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: ParseError: stage 'explain', event 'parkfire', scope 'reactions': {path.name}: "
+            "medians: the median of feature 'WC' is missing\n"
+        )
+        assert "explain" not in json.loads((run / pipeline.MANIFEST).read_text())["stages"]
+        assert not list(run.glob("shap_*"))
+
     @pytest.mark.parametrize("name", ["manifest.json", "shap_rankings.json"])
     def test_truncated_json_rejected(self, tmp_path, mini_pheme_dir, capsys, name):
         # a JSON run file cut short: the stage reading it names the file

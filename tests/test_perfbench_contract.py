@@ -52,7 +52,8 @@ def test_counter_hooks_name_traced_spans():
 def one_call(demo_lexicon, demo_sentic_table):
     """Per counter hook: the arguments of one real call of the traced
     function, and the counter that call must move by how much."""
-    model = manual_model([stump(0, 0.5, [3, 1], [1, 3]), stump(1, 0.0, [2, 2], [0, 4])], ["a", "b"])
+    first = stump(0, 0.5, [3, 1], [1, 3])
+    model = manual_model([first, stump(1, 0.0, [2, 2], [0, 4])], ["a", "b"])
     rows = np.array([[0.0, 1.0], [1.0, -1.0], [0.2, 0.3]])
     corpus = toy_corpus()
     tokens = tokenize(corpus.sources[0].text)
@@ -60,7 +61,7 @@ def one_call(demo_lexicon, demo_sentic_table):
     return {
         "lexicon.score": ((tokens, demo_lexicon), "lexicon.categories_scored", len(demo_lexicon.categories)),
         "features.featurize_corpus": ((featurizer, corpus), "features.tweets", 3),
-        "classify.predict_prob": ((model.trees[0], rows), "classify.predict_rows", 3),
+        "classify.predict_prob": ((first, rows), "classify.predict_rows", 3),
         "shapley.explain_row": ((TreeShapExplainer(model, rows), rows[0]), "shapley.row_trees", 2),
     }
 

@@ -3,6 +3,7 @@ import threading
 import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
+import numpy as np
 import pytest
 
 from rumourlens import classify, pipeline, report, shapley, textprep
@@ -306,9 +307,7 @@ def test_explain_rejects_a_cyclic_model(tmp_path):
 
 
 def test_feature_check_names_a_missing_column(tmp_path):
-    model = classify.RandomForestModel(
-        trees=[], config=classify.ForestConfig(), seed=0, feature_names=("a", "b"), medians={}
-    )
+    model = classify.fit_forest(np.eye(2), np.arange(2), ("a", "b"), classify.ForestConfig(n_trees=1))
     pipeline._check_model_features(model, ["a", "b"], tmp_path / "m.json", "e", "sources")
     message = r"feature column 1 is 'b' in m\.json but absent in features\.csv$"
     with pytest.raises(FeatureMismatch, match=message):
@@ -363,6 +362,8 @@ def test_failed_explain_leaves_nothing_to_report(tmp_path):
     assert len(list(out.glob("shap_*.csv"))) == 3
     path = out / "model_statuegift_reactions.json"
     payload = json.loads(path.read_text(encoding="utf-8"))
+    # the model file stays whole: its medians are keyed by its own names
+    payload["medians"]["renamed"] = payload["medians"].pop(payload["feature_names"][0])
     payload["feature_names"][0] = "renamed"
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(FeatureMismatch, match=r"^stage 'explain', event 'statuegift', scope 'reactions'"):

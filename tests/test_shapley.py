@@ -30,6 +30,7 @@ from rumourlens.classify import (
 )
 from rumourlens.errors import EmptySample, FeatureMismatch, NonFiniteValue
 from rumourlens.shapley import TreeShapExplainer, _weight_table, shap_summary
+from tests.forests import forest_of, trees_of
 from tests.shapley_oracle import TooManyFeatures, brute_shapley
 
 
@@ -55,11 +56,11 @@ def stump(feature, threshold, left_counts, right_counts):
 
 def manual_model(trees, names):
     return RandomForestModel(
-        trees=trees,
+        trees=forest_of(trees),
         config=ForestConfig(n_trees=len(trees)),
         seed=0,
         feature_names=tuple(names),
-        medians={n: 0.0 for n in names},
+        medians=np.zeros(len(names)),
     )
 
 
@@ -117,7 +118,7 @@ class TestSingleTreeCases:
 
     def test_absent_values_take_the_model_medians(self):
         model = manual_model([stump(0, 0.0, [4, 0], [0, 4])], ["a", "b"])
-        model.medians["a"] = 1.0
+        model.medians[0] = 1.0  # a's
         background = rows([-1.0, 0.0], [np.nan, 0.0])
         imputed = rows([-1.0, 0.0], [1.0, 0.0])
         fast = explain(model, rows(np.nan, 5.0), background)
@@ -275,7 +276,7 @@ def oracle_prepare_tree(tree, background):
     """Per leaf: (value, features, thresholds, directions, background
     satisfaction (rows x conditions), distinct features, inverse)."""
     leaves = []
-    value = pack_forest([tree])[5]
+    value = pack_forest(forest_of([tree]))[5]
     for node, conds in oracle_enumerate_leaves(tree):
         feats = np.array([c[0] for c in conds], dtype=np.int64)
         thrs = np.array([c[1] for c in conds])
@@ -319,7 +320,7 @@ def oracle_tree_phi(leaves, x, d, b):
 def oracle_explain_rows(model, background, X):
     """phi of each imputed row of X, one row at a time."""
     d, b = len(model.feature_names), background.shape[0]
-    trees = [oracle_prepare_tree(t, background) for t in model.trees]
+    trees = [oracle_prepare_tree(t, background) for t in trees_of(model.trees)]
     out = np.empty(X.shape)
     for i, x in enumerate(X):
         phi = np.zeros(d)
@@ -346,11 +347,12 @@ def oracle_walk_rows(model, background, X):
     d, b = len(model.feature_names), len(background)
     A = _weight_table(d)
     groups = [range(lo, min(lo + 64, b)) for lo in range(0, b, 64)]
-    value = {id(tree): pack_forest([tree])[5] for tree in model.trees}
+    trees = trees_of(model.trees)
+    value = {id(tree): pack_forest(forest_of([tree]))[5] for tree in trees}
     out = np.empty(X.shape)
     for i, x in enumerate(X):
         empty = frozenset()
-        levels = [[(tree, 0, empty, empty, list(rows), None, None) for tree in model.trees for rows in groups]]
+        levels = [[(tree, 0, empty, empty, list(rows), None, None) for tree in trees for rows in groups]]
         while levels[-1]:
             follow, own, required = [], [], []
             for at, (tree, node, P, N, rows, _parent, _credit) in enumerate(levels[-1]):
@@ -449,7 +451,7 @@ class TestBatchedExplainer:
         rng = np.random.default_rng(5)
         X, y = random_rows(rng, 30, 3)
         forest = fit_forest(X, y, ["a", "b", "c"], ForestConfig(n_trees=3), seed=2)
-        model = manual_model([leaf_tree([2, 5])] + forest.trees, ["a", "b", "c"])
+        model = manual_model([leaf_tree([2, 5])] + trees_of(forest.trees), ["a", "b", "c"])
         assert_matches_oracle(model, X[:9], X[9:20])
         alone = manual_model([leaf_tree([2, 5])], ["a", "b", "c"])
         assert not assert_matches_oracle(alone, X[:9], X[9:12])[1].any()
@@ -541,10 +543,11 @@ class TestBatchedExplainer:
         names = [f"f{j}" for j in range(20)]
         X, y = random_rows(rng, 160, 20)
         forest = fit_forest(X, y, names, ForestConfig(n_trees=57), seed=31)
-        trees = forest.trees[:20] + [leaf_tree([3, 1])] + forest.trees[20:40] + [leaf_tree([0, 2])]
-        model = manual_model(trees + forest.trees[40:] + [leaf_tree([1, 1])], names)
+        fitted = trees_of(forest.trees)
+        trees = fitted[:20] + [leaf_tree([3, 1])] + fitted[20:40] + [leaf_tree([0, 2])]
+        model = manual_model(trees + fitted[40:] + [leaf_tree([1, 1])], names)
         assert_matches_oracle(model, X[:24], X[130:136])
-        assert max(_depth(t) for t in forest.trees) >= 10
+        assert max(_depth(t) for t in fitted) >= 10
 
     def test_more_than_64_features_and_full_background_groups(self):
         # P and N take two 64-bit words per entry; 128 background rows
@@ -554,16 +557,16 @@ class TestBatchedExplainer:
         X, y = random_rows(rng, 260, 70)
         model = fit_forest(X, y, names, ForestConfig(n_trees=4), seed=23)
         background, instances = X[:128], X[250:256]
-        assert {int(f) for t in model.trees for f in t.feature} & set(range(64, 70))
+        assert set(model.trees.feature.tolist()) & set(range(64, 70))
         _explainer, phi = assert_matches_oracle(model, background, instances)
         assert phi.view(np.uint64).tolist() == oracle_walk_rows(model, background, instances).view(np.uint64).tolist()
 
     @pytest.mark.parametrize("seed", [9, 10, 11])
     def test_breadth_first_numbering_gives_the_same_phi(self, seed):
         model, background, X = random_forest_case(seed)
-        renumbered = replace(model, trees=[_breadth_first(t) for t in model.trees])
+        renumbered = replace(model, trees=forest_of([_breadth_first(t) for t in trees_of(model.trees)]))
         renumbered = model_from_json(model_to_json(renumbered))
-        assert any(a.left.tolist() != b.left.tolist() for a, b in zip(model.trees, renumbered.trees))
+        assert model.trees.left.tolist() != renumbered.trees.left.tolist()
         assert renumbered.predict_proba(X).tolist() == model.predict_proba(X).tolist()
         want = TreeShapExplainer(model, background).explain_rows(X)
         got = TreeShapExplainer(renumbered, background).explain_rows(X)
