@@ -798,28 +798,60 @@ def model_to_json(model: RandomForestModel) -> str:
 
 def model_from_json(text: str) -> RandomForestModel:
     """The model `model_to_json` wrote. ParseError for text that is not
-    a JSON object, another format version, a missing key, medians that
-    are not an object with a finite number for every feature, and, naming
-    the tree, for trees that would not route every row to a leaf."""
+    a JSON object, another format version, a missing key, a key holding a
+    value of another type (naming the key), medians that are not an object
+    with a finite number for every feature, and, naming the tree, for trees
+    that would not route every row to a leaf."""
     try:
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ParseError(f"the top level is not an object but {type(payload).__name__}")
         if payload["format_version"] != MODEL_FORMAT_VERSION:
             raise ParseError(f"unsupported model format {payload['format_version']!r}")
-        names = tuple(payload["feature_names"])
+        names, seed, scores = payload["feature_names"], payload["seed"], payload.get("fold_scores", [])
+        if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+            raise ParseError("feature_names is not a list of strings")
+        if not _is_int(seed):
+            raise ParseError(f"seed is {seed!r:.40}, not an integer")
+        if not isinstance(scores, list) or not all(_is_number(score) for score in scores):
+            raise ParseError("fold_scores is not a list of numbers")
         return RandomForestModel(
-            config=ForestConfig(**{f.name: payload["config"][f.name] for f in fields(ForestConfig)}),
+            config=_forest_config(payload["config"]),
             trees=_trees_from_lists(payload["trees"], len(names)),
-            seed=payload["seed"],
-            feature_names=names,
+            seed=seed,
+            feature_names=tuple(names),
             medians=_median_vector(payload["medians"], names),
-            fold_scores=payload.get("fold_scores", []),
+            fold_scores=scores,
         )
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     except KeyError as exc:
         raise ParseError(f"missing key {exc}") from exc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _forest_config(raw) -> ForestConfig:
+    """The config object of a model file; ParseError naming the first
+    field that does not hold a value `ForestConfig` takes."""
+    if not isinstance(raw, dict):
+        raise ParseError(f"config is not an object but {type(raw).__name__}")
+    config = ForestConfig(**{f.name: raw[f.name] for f in fields(ForestConfig)})
+    for name, fits, want in (
+        ("n_trees", _is_int(config.n_trees), "an integer"),
+        ("max_features", config.max_features in ("sqrt", "all"), "'sqrt' or 'all'"),
+        ("min_samples_split", _is_int(config.min_samples_split), "an integer"),
+        ("max_depth", config.max_depth is None or _is_int(config.max_depth), "an integer or null"),
+    ):
+        if not fits:
+            raise ParseError(f"config: {name} is {getattr(config, name)!r:.40}, not {want}")
+    return config
 
 
 def _median_vector(raw, names) -> np.ndarray:
@@ -830,7 +862,7 @@ def _median_vector(raw, names) -> np.ndarray:
     for name in names:
         value = raw.get(name)
         # compared, not converted: an integer past the float range fails here
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        if not _is_number(value) or not abs(value) <= sys.float_info.max:
             got = f"{value!r:.40}, not a finite number" if name in raw else "missing"
             raise ParseError(f"medians: the median of feature {name!r} is {got}")
     return np.array([raw[name] for name in names], dtype=np.float64)
@@ -839,14 +871,19 @@ def _median_vector(raw, names) -> np.ndarray:
 def _trees_from_lists(raw: list[dict], d: int) -> Forest:
     """The trees of a model file as the forest's node table, checked there
     once, so that every row descends to a leaf: the trees are a list of
-    objects; each tree has nodes, and as many entries in every field;
-    counts are one pair per node; a split node's feature lies in [0, d)
-    and its children after it in its own tree; a leaf has no children.
+    objects; each tree's fields are lists, with nodes, and as many entries
+    in every field; counts are one pair per node; a split node's feature
+    lies in [0, d) and its children after it in its own tree; a leaf has
+    no children.
     Raises ParseError naming the tree and the cause."""
     if not isinstance(raw, list) or not all(isinstance(t, dict) for t in raw):
         raise ParseError("trees is not a list of objects")
     if not raw:
         raise ParseError("the model holds no trees")
+    for i, t in enumerate(raw):
+        for f in fields(Forest)[1:]:
+            if not isinstance(t[f.name], list):
+                raise ParseError(f"tree {i}: {f.name} is not a list")
     sizes = [len(t["feature"]) for t in raw]
     for i, (t, n) in enumerate(zip(raw, sizes)):
         if n == 0:

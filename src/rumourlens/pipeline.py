@@ -18,10 +18,13 @@ Compare computes the KS grids, the population means and the emotion
 share table from row masks over the feature matrix's columns.
 
 Train and explain run their work through `parallel.jobs`, in process at
-`threads = 1` and in worker processes above. Train plans every model's
-fits before it reads any, then writes the models in order; explain
-splits a large model's rows across the workers. Either way every file
-and every warning is that of the in-process run.
+`threads = 1` and in worker processes above. Each plans every model's
+jobs before it reads any result, then writes its files in order: train
+fits each CV fold and each final model as a job; explain reads and
+checks every model file first, then walks each model as one job, or a
+model whose walk costs more than its share of the stage's, total /
+workers, as contiguous row blocks of about that share. Either way every
+file and every warning is that of the in-process run.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass
 from functools import partial
-from itertools import zip_longest
+from itertools import groupby, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -352,9 +355,10 @@ def _check_model_features(model, names, model_path: Path, event: str, scope: str
 def stage_explain(cfg: RunConfig) -> list[Path]:
     with _stage(cfg, "explain") as out, parallel.jobs(cfg.threads, "explain") as run:
         table, usable = _stage_inputs(out, "explain")
-        rankings: dict = {}
+        # every model is read and checked before any is explained, so that a
+        # pool walks them all while the files are written in order
+        plans, requests = [], []
         for event in usable:
-            blocks = []
             for scope in _scopes(cfg):
                 model_path = _model_path(out, event, scope)
                 if not model_path.exists():
@@ -368,17 +372,17 @@ def stage_explain(cfg: RunConfig) -> list[Path]:
                         f"stage 'explain', event {event!r}, scope {scope!r}: {model_path.name}: {exc}"
                     ) from exc
                 _check_model_features(model, table.names, model_path, event, scope)
-                rows, _y, _seed, train, _test = _model_split(cfg, table, event, scope)
-                X, ids = table.X[rows], table.tweet_id[rows].tolist()
-                summary = shapley.shap_summary(
-                    model,
-                    X,
-                    background=X[train],
-                    background_limit=cfg.shap_background,
-                    seed=derive_seed(cfg.seed, event, scope, "background"),
-                    map=run,
-                    blocks=parallel.workers(cfg.threads),
-                )
+                mask, _y, _seed, train, _test = _model_split(cfg, table, event, scope)
+                rows = np.flatnonzero(mask)
+                seed = derive_seed(cfg.seed, event, scope, "background")
+                background = shapley.sample_background(model, table.X[rows[train]], cfg.shap_background, seed)
+                plans.append((event, scope, table.tweet_id[rows].tolist()))
+                requests.append((model, rows, background))
+        summaries = shapley.shap_summaries(table.X, requests, run, parallel.workers(cfg.threads))
+        rankings: dict = {}
+        for event, explained in groupby(zip(plans, requests, summaries), key=lambda planned: planned[0][0]):
+            blocks = []
+            for (_event, scope, ids), (model, _rows, _background), summary in explained:
                 gaps = np.abs(
                     summary.base_value + summary.phi.sum(axis=1) - model.predict_proba(summary.values)
                 )
@@ -394,8 +398,7 @@ def stage_explain(cfg: RunConfig) -> list[Path]:
                 )
                 above_median = summary.values > np.median(summary.values, axis=0)
                 blocks.append((scope, ids, summary.values, summary.phi, above_median))
-            if blocks:
-                report.write_shap_points_csv(out / f"shap_{event}.csv", table.names, blocks)
+            report.write_shap_points_csv(out / f"shap_{event}.csv", table.names, blocks)
         report.write_json(out / report.SHAP_RANKINGS_JSON, rankings)
     return _written(cfg, "explain")
 

@@ -63,13 +63,18 @@ parent adds its children in level order) and the adds into phi
 order set by that row alone, and the sum is divided by the background
 size times the trees: each phi is the same float, bit for bit, whatever
 the other rows and the chunk sizes. It differs from adding the formula
-above leaf by leaf only in the last bits. ``shap_summary``'s mean |phi|
+above leaf by leaf only in the last bits. ``shap_summaries``' mean |phi|
 is a plain column sum, in column order and unsorted:
 ``shap_rankings.json`` keeps 10 significant digits of it, and
 ``shap_<event>.csv`` writes |phi| below ``report.PHI_FLOOR`` as 0.
-For the same reason ``shap_summary`` may hand a large model's rows to
-worker processes in contiguous blocks, each explained by a pickled copy
-of the explainer, and get the same phi.
+For the same reason ``shap_summaries`` may explain a model's rows in
+contiguous blocks, each a job of its own that builds its explainer from
+the model, the block and the background, and get the same phi: it hands
+every model's jobs to a map (a worker pool's) at once, one job per model
+unless the model's walk cost (``walk_cost``: rows x leaves x background
+groups, the measure that sizes the first chunk) is more than its fair
+share of the total, total / workers, in which case its rows are split
+into blocks of about that share (``block_counts``).
 
 Instances and background sets are raw feature rows in the model's column
 order, NaN marking an absent value (the `<name>__absent` flag in
@@ -95,12 +100,6 @@ DEFAULT_BACKGROUND_LIMIT = 256
 # chunk is sized from the forest's leaves, later ones from what the walk
 # measured
 FRONTIER_ENTRIES = 1 << 17
-
-# rows x trees x background groups of a model from which `shap_summary`
-# splits its rows across worker processes. Measured with two warm workers
-# (2-core x86-64): on 100 small trees (822 nodes) the pool lost at 9,600
-# and won at 19,200; on 10 deep trees (1,298 training rows) it won from 80
-POOL_WORK = 1 << 14
 
 
 @lru_cache(maxsize=32)
@@ -137,7 +136,7 @@ class TreeShapExplainer:
         for r, row in enumerate(background):
             self._goes_left[r // 64] |= (row[feature] <= threshold).astype(np.uint64) << np.uint64(r % 64)
         # a row walks a few entries per leaf and background group
-        self._first_rows = max(1, FRONTIER_ENTRIES // (8 * int((feature == -1).sum()) * groups))
+        self._first_rows = max(1, FRONTIER_ENTRIES // (8 * walk_cost(model, 1, background.shape[0])))
         # each tree's mean output over the background, then their mean
         self.base_value = float(leaf_values(model.trees, background).mean(axis=1).mean())
 
@@ -279,41 +278,88 @@ class ShapSummary:
     base_value: float
 
 
+def sample_background(
+    model: RandomForestModel, background: np.ndarray, limit: int = DEFAULT_BACKGROUND_LIMIT, seed: int = 0
+) -> np.ndarray:
+    """The background a model is explained against: the raw rows of
+    `background` imputed with the model's medians and, beyond `limit`
+    rows, subsampled (seeded) for tractability, in row order."""
+    bg = model.impute(background)
+    if not bg.shape[0]:
+        raise EmptySample("the background set has no rows")
+    if bg.shape[0] > limit:
+        rng = np.random.default_rng(seed)
+        bg = bg[np.sort(rng.choice(bg.shape[0], size=limit, replace=False))]
+    return bg
+
+
+def walk_cost(model: RandomForestModel, rows: int, background_rows: int) -> int:
+    """rows x leaves x background groups: what explaining `rows` rows
+    against `background_rows` background rows costs the walk."""
+    return rows * int((model.trees.feature == -1).sum()) * -(-background_rows // 64)
+
+
+def block_counts(costs: list[int], workers: int) -> list[int]:
+    """The number of contiguous row blocks each model is explained in, from
+    its walk cost: one, unless the cost is more than its fair share of the
+    total, total / workers; then as many as make blocks of about that
+    share, so never more than `workers`."""
+    total = sum(costs)
+    return [-(-cost * workers // total) for cost in costs]
+
+
+def explain_block(model: RandomForestModel, background: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, float]:
+    """(phi of the raw rows `X`, imputed here, base value) against an
+    imputed background: one job of `shap_summaries`, which builds its
+    explainer in whichever process runs it."""
+    explainer = TreeShapExplainer(model, background)
+    return explainer.explain_rows(model.impute(X)), explainer.base_value
+
+
+def shap_summaries(X: np.ndarray, requests, map=map, workers: int = 1):
+    """The ShapSummary of each (model, rows, background) of `requests`, in
+    order: the raw rows `X[rows]` (`rows` an index array) explained
+    against a background from `sample_background`, and each feature's
+    |phi| averaged over them. Nothing is sorted here:
+    `report.ranking_entries` ranks.
+
+    Every model's jobs go through one call of `map` (a worker pool's
+    submits them all at once), each model's rows in `block_counts` blocks
+    for `workers`. The summaries are read from it in order, and a job's
+    rows are taken from `X` only as `map` asks for them, so in process one
+    model's rows are held at a time. A row's phi does not depend on the
+    blocks, bit for bit.
+    """
+    if not all(len(rows) for _model, rows, _bg in requests):
+        raise EmptySample("no rows to explain")
+    counts = block_counts([walk_cost(model, len(rows), len(bg)) for model, rows, bg in requests], workers)
+    splits = [np.array_split(rows, min(k, len(rows))) for (_model, rows, _bg), k in zip(requests, counts)]
+    jobs = [(model, bg, block) for (model, _rows, bg), blocks in zip(requests, splits) for block in blocks]
+    models, backgrounds, blocks = zip(*jobs) if jobs else ((), (), ())
+    results = map(explain_block, models, backgrounds, (X[block] for block in blocks))
+
+    def summary(model, rows, blocks):
+        parts = [next(results) for _ in blocks]
+        phi = np.concatenate([phi for phi, _base in parts])
+        return ShapSummary(
+            mean_abs=np.abs(phi).sum(axis=0) / len(rows),
+            values=model.impute(X[rows]),
+            phi=phi,
+            base_value=parts[0][1],
+        )
+
+    return (summary(model, rows, blocks) for (model, rows, _bg), blocks in zip(requests, splits))
+
+
 def shap_summary(
     model: RandomForestModel,
     X: np.ndarray,
     background: np.ndarray,
     background_limit: int = DEFAULT_BACKGROUND_LIMIT,
     seed: int = 0,
-    map=map,
-    blocks: int = 1,
 ) -> ShapSummary:
-    """Explain every row of `X`, and average each feature's |phi| over
-    them. Nothing is sorted here: `report.ranking_entries` ranks.
-
-    The background is subsampled (seeded) beyond `background_limit` rows
-    for tractability. At or above `POOL_WORK`, the rows go through `map`
-    (a worker pool's) in `blocks` contiguous blocks, each explained by a
-    copy of the explainer; below it, in process. A row's phi does not
-    depend on the blocks, bit for bit.
-    """
-    if not len(X):
-        raise EmptySample("no rows to explain")
-    bg = model.impute(background)
-    if bg.shape[0] > background_limit:
-        rng = np.random.default_rng(seed)
-        keep = np.sort(rng.choice(bg.shape[0], size=background_limit, replace=False))
-        bg = bg[keep]
-    explainer = TreeShapExplainer(model, bg)
-
-    X = model.impute(X)
-    if len(X) * len(model.trees) * explainer._goes_left.shape[0] >= POOL_WORK:
-        phi = np.concatenate(list(map(explainer.explain_rows, np.array_split(X, min(blocks, len(X))))))
-    else:
-        phi = explainer.explain_rows(X)
-    return ShapSummary(
-        mean_abs=np.abs(phi).sum(axis=0) / len(X),
-        values=X,
-        phi=phi,
-        base_value=explainer.base_value,
-    )
+    """The ShapSummary of one model's rows `X`, explained in process
+    against the raw `background` rows (`sample_background`)."""
+    background = sample_background(model, background, background_limit, seed)
+    (summary,) = shap_summaries(X, [(model, np.arange(len(X)), background)])
+    return summary

@@ -1013,8 +1013,20 @@ class TestModelFileChecks:
             (lambda p: {**p, "trees": [p["trees"][0], 7]}, "trees is not a list of objects"),
             (lambda p: {**p, "medians": [0.0, 0.0]}, "medians is not an object but list"),
             (lambda p: {**p, "medians": {"a": 0.0}}, "medians: the median of feature 'b' is missing"),
+            (
+                lambda p: {**p, "trees": [p["trees"][0], {**p["trees"][1], "feature": 5}]},
+                "tree 1: feature is not a list",
+            ),
+            (lambda p: {**p, "config": [1]}, "config is not an object but list"),
+            (lambda p: {**p, "feature_names": 3}, "feature_names is not a list of strings"),
+            (lambda p: {**p, "seed": "x"}, "seed is 'x', not an integer"),
+            (lambda p: {**p, "fold_scores": "x"}, "fold_scores is not a list of numbers"),
+            (lambda p: {**p, "config": {**p["config"], "n_trees": "x"}}, "config: n_trees is 'x', not an integer"),
         ],
-        ids=["top level", "trees", "medians", "missing median"],
+        ids=[
+            "top level", "trees", "medians", "missing median",
+            "tree feature", "config", "feature names", "seed", "fold scores", "config n_trees",
+        ],
     )
     def test_malformed_model_file(self, edit, want):
         with pytest.raises(ParseError, match=f"^{re.escape(want)}$"):

@@ -388,6 +388,12 @@ class TestCliCommands:
             ("not json", "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
             ("format 2", "unsupported model format 2"),
             ("no trees", "missing key 'trees'"),
+            ("tree feature", "tree 1: feature is not a list"),
+            ("config", "config is not an object but list"),
+            ("feature names", "feature_names is not a list of strings"),
+            ("seed", "seed is 'x', not an integer"),
+            ("fold scores", "fold_scores is not a list of numbers"),
+            ("config n_trees", "config: n_trees is 'x', not an integer"),
         ],
     )
     def test_damaged_model_file_rejected(self, tmp_path, mini_pheme_dir, capsys, damage, want):
@@ -396,10 +402,17 @@ class TestCliCommands:
             assert cli.main([command, "--config", str(conf)]) == 0
         path = tmp_path / "out" / "t" / "model_parkfire_reactions.json"
         payload = json.loads(path.read_text())
-        if damage == "format 2":
-            payload["format_version"] = 2
-        elif damage == "no trees":
-            del payload["trees"]
+        edits = {
+            "format 2": lambda: payload.update(format_version=2),
+            "no trees": lambda: payload.pop("trees"),
+            "tree feature": lambda: payload["trees"][1].update(feature=5),
+            "config": lambda: payload.update(config=[1]),
+            "feature names": lambda: payload.update(feature_names=3),
+            "seed": lambda: payload.update(seed="x"),
+            "fold scores": lambda: payload.update(fold_scores="x"),
+            "config n_trees": lambda: payload["config"].update(n_trees="x"),
+        }
+        edits.get(damage, lambda: None)()
         path.write_text("{broken" if damage == "not json" else json.dumps(payload))
         capsys.readouterr()
         assert cli.main(["explain", "--config", str(conf)]) == 1

@@ -159,11 +159,11 @@ def test_stage_all_returns_every_declared_file_in_stage_order(tmp_path):
     assert {p.name for p in cfg.run_dir().iterdir()} == {p.name for p in written} | {pipeline.MANIFEST}
 
 
-def test_threads_setting_does_not_change_models(tmp_path, monkeypatch):
+def test_threads_setting_does_not_change_models(tmp_path):
     # a whole fixture run in process and with two workers: every run file
     # but the config is byte-identical, and the same warnings come in the
     # same order, each train warning named by its model. Every model is
-    # explained in the pool too. Two reply texts, each under a rumour and a
+    # explained in a worker too. Two reply texts, each under a rumour and a
     # non-rumour source, make identical rows of both classes, which the
     # fits warn of in the workers; 10 folds are more than the smaller
     # populations hold, which the stage warns of; 10 trees keep it short
@@ -173,7 +173,6 @@ def test_threads_setting_does_not_change_models(tmp_path, monkeypatch):
         tweet = {"id": f"9{i}", "text": "same words again", "event": "parkfire", "role": "reaction"}
         lines.append(json.dumps({**tweet, "label": label, "parent_id": parent}))
     dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    monkeypatch.setattr(shapley, "POOL_WORK", 0)
     runs, warned = {}, {}
     for threads in (1, 2):
         cfg = fixture_config(
@@ -304,6 +303,30 @@ def test_explain_rejects_a_cyclic_model(tmp_path):
     )
     with pytest.raises(ParseError, match=message):
         pipeline.stage_explain(cfg)
+
+
+def test_explain_reads_every_model_before_it_walks_any(tmp_path, monkeypatch):
+    # after a complete run, the last of six model files is cut short:
+    # explain stops with the ParseError that names it, before any model is
+    # walked, and leaves no shap_* file
+    cfg = fixture_config(tmp_path, n_trees=2, k_folds=3, run_id="malformed")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # fewer folds, unsplittable nodes
+        pipeline.stage_all(cfg)
+    out = cfg.run_dir()
+    assert len(list(out.glob("model_*.json"))) == 6
+    path = out / "model_statuegift_sources.json"
+    path.write_text(path.read_text(encoding="utf-8")[:-1], encoding="utf-8")
+    walked = []
+    monkeypatch.setattr(shapley, "explain_block", lambda *job: walked.append(job))
+    message = (
+        r"^stage 'explain', event 'statuegift', scope 'sources': model_statuegift_sources\.json: "
+        r"invalid JSON: Expecting ',' delimiter: "
+    )
+    with pytest.raises(ParseError, match=message):
+        pipeline.stage_explain(cfg)
+    assert walked == []
+    assert not list(out.glob("shap_*"))
 
 
 def test_feature_check_names_a_missing_column(tmp_path):

@@ -18,7 +18,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from rumourlens import report, shapley
+from rumourlens import parallel, report, shapley
 from rumourlens.classify import (
     ForestConfig,
     RandomForestModel,
@@ -254,6 +254,37 @@ class TestSummary:
         b = shap_summary(model, X[:3], background=X, background_limit=5, seed=11)
         assert a.mean_abs.tolist() == b.mean_abs.tolist()
         assert a.phi.tolist() == b.phi.tolist()
+
+    def test_block_plan(self):
+        # three models' walks, the last one well above half the total cost:
+        # at one worker each is one job; at two the large one is walked in
+        # contiguous blocks, in row order, in worker processes, and every
+        # summary is bit for bit the in-process one
+        model, X = self.build()
+        small, _ = self.build(seed=5)
+        background = shapley.sample_background(model, X, 16, seed=3)
+        requests = [(small, np.arange(2), background), (model, np.arange(3), background)]
+        requests.append((model, np.arange(len(X)), background))
+        costs = [shapley.walk_cost(m, len(rows), len(bg)) for m, rows, bg in requests]
+        assert costs[2] > sum(costs) / 2
+        assert shapley.block_counts(costs, 1) == [1, 1, 1]
+        assert shapley.block_counts(costs, 2) == [1, 1, 2]
+        in_process = list(shapley.shap_summaries(X, requests))
+        jobs = []
+
+        def recording(fn, *iterables):
+            jobs.extend(zip(*iterables))
+            return run(fn, *zip(*jobs))
+
+        with parallel.jobs(2, "explain") as run:
+            pooled = list(shapley.shap_summaries(X, requests, recording, 2))
+        blocks = [block for _model, _bg, block in jobs]
+        assert [len(block) for block in blocks] == [2, 3, 20, 20]
+        assert np.concatenate(blocks[2:]).tolist() == X.tolist()
+        for got, want in zip(pooled, in_process):
+            assert got.phi.tolist() == want.phi.tolist()
+            assert got.mean_abs.tolist() == want.mean_abs.tolist()
+            assert got.base_value == want.base_value
 
 
 # ---------------------------------------------------------------------------
